@@ -8,6 +8,7 @@
 
 #include "ir/Program.h"
 #include "pta/AnalysisResult.h"
+#include "support/FlatMap.h"
 #include "support/Hashing.h"
 
 using namespace pt;
@@ -59,42 +60,72 @@ uint32_t flowLine(const Program &Prog, const AnalysisResult &Res,
   return 0;
 }
 
-/// Converts a derivation tree into FlowSteps (leaves first, conclusion
-/// last), keeping at most MaxSteps by dropping the deepest leaves first.
-std::vector<FlowStep> toFlow(const Recorder &Rec, const AnalysisResult &Res,
-                             const DerivationTree &Tree, size_t MaxSteps) {
+/// Renders one derivation step: the conclusion's attributed method, best
+/// source line, and "[rule] Fact(...)" text.  A fact's first step fixes its
+/// rule, so the rendering is a function of the fact id alone.
+FlowStep renderStep(const Recorder &Rec, const AnalysisResult &Res,
+                    const TreeStep &TS) {
   const Program &Prog = Res.program();
-  std::vector<FlowStep> Out;
-  size_t N = Tree.Steps.size();
-  size_t First = N > MaxSteps ? N - MaxSteps : 0;
-  Out.reserve(N - First);
-  for (size_t I = First; I < N; ++I) {
-    const TreeStep &TS = Tree.Steps[I];
-    Fact F = Rec.fact(TS.FactId);
-    FlowStep S;
-    S.Method = flowMethod(Prog, Res, F);
-    S.Line = flowLine(Prog, Res, F, TS.R, S.Method);
-    S.Message = std::string("[") + ruleName(TS.R) + "] " +
-                formatFact(Rec, Res, TS.FactId);
-    Out.push_back(std::move(S));
-  }
-  return Out;
+  Fact F = Rec.fact(TS.FactId);
+  FlowStep S;
+  S.Method = flowMethod(Prog, Res, F);
+  S.Line = flowLine(Prog, Res, F, TS.R, S.Method);
+  S.Message = std::string("[") + ruleName(TS.R) + "] " +
+              formatFact(Rec, Res, TS.FactId);
+  return S;
 }
 
-/// Derivation of Reachable(M, *): the first recorded Reachable fact for M
-/// in any context.  (whyPointsTo's sibling; no context filter because the
-/// checkers anchor on "reachable at all".)
-DerivationTree whyReachable(const Recorder &Rec, MethodId M) {
-  size_t NumFacts = Rec.numFacts();
-  for (uint32_t Id = 0; Id < NumFacts; ++Id) {
-    Fact F = Rec.fact(Id);
-    if (F.Kind == FactKind::Reachable && unpackHi(F.A) == M.rawValue())
-      return deriveFact(Rec, Id);
+/// The facts the diagnostics' anchors name, resolved in one ascending pass
+/// over the arena.  Each anchor maps to the lowest fact id matching it (the
+/// fact a per-anchor whyPointsTo scan would stop at), or InvalidFact when
+/// the run never derived it.
+class Anchors {
+public:
+  Anchors(const AnalysisResult &Res, const Recorder &Rec,
+          const std::vector<Diagnostic> &Diags) {
+    for (const Diagnostic &D : Diags) {
+      if (D.WhyVar.isValid() && D.WhyHeap.isValid())
+        PointsTo.tryEmplace(pointsToKey(D.WhyVar, D.WhyHeap), InvalidFact);
+      else if (D.WhyReachable.isValid())
+        Reachable.tryEmplace(D.WhyReachable.rawValue(), InvalidFact);
+    }
+    if (PointsTo.empty() && Reachable.empty())
+      return;
+    Rec.scanFacts([&](uint32_t Id, const Fact &F) {
+      uint32_t *Slot = nullptr;
+      if (F.Kind == FactKind::VarPointsTo) {
+        uint32_t Obj = static_cast<uint32_t>(F.B64);
+        if (Obj < Res.numObjects())
+          Slot = PointsTo.find(
+              pointsToKey(VarId(unpackHi(F.A)), Res.objHeap(Obj)));
+      } else if (F.Kind == FactKind::Reachable) {
+        Slot = Reachable.find(unpackHi(F.A));
+      }
+      if (Slot && *Slot == InvalidFact)
+        *Slot = Id;
+      return true;
+    });
   }
-  DerivationTree Tree;
-  Tree.Error = "no recorded Reachable fact for the method";
-  return Tree;
-}
+
+  /// The anchored fact of \p D; InvalidFact when it has no anchor or the
+  /// anchor was never derived.
+  uint32_t of(const Diagnostic &D) const {
+    const uint32_t *Slot = nullptr;
+    if (D.WhyVar.isValid() && D.WhyHeap.isValid())
+      Slot = PointsTo.find(pointsToKey(D.WhyVar, D.WhyHeap));
+    else if (D.WhyReachable.isValid())
+      Slot = Reachable.find(D.WhyReachable.rawValue());
+    return Slot ? *Slot : InvalidFact;
+  }
+
+private:
+  static uint64_t pointsToKey(VarId V, HeapId H) {
+    return packPair(V.rawValue(), H.rawValue());
+  }
+
+  FlatMap<uint32_t> PointsTo;  ///< packPair(var, heap) -> fact id.
+  FlatMap<uint32_t> Reachable; ///< method -> fact id.
+};
 
 } // namespace
 
@@ -102,17 +133,44 @@ void pt::checks::attachDerivationFlows(const AnalysisResult &Res,
                                        const Recorder &Rec,
                                        std::vector<Diagnostic> &Diags,
                                        size_t MaxSteps) {
-  for (Diagnostic &D : Diags) {
-    DerivationTree Tree;
-    if (D.WhyVar.isValid() && D.WhyHeap.isValid())
-      Tree = whyPointsTo(Rec, Res, D.WhyVar, CtxId(), D.WhyHeap);
-    else if (D.WhyReachable.isValid())
-      Tree = whyReachable(Rec, D.WhyReachable);
-    else
-      continue;
-    if (!Tree.Found)
+  // Linear in the arena plus the derivations: one pass resolves every
+  // anchor, each distinct anchored fact is derived once (diagnostics
+  // sharing it copy its flow), and each fact is rendered once however
+  // many flows cite it.
+  constexpr uint32_t NoFlow = UINT32_MAX;
+  Anchors Anchored(Res, Rec, Diags);
+  FlatMap<uint32_t> FlowOf;     // anchored fact -> diagnostic holding its flow
+  FlatMap<uint32_t> RenderedOf; // fact -> index into Rendered
+  std::vector<FlowStep> Rendered;
+  for (size_t I = 0; I != Diags.size(); ++I) {
+    Diagnostic &D = Diags[I];
+    uint32_t Root = Anchored.of(D);
+    if (Root == InvalidFact)
       continue; // Aborted runs may lack the fact; the report stands alone.
-    D.Flow = toFlow(Rec, Res, Tree, MaxSteps);
+    auto [Holder, Fresh] = FlowOf.tryEmplace(Root, NoFlow);
+    if (!Fresh) {
+      if (*Holder != NoFlow)
+        D.Flow = Diags[*Holder].Flow;
+      continue;
+    }
+    DerivationTree Tree = deriveFact(Rec, Root);
+    if (!Tree.Found)
+      continue;
+    *Holder = static_cast<uint32_t>(I);
+    // Keep at most MaxSteps, dropping the earliest (leaf-most) steps: the
+    // conclusion is last and always kept.
+    size_t N = Tree.Steps.size();
+    size_t First = N > MaxSteps ? N - MaxSteps : 0;
+    D.Flow.clear();
+    D.Flow.reserve(N - First);
+    for (size_t S = First; S != N; ++S) {
+      const TreeStep &TS = Tree.Steps[S];
+      auto [Idx, New] = RenderedOf.tryEmplace(
+          TS.FactId, static_cast<uint32_t>(Rendered.size()));
+      if (New)
+        Rendered.push_back(renderStep(Rec, Res, TS));
+      D.Flow.push_back(Rendered[*Idx]);
+    }
   }
 }
 

@@ -13,10 +13,16 @@
 using namespace pt;
 using namespace pt::checks;
 
-std::string pt::checks::jsonEscape(const std::string &S) {
-  std::string Out;
-  Out.reserve(S.size());
-  for (char C : S) {
+void pt::checks::appendJsonEscaped(std::string &Out, std::string_view S) {
+  // Copy runs of plain characters in one append; only the (rare) characters
+  // that need an escape go one at a time.
+  size_t Run = 0;
+  for (size_t I = 0; I != S.size(); ++I) {
+    unsigned char C = static_cast<unsigned char>(S[I]);
+    if (C >= 0x20 && C != '"' && C != '\\')
+      continue;
+    Out.append(S.data() + Run, I - Run);
+    Run = I + 1;
     switch (C) {
     case '"':
       Out += "\\\"";
@@ -33,16 +39,20 @@ std::string pt::checks::jsonEscape(const std::string &S) {
     case '\r':
       Out += "\\r";
       break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        Out += Buf;
-      } else {
-        Out += C;
-      }
+    default: {
+      char Buf[8];
+      std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
+      Out += Buf;
+    }
     }
   }
+  Out.append(S.data() + Run, S.size() - Run);
+}
+
+std::string pt::checks::jsonEscape(const std::string &S) {
+  std::string Out;
+  Out.reserve(S.size());
+  appendJsonEscaped(Out, S);
   return Out;
 }
 

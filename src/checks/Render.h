@@ -17,6 +17,7 @@
 
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace pt {
@@ -45,6 +46,10 @@ void renderJsonl(std::ostream &OS, const Program &Prog,
 /// Escapes \p S for embedding inside a JSON string literal (quotes,
 /// backslashes, control characters).
 std::string jsonEscape(const std::string &S);
+
+/// \c jsonEscape appending to \p Out, for writers that build output in a
+/// buffer of their own.
+void appendJsonEscaped(std::string &Out, std::string_view S);
 
 } // namespace checks
 } // namespace pt

@@ -9,53 +9,76 @@
 #include "checks/Render.h"
 #include "ir/Program.h"
 
+#include <charconv>
 #include <cstddef>
+#include <string_view>
 
 using namespace pt;
 using namespace pt::checks;
 
 namespace {
 
-/// Minimal streaming JSON writer with 2-space indentation, enough for the
-/// SARIF shape below.  Keys are emitted in call order.
+/// Streaming JSON writer with 2-space indentation, enough for the SARIF
+/// shape below.  Keys are emitted in call order.  Text accumulates in a
+/// local buffer that goes to the stream in chunks of about \c ChunkBytes:
+/// one stream write per chunk instead of one per token, and a log of
+/// hundreds of megabytes is never held whole.
 class JsonWriter {
 public:
-  explicit JsonWriter(std::ostream &OS) : OS(OS) {}
+  static constexpr size_t ChunkBytes = 64 * 1024;
+
+  explicit JsonWriter(std::ostream &OS) : OS(OS) {
+    Buf.reserve(2 * ChunkBytes);
+  }
 
   void openObject() { open('{'); }
   void closeObject() { close('}'); }
   void openArray() { open('['); }
   void closeArray() { close(']'); }
 
-  void key(const std::string &K) {
+  void key(std::string_view K) {
     comma();
     indent();
-    OS << '"' << jsonEscape(K) << "\": ";
+    Buf += '"';
+    appendJsonEscaped(Buf, K);
+    Buf += "\": ";
     Pending = true;
   }
 
-  void value(const std::string &V) {
+  void value(std::string_view V) {
     prefix();
-    OS << '"' << jsonEscape(V) << '"';
+    Buf += '"';
+    appendJsonEscaped(Buf, V);
+    Buf += '"';
   }
   void value(uint64_t V) {
     prefix();
-    OS << V;
+    char Digits[24];
+    auto R = std::to_chars(Digits, Digits + sizeof(Digits), V);
+    Buf.append(Digits, R.ptr);
+  }
+
+  /// Hands everything buffered so far to the stream.
+  void flush() {
+    OS.write(Buf.data(), static_cast<std::streamsize>(Buf.size()));
+    Buf.clear();
   }
 
 private:
   void open(char C) {
     prefix();
-    OS << C;
+    Buf += C;
     NeedComma.push_back(false);
   }
   void close(char C) {
     NeedComma.pop_back();
-    OS << "\n";
+    Buf += '\n';
     indent();
-    OS << C;
+    Buf += C;
     if (NeedComma.empty())
-      OS << "\n";
+      Buf += '\n';
+    if (Buf.size() >= ChunkBytes)
+      flush();
   }
   /// Emits the separator before a fresh value: nothing after a key, a
   /// comma+newline+indent between array elements.
@@ -72,17 +95,15 @@ private:
       return;
     if (!NeedComma.empty()) {
       if (NeedComma.back())
-        OS << ",";
+        Buf += ',';
       NeedComma.back() = true;
-      OS << "\n";
+      Buf += '\n';
     }
   }
-  void indent() {
-    for (size_t I = 0; I != NeedComma.size(); ++I)
-      OS << "  ";
-  }
+  void indent() { Buf.append(2 * NeedComma.size(), ' '); }
 
   std::ostream &OS;
+  std::string Buf;
   std::vector<bool> NeedComma;
   bool Pending = false;
 };
@@ -97,6 +118,15 @@ void pt::checks::writeSarif(std::ostream &OS, const Program &Prog,
       Prog.sourceName().empty() ? std::string("<input>") : Prog.sourceName();
 
   JsonWriter W(OS);
+  // Qualified names built once per log: flows cite the same few methods
+  // over and over.
+  std::vector<std::string> Names(Prog.numMethods());
+  auto methodName = [&](MethodId M) -> const std::string & {
+    std::string &Name = Names[M.index()];
+    if (Name.empty())
+      Name = Prog.qualifiedName(M);
+    return Name;
+  };
   W.openObject();
   W.key("$schema");
   W.value(std::string("https://raw.githubusercontent.com/oasis-tcs/"
@@ -195,7 +225,7 @@ void pt::checks::writeSarif(std::ostream &OS, const Program &Prog,
       W.openArray();
       W.openObject();
       W.key("fullyQualifiedName");
-      W.value(Prog.qualifiedName(D.Method));
+      W.value(methodName(D.Method));
       W.key("kind");
       W.value(std::string("function"));
       W.closeObject();
@@ -240,7 +270,7 @@ void pt::checks::writeSarif(std::ostream &OS, const Program &Prog,
           W.openArray();
           W.openObject();
           W.key("fullyQualifiedName");
-          W.value(Prog.qualifiedName(S.Method));
+          W.value(methodName(S.Method));
           W.key("kind");
           W.value(std::string("function"));
           W.closeObject();
@@ -272,4 +302,5 @@ void pt::checks::writeSarif(std::ostream &OS, const Program &Prog,
   W.closeObject(); // run
   W.closeArray();  // runs
   W.closeObject(); // root
+  W.flush();
 }

@@ -9,11 +9,11 @@
 #include "context/ContextTable.h"
 #include "ir/Program.h"
 #include "pta/AnalysisResult.h"
+#include "support/FlatMap.h"
 #include "support/Hashing.h"
 
 #include <algorithm>
 #include <cassert>
-#include <deque>
 #include <map>
 
 using namespace pt;
@@ -191,6 +191,16 @@ uint32_t Recorder::firstStepOf(uint32_t FactId) const {
   return Facts[FactId].FirstStep;
 }
 
+bool Recorder::readFacts(size_t Begin, std::vector<Fact> &Out) const {
+  constexpr size_t BlockFacts = 4096;
+  Out.clear();
+  std::lock_guard<std::mutex> Lock(Mu);
+  size_t End = std::min(Facts.size(), Begin + BlockFacts);
+  for (size_t I = Begin; I < End; ++I)
+    Out.push_back(Fact{Facts[I].A, Facts[I].B64, Facts[I].Kind});
+  return !Out.empty();
+}
+
 void Recorder::clear() {
   std::lock_guard<std::mutex> Lock(Mu);
   Facts.clear();
@@ -242,7 +252,8 @@ uint32_t pt::prov::callEdgeFact(Recorder &R, InvokeId I, CtxId CallerCtx,
 DerivationTree pt::prov::deriveFact(const Recorder &R, uint32_t FactId) {
   DerivationTree Tree;
   Tree.Root = FactId;
-  if (FactId == InvalidFact || FactId >= R.numFacts()) {
+  const size_t NumFacts = R.numFacts();
+  if (FactId == InvalidFact || FactId >= NumFacts) {
     Tree.Error = "no such fact";
     return Tree;
   }
@@ -254,9 +265,19 @@ DerivationTree pt::prov::deriveFact(const Recorder &R, uint32_t FactId) {
   // the walk (a Reachable step may cite a CallEdge fact whose own step
   // lands a few entries later), which is why this is a topological emit
   // rather than a sort by arena position.
+  // Visit state lives in a map over the facts the walk touches, not in
+  // arrays over the whole arena: a lint run derives one tree per anchored
+  // diagnostic, and state sized to the arena would make that
+  // O(diagnostics x facts).
   // States: 0 unseen, 1 on the current DFS path, 2 emitted.
-  std::vector<uint8_t> State(R.numFacts(), 0);
-  std::vector<uint32_t> Depth(R.numFacts(), 0);
+  struct Visit {
+    uint32_t Depth;
+    uint8_t State;
+  };
+  FlatMap<Visit> Seen;
+  auto visit = [&Seen](uint32_t F) -> Visit & {
+    return *Seen.tryEmplace(F, Visit{0, 0}).first;
+  };
   struct Frame {
     uint32_t F;
     bool Post;
@@ -273,34 +294,39 @@ DerivationTree pt::prov::deriveFact(const Recorder &R, uint32_t FactId) {
       return Tree;
     }
     Step S = R.stepAt(SIdx);
+    Visit &V = visit(Fr.F);
     if (Fr.Post) {
-      State[Fr.F] = 2;
+      V.State = 2;
       TreeStep TS;
       TS.FactId = Fr.F;
       TS.StepIdx = SIdx;
       TS.R = S.rule();
       TS.Prem0 = S.Prem0;
       TS.Prem1 = S.Prem1;
-      TS.Depth = Depth[Fr.F];
+      TS.Depth = V.Depth;
       Tree.Steps.push_back(TS);
       continue;
     }
-    if (State[Fr.F] == 2)
+    if (V.State == 2)
       continue; // Shared premise already emitted via another conclusion.
-    if (State[Fr.F] == 1) {
+    if (V.State == 1) {
       Tree.Error = "derivation arena contains a cyclic justification";
       return Tree;
     }
-    State[Fr.F] = 1;
+    V.State = 1;
+    const uint32_t PremDepth = V.Depth + 1; // V dangles after visit() below.
     Stack.push_back({Fr.F, true});
     for (uint32_t P : {S.Prem1, S.Prem0}) {
-      if (P == InvalidFact || State[P] == 2)
+      if (P == InvalidFact)
         continue;
-      if (P >= R.numFacts()) {
+      if (P >= NumFacts) {
         Tree.Error = "premise fact id out of range";
         return Tree;
       }
-      Depth[P] = Depth[Fr.F] + 1;
+      Visit &PV = visit(P);
+      if (PV.State == 2)
+        continue;
+      PV.Depth = PremDepth;
       Stack.push_back({P, false});
     }
   }
@@ -314,20 +340,20 @@ DerivationTree pt::prov::whyPointsTo(const Recorder &R,
   // Find a dense object id whose heap site matches, then look the
   // VarPointsTo fact up in the arena.  Any heap context is accepted; when
   // Ctx is invalid any method context matches too.
-  size_t NumFacts = R.numFacts();
-  for (uint32_t Id = 0; Id < NumFacts; ++Id) {
-    Fact F = R.fact(Id);
-    if (F.Kind != FactKind::VarPointsTo)
-      continue;
-    if (unpackHi(F.A) != V.rawValue())
-      continue;
+  uint32_t Match = InvalidFact;
+  R.scanFacts([&](uint32_t Id, const Fact &F) {
+    if (F.Kind != FactKind::VarPointsTo || unpackHi(F.A) != V.rawValue())
+      return true;
     if (Ctx.isValid() && unpackLo(F.A) != Ctx.rawValue())
-      continue;
+      return true;
     uint32_t Obj = static_cast<uint32_t>(F.B64);
     if (Obj >= Res.numObjects() || Res.objHeap(Obj) != Heap)
-      continue;
-    return deriveFact(R, Id);
-  }
+      return true;
+    Match = Id;
+    return false;
+  });
+  if (Match != InvalidFact)
+    return deriveFact(R, Match);
   DerivationTree Tree;
   Tree.Error = "no recorded VarPointsTo fact matches the query";
   return Tree;

@@ -193,6 +193,18 @@ public:
   /// fact was interned but never concluded by a step.
   uint32_t firstStepOf(uint32_t FactId) const;
 
+  /// Calls \p Fn(Id, Fact) for every interned fact in ascending id order;
+  /// \p Fn returns false to stop early.  Facts are copied out a block at a
+  /// time, so a whole-arena pass takes the lock once per block rather than
+  /// once per fact, and \p Fn runs unlocked.
+  template <typename Callback> void scanFacts(Callback &&Fn) const {
+    std::vector<Fact> Block;
+    for (size_t Begin = 0; readFacts(Begin, Block); Begin += Block.size())
+      for (size_t I = 0; I != Block.size(); ++I)
+        if (!Fn(static_cast<uint32_t>(Begin + I), Block[I]))
+          return;
+  }
+
   /// Arena bytes (facts + steps + index); lock-free, safe from guard polls.
   size_t memoryBytes() const {
     return BytesA.load(std::memory_order_relaxed);
@@ -200,6 +212,9 @@ public:
 
 private:
   uint32_t internFactLocked(FactKind Kind, uint64_t A, uint64_t B64);
+  /// Replaces \p Out with the facts from id \p Begin on, at most one
+  /// block of them; false when there are none.
+  bool readFacts(size_t Begin, std::vector<Fact> &Out) const;
   void refreshBytesLocked();
 
   struct FactRec {
@@ -251,11 +266,16 @@ struct DerivationTree {
 };
 
 /// Minimal derivation of \p FactId via backward BFS over first steps.
+/// Costs O(tree): the walk touches only the facts it emits, never the
+/// whole arena, so many derivations over one arena stay linear in their
+/// combined size.
 DerivationTree deriveFact(const Recorder &R, uint32_t FactId);
 
 /// Why does (\p V, \p Ctx) point to an object allocated at \p Heap?  Scans
 /// the interned VarPointsTo facts for the first matching (any heap context)
-/// and derives it.  \p Ctx may be invalid to accept any context.
+/// and derives it.  \p Ctx may be invalid to accept any context.  One query
+/// costs a pass over the arena; batch many anchors the way
+/// checks::attachDerivationFlows does.
 DerivationTree whyPointsTo(const Recorder &R, const AnalysisResult &Res,
                            VarId V, CtxId Ctx, HeapId Heap);
 

@@ -12,6 +12,7 @@
 #include "checks/Checker.h"
 #include "checks/Driver.h"
 #include "checks/Escape.h"
+#include "checks/Flow.h"
 #include "checks/Render.h"
 #include "checks/Sarif.h"
 #include "context/PolicyRegistry.h"
@@ -20,14 +21,19 @@
 #include "irtext/TextFormat.h"
 #include "pta/AnalysisResult.h"
 #include "pta/Solver.h"
+#include "pta/provenance/Provenance.h"
+#include "taint/Taint.h"
+#include "workloads/Profiles.h"
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <set>
 #include <sstream>
+#include <streambuf>
 
 namespace {
 
@@ -343,5 +349,169 @@ TEST(Render, JsonlEscapesAndTagsPolicy) {
 
   EXPECT_EQ(jsonEscape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
 }
+
+TEST(Render, JsonEscapeControlAndHighBytes) {
+  EXPECT_EQ(jsonEscape("a\x01" "b\tc\rd"), "a\\u0001b\\tc\\rd");
+  EXPECT_EQ(jsonEscape("\x7f\xc3\xa9"), "\x7f\xc3\xa9"); // UTF-8 passes.
+  EXPECT_EQ(jsonEscape(""), "");
+  std::string Out = "x";
+  appendJsonEscaped(Out, "\"q\"");
+  EXPECT_EQ(Out, "x\\\"q\\\"");
+}
+
+#if HYBRIDPT_PROVENANCE_ENABLED
+
+/// A provenance lint of luindex with the synthetic taint spec: the lint
+/// path's biggest input in this suite, with every anchor kind present.
+struct ProvLint {
+  std::unique_ptr<Program> Prog;
+  std::unique_ptr<ContextPolicy> Policy;
+  prov::Recorder Rec;
+  std::optional<AnalysisResult> Res;
+  LintRun Run;
+
+  explicit ProvLint(const Program &Base) {
+    Prog = taint::instrument(
+        Base, taint::resolve(taint::syntheticSpec(Base, 1), Base));
+    Policy = createPolicy("2obj+H", *Prog);
+    SolverOptions Opts;
+    Opts.Prov = &Rec;
+    Res.emplace(solveProgram(*Prog, *Policy, Opts));
+    Run = runCheckers(*Res);
+  }
+};
+
+std::string flowText(const std::vector<FlowStep> &Flow) {
+  std::string Out;
+  for (const FlowStep &S : Flow)
+    Out += S.Message + "@" + std::to_string(S.Line) + "#" +
+           std::to_string(S.Method.rawValue()) + "\n";
+  return Out;
+}
+
+// Batch attachment resolves every anchor in one arena pass, derives each
+// distinct anchored fact once and renders each fact once.  None of that
+// may change a flow: every diagnostic must carry exactly the flow it gets
+// when attached on its own, and a points-to flow must end in the fact a
+// single whyPointsTo query derives.
+TEST(Flow, BatchAttachMatchesPerDiagnosticAttach) {
+  Benchmark Bench = buildBenchmark("luindex");
+  ProvLint L(*Bench.Prog);
+  ASSERT_FALSE(L.Res->Aborted);
+  ASSERT_TRUE(L.Run.ok());
+  // Every diagnostic twice, so each anchored fact is shared.
+  const size_t N = L.Run.Diags.size();
+  std::vector<Diagnostic> Batch = L.Run.Diags;
+  Batch.insert(Batch.end(), L.Run.Diags.begin(), L.Run.Diags.end());
+  attachDerivationFlows(*L.Res, L.Rec, Batch);
+
+  size_t WithFlow = 0, PointsTo = 0, Reach = 0;
+  for (size_t I = 0; I != N; ++I) {
+    SCOPED_TRACE(Batch[I].key());
+    std::vector<Diagnostic> One{L.Run.Diags[I]};
+    attachDerivationFlows(*L.Res, L.Rec, One);
+    EXPECT_EQ(flowText(Batch[I].Flow), flowText(One[0].Flow));
+    EXPECT_EQ(flowText(Batch[N + I].Flow), flowText(One[0].Flow));
+    if (Batch[I].Flow.empty())
+      continue;
+    ++WithFlow;
+    EXPECT_LE(Batch[I].Flow.size(), 32u);
+    const Diagnostic &D = Batch[I];
+    if (D.WhyVar.isValid() && D.WhyHeap.isValid()) {
+      ++PointsTo;
+      prov::DerivationTree Tree =
+          prov::whyPointsTo(L.Rec, *L.Res, D.WhyVar, CtxId(), D.WhyHeap);
+      ASSERT_TRUE(Tree.Found) << Tree.Error;
+      EXPECT_EQ(D.Flow.size(), std::min<size_t>(Tree.Steps.size(), 32));
+      EXPECT_EQ(D.Flow.back().Message,
+                std::string("[") + prov::ruleName(Tree.Steps.back().R) +
+                    "] " + prov::formatFact(L.Rec, *L.Res, Tree.Root));
+    } else if (D.WhyReachable.isValid()) {
+      ++Reach;
+    }
+  }
+  // The fixture exercises both anchor kinds.
+  EXPECT_GT(PointsTo, 0u);
+  EXPECT_GT(Reach, 0u);
+  EXPECT_GT(WithFlow, 100u);
+
+  // Attaching again replaces each flow rather than extending it.
+  std::vector<Diagnostic> Again = Batch;
+  attachDerivationFlows(*L.Res, L.Rec, Again);
+  for (size_t I = 0; I != Batch.size(); ++I)
+    EXPECT_EQ(flowText(Again[I].Flow), flowText(Batch[I].Flow));
+}
+
+// An anchor the run never derived leaves the diagnostic without a flow,
+// and diagnostics without anchors are untouched.
+TEST(Flow, UnderivedAnchorLeavesNoFlow) {
+  auto Prog = parseExample("dispatch.ptir");
+  ASSERT_TRUE(Prog);
+  auto Policy = createPolicy("2obj+H", *Prog);
+  prov::Recorder Rec;
+  SolverOptions Opts;
+  Opts.Prov = &Rec;
+  AnalysisResult Res = solveProgram(*Prog, *Policy, Opts);
+
+  Diagnostic NoAnchor;
+  NoAnchor.Flow.push_back(FlowStep{"kept", MethodId(), 0});
+  Diagnostic Missing; // A heap the variable never points to.
+  Missing.WhyVar = VarId::fromIndex(0);
+  Missing.WhyHeap = HeapId::fromIndex(Prog->numHeaps() - 1);
+  ASSERT_FALSE(prov::whyPointsTo(Rec, Res, Missing.WhyVar, CtxId(),
+                                 Missing.WhyHeap)
+                   .Found);
+  std::vector<Diagnostic> Diags{NoAnchor, Missing};
+  attachDerivationFlows(Res, Rec, Diags);
+  ASSERT_EQ(Diags[0].Flow.size(), 1u);
+  EXPECT_EQ(Diags[0].Flow[0].Message, "kept");
+  EXPECT_TRUE(Diags[1].Flow.empty());
+}
+
+/// Counts what reaches the stream: bytes and separate write calls.
+class CountingBuf : public std::streambuf {
+public:
+  std::string Text;
+  size_t Writes = 0;
+
+protected:
+  std::streamsize xsputn(const char *S, std::streamsize N) override {
+    ++Writes;
+    Text.append(S, static_cast<size_t>(N));
+    return N;
+  }
+  int_type overflow(int_type C) override {
+    if (!traits_type::eq_int_type(C, traits_type::eof())) {
+      ++Writes;
+      Text += traits_type::to_char_type(C);
+    }
+    return traits_type::not_eof(C);
+  }
+};
+
+// SARIF leaves the writer in chunks of at least 64 KiB (the last one
+// excepted), with bytes identical to a string-stream rendering: a log of
+// hundreds of megabytes costs a few thousand stream writes, not one per
+// JSON token.
+TEST(Render, SarifWritesInChunks) {
+  Benchmark Bench = buildBenchmark("luindex");
+  ProvLint L(*Bench.Prog);
+  attachDerivationFlows(*L.Res, L.Rec, L.Run.Diags);
+  SarifOptions Opts;
+  Opts.PolicyName = "2obj+H";
+
+  std::ostringstream Whole;
+  writeSarif(Whole, *L.Prog, L.Run.Diags, L.Run.Rules, Opts);
+  CountingBuf Buf;
+  std::ostream OS(&Buf);
+  writeSarif(OS, *L.Prog, L.Run.Diags, L.Run.Rules, Opts);
+
+  EXPECT_EQ(Buf.Text, Whole.str());
+  ASSERT_GT(Buf.Text.size(), size_t(1) << 20) << "fixture too small";
+  EXPECT_LE(Buf.Writes, Buf.Text.size() / (64 * 1024) + 1);
+  EXPECT_NE(Buf.Text.find("\"codeFlows\""), std::string::npos);
+}
+
+#endif // HYBRIDPT_PROVENANCE_ENABLED
 
 } // namespace

@@ -21,6 +21,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -122,6 +123,103 @@ TEST(Provenance, RefutedFactHasNoDerivation) {
     prov::DerivationTree Ok = prov::whyPointsTo(Rec, R, A, CtxId(), Apple);
     EXPECT_TRUE(Ok.Found) << Ok.Error;
   }
+}
+
+/// deriveFact as first written: visit state in two arrays over the whole
+/// arena.  Kept as the reference the O(tree) walk must reproduce step for
+/// step (order, rules, premises, depths).
+prov::DerivationTree referenceDerive(const prov::Recorder &R, uint32_t Root) {
+  prov::DerivationTree Tree;
+  Tree.Root = Root;
+  std::vector<uint8_t> State(R.numFacts(), 0);
+  std::vector<uint32_t> Depth(R.numFacts(), 0);
+  std::vector<std::pair<uint32_t, bool>> Stack{{Root, false}};
+  while (!Stack.empty()) {
+    auto [F, Post] = Stack.back();
+    Stack.pop_back();
+    uint32_t SIdx = R.firstStepOf(F);
+    if (SIdx == UINT32_MAX)
+      return Tree;
+    prov::Step S = R.stepAt(SIdx);
+    if (Post) {
+      State[F] = 2;
+      Tree.Steps.push_back(prov::TreeStep{F, SIdx, S.rule(), S.Prem0,
+                                          S.Prem1, Depth[F]});
+      continue;
+    }
+    if (State[F] != 0)
+      continue;
+    State[F] = 1;
+    Stack.push_back({F, true});
+    for (uint32_t P : {S.Prem1, S.Prem0}) {
+      if (P == prov::InvalidFact || State[P] == 2)
+        continue;
+      Depth[P] = Depth[F] + 1;
+      Stack.push_back({P, false});
+    }
+  }
+  Tree.Found = true;
+  return Tree;
+}
+
+TEST(Provenance, DeriveMatchesTheWholeArenaWalk) {
+  size_t Compared = 0;
+  for (const Program *P : {&factory(), &luindex()}) {
+    auto Policy = createPolicy("2obj+H", *P);
+    ASSERT_TRUE(Policy);
+    prov::Recorder Rec;
+    SolverOptions Opts;
+    Opts.Prov = &Rec;
+    AnalysisResult R = solveProgram(*P, *Policy, Opts);
+    ASSERT_FALSE(R.Aborted);
+    // Every fact of the small example; ~300 spread over the benchmark's
+    // arena (the reference walk is O(arena) per call).
+    size_t N = Rec.numFacts();
+    size_t Stride = std::max<size_t>(1, N / 300);
+    for (uint32_t Id = 0; Id < N; Id += Stride) {
+      prov::DerivationTree Got = prov::deriveFact(Rec, Id);
+      prov::DerivationTree Want = referenceDerive(Rec, Id);
+      ASSERT_EQ(Got.Found, Want.Found) << "fact " << Id;
+      ASSERT_EQ(Got.Steps.size(), Want.Steps.size()) << "fact " << Id;
+      for (size_t I = 0; I != Got.Steps.size(); ++I) {
+        const prov::TreeStep &G = Got.Steps[I], &W = Want.Steps[I];
+        ASSERT_EQ(G.FactId, W.FactId) << "fact " << Id << " step " << I;
+        EXPECT_EQ(G.StepIdx, W.StepIdx);
+        EXPECT_EQ(G.R, W.R);
+        EXPECT_EQ(G.Prem0, W.Prem0);
+        EXPECT_EQ(G.Prem1, W.Prem1);
+        EXPECT_EQ(G.Depth, W.Depth);
+      }
+      ++Compared;
+    }
+  }
+  EXPECT_GT(Compared, 300u);
+}
+
+// The block scan visits every fact once, in id order and across block
+// boundaries, runs the callback unlocked (it may query the recorder), and
+// stops when the callback says so.
+TEST(Provenance, ScanFactsVisitsInIdOrderAndStops) {
+  const Program &P = luindex();
+  auto Policy = createPolicy("1obj", P);
+  prov::Recorder Rec;
+  SolverOptions Opts;
+  Opts.Prov = &Rec;
+  (void)solveProgram(P, *Policy, Opts);
+  ASSERT_GT(Rec.numFacts(), 3 * 4096u) << "fixture must span blocks";
+  size_t Visited = 0;
+  Rec.scanFacts([&](uint32_t Id, const prov::Fact &F) {
+    EXPECT_EQ(Id, Visited++);
+    prov::Fact Direct = Rec.fact(Id);
+    EXPECT_EQ(F.Kind, Direct.Kind);
+    EXPECT_EQ(F.A, Direct.A);
+    EXPECT_EQ(F.B64, Direct.B64);
+    return true;
+  });
+  EXPECT_EQ(Visited, Rec.numFacts());
+  Visited = 0;
+  Rec.scanFacts([&](uint32_t, const prov::Fact &) { return ++Visited < 5000; });
+  EXPECT_EQ(Visited, 5000u);
 }
 
 TEST(Provenance, ClearResetsTheArena) {
