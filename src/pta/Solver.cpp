@@ -66,51 +66,42 @@ void Solver::stallForFault() {
   }
 }
 
+uint32_t Solver::newNode(NodeKind Kind, uint32_t A, uint32_t B) {
+  PT_COUNT(Counters.NodesCreated);
+  uint32_t Idx = static_cast<uint32_t>(Nodes.size());
+  Nodes.emplace_back();
+  Descs.push_back({Kind, A, B});
+  if (provOn())
+    ProvNodes.emplace_back();
+  return Idx;
+}
+
 uint32_t Solver::varNode(VarId V, CtxId Ctx) {
   uint64_t Key = packPair(V.index(), Ctx.index());
-  uint32_t Idx = static_cast<uint32_t>(Nodes.size());
-  auto [Slot, Inserted] = VarCtxIndex.tryEmplace(Key, Idx);
-  if (!Inserted)
-    return *Slot;
-  PT_COUNT(Counters.NodesCreated);
-  Nodes.emplace_back();
-  Descs.push_back({NodeKind::VarCtx, V.index(), Ctx.index()});
-  return Idx;
+  auto [Slot, Inserted] =
+      VarCtxIndex.tryEmplace(Key, static_cast<uint32_t>(Nodes.size()));
+  return Inserted ? newNode(NodeKind::VarCtx, V.index(), Ctx.index()) : *Slot;
 }
 
 uint32_t Solver::fieldNode(uint32_t Obj, FieldId Fld) {
   uint64_t Key = packPair(Obj, Fld.index());
-  uint32_t Idx = static_cast<uint32_t>(Nodes.size());
-  auto [Slot, Inserted] = FieldSlotIndex.tryEmplace(Key, Idx);
-  if (!Inserted)
-    return *Slot;
-  PT_COUNT(Counters.NodesCreated);
-  Nodes.emplace_back();
-  Descs.push_back({NodeKind::FieldSlot, Obj, Fld.index()});
-  return Idx;
+  auto [Slot, Inserted] =
+      FieldSlotIndex.tryEmplace(Key, static_cast<uint32_t>(Nodes.size()));
+  return Inserted ? newNode(NodeKind::FieldSlot, Obj, Fld.index()) : *Slot;
 }
 
 uint32_t Solver::staticNode(FieldId Fld) {
-  uint32_t Idx = static_cast<uint32_t>(Nodes.size());
-  auto [Slot, Inserted] = StaticSlotIndex.tryEmplace(Fld.index(), Idx);
-  if (!Inserted)
-    return *Slot;
-  PT_COUNT(Counters.NodesCreated);
-  Nodes.emplace_back();
-  Descs.push_back({NodeKind::StaticSlot, Fld.index(), 0});
-  return Idx;
+  auto [Slot, Inserted] = StaticSlotIndex.tryEmplace(
+      Fld.index(), static_cast<uint32_t>(Nodes.size()));
+  return Inserted ? newNode(NodeKind::StaticSlot, Fld.index(), 0) : *Slot;
 }
 
 uint32_t Solver::throwNode(MethodId M, CtxId Ctx) {
   uint64_t Key = packPair(M.index(), Ctx.index());
-  uint32_t Idx = static_cast<uint32_t>(Nodes.size());
-  auto [Slot, Inserted] = ThrowSlotIndex.tryEmplace(Key, Idx);
-  if (!Inserted)
-    return *Slot;
-  PT_COUNT(Counters.NodesCreated);
-  Nodes.emplace_back();
-  Descs.push_back({NodeKind::ThrowSlot, M.index(), Ctx.index()});
-  return Idx;
+  auto [Slot, Inserted] =
+      ThrowSlotIndex.tryEmplace(Key, static_cast<uint32_t>(Nodes.size()));
+  return Inserted ? newNode(NodeKind::ThrowSlot, M.index(), Ctx.index())
+                  : *Slot;
 }
 
 uint32_t Solver::internObject(HeapId Heap, HCtxId HCtx) {
@@ -148,55 +139,30 @@ bool Solver::addFact(uint32_t NodeIdx, uint32_t Obj) {
   return true;
 }
 
-uint32_t Solver::provFact(uint32_t NodeIdx, uint32_t Obj) {
+void Solver::concludeFact(uint32_t NodeIdx, uint32_t Obj, prov::Rule Why,
+                          uint32_t P0, uint32_t P1) {
   const NodeDesc &D = Descs[NodeIdx];
-  prov::Recorder &R = *Opts.Prov;
+  prov::FactKind Kind = prov::FactKind::VarPointsTo;
+  uint64_t A = packPair(D.A, D.B);
   switch (D.Kind) {
   case NodeKind::VarCtx:
-    return R.internFact(prov::FactKind::VarPointsTo, packPair(D.A, D.B), Obj);
+    break;
   case NodeKind::FieldSlot:
-    return R.internFact(prov::FactKind::FieldPointsTo, packPair(D.A, D.B),
-                        Obj);
+    Kind = prov::FactKind::FieldPointsTo;
+    break;
   case NodeKind::StaticSlot:
-    return R.internFact(prov::FactKind::StaticPointsTo, D.A, Obj);
+    Kind = prov::FactKind::StaticPointsTo;
+    A = D.A;
+    break;
   case NodeKind::ThrowSlot:
-    return R.internFact(prov::FactKind::ThrowPointsTo, packPair(D.A, D.B),
-                        Obj);
+    Kind = prov::FactKind::ThrowPointsTo;
+    break;
   }
-  return prov::InvalidFact;
+  ProvNodes[NodeIdx].FactIds.push_back(
+      Opts.Prov->appendFact(Kind, A, Obj, Why, P0, P1));
 }
 
-void Solver::noteEdgeWhy(uint32_t From, uint32_t To, prov::Rule Why,
-                         uint32_t Aux) {
-  if (!provOn())
-    return;
-  uint64_t Packed = (static_cast<uint64_t>(Aux) << 8) |
-                    static_cast<uint64_t>(Why);
-  EdgeWhy.tryEmplace(packPair(From, To), Packed);
-}
-
-void Solver::noteCastEdgeWhy(uint32_t From, uint32_t To, uint32_t Aux,
-                             prov::Rule Why) {
-  if (!provOn())
-    return;
-  uint64_t Packed = (static_cast<uint64_t>(Aux) << 8) |
-                    static_cast<uint64_t>(Why);
-  CastEdgeWhy.tryEmplace(packPair(From, To), Packed);
-}
-
-void Solver::provEdgeStep(uint32_t From, uint32_t To, uint32_t Obj,
-                          bool IsCast) {
-  const uint64_t *Packed = (IsCast ? CastEdgeWhy : EdgeWhy)
-                               .find(packPair(From, To));
-  if (!Packed)
-    return; // Edge predates the recorder (never happens within one run).
-  auto Why = static_cast<prov::Rule>(*Packed & 0xff);
-  auto Aux = static_cast<uint32_t>(*Packed >> 8);
-  uint32_t Prem = provFact(From, Obj);
-  Opts.Prov->step(provFact(To, Obj), Why, Prem, Aux);
-}
-
-void Solver::addEdge(uint32_t From, uint32_t To) {
+void Solver::addEdge(uint32_t From, uint32_t To, EdgeWhy W) {
   if (From == To)
     return;
   if (!EdgeDedup.insert(packPair(From, To))) {
@@ -205,6 +171,8 @@ void Solver::addEdge(uint32_t From, uint32_t To) {
   }
   PT_COUNT(Counters.EdgesAdded);
   Nodes[From].Edges.push_back(To);
+  if (provOn())
+    ProvNodes[From].EdgeWhys.push_back(W);
   // Replay facts already present at the source.  ObjectSet positions are
   // stable under insertion, so walk by index instead of copying the set;
   // re-read the node each step since Nodes may reallocate through
@@ -214,7 +182,7 @@ void Solver::addEdge(uint32_t From, uint32_t To) {
   for (uint32_t I = 0; I < Count; ++I) {
     uint32_t Obj = Nodes[From].Set.at(I);
     if (addFact(To, Obj) && provOn())
-      provEdgeStep(From, To, Obj, /*IsCast=*/false);
+      concludeFact(To, Obj, W.Why, ProvNodes[From].FactIds[I], W.Aux);
   }
 }
 
@@ -227,16 +195,19 @@ bool Solver::passesCastFilter(uint32_t Obj, TypeId Filter) const {
   return Prog.isSubtype(H.Type, Filter);
 }
 
-void Solver::addCastEdge(uint32_t From, uint32_t To, TypeId Filter) {
+void Solver::addCastEdge(uint32_t From, uint32_t To, TypeId Filter,
+                         EdgeWhy W) {
   PT_COUNT(Counters.EdgesAdded);
   Nodes[From].CastEdges.push_back({To, Filter});
+  if (provOn())
+    ProvNodes[From].CastEdgeWhys.push_back(W);
   uint32_t Count = Nodes[From].Set.size();
   PT_COUNT_ADD(Counters.FactsReplayed, Count);
   for (uint32_t I = 0; I < Count; ++I) {
     uint32_t Obj = Nodes[From].Set.at(I);
     PT_COUNT(Counters.RuleCast);
     if (passesCastFilter(Obj, Filter) && addFact(To, Obj) && provOn())
-      provEdgeStep(From, To, Obj, /*IsCast=*/true);
+      concludeFact(To, Obj, W.Why, ProvNodes[From].FactIds[I], W.Aux);
   }
 }
 
@@ -254,7 +225,7 @@ void Solver::ensureReachable(MethodId M, CtxId Ctx, prov::Rule Why,
   // their auxiliary premise.
   uint32_t RFact = prov::InvalidFact;
   if (provOn())
-    RFact = Opts.Prov->recordFact(prov::FactKind::Reachable,
+    RFact = Opts.Prov->appendFact(prov::FactKind::Reachable,
                                   packPair(M.index(), Ctx.index()), 0, Why,
                                   WhyPrem);
 
@@ -269,7 +240,7 @@ void Solver::ensureReachable(MethodId M, CtxId Ctx, prov::Rule Why,
     uint32_t Obj = internObject(A.Heap, HCtx);
     uint32_t VN = varNode(A.Var, Ctx);
     if (addFact(VN, Obj) && provOn())
-      Opts.Prov->step(provFact(VN, Obj), prov::Rule::Alloc, RFact);
+      concludeFact(VN, Obj, prov::Rule::Alloc, RFact);
   }
 
   // MOVE: intra-procedural copy edges.
@@ -277,24 +248,21 @@ void Solver::ensureReachable(MethodId M, CtxId Ctx, prov::Rule Why,
     PT_COUNT(Counters.RuleMove);
     slowRule(FaultRule::Move);
     uint32_t FromN = varNode(Mv.From, Ctx), ToN = varNode(Mv.To, Ctx);
-    noteEdgeWhy(FromN, ToN, prov::Rule::Move, RFact);
-    addEdge(FromN, ToN);
+    addEdge(FromN, ToN, {RFact, prov::Rule::Move});
   }
 
   // Casts: copy edges filtered by the target type.
   for (const CastInstr &C : Body.Casts) {
     slowRule(FaultRule::Cast);
     uint32_t FromN = varNode(C.From, Ctx), ToN = varNode(C.To, Ctx);
-    noteCastEdgeWhy(FromN, ToN, RFact);
-    addCastEdge(FromN, ToN, C.Target);
+    addCastEdge(FromN, ToN, C.Target, {RFact, prov::Rule::Cast});
   }
 
   // Sanitize: copy edges filtered by the taint tag (invalid filter type;
   // see passesCastFilter).
   for (const SanitizeInstr &S : Body.Sanitizes) {
     uint32_t FromN = varNode(S.From, Ctx), ToN = varNode(S.To, Ctx);
-    noteCastEdgeWhy(FromN, ToN, RFact, prov::Rule::Sanitize);
-    addCastEdge(FromN, ToN, TypeId::invalid());
+    addCastEdge(FromN, ToN, TypeId::invalid(), {RFact, prov::Rule::Sanitize});
   }
 
   // LOAD / STORE: subscribe on the base variable.  Each object that ever
@@ -312,9 +280,9 @@ void Solver::ensureReachable(MethodId M, CtxId Ctx, prov::Rule Why,
       uint32_t Obj = Nodes[Base].Set.at(I);
       PT_COUNT(Counters.RuleLoad);
       uint32_t FN = fieldNode(Obj, L.Fld);
-      if (provOn())
-        noteEdgeWhy(FN, To, prov::Rule::Load, provFact(Base, Obj));
-      addEdge(FN, To);
+      addEdge(FN, To,
+              {provOn() ? ProvNodes[Base].FactIds[I] : prov::InvalidFact,
+               prov::Rule::Load});
     }
   }
   for (uint32_t SI = 0; SI < Body.Stores.size(); ++SI) {
@@ -332,9 +300,9 @@ void Solver::ensureReachable(MethodId M, CtxId Ctx, prov::Rule Why,
       uint32_t Obj = Nodes[Base].Set.at(I);
       PT_COUNT(Counters.RuleStore);
       uint32_t FN = fieldNode(Obj, S.Fld);
-      if (provOn())
-        noteEdgeWhy(From, FN, prov::Rule::Store, provFact(Base, Obj));
-      addEdge(From, FN);
+      addEdge(From, FN,
+              {provOn() ? ProvNodes[Base].FactIds[I] : prov::InvalidFact,
+               prov::Rule::Store});
     }
   }
 
@@ -343,15 +311,13 @@ void Solver::ensureReachable(MethodId M, CtxId Ctx, prov::Rule Why,
     PT_COUNT(Counters.RuleStaticLoad);
     slowRule(FaultRule::SLoad);
     uint32_t FromN = staticNode(L.Fld), ToN = varNode(L.To, Ctx);
-    noteEdgeWhy(FromN, ToN, prov::Rule::StaticLoad, RFact);
-    addEdge(FromN, ToN);
+    addEdge(FromN, ToN, {RFact, prov::Rule::StaticLoad});
   }
   for (const SStoreInstr &S : Body.SStores) {
     PT_COUNT(Counters.RuleStaticStore);
     slowRule(FaultRule::SStore);
     uint32_t FromN = varNode(S.From, Ctx), ToN = staticNode(S.Fld);
-    noteEdgeWhy(FromN, ToN, prov::Rule::StaticStore, RFact);
-    addEdge(FromN, ToN);
+    addEdge(FromN, ToN, {RFact, prov::Rule::StaticStore});
   }
 
   // Throws: every object reaching the thrown variable is routed through
@@ -361,9 +327,8 @@ void Solver::ensureReachable(MethodId M, CtxId Ctx, prov::Rule Why,
     Nodes[VNode].ThrowSubs.push_back(packPair(M.index(), Ctx.index()));
     uint32_t Count = Nodes[VNode].Set.size();
     for (uint32_t I = 0; I < Count; ++I) {
-      uint32_t Obj = Nodes[VNode].Set.at(I);
-      routeThrow(Obj, M, Ctx,
-                 provOn() ? provFact(VNode, Obj) : prov::InvalidFact);
+      routeThrow(Nodes[VNode].Set.at(I), M, Ctx,
+                 provOn() ? ProvNodes[VNode].FactIds[I] : prov::InvalidFact);
     }
   }
 
@@ -386,7 +351,8 @@ void Solver::ensureReachable(MethodId M, CtxId Ctx, prov::Rule Why,
       Nodes[Base].Dispatches.push_back({Inv, Ctx});
       uint32_t Count = Nodes[Base].Set.size();
       for (uint32_t I = 0; I < Count; ++I)
-        dispatch({Inv, Ctx}, Nodes[Base].Set.at(I));
+        dispatch({Inv, Ctx}, Nodes[Base].Set.at(I),
+                 provOn() ? ProvNodes[Base].FactIds[I] : prov::InvalidFact);
     }
   }
 }
@@ -407,20 +373,20 @@ void Solver::routeThrow(uint32_t Obj, MethodId M, CtxId Ctx, uint32_t WhyPrem,
     if (Prog.isSubtype(ObjType, H.CatchType)) {
       uint32_t HN = varNode(H.Var, Ctx);
       if (addFact(HN, Obj) && provOn())
-        Opts.Prov->step(provFact(HN, Obj),
-                        Escalating ? prov::Rule::CatchEscalate
-                                   : prov::Rule::CatchBind,
-                        WhyPrem, WhyAux);
+        concludeFact(HN, Obj,
+                     Escalating ? prov::Rule::CatchEscalate
+                                : prov::Rule::CatchBind,
+                     WhyPrem, WhyAux);
       Caught = true;
     }
   }
   if (!Caught) {
     uint32_t TN = throwNode(M, Ctx);
     if (addFact(TN, Obj) && provOn())
-      Opts.Prov->step(provFact(TN, Obj),
-                      Escalating ? prov::Rule::ThrowEscalate
-                                 : prov::Rule::ThrowRaise,
-                      WhyPrem, WhyAux);
+      concludeFact(TN, Obj,
+                   Escalating ? prov::Rule::ThrowEscalate
+                              : prov::Rule::ThrowRaise,
+                   WhyPrem, WhyAux);
   }
 }
 
@@ -431,19 +397,19 @@ void Solver::addThrowLink(uint32_t ThrowNodeIdx, MethodId CallerM,
       mix64(Link) ^ (static_cast<uint64_t>(ThrowNodeIdx) << 1);
   if (!ThrowLinkDedup.insert(DedupKey))
     return;
-  if (provOn())
-    ThrowLinkWhy.tryEmplace(DedupKey, WhyAux);
   Nodes[ThrowNodeIdx].ThrowLinks.push_back(Link);
+  if (provOn())
+    ProvNodes[ThrowNodeIdx].ThrowLinkWhys.push_back(WhyAux);
   uint32_t Count = Nodes[ThrowNodeIdx].Set.size();
-  for (uint32_t I = 0; I < Count; ++I) {
-    uint32_t Obj = Nodes[ThrowNodeIdx].Set.at(I);
-    routeThrow(Obj, CallerM, CallerCtx,
-               provOn() ? provFact(ThrowNodeIdx, Obj) : prov::InvalidFact,
+  for (uint32_t I = 0; I < Count; ++I)
+    routeThrow(Nodes[ThrowNodeIdx].Set.at(I), CallerM, CallerCtx,
+               provOn() ? ProvNodes[ThrowNodeIdx].FactIds[I]
+                        : prov::InvalidFact,
                WhyAux);
-  }
 }
 
-void Solver::dispatch(const DispatchSub &Sub, uint32_t Obj) {
+void Solver::dispatch(const DispatchSub &Sub, uint32_t Obj,
+                      uint32_t ObjFact) {
   if (checkBudget())
     return;
   PT_COUNT(Counters.RuleVCall);
@@ -457,14 +423,18 @@ void Solver::dispatch(const DispatchSub &Sub, uint32_t Obj) {
     return; // No receiver method: the concrete execution would throw.
   CtxId CalleeCtx = Policy.merge(Heap, HCtx, Sub.Invo, Sub.CallerCtx);
   // Provenance: the receiver fact justifies the call edge, the call edge
-  // justifies callee reachability and the this-binding.  The edge fact is
-  // interned eagerly (interning is not a derivation step); its own step is
-  // recorded by wireCall on the first successful edge insert.
-  uint32_t BaseFact = prov::InvalidFact, CEFact = prov::InvalidFact;
+  // justifies callee reachability and the this-binding.  A new edge's fact
+  // id is reserved here, before the callee's body cites it; wireCall
+  // records its step on the edge's insertion.
+  uint32_t CEFact = prov::InvalidFact;
   if (provOn()) {
-    BaseFact = prov::varPointsTo(*Opts.Prov, Call.Base, Sub.CallerCtx, Obj);
-    CEFact = prov::callEdgeFact(*Opts.Prov, Sub.Invo, Sub.CallerCtx, Callee,
-                                CalleeCtx);
+    uint32_t Edge = findCallEdge({Sub.Invo, Sub.CallerCtx, Callee, CalleeCtx});
+    CEFact = Edge != UINT32_MAX
+                 ? CallEdgeFacts[Edge]
+                 : Opts.Prov->reserveFact(
+                       prov::FactKind::CallEdge,
+                       packPair(Sub.Invo.index(), Sub.CallerCtx.index()),
+                       packPair(Callee.index(), CalleeCtx.index()));
   }
   // THISVAR binding: only this receiver object flows into `this` under the
   // context derived from it.
@@ -472,10 +442,9 @@ void Solver::dispatch(const DispatchSub &Sub, uint32_t Obj) {
   ensureReachable(Callee, CalleeCtx, prov::Rule::ReachCall, CEFact);
   uint32_t ThisN = varNode(CalleeInfo.This, CalleeCtx);
   if (addFact(ThisN, Obj) && provOn())
-    Opts.Prov->step(provFact(ThisN, Obj), prov::Rule::ThisBind, BaseFact,
-                    CEFact);
+    concludeFact(ThisN, Obj, prov::Rule::ThisBind, ObjFact, CEFact);
   wireCall(Sub.Invo, Sub.CallerCtx, Callee, CalleeCtx, prov::Rule::VCall,
-           BaseFact);
+           ObjFact, CEFact);
 
   // Receiver-dependent shortcut edges (context/CutShortcut.h), wired per
   // (call site, receiver object).  This cannot live in wireCall: the call
@@ -489,34 +458,49 @@ void Solver::dispatch(const DispatchSub &Sub, uint32_t Obj) {
         continue; // Arity mismatch: the generic param bind drops it too.
       uint32_t FromN = varNode(Call.Actuals[SC.FormalIdx], Sub.CallerCtx);
       uint32_t FN = fieldNode(Obj, SC.Fld);
-      noteEdgeWhy(FromN, FN, prov::Rule::ShortcutStore, CEFact);
-      addEdge(FromN, FN);
+      addEdge(FromN, FN, {CEFact, prov::Rule::ShortcutStore});
     }
     if (MP.RetCut && Call.RetTo.isValid()) {
       uint32_t RetN = varNode(Call.RetTo, Sub.CallerCtx);
       for (FieldId F : MP.RetLoads) {
-        uint32_t FN = fieldNode(Obj, F);
-        noteEdgeWhy(FN, RetN, prov::Rule::ShortcutRetLoad, CEFact);
-        addEdge(FN, RetN);
+        addEdge(fieldNode(Obj, F), RetN, {CEFact, prov::Rule::ShortcutRetLoad});
       }
     }
   }
 }
 
-bool Solver::insertCallEdge(const CallGraphEdge &E) {
+namespace {
+
+uint64_t callEdgeHash(const CallGraphEdge &E) {
   uint32_t Words[4] = {E.Invo.index(), E.CallerCtx.index(),
                        E.Callee.index(), E.CalleeCtx.index()};
-  uint64_t H = hashWords(Words, 4);
+  return hashWords(Words, 4);
+}
+
+bool sameCallEdge(const CallGraphEdge &X, const CallGraphEdge &E) {
+  return X.Invo == E.Invo && X.CallerCtx == E.CallerCtx &&
+         X.Callee == E.Callee && X.CalleeCtx == E.CalleeCtx;
+}
+
+} // namespace
+
+uint32_t Solver::findCallEdge(const CallGraphEdge &E) const {
+  const uint32_t *Head = CallEdgeHead.find(callEdgeHash(E));
+  for (uint32_t I = Head ? *Head : UINT32_MAX; I != UINT32_MAX;
+       I = CallEdgeNext[I])
+    if (sameCallEdge(CallEdges[I], E))
+      return I;
+  return UINT32_MAX;
+}
+
+bool Solver::insertCallEdge(const CallGraphEdge &E) {
   uint32_t NewIdx = static_cast<uint32_t>(CallEdges.size());
-  auto [Head, Fresh] = CallEdgeHead.tryEmplace(H, NewIdx);
+  auto [Head, Fresh] = CallEdgeHead.tryEmplace(callEdgeHash(E), NewIdx);
   uint32_t ChainNext = UINT32_MAX;
   if (!Fresh) {
-    for (uint32_t I = *Head; I != UINT32_MAX; I = CallEdgeNext[I]) {
-      const CallGraphEdge &X = CallEdges[I];
-      if (X.Invo == E.Invo && X.CallerCtx == E.CallerCtx &&
-          X.Callee == E.Callee && X.CalleeCtx == E.CalleeCtx)
+    for (uint32_t I = *Head; I != UINT32_MAX; I = CallEdgeNext[I])
+      if (sameCallEdge(CallEdges[I], E))
         return false;
-    }
     ChainNext = *Head;
     *Head = NewIdx;
   }
@@ -527,17 +511,22 @@ bool Solver::insertCallEdge(const CallGraphEdge &E) {
 }
 
 void Solver::wireCall(InvokeId Invo, CtxId CallerCtx, MethodId Callee,
-                      CtxId CalleeCtx, prov::Rule CallWhy, uint32_t CallPrem) {
+                      CtxId CalleeCtx, prov::Rule CallWhy, uint32_t CallPrem,
+                      uint32_t CEFact) {
   if (!insertCallEdge({Invo, CallerCtx, Callee, CalleeCtx}))
     return;
 
   // The call-edge fact: conclusion of VCALL/SCALL, auxiliary premise of
   // every interprocedural binding below.
-  uint32_t CEFact = prov::InvalidFact;
-  if (provOn())
-    CEFact = Opts.Prov->recordFact(
-        prov::FactKind::CallEdge, packPair(Invo.index(), CallerCtx.index()),
-        packPair(Callee.index(), CalleeCtx.index()), CallWhy, CallPrem);
+  if (provOn()) {
+    if (CEFact == prov::InvalidFact)
+      CEFact = Opts.Prov->appendFact(
+          prov::FactKind::CallEdge, packPair(Invo.index(), CallerCtx.index()),
+          packPair(Callee.index(), CalleeCtx.index()), CallWhy, CallPrem);
+    else
+      Opts.Prov->step(CEFact, CallWhy, CallPrem);
+    CallEdgeFacts.push_back(CEFact);
+  }
 
   ensureReachable(Callee, CalleeCtx, prov::Rule::ReachCall, CEFact);
 
@@ -548,8 +537,7 @@ void Solver::wireCall(InvokeId Invo, CtxId CallerCtx, MethodId Callee,
   for (size_t I = 0; I < NumArgs; ++I) {
     uint32_t FromN = varNode(Call.Actuals[I], CallerCtx);
     uint32_t ToN = varNode(CalleeInfo.Formals[I], CalleeCtx);
-    noteEdgeWhy(FromN, ToN, prov::Rule::ParamBind, CEFact);
-    addEdge(FromN, ToN);
+    addEdge(FromN, ToN, {CEFact, prov::Rule::ParamBind});
   }
 
   // Return value: formal-return -> actual-return (Figure 2, second rule).
@@ -563,23 +551,20 @@ void Solver::wireCall(InvokeId Invo, CtxId CallerCtx, MethodId Callee,
   if (Call.RetTo.isValid() && CalleeInfo.Return.isValid() && !RetCut) {
     uint32_t FromN = varNode(CalleeInfo.Return, CalleeCtx);
     uint32_t ToN = varNode(Call.RetTo, CallerCtx);
-    noteEdgeWhy(FromN, ToN, prov::Rule::ReturnBind, CEFact);
-    addEdge(FromN, ToN);
+    addEdge(FromN, ToN, {CEFact, prov::Rule::ReturnBind});
   }
   if (RetCut && Call.RetTo.isValid()) {
     uint32_t RetN = varNode(Call.RetTo, CallerCtx);
     for (uint32_t Pos : MP->RetArgs) {
       if (Pos >= Call.Actuals.size())
         continue;
-      uint32_t FromN = varNode(Call.Actuals[Pos], CallerCtx);
-      noteEdgeWhy(FromN, RetN, prov::Rule::ShortcutRetArg, CEFact);
-      addEdge(FromN, RetN);
+      addEdge(varNode(Call.Actuals[Pos], CallerCtx), RetN,
+              {CEFact, prov::Rule::ShortcutRetArg});
     }
     for (HeapId H : MP->RetAllocs) {
       uint32_t Obj = internObject(H, Policy.record(H, CalleeCtx));
       if (addFact(RetN, Obj) && provOn())
-        Opts.Prov->step(provFact(RetN, Obj), prov::Rule::ShortcutRetAlloc,
-                        CEFact);
+        concludeFact(RetN, Obj, prov::Rule::ShortcutRetAlloc, CEFact);
     }
   }
 
@@ -607,64 +592,59 @@ void Solver::processDelta(uint32_t NodeIdx) {
       if (N.Scanned >= N.Set.size())
         break;
     }
-    uint32_t Obj = Nodes[NodeIdx].Set.at(Nodes[NodeIdx].Scanned++);
+    uint32_t Pos = Nodes[NodeIdx].Scanned++;
+    uint32_t Obj = Nodes[NodeIdx].Set.at(Pos);
+    // The fact (NodeIdx, Obj): the premise of everything it triggers.
+    uint32_t ObjFact =
+        provOn() ? ProvNodes[NodeIdx].FactIds[Pos] : prov::InvalidFact;
 
     for (size_t I = 0; I < Nodes[NodeIdx].Dispatches.size(); ++I) {
       DispatchSub Sub = Nodes[NodeIdx].Dispatches[I];
-      dispatch(Sub, Obj);
+      dispatch(Sub, Obj, ObjFact);
     }
     for (size_t I = 0; I < Nodes[NodeIdx].ThrowSubs.size(); ++I) {
       uint64_t Frame = Nodes[NodeIdx].ThrowSubs[I];
       // This node is the thrown variable; its fact is the raise premise.
       routeThrow(Obj, MethodId(unpackHi(Frame)), CtxId(unpackLo(Frame)),
-                 provOn() ? provFact(NodeIdx, Obj) : prov::InvalidFact);
+                 ObjFact);
     }
     for (size_t I = 0; I < Nodes[NodeIdx].ThrowLinks.size(); ++I) {
       uint64_t Frame = Nodes[NodeIdx].ThrowLinks[I];
       // This node is a callee throw slot; the link's call edge is the aux.
-      uint32_t WhyPrem = prov::InvalidFact, WhyAux = prov::InvalidFact;
-      if (provOn()) {
-        WhyPrem = provFact(NodeIdx, Obj);
-        uint64_t DedupKey =
-            mix64(Frame) ^ (static_cast<uint64_t>(NodeIdx) << 1);
-        if (const uint32_t *Aux = ThrowLinkWhy.find(DedupKey))
-          WhyAux = *Aux;
-      }
       routeThrow(Obj, MethodId(unpackHi(Frame)), CtxId(unpackLo(Frame)),
-                 WhyPrem, WhyAux);
+                 ObjFact,
+                 provOn() ? ProvNodes[NodeIdx].ThrowLinkWhys[I]
+                          : prov::InvalidFact);
     }
     for (size_t I = 0; I < Nodes[NodeIdx].Loads.size(); ++I) {
       LoadSub Sub = Nodes[NodeIdx].Loads[I];
       PT_COUNT(Counters.RuleLoad);
       slowRule(FaultRule::Load);
-      uint32_t FN = fieldNode(Obj, Sub.Fld);
-      if (provOn())
-        noteEdgeWhy(FN, Sub.ToNode, prov::Rule::Load,
-                    provFact(NodeIdx, Obj));
-      addEdge(FN, Sub.ToNode);
+      addEdge(fieldNode(Obj, Sub.Fld), Sub.ToNode, {ObjFact, prov::Rule::Load});
     }
     for (size_t I = 0; I < Nodes[NodeIdx].Stores.size(); ++I) {
       StoreSub Sub = Nodes[NodeIdx].Stores[I];
       PT_COUNT(Counters.RuleStore);
       slowRule(FaultRule::Store);
-      uint32_t FN = fieldNode(Obj, Sub.Fld);
-      if (provOn())
-        noteEdgeWhy(Sub.FromNode, FN, prov::Rule::Store,
-                    provFact(NodeIdx, Obj));
-      addEdge(Sub.FromNode, FN);
+      addEdge(Sub.FromNode, fieldNode(Obj, Sub.Fld),
+              {ObjFact, prov::Rule::Store});
     }
     for (size_t I = 0; I < Nodes[NodeIdx].Edges.size(); ++I) {
       uint32_t To = Nodes[NodeIdx].Edges[I];
-      if (addFact(To, Obj) && provOn())
-        provEdgeStep(NodeIdx, To, Obj, /*IsCast=*/false);
+      if (addFact(To, Obj) && provOn()) {
+        EdgeWhy W = ProvNodes[NodeIdx].EdgeWhys[I];
+        concludeFact(To, Obj, W.Why, ObjFact, W.Aux);
+      }
     }
     for (size_t I = 0; I < Nodes[NodeIdx].CastEdges.size(); ++I) {
       CastEdge E = Nodes[NodeIdx].CastEdges[I];
       PT_COUNT(Counters.RuleCast);
       slowRule(FaultRule::Cast);
       if (passesCastFilter(Obj, E.Filter) && addFact(E.ToNode, Obj) &&
-          provOn())
-        provEdgeStep(NodeIdx, E.ToNode, Obj, /*IsCast=*/true);
+          provOn()) {
+        EdgeWhy W = ProvNodes[NodeIdx].CastEdgeWhys[I];
+        concludeFact(E.ToNode, Obj, W.Why, ObjFact, W.Aux);
+      }
     }
   }
 }
@@ -739,10 +719,17 @@ size_t Solver::memoryBytes() const {
   Bytes += CallEdges.capacity() * sizeof(CallGraphEdge) +
            CallEdgeNext.capacity() * sizeof(uint32_t);
   // Provenance costs count against the same budget: the derivation arena
-  // plus the edge-justification side maps.
-  if (PT_PROV_ACTIVE(Opts.Prov))
-    Bytes += Opts.Prov->memoryBytes() + EdgeWhy.memoryBytes() +
-             CastEdgeWhy.memoryBytes() + ThrowLinkWhy.memoryBytes();
+  // plus the per-node fact ids and edge justifications.
+  if (provOn()) {
+    Bytes += Opts.Prov->memoryBytes() +
+             ProvNodes.capacity() * sizeof(ProvNode) +
+             CallEdgeFacts.capacity() * sizeof(uint32_t);
+    for (const ProvNode &P : ProvNodes)
+      Bytes += (P.FactIds.capacity() + P.ThrowLinkWhys.capacity()) *
+                   sizeof(uint32_t) +
+               (P.EdgeWhys.capacity() + P.CastEdgeWhys.capacity()) *
+                   sizeof(EdgeWhy);
+  }
   return Bytes;
 }
 

@@ -28,6 +28,13 @@
 /// difference-propagation delta is just a cursor), and every intern table
 /// and dedup set is a flat robin-hood \c FlatMap / \c FlatSet.
 ///
+/// Provenance is positional.  Each fact is concluded once, where
+/// \c addFact first inserts it, so its arena id is appended right there
+/// into a per-node array parallel to the set's insertion order; premises
+/// are read back by position (replay index or delta cursor), and each
+/// edge's justification is stored parallel to the edge itself.  No fact
+/// is ever looked up by value.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef HYBRIDPT_PTA_SOLVER_H
@@ -212,22 +219,32 @@ private:
   /// throw slot.  \p WhyPrem / \p WhyAux are the provenance premises: the
   /// thrown-var (or callee-throw-slot) fact, plus the call edge when the
   /// object is escalating (a valid aux selects the Escalate rule variants).
-  void routeThrow(uint32_t Obj, MethodId M, CtxId Ctx,
-                  uint32_t WhyPrem = prov::InvalidFact,
+  void routeThrow(uint32_t Obj, MethodId M, CtxId Ctx, uint32_t WhyPrem,
                   uint32_t WhyAux = prov::InvalidFact);
 
   /// Adds an escalation link callee-throw-slot -> caller frame, replaying
   /// existing facts.  \p WhyAux is the provenance call-edge fact.
   void addThrowLink(uint32_t ThrowNodeIdx, MethodId CallerM, CtxId CallerCtx,
-                    uint32_t WhyAux = prov::InvalidFact);
+                    uint32_t WhyAux);
 
   // --- Fact and edge insertion (all idempotent) ---
 
-  /// Returns true when the fact was newly inserted (the provenance hooks
-  /// record a derivation step exactly then).
+  /// Why an edge's propagations hold: the rule they conclude with and
+  /// the auxiliary premise fact (the Reachable or call-edge fact, or the
+  /// base-object fact of a load/store).  The other premise is the source
+  /// fact being propagated.
+  struct EdgeWhy {
+    uint32_t Aux;
+    prov::Rule Why;
+  };
+
+  /// Returns true when the fact was newly inserted; a provenance run then
+  /// records it with \c concludeFact in the same statement.
   bool addFact(uint32_t NodeIdx, uint32_t Obj);
-  void addEdge(uint32_t From, uint32_t To);
-  void addCastEdge(uint32_t From, uint32_t To, TypeId Filter);
+  /// \p W justifies the edge's propagations when the run records
+  /// provenance; it is stored only if the edge is new.
+  void addEdge(uint32_t From, uint32_t To, EdgeWhy W);
+  void addCastEdge(uint32_t From, uint32_t To, TypeId Filter, EdgeWhy W);
 
   /// Cast-edge filter predicate.  A valid \p Filter admits subtypes of the
   /// target type; an invalid one marks a sanitize edge and admits only
@@ -242,31 +259,33 @@ private:
                        uint32_t WhyPrem = prov::InvalidFact);
 
   /// Handles one receiver object arriving at a virtual call's base node.
-  void dispatch(const DispatchSub &Sub, uint32_t Obj);
+  /// \p ObjFact is the receiver's VarPointsTo fact id (provenance runs).
+  void dispatch(const DispatchSub &Sub, uint32_t Obj, uint32_t ObjFact);
 
   /// Wires argument/return edges for a discovered call-graph edge.
   /// \p CallWhy is VCall or SCall; \p CallPrem the premise fact (receiver
-  /// VarPointsTo resp. caller Reachable).
+  /// VarPointsTo resp. caller Reachable).  \p CEFact is the call-edge fact
+  /// id \c dispatch reserved, or \c InvalidFact to append it on insertion.
   void wireCall(InvokeId Invo, CtxId CallerCtx, MethodId Callee,
-                CtxId CalleeCtx, prov::Rule CallWhy = prov::Rule::SCall,
-                uint32_t CallPrem = prov::InvalidFact);
+                CtxId CalleeCtx, prov::Rule CallWhy, uint32_t CallPrem,
+                uint32_t CEFact = prov::InvalidFact);
 
   // --- Provenance hooks (single dead pointer test when Prov is null) ---
 
   /// True when this run records derivations.
   bool provOn() const { return PT_PROV_ACTIVE(Opts.Prov); }
 
-  /// Interns the fact a (node, object) pair denotes, by node kind.
-  uint32_t provFact(uint32_t NodeIdx, uint32_t Obj);
+  /// Records the fact (\p NodeIdx, \p Obj) that \c addFact just inserted,
+  /// concluded by \p Why from \p P0 / \p P1, and files its id at the
+  /// object's set position.
+  void concludeFact(uint32_t NodeIdx, uint32_t Obj, prov::Rule Why,
+                    uint32_t P0, uint32_t P1 = prov::InvalidFact);
 
-  /// Remembers why edge \p From -> \p To exists, keyed like EdgeDedup;
-  /// must run before \c addEdge so replayed facts find the justification.
-  void noteEdgeWhy(uint32_t From, uint32_t To, prov::Rule Why, uint32_t Aux);
-  void noteCastEdgeWhy(uint32_t From, uint32_t To, uint32_t Aux,
-                       prov::Rule Why = prov::Rule::Cast);
+  /// Appends a node of \p Kind (and its provenance slot) and returns it.
+  uint32_t newNode(NodeKind Kind, uint32_t A, uint32_t B);
 
-  /// Records the step for one fact propagated along (\p From, \p To).
-  void provEdgeStep(uint32_t From, uint32_t To, uint32_t Obj, bool IsCast);
+  /// Index of \p E in \c CallEdges, or UINT32_MAX when absent.
+  uint32_t findCallEdge(const CallGraphEdge &E) const;
 
   /// Appends \p E to the call graph unless present; exact tuple dedup via
   /// a hash-headed chain over \c CallEdges (no separate key copies).
@@ -368,15 +387,20 @@ private:
 
   FlatSet EdgeDedup; ///< packPair(from, to)
 
-  /// Provenance edge justifications: packPair(from, to) -> packed
-  /// (aux fact << 8 | rule).  Only populated when \c Opts.Prov is set;
-  /// cast edges get their own map because a plain and a cast edge can
-  /// coexist between one node pair.
-  FlatMap<uint64_t> EdgeWhy;
-  FlatMap<uint64_t> CastEdgeWhy;
-  /// ThrowLink justifications, keyed like \c ThrowLinkDedup -> call-edge
-  /// fact id.
-  FlatMap<uint32_t> ThrowLinkWhy;
+  /// A node's provenance ids, kept outside \c Node so bare runs do not
+  /// grow: every array is parallel to the node's namesake.
+  struct ProvNode {
+    /// Fact id of each \c Set member, in insertion order.
+    std::vector<uint32_t> FactIds;
+    std::vector<EdgeWhy> EdgeWhys;     ///< Parallel to \c Edges.
+    std::vector<EdgeWhy> CastEdgeWhys; ///< Parallel to \c CastEdges.
+    /// Call-edge fact of each \c ThrowLinks entry.
+    std::vector<uint32_t> ThrowLinkWhys;
+  };
+  /// Parallel to \c Nodes in provenance runs, empty otherwise.
+  std::vector<ProvNode> ProvNodes;
+  /// Call-edge fact id of each \c CallEdges entry (provenance runs).
+  std::vector<uint32_t> CallEdgeFacts;
 
   std::deque<uint32_t> Worklist;
   uint64_t FactCount = 0;

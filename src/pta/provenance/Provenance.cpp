@@ -101,67 +101,81 @@ uint64_t factHash(FactKind Kind, uint64_t A, uint64_t B64) {
 
 } // namespace
 
-uint32_t Recorder::internFactLocked(FactKind Kind, uint64_t A, uint64_t B64) {
-  if (Buckets.empty())
-    Buckets.assign(1024, UINT32_MAX);
-  uint64_t H = factHash(Kind, A, B64);
-  size_t Slot = H & (Buckets.size() - 1);
-  for (uint32_t I = Buckets[Slot]; I != UINT32_MAX; I = Facts[I].Next) {
-    const FactRec &F = Facts[I];
-    if (F.Kind == Kind && F.A == A && F.B64 == B64)
-      return I;
-  }
+uint32_t Recorder::appendLocked(FactKind Kind, uint64_t A, uint64_t B64) {
   uint32_t Id = static_cast<uint32_t>(Facts.size());
-  Facts.push_back(FactRec{A, B64, Buckets[Slot], UINT32_MAX, Kind});
-  Buckets[Slot] = Id;
-  // Grow at load factor 1: rechain everything into a doubled table.
-  if (Facts.size() > Buckets.size()) {
-    size_t NewSize = Buckets.size() * 2;
-    Buckets.assign(NewSize, UINT32_MAX);
-    for (uint32_t I = 0; I < Facts.size(); ++I) {
-      size_t S = factHash(Facts[I].Kind, Facts[I].A, Facts[I].B64) &
-                 (NewSize - 1);
-      Facts[I].Next = Buckets[S];
-      Buckets[S] = I;
-    }
-  }
-  refreshBytesLocked();
+  Facts.push_back(FactRec{A, B64, UINT32_MAX, Kind});
   return Id;
+}
+
+void Recorder::stepLocked(uint32_t Target, Rule R, uint32_t P0, uint32_t P1) {
+  assert(Target < Facts.size() && "step targets an unrecorded fact");
+  uint32_t Idx = static_cast<uint32_t>(Steps.size());
+  Steps.push_back(Step{Target, P0, P1, static_cast<uint32_t>(R)});
+  if (Facts[Target].FirstStep == UINT32_MAX)
+    Facts[Target].FirstStep = Idx;
+}
+
+void Recorder::indexLocked() {
+  // Load factor at most 1: when the facts outgrow the buckets, rechain
+  // everything into a table of twice the size.
+  size_t NumBuckets = std::max<size_t>(Buckets.size(), 1024);
+  while (NumBuckets < Facts.size())
+    NumBuckets *= 2;
+  if (NumBuckets != Buckets.size()) {
+    Buckets.assign(NumBuckets, UINT32_MAX);
+    Chain.clear();
+  }
+  for (uint32_t I = static_cast<uint32_t>(Chain.size()); I < Facts.size();
+       ++I) {
+    size_t S = factHash(Facts[I].Kind, Facts[I].A, Facts[I].B64) &
+               (NumBuckets - 1);
+    Chain.push_back(Buckets[S]);
+    Buckets[S] = I;
+  }
 }
 
 void Recorder::refreshBytesLocked() {
   size_t B = Facts.capacity() * sizeof(FactRec) +
              Steps.capacity() * sizeof(Step) +
-             Buckets.capacity() * sizeof(uint32_t);
+             (Buckets.capacity() + Chain.capacity()) * sizeof(uint32_t);
   BytesA.store(B, std::memory_order_relaxed);
+}
+
+uint32_t Recorder::appendFact(FactKind Kind, uint64_t A, uint64_t B64, Rule R,
+                              uint32_t P0, uint32_t P1) {
+  std::lock_guard<std::mutex> Lock(Mu);
+  uint32_t Id = appendLocked(Kind, A, B64);
+  stepLocked(Id, R, P0, P1);
+  refreshBytesLocked();
+  return Id;
+}
+
+uint32_t Recorder::reserveFact(FactKind Kind, uint64_t A, uint64_t B64) {
+  std::lock_guard<std::mutex> Lock(Mu);
+  uint32_t Id = appendLocked(Kind, A, B64);
+  refreshBytesLocked();
+  return Id;
 }
 
 uint32_t Recorder::internFact(FactKind Kind, uint64_t A, uint64_t B64) {
   std::lock_guard<std::mutex> Lock(Mu);
-  return internFactLocked(Kind, A, B64);
-}
-
-uint32_t Recorder::findFact(FactKind Kind, uint64_t A, uint64_t B64) const {
-  std::lock_guard<std::mutex> Lock(Mu);
-  if (Buckets.empty())
-    return InvalidFact;
+  indexLocked();
   uint64_t H = factHash(Kind, A, B64);
   for (uint32_t I = Buckets[H & (Buckets.size() - 1)]; I != UINT32_MAX;
-       I = Facts[I].Next) {
+       I = Chain[I]) {
     const FactRec &F = Facts[I];
     if (F.Kind == Kind && F.A == A && F.B64 == B64)
       return I;
   }
-  return InvalidFact;
+  uint32_t Id = appendLocked(Kind, A, B64);
+  indexLocked();
+  refreshBytesLocked();
+  return Id;
 }
 
 void Recorder::step(uint32_t Target, Rule R, uint32_t P0, uint32_t P1) {
   std::lock_guard<std::mutex> Lock(Mu);
-  assert(Target < Facts.size() && "step targets an uninterned fact");
-  uint32_t Idx = static_cast<uint32_t>(Steps.size());
-  Steps.push_back(Step{Target, P0, P1, static_cast<uint32_t>(R)});
-  if (Facts[Target].FirstStep == UINT32_MAX)
-    Facts[Target].FirstStep = Idx;
+  stepLocked(Target, R, P0, P1);
   refreshBytesLocked();
 }
 
@@ -209,6 +223,8 @@ void Recorder::clear() {
   Steps.shrink_to_fit();
   Buckets.clear();
   Buckets.shrink_to_fit();
+  Chain.clear();
+  Chain.shrink_to_fit();
   refreshBytesLocked();
 }
 

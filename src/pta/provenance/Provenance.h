@@ -8,9 +8,17 @@
 /// Per-fact derivation provenance: when a run carries a \c Recorder, both
 /// fixpoint engines append one 16-byte \c Step per derived fact naming the
 /// Figure-2 rule that fired and the (at most two) premise facts it
-/// consumed.  Facts are interned into a compact arena of dense ids, so a
+/// consumed.  Facts live in an append-only arena of dense ids, so a
 /// derivation is a DAG over fact ids and "why does v point to h?" is a
 /// backward BFS from the conclusion (\c whyPointsTo).
+///
+/// The worklist engine concludes every fact exactly once, where it first
+/// derives it, and keeps each fact's id next to the data it describes (a
+/// per-node array parallel to the points-to set, justifications parallel
+/// to the edges), so it appends with \c appendFact and never looks a fact
+/// up by value.  The summary engine re-derives facts across partitions and
+/// interns them through \c internFact, whose hash index is built on first
+/// use; a worklist run never allocates it.
 ///
 /// Discipline mirrors support/Telemetry.h: a null recorder pointer makes
 /// every hook a single-pointer test, and the \c HYBRIDPT_PROVENANCE CMake
@@ -126,7 +134,7 @@ const char *ruleName(Rule R);
 
 inline constexpr size_t numRules() { return static_cast<size_t>(Rule::NumRules); }
 
-/// One interned fact.  \c B64 widens the payload for CallEdge (which needs
+/// One recorded fact.  \c B64 widens the payload for CallEdge (which needs
 /// four words); every other kind stores its object id there.
 struct Fact {
   uint64_t A = 0;
@@ -157,23 +165,23 @@ public:
   Recorder(const Recorder &) = delete;
   Recorder &operator=(const Recorder &) = delete;
 
-  /// Interns (\p Kind, \p A, \p B64) and returns its dense fact id.
-  uint32_t internFact(FactKind Kind, uint64_t A, uint64_t B64);
+  /// Appends a fact the caller knows is new together with the step that
+  /// concludes it, under one lock and without touching the hash index.
+  /// Returns the new fact id.
+  uint32_t appendFact(FactKind Kind, uint64_t A, uint64_t B64, Rule R,
+                      uint32_t P0 = InvalidFact, uint32_t P1 = InvalidFact);
 
-  /// Looks up a fact without interning; \c InvalidFact when absent.
-  uint32_t findFact(FactKind Kind, uint64_t A, uint64_t B64) const;
+  /// Appends a fact the caller knows is new, without a step: for a fact
+  /// cited as a premise before its own step is recorded with \c step().
+  uint32_t reserveFact(FactKind Kind, uint64_t A, uint64_t B64);
+
+  /// Interns (\p Kind, \p A, \p B64) and returns its dense fact id.  The
+  /// first call indexes every fact appended so far.
+  uint32_t internFact(FactKind Kind, uint64_t A, uint64_t B64);
 
   /// Appends one derivation step concluding \p Target.
   void step(uint32_t Target, Rule R, uint32_t P0 = InvalidFact,
             uint32_t P1 = InvalidFact);
-
-  /// Interns the fact and records a step for it in one call.
-  uint32_t recordFact(FactKind Kind, uint64_t A, uint64_t B64, Rule R,
-                      uint32_t P0 = InvalidFact, uint32_t P1 = InvalidFact) {
-    uint32_t Id = internFact(Kind, A, B64);
-    step(Id, R, P0, P1);
-    return Id;
-  }
 
   /// Drops every fact and step.  Fact payloads embed per-run dense object
   /// ids, so a recorder reused across runs (ladder rungs, bench
@@ -188,13 +196,12 @@ public:
   Fact fact(uint32_t Id) const;
   Step stepAt(size_t Idx) const;
 
-  /// The lowest-indexed step concluding \p FactId; \c InvalidFact-pattern
-  /// (== numSteps()) sentinel is avoided by returning UINT32_MAX when the
-  /// fact was interned but never concluded by a step.
+  /// The index of the lowest-indexed step concluding \p FactId, or
+  /// UINT32_MAX when the fact has no step (yet).
   uint32_t firstStepOf(uint32_t FactId) const;
 
-  /// Calls \p Fn(Id, Fact) for every interned fact in ascending id order;
-  /// \p Fn returns false to stop early.  Facts are copied out a block at a
+  /// Calls \p Fn(Id, Fact) for every fact in ascending id order; \p Fn
+  /// returns false to stop early.  Facts are copied out a block at a
   /// time, so a whole-arena pass takes the lock once per block rather than
   /// once per fact, and \p Fn runs unlocked.
   template <typename Callback> void scanFacts(Callback &&Fn) const {
@@ -211,7 +218,10 @@ public:
   }
 
 private:
-  uint32_t internFactLocked(FactKind Kind, uint64_t A, uint64_t B64);
+  uint32_t appendLocked(FactKind Kind, uint64_t A, uint64_t B64);
+  void stepLocked(uint32_t Target, Rule R, uint32_t P0, uint32_t P1);
+  /// Brings the hash index up to date with \c Facts.
+  void indexLocked();
   /// Replaces \p Out with the facts from id \p Begin on, at most one
   /// block of them; false when there are none.
   bool readFacts(size_t Begin, std::vector<Fact> &Out) const;
@@ -220,16 +230,18 @@ private:
   struct FactRec {
     uint64_t A;
     uint64_t B64;
-    uint32_t Next; ///< Hash-chain link for exact dedup.
-    uint32_t FirstStep = UINT32_MAX;
+    uint32_t FirstStep;
     FactKind Kind;
   };
 
   mutable std::mutex Mu;
   std::vector<FactRec> Facts;
   std::vector<Step> Steps;
-  /// Power-of-two bucket array: hash -> head index into Facts.
+  /// The hash index, for \c internFact only: power-of-two bucket heads
+  /// and one chain link per indexed fact.  \c Chain.size() is the
+  /// watermark: facts at or past it are not indexed yet.
   std::vector<uint32_t> Buckets;
+  std::vector<uint32_t> Chain;
   std::atomic<size_t> BytesA{0};
 };
 

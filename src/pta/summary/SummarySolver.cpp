@@ -327,10 +327,10 @@ public:
   FlatSet EdgeDedup;
 
   /// Provenance: object-independent justification per (from, to) edge,
-  /// value = (aux fact id << 8) | rule — same first-wins discipline as the
-  /// worklist solver's maps.  Empty when provenance is off.
+  /// value = (aux fact id << 8) | rule, first wins; cast edges keep only
+  /// the aux fact (see noteCastEdgeWhy).  Empty when provenance is off.
   FlatMap<uint64_t> EdgeWhy;
-  FlatMap<uint64_t> CastEdgeWhy;
+  FlatMap<uint32_t> CastEdgeWhy;
 
   FlatSet ReachableSet;
   std::vector<std::pair<MethodId, CtxId>> ReachableList;
@@ -446,19 +446,20 @@ private:
                          (static_cast<uint64_t>(Aux) << 8) |
                              static_cast<uint64_t>(Why));
   }
-  void noteCastEdgeWhy(uint32_t From, uint32_t To, uint32_t Aux,
-                       prov::Rule Why = prov::Rule::Cast) {
+  /// Cast and sanitize edges share one entry per node pair (same
+  /// Reachable aux); each edge's rule follows from its filter.
+  void noteCastEdgeWhy(uint32_t From, uint32_t To, uint32_t Aux) {
     if (provOn())
-      CastEdgeWhy.tryEmplace(packPair(From, To),
-                             (static_cast<uint64_t>(Aux) << 8) |
-                                 static_cast<uint64_t>(Why));
+      CastEdgeWhy.tryEmplace(packPair(From, To), Aux);
   }
 
   /// Cast-edge filter: a valid \p Filter admits subtypes; an invalid one
   /// marks a sanitize edge and admits only untainted allocation sites.
   bool passesCastFilter(uint32_t Obj, TypeId Filter) const;
-  /// Records the step for a fresh propagation of \p Obj across an edge.
-  void provEdgeStep(uint32_t From, uint32_t To, uint32_t Obj, bool IsCast);
+  /// Records the step for a fresh propagation of \p Obj across an edge;
+  /// \p Cast is the edge when it is a cast or sanitize edge.
+  void provEdgeStep(uint32_t From, uint32_t To, uint32_t Obj,
+                    const CastEdge *Cast = nullptr);
 
   CtxId policyMerge(HeapId Heap, HCtxId HCtx, InvokeId Invo, CtxId Ctx);
   CtxId policyMergeStatic(InvokeId Invo, CtxId Ctx);
@@ -840,13 +841,22 @@ uint32_t Partition::provFact(uint32_t NodeIdx, uint32_t Obj) {
 }
 
 void Partition::provEdgeStep(uint32_t From, uint32_t To, uint32_t Obj,
-                             bool IsCast) {
-  FlatMap<uint64_t> &Map = IsCast ? CastEdgeWhy : EdgeWhy;
-  uint64_t *Why = Map.find(packPair(From, To));
-  if (!Why)
-    return; // Edge predates provenance enablement; skip, stay sound.
-  auto Rule = static_cast<prov::Rule>(*Why & 0xFF);
-  auto Aux = static_cast<uint32_t>(*Why >> 8);
+                             const CastEdge *Cast) {
+  prov::Rule Rule;
+  uint32_t Aux;
+  if (Cast) {
+    const uint32_t *CastAux = CastEdgeWhy.find(packPair(From, To));
+    if (!CastAux)
+      return; // Edge predates provenance enablement; skip, stay sound.
+    Rule = Cast->Filter.isValid() ? prov::Rule::Cast : prov::Rule::Sanitize;
+    Aux = *CastAux;
+  } else {
+    const uint64_t *Why = EdgeWhy.find(packPair(From, To));
+    if (!Why)
+      return;
+    Rule = static_cast<prov::Rule>(*Why & 0xFF);
+    Aux = static_cast<uint32_t>(*Why >> 8);
+  }
   E.Opts.Prov->step(provFact(To, Obj), Rule, provFact(From, Obj), Aux);
 }
 
@@ -981,7 +991,7 @@ void Partition::addEdge(uint32_t From, uint32_t To) {
   for (uint32_t I = 0; I < Count; ++I) {
     uint32_t Obj = Nodes[From].Set.at(I);
     if (addFact(To, Obj) && provOn())
-      provEdgeStep(From, To, Obj, /*IsCast=*/false);
+      provEdgeStep(From, To, Obj);
   }
 }
 
@@ -994,7 +1004,8 @@ bool Partition::passesCastFilter(uint32_t Obj, TypeId Filter) const {
 
 void Partition::addCastEdge(uint32_t From, uint32_t To, TypeId Filter) {
   PT_COUNT(Counters.EdgesAdded);
-  Nodes[From].CastEdges.push_back({To, Filter});
+  const CastEdge Ce{To, Filter};
+  Nodes[From].CastEdges.push_back(Ce);
   uint32_t Count = Nodes[From].Set.size();
   PT_COUNT_ADD(Counters.FactsReplayed, Count);
   for (uint32_t I = 0; I < Count; ++I) {
@@ -1002,7 +1013,7 @@ void Partition::addCastEdge(uint32_t From, uint32_t To, TypeId Filter) {
     PT_COUNT(Counters.RuleCast);
     if (passesCastFilter(Obj, Filter))
       if (addFact(To, Obj) && provOn())
-        provEdgeStep(From, To, Obj, /*IsCast=*/true);
+        provEdgeStep(From, To, Obj, &Ce);
   }
 }
 
@@ -1062,7 +1073,7 @@ void Partition::ensureReachable(MethodId M, CtxId Ctx, prov::Rule Why,
   for (const SanitizeInstr &S : Body.Sanitizes) {
     uint32_t From = varNode(S.From, Ctx);
     uint32_t To = varNode(S.To, Ctx);
-    noteCastEdgeWhy(From, To, RFact, prov::Rule::Sanitize);
+    noteCastEdgeWhy(From, To, RFact);
     addCastEdge(From, To, TypeId::invalid());
   }
 
@@ -1493,7 +1504,7 @@ void Partition::processDelta(uint32_t NodeIdx) {
     for (size_t I = 0; I < Nodes[NodeIdx].Edges.size(); ++I) {
       uint32_t To = Nodes[NodeIdx].Edges[I];
       if (addFact(To, Obj) && provOn())
-        provEdgeStep(NodeIdx, To, Obj, /*IsCast=*/false);
+        provEdgeStep(NodeIdx, To, Obj);
     }
     for (size_t I = 0; I < Nodes[NodeIdx].CastEdges.size(); ++I) {
       CastEdge Ce = Nodes[NodeIdx].CastEdges[I];
@@ -1501,7 +1512,7 @@ void Partition::processDelta(uint32_t NodeIdx) {
       slowRule(FaultRule::Cast);
       if (passesCastFilter(Obj, Ce.Filter))
         if (addFact(Ce.ToNode, Obj) && provOn())
-          provEdgeStep(NodeIdx, Ce.ToNode, Obj, /*IsCast=*/true);
+          provEdgeStep(NodeIdx, Ce.ToNode, Obj, &Ce);
     }
   }
 }

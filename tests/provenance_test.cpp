@@ -17,16 +17,19 @@
 #include "irtext/TextFormat.h"
 #include "pta/Solver.h"
 #include "pta/provenance/Provenance.h"
+#include "taint/Taint.h"
 #include "workloads/Profiles.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 namespace {
@@ -222,6 +225,213 @@ TEST(Provenance, ScanFactsVisitsInIdOrderAndStops) {
   EXPECT_EQ(Visited, 5000u);
 }
 
+// --- Pinned worklist arenas ---------------------------------------------
+
+/// The examples corpus, sorted by file name.
+std::vector<std::filesystem::path> examplePrograms() {
+  std::vector<std::filesystem::path> Paths;
+  for (const auto &Entry :
+       std::filesystem::directory_iterator(HYBRIDPT_EXAMPLES_DIR))
+    if (Entry.path().extension() == ".ptir")
+      Paths.push_back(Entry.path());
+  std::sort(Paths.begin(), Paths.end());
+  return Paths;
+}
+
+/// The program of \p Path, taint-instrumented with the synthetic spec the
+/// benchmark's lint uses when \p Taint is set.
+std::unique_ptr<Program> loadExample(const std::filesystem::path &Path,
+                                     bool Taint) {
+  ParseResult Parsed = parseProgram(slurp(Path));
+  if (!Parsed.ok())
+    return nullptr;
+  taint::TaintSpec Spec;
+  if (Taint)
+    Spec = taint::syntheticSpec(*Parsed.Prog, 1);
+  return taint::instrument(*Parsed.Prog, taint::resolve(Spec, *Parsed.Prog));
+}
+
+/// FNV-1a over the arena: every fact's (kind, A, B64) in id order, then
+/// every step's four words.  Pins fact ids, step order, rules and premises.
+uint64_t arenaDigest(const prov::Recorder &R) {
+  uint64_t H = 0xcbf29ce484222325ull;
+  auto Mix = [&H](uint64_t V) {
+    for (int Byte = 0; Byte < 8; ++Byte) {
+      H ^= (V >> (8 * Byte)) & 0xff;
+      H *= 0x100000001b3ull;
+    }
+  };
+  R.scanFacts([&Mix](uint32_t, const prov::Fact &F) {
+    Mix(static_cast<uint64_t>(F.Kind));
+    Mix(F.A);
+    Mix(F.B64);
+    return true;
+  });
+  for (size_t I = 0, N = R.numSteps(); I != N; ++I) {
+    prov::Step S = R.stepAt(I);
+    Mix(S.Target);
+    Mix(S.Prem0);
+    Mix(S.Prem1);
+    Mix(S.RuleWord);
+  }
+  return H;
+}
+
+const char *const PinnedPolicies[] = {"2obj+H", "1call+H", "cs", "S-cs",
+                                      "insens"};
+
+/// Calls \p Fn(Label, Rec) for every worklist arena the pinned digests
+/// cover: each example, plain and taint-instrumented, under each pinned
+/// policy.
+template <typename Callback> void forEachPinnedArena(Callback &&Fn) {
+  for (const std::filesystem::path &Path : examplePrograms()) {
+    for (bool Taint : {false, true}) {
+      std::unique_ptr<Program> Prog = loadExample(Path, Taint);
+      ASSERT_TRUE(Prog) << Path;
+      for (const char *Name : PinnedPolicies) {
+        auto Policy = createPolicy(Name, *Prog);
+        ASSERT_TRUE(Policy) << Name;
+        prov::Recorder Rec;
+        SolverOptions Opts;
+        Opts.Prov = &Rec;
+        AnalysisResult R = solveProgram(*Prog, *Policy, Opts);
+        ASSERT_FALSE(R.Aborted);
+        std::string Label = Path.filename().string() + ' ' + Name + ' ' +
+                            (Taint ? "taint" : "plain");
+        Fn(Label, Rec);
+      }
+    }
+  }
+}
+
+// Every worklist arena over the examples corpus, pinned byte for byte in
+// tests/baselines/provenance_arena.txt.  Fact ids pick the codeFlow
+// anchors and so the SARIF bytes; a solver change that reorders facts,
+// steps, rules or premises shows up here on small programs first.
+TEST(Provenance, WorklistArenasMatchThePinnedDigests) {
+  std::ostringstream Got;
+  forEachPinnedArena([&Got](const std::string &Label,
+                            const prov::Recorder &Rec) {
+    char Hex[17];
+    std::snprintf(Hex, sizeof(Hex), "%016llx",
+                  static_cast<unsigned long long>(arenaDigest(Rec)));
+    Got << Label << ' ' << Rec.numFacts() << ' ' << Rec.numSteps() << ' '
+        << Hex << '\n';
+  });
+  std::istringstream Baseline(
+      slurp(std::filesystem::path(HYBRIDPT_BASELINES_DIR) /
+            "provenance_arena.txt"));
+  std::string Want, Line;
+  while (std::getline(Baseline, Line))
+    if (!Line.empty() && Line[0] != '#')
+      Want += Line + '\n';
+  EXPECT_EQ(Got.str(), Want) << "actual arena digests:\n" << Got.str();
+}
+
+// What positional fact ids rely on: a worklist run concludes every fact
+// exactly once, at the point its id is appended.  So there are as many
+// steps as facts, no (kind, A, B64) payload appears twice, and each
+// fact's first step is its only step.
+TEST(Provenance, WorklistConcludesEveryFactOnce) {
+  auto Check = [](const std::string &Label, const prov::Recorder &Rec) {
+    SCOPED_TRACE(Label);
+    const size_t N = Rec.numFacts();
+    ASSERT_EQ(Rec.numSteps(), N);
+    std::vector<std::tuple<uint8_t, uint64_t, uint64_t>> Payloads;
+    Payloads.reserve(N);
+    Rec.scanFacts([&Payloads](uint32_t, const prov::Fact &F) {
+      Payloads.emplace_back(static_cast<uint8_t>(F.Kind), F.A, F.B64);
+      return true;
+    });
+    std::sort(Payloads.begin(), Payloads.end());
+    EXPECT_EQ(std::adjacent_find(Payloads.begin(), Payloads.end()),
+              Payloads.end())
+        << "a fact payload was recorded twice";
+    std::vector<uint32_t> StepOf(N, UINT32_MAX);
+    for (uint32_t I = 0; I != N; ++I) {
+      uint32_t Target = Rec.stepAt(I).Target;
+      ASSERT_LT(Target, N);
+      ASSERT_EQ(StepOf[Target], UINT32_MAX)
+          << "fact " << Target << " concluded twice";
+      StepOf[Target] = I;
+    }
+    for (uint32_t F = 0; F != N; ++F)
+      ASSERT_EQ(Rec.firstStepOf(F), StepOf[F]) << "fact " << F;
+  };
+  forEachPinnedArena(Check);
+
+  const Program &P = luindex();
+  auto Policy = createPolicy("2obj+H", P);
+  prov::Recorder Rec;
+  SolverOptions Opts;
+  Opts.Prov = &Rec;
+  ASSERT_FALSE(solveProgram(P, *Policy, Opts).Aborted);
+  Check("luindex 2obj+H", Rec);
+}
+
+// A cast and a sanitize edge between one node pair each keep their own
+// justification: in castsanitize.ptir, y -> Note arrives only through the
+// sanitize edge (the cast to Shape rejects a Note), so its step must name
+// the sanitize rule and validate, under both engines.
+TEST(Provenance, CastAndSanitizeOnOneNodePairKeepTheirRules) {
+  ParseResult Parsed = parseProgram(slurp(
+      std::filesystem::path(HYBRIDPT_EXAMPLES_DIR) / "castsanitize.ptir"));
+  ASSERT_TRUE(Parsed.ok());
+  const Program &P = *Parsed.Prog;
+  VarId Y = findVarByPath(P, "App::main/0::y");
+  HeapId Note = findHeapByName(P, "new Note@1");
+  HeapId Circle = findHeapByName(P, "new Circle@0");
+  ASSERT_TRUE(Y.isValid());
+  ASSERT_TRUE(Note.isValid());
+  ASSERT_TRUE(Circle.isValid());
+  for (SolverEngine Engine : {SolverEngine::Worklist, SolverEngine::Summary}) {
+    SCOPED_TRACE(solverEngineName(Engine));
+    auto Policy = createPolicy("insens", P);
+    prov::Recorder Rec;
+    SolverOptions Opts;
+    Opts.Engine = Engine;
+    Opts.Prov = &Rec;
+    AnalysisResult R = solveProgram(P, *Policy, Opts);
+    ASSERT_FALSE(R.Aborted);
+    prov::DerivationTree ViaSanitize =
+        prov::whyPointsTo(Rec, R, Y, CtxId(), Note);
+    ASSERT_TRUE(ViaSanitize.Found) << ViaSanitize.Error;
+    EXPECT_EQ(ViaSanitize.Steps.back().R, prov::Rule::Sanitize);
+    prov::DerivationTree ViaCast =
+        prov::whyPointsTo(Rec, R, Y, CtxId(), Circle);
+    ASSERT_TRUE(ViaCast.Found) << ViaCast.Error;
+    EXPECT_EQ(ViaCast.Steps.back().R, prov::Rule::Cast);
+    prov::ValidationResult VR =
+        prov::validateSampledSteps(Rec, R, Policy.get(), /*Stride=*/1);
+    EXPECT_TRUE(VR.Ok) << VR.Error;
+  }
+}
+
+// The hash index behind internFact is built on first use and catches up
+// with facts appended without it, so the two ways in never disagree on
+// an id.
+TEST(Provenance, InternFindsAppendedFacts) {
+  using prov::FactKind;
+  prov::Recorder Rec;
+  uint32_t A = Rec.appendFact(FactKind::VarPointsTo, 7, 1, prov::Rule::Alloc);
+  uint32_t B = Rec.reserveFact(FactKind::CallEdge, 7, 9);
+  EXPECT_EQ(Rec.internFact(FactKind::VarPointsTo, 7, 1), A);
+  EXPECT_EQ(Rec.internFact(FactKind::CallEdge, 7, 9), B);
+  uint32_t C = Rec.internFact(FactKind::VarPointsTo, 7, 2);
+  EXPECT_EQ(C, 2u);
+  // Enough appends to force the index to grow past its first table.
+  for (uint64_t I = 0; I < 5000; ++I)
+    Rec.appendFact(FactKind::FieldPointsTo, I, I, prov::Rule::Store);
+  EXPECT_EQ(Rec.internFact(FactKind::FieldPointsTo, 4321, 4321), 3u + 4321);
+  EXPECT_EQ(Rec.internFact(FactKind::VarPointsTo, 7, 2), C);
+  EXPECT_EQ(Rec.numFacts(), 5003u);
+  // Only appendFact records a step; the reserved and interned facts
+  // have none.
+  EXPECT_EQ(Rec.numSteps(), 5001u);
+  EXPECT_EQ(Rec.firstStepOf(B), UINT32_MAX);
+  EXPECT_EQ(Rec.firstStepOf(C), UINT32_MAX);
+}
+
 TEST(Provenance, ClearResetsTheArena) {
   const Program &P = factory();
   auto Policy = createPolicy("1obj", P);
@@ -302,6 +512,10 @@ TEST(Provenance, ArenaCountsAgainstTheMemoryBudget) {
   ASSERT_FALSE(ProvR.Aborted);
   ASSERT_GT(ProvR.PeakBytes, BareR.PeakBytes)
       << "arena not reflected in the run's memory accounting";
+  // The solver's own containers are the same in both runs, so the
+  // recorded run holds at least the arena on top of the bare peak (plus
+  // the solver's per-node fact ids and edge justifications).
+  EXPECT_GE(ProvR.PeakBytes, BareR.PeakBytes + Rec.memoryBytes());
 
   // A budget just above the bare peak: container sizes only grow during
   // a solve, so the bare run can never trip it, while the recorded run

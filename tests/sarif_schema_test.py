@@ -13,11 +13,15 @@ Drives the hybridpt-lint binary over the examples corpus and checks that
    non-negative reduction for a refining policy pair);
 4. with --taint-golden: a taint-instrumented provenance run over
    taintflow.ptir byte-matches its golden, and its HPT007 result carries a
-   schema-valid codeFlows derivation (source -> container -> sink).
+   schema-valid codeFlows derivation (source -> container -> sink);
+5. with --provenance: every example's `--provenance` log under 2obj+H and
+   the cut-shortcut policies cs and S-cs validates too, and under each of
+   those policies at least one result in the corpus carries codeFlows.
 
 Usage:
   sarif_schema_test.py --lint BIN --examples DIR --schema FILE --golden FILE
-                       [--taint-golden FILE] [--update-golden]
+                       [--taint-golden FILE] [--provenance]
+                       [--update-golden]
 """
 
 import argparse
@@ -27,6 +31,11 @@ import subprocess
 import sys
 
 FAILURES = []
+
+# Policies whose --provenance logs check 5 validates: the headline policy
+# and the cut-shortcut pair, whose shortcut rules carry their own edge
+# justifications.
+PROVENANCE_POLICIES = ("2obj+H", "cs", "S-cs")
 
 
 def fail(msg):
@@ -152,6 +161,13 @@ def main():
         "taintflow.ptir (codeFlows coverage); omitted = skip that check",
     )
     ap.add_argument(
+        "--provenance",
+        action="store_true",
+        help="also lint every example with --provenance under %s, "
+        "validate each log and require codeFlows under each policy"
+        % ", ".join(PROVENANCE_POLICIES),
+    )
+    ap.add_argument(
         "--update-golden",
         action="store_true",
         help="rewrite the golden file instead of diffing against it",
@@ -169,22 +185,44 @@ def main():
     if not examples:
         fail("no .ptir programs under %s" % args.examples)
 
-    # 1. Every example emits schema-valid SARIF.  Run with the examples dir
-    # as cwd so artifact URIs are bare file names (machine-independent).
+    # 1. Every example emits schema-valid SARIF, plain and (5.) with
+    # provenance under each of PROVENANCE_POLICIES.  Run with the examples
+    # dir as cwd so artifact URIs are bare file names (machine-independent).
+    variants = [(None, [])]
+    if args.provenance:
+        variants += [
+            (p, ["--policy", p, "--provenance"]) for p in PROVENANCE_POLICIES
+        ]
+    flowed = set()
     for name in examples:
-        proc = run_lint(
-            args.lint, ["--format", "sarif", name], cwd=args.examples
-        )
-        if proc.returncode != 0:
-            fail("%s: lint exited %d: %s" % (name, proc.returncode, proc.stderr))
-            continue
-        try:
-            doc = json.loads(proc.stdout)
-        except json.JSONDecodeError as e:
-            fail("%s: SARIF output is not valid JSON: %s" % (name, e))
-            continue
-        structural_validate(doc, name)
-        schema_validate(doc, schema, name)
+        for policy, extra in variants:
+            suffix = " [%s --provenance]" % policy if policy else ""
+            label = name + suffix
+            proc = run_lint(
+                args.lint, ["--format", "sarif"] + extra + [name],
+                cwd=args.examples,
+            )
+            if proc.returncode != 0:
+                fail("%s: lint exited %d: %s"
+                     % (label, proc.returncode, proc.stderr))
+                continue
+            try:
+                doc = json.loads(proc.stdout)
+            except json.JSONDecodeError as e:
+                fail("%s: SARIF output is not valid JSON: %s" % (label, e))
+                continue
+            structural_validate(doc, label)
+            schema_validate(doc, schema, label)
+            if policy and any(
+                r.get("codeFlows")
+                for run in doc.get("runs", [])
+                for r in run.get("results", [])
+            ):
+                flowed.add(policy)
+    if args.provenance:
+        for policy in PROVENANCE_POLICIES:
+            if policy not in flowed:
+                fail("no --provenance log under %s carries codeFlows" % policy)
 
     # 2. The dispatch log matches the checked-in golden byte for byte.
     proc = run_lint(

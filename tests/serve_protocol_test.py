@@ -8,6 +8,9 @@ robustness contract from the outside:
  - a corpus of malformed request lines each earns one structured error
    reply (correct "code", echoed "id" where readable) and the daemon
    keeps answering afterwards — no crash, no closed pipe;
+ - a partial line that grows past MaxLineBytes without a newline earns
+   one error reply before the newline arrives, and the next request is
+   served;
  - daemon answers are bit-identical to the batch CLIs: points-to lines
    match the `hybridpt --dump-vpt` body (minus its two-space indent) and
    lint lines match `hybridpt-lint --format jsonl`;
@@ -25,6 +28,7 @@ Runs under pytest and standalone:
 import argparse
 import json
 import os
+import select
 import signal
 import subprocess
 import sys
@@ -142,6 +146,41 @@ def test_malformed_corpus_then_identical_answers():
             capture_output=True, text=True, timeout=120)
         assert lint["lines"] == batch.stdout.splitlines(), (
             lint["lines"], batch.stdout)
+    finally:
+        finish(proc)
+
+
+def read_reply(proc, timeout_s=60):
+    """Reads one reply line, failing instead of blocking past the timeout."""
+    ready, _, _ = select.select([proc.stdout], [], [], timeout_s)
+    assert ready, "no reply within %ds" % timeout_s
+    reply = proc.stdout.readline()
+    assert reply, "daemon closed its stdout"
+    return json.loads(reply)
+
+
+def test_unterminated_line_is_capped():
+    # 2 MiB with no newline: the daemon must answer once the partial line
+    # passes MaxLineBytes (1 MiB), before any newline arrives, rather than
+    # buffer without bound.  It then discards up to the next newline and
+    # serves the following request normally.
+    proc = start_daemon()
+    try:
+        chunk = "x" * 65536
+        for _ in range(32):
+            proc.stdin.write(chunk)
+        proc.stdin.flush()
+        err = read_reply(proc)
+        assert err.get("ok") is False, err
+        assert err.get("code") == "bad-request", err
+        assert "exceeds" in err.get("error", ""), err
+
+        proc.stdin.write("\n" + json.dumps({"id": 2, "kind": "health"}) + "\n")
+        proc.stdin.flush()
+        health = read_reply(proc)
+        assert health.get("ok") is True, (
+            "expected the health reply right after one error", health)
+        assert health.get("id") == 2, health
     finally:
         finish(proc)
 

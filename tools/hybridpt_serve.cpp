@@ -32,6 +32,7 @@
 #include <mutex>
 #include <poll.h>
 #include <string>
+#include <string_view>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <thread>
@@ -120,10 +121,17 @@ enum class ReadOutcome { Eof, DrainRequested, Cancelled };
 /// Reads NDJSON lines from \p Fd into the server until EOF, a drain
 /// request, or a tripped token.  poll()-driven so SIGTERM/SIGINT (whose
 /// handlers are installed without SA_RESTART) wake the reader promptly.
+///
+/// A partial line is held only up to \c ProtocolLimits::MaxLineBytes.
+/// Past that the reader answers once with the same bad-request reply a
+/// complete oversized line gets, then drops bytes up to the next newline,
+/// so a client that never sends one cannot grow the daemon's memory.
 ReadOutcome pumpLines(int Fd, Server &S, const Server::ReplyFn &Reply,
                       const CancelToken &DrainTok,
                       const CancelToken &CancelTok) {
+  const size_t MaxLineBytes = ProtocolLimits().MaxLineBytes;
   std::string Buf;
+  bool Discarding = false; // Inside an oversized line already answered.
   char Chunk[4096];
   for (;;) {
     if (CancelTok.cancelled())
@@ -148,17 +156,31 @@ ReadOutcome pumpLines(int Fd, Server &S, const Server::ReplyFn &Reply,
     if (N == 0)
       return ReadOutcome::Eof;
     Buf.append(Chunk, static_cast<size_t>(N));
-    size_t Pos;
-    while ((Pos = Buf.find('\n')) != std::string::npos) {
-      std::string Line = Buf.substr(0, Pos);
-      Buf.erase(0, Pos + 1);
+    // Consume every complete line through a read cursor; the consumed
+    // prefix is dropped once per read, not once per line.
+    size_t Head = 0, Pos;
+    while ((Pos = Buf.find('\n', Head)) != std::string::npos) {
+      std::string_view Line(Buf.data() + Head, Pos - Head);
+      Head = Pos + 1;
+      if (Discarding) {
+        Discarding = false; // The rest of the oversized line ends here.
+        continue;
+      }
       if (!Line.empty() && Line.back() == '\r')
-        Line.pop_back();
+        Line.remove_suffix(1);
       if (Line.empty())
         continue;
       if (!S.handleLine(Line, Reply))
         return ReadOutcome::DrainRequested;
     }
+    Buf.erase(0, Head);
+    if (!Discarding && Buf.size() > MaxLineBytes) {
+      // Too long to ever parse: handleLine rejects it on length alone.
+      S.handleLine(Buf, Reply);
+      Discarding = true;
+    }
+    if (Discarding)
+      Buf.clear();
   }
 }
 
