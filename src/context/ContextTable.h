@@ -13,19 +13,24 @@
 /// three, matching the paper's guarantee that "our most complex constructor
 /// is triple".
 ///
+/// The index is a \c FlatMap from the tuple hash to the newest id with that
+/// hash; ids sharing a hash are chained through \c Next, so interning
+/// allocates no per-entry nodes and stays exact under collisions.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef HYBRIDPT_CONTEXT_CONTEXTTABLE_H
 #define HYBRIDPT_CONTEXT_CONTEXTTABLE_H
 
 #include "context/ContextElement.h"
+#include "support/FlatMap.h"
 #include "support/Hashing.h"
 #include "support/Ids.h"
 
 #include <array>
 #include <cassert>
+#include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace pt {
@@ -51,13 +56,20 @@ public:
     K[0] = Arity;
     for (uint32_t I = 0; I < Arity; ++I)
       K[I + 1] = Elems[I].raw();
-    auto It = Index.find(K);
-    if (It != Index.end())
-      return It->second;
-    IdT Id = IdT::fromIndex(Tuples.size());
+    uint32_t NewIdx = static_cast<uint32_t>(Tuples.size());
+    auto [Head, Fresh] =
+        Index.tryEmplace(hashWords(K.data(), K.size()), NewIdx);
+    uint32_t ChainNext = NoId;
+    if (!Fresh) {
+      for (uint32_t I = *Head; I != NoId; I = Next[I])
+        if (Tuples[I] == K)
+          return IdT::fromIndex(I);
+      ChainNext = *Head;
+      *Head = NewIdx;
+    }
     Tuples.push_back(K);
-    Index.emplace(K, Id);
-    return Id;
+    Next.push_back(ChainNext);
+    return IdT::fromIndex(NewIdx);
   }
 
   /// Interns the empty tuple (the context-insensitive `*`).
@@ -95,14 +107,11 @@ public:
   size_t size() const { return Tuples.size(); }
 
 private:
-  struct KeyHash {
-    size_t operator()(const Key &K) const {
-      return static_cast<size_t>(hashWords(K.data(), K.size()));
-    }
-  };
+  static constexpr uint32_t NoId = UINT32_MAX;
 
   std::vector<Key> Tuples;
-  std::unordered_map<Key, IdT, KeyHash> Index;
+  FlatMap<uint32_t> Index;    ///< Tuple hash -> newest id with that hash.
+  std::vector<uint32_t> Next; ///< Per id: the older id sharing its hash.
 };
 
 /// Appends the canonical word encoding of a context — arity followed by

@@ -30,6 +30,7 @@
 
 #include <cassert>
 #include <cstdint>
+#include <deque>
 #include <string>
 #include <vector>
 
@@ -170,8 +171,11 @@ private:
 
   /// Lazily built column indices over settled rows, updated on promote.
   /// Masks fit in 32 bits (arity <= 32); the handful of live masks makes
-  /// a tiny FlatMap-keyed registry overkill, so a small vector of pairs.
-  mutable std::vector<std::pair<uint32_t, ColumnIndex>> Indices;
+  /// a tiny FlatMap-keyed registry overkill, so a short list of pairs.  A
+  /// deque, because \c scan holds an index across its callback while a
+  /// nested scan of this relation under another mask may add one: deque
+  /// growth at the back never moves existing elements.
+  mutable std::deque<std::pair<uint32_t, ColumnIndex>> Indices;
 };
 
 } // namespace pt::dl

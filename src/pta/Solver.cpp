@@ -96,12 +96,20 @@ uint32_t Solver::staticNode(FieldId Fld) {
   return Inserted ? newNode(NodeKind::StaticSlot, Fld.index(), 0) : *Slot;
 }
 
-uint32_t Solver::throwNode(MethodId M, CtxId Ctx) {
-  uint64_t Key = packPair(M.index(), Ctx.index());
-  auto [Slot, Inserted] =
-      ThrowSlotIndex.tryEmplace(Key, static_cast<uint32_t>(Nodes.size()));
-  return Inserted ? newNode(NodeKind::ThrowSlot, M.index(), Ctx.index())
-                  : *Slot;
+uint32_t Solver::throwSlot(uint32_t F) {
+  stampThrowSeq(F);
+  if (Frames[F].ThrowNode != NoIndex)
+    return Frames[F].ThrowNode;
+  auto [M, Ctx] = ReachableList[F];
+  uint32_t TN = newNode(NodeKind::ThrowSlot, M.index(), Ctx.index());
+  Frames[F].ThrowNode = TN;
+  // The slot is empty, so linking the waiting call edges replays nothing.
+  for (uint32_t E = Frames[F].PendingHead; E != NoIndex; E = PendingNext[E])
+    addThrowLink(TN, Prog.invoke(CallEdges[E].Invo).InMethod,
+                 CallEdges[E].CallerCtx,
+                 provOn() ? CallEdgeFacts[E] : prov::InvalidFact);
+  Frames[F].PendingHead = Frames[F].PendingTail = NoIndex;
+  return TN;
 }
 
 uint32_t Solver::internObject(HeapId Heap, HCtxId HCtx) {
@@ -211,22 +219,27 @@ void Solver::addCastEdge(uint32_t From, uint32_t To, TypeId Filter,
   }
 }
 
-void Solver::ensureReachable(MethodId M, CtxId Ctx, prov::Rule Why,
-                             uint32_t WhyPrem) {
-  if (Aborted)
-    return;
-  if (!ReachableSet.insert(packPair(M.index(), Ctx.index())))
-    return;
+uint32_t Solver::ensureReachable(MethodId M, CtxId Ctx, prov::Rule Why,
+                                 uint32_t WhyPrem) {
+  uint64_t Key = packPair(M.index(), Ctx.index());
+  if (Aborted) {
+    const uint32_t *Known = FrameIndex.find(Key);
+    return Known ? *Known : NoIndex;
+  }
+  uint32_t F = static_cast<uint32_t>(ReachableList.size());
+  auto [Slot, Fresh] = FrameIndex.tryEmplace(Key, F);
+  if (!Fresh)
+    return *Slot;
   PT_COUNT(Counters.MethodsInstantiated);
   ReachableList.push_back({M, Ctx});
+  Frames.emplace_back();
 
   // The Reachable fact anchors every intra-procedural derivation of this
   // body: allocs cite it directly, move/cast/static edges carry it as
   // their auxiliary premise.
   uint32_t RFact = prov::InvalidFact;
   if (provOn())
-    RFact = Opts.Prov->appendFact(prov::FactKind::Reachable,
-                                  packPair(M.index(), Ctx.index()), 0, Why,
+    RFact = Opts.Prov->appendFact(prov::FactKind::Reachable, Key, 0, Why,
                                   WhyPrem);
 
   const MethodInfo &Body = Prog.method(M);
@@ -355,6 +368,7 @@ void Solver::ensureReachable(MethodId M, CtxId Ctx, prov::Rule Why,
                  provOn() ? ProvNodes[Base].FactIds[I] : prov::InvalidFact);
     }
   }
+  return F;
 }
 
 void Solver::routeThrow(uint32_t Obj, MethodId M, CtxId Ctx, uint32_t WhyPrem,
@@ -381,7 +395,10 @@ void Solver::routeThrow(uint32_t Obj, MethodId M, CtxId Ctx, uint32_t WhyPrem,
     }
   }
   if (!Caught) {
-    uint32_t TN = throwNode(M, Ctx);
+    // The frame is reachable: its body raised the object or a call edge
+    // out of it carried it.
+    uint32_t TN =
+        throwSlot(*FrameIndex.find(packPair(M.index(), Ctx.index())));
     if (addFact(TN, Obj) && provOn())
       concludeFact(TN, Obj,
                    Escalating ? prov::Rule::ThrowEscalate
@@ -507,12 +524,14 @@ bool Solver::insertCallEdge(const CallGraphEdge &E) {
   PT_COUNT(Counters.CallEdgesInserted);
   CallEdges.push_back(E);
   CallEdgeNext.push_back(ChainNext);
+  PendingNext.push_back(NoIndex);
   return true;
 }
 
 void Solver::wireCall(InvokeId Invo, CtxId CallerCtx, MethodId Callee,
                       CtxId CalleeCtx, prov::Rule CallWhy, uint32_t CallPrem,
                       uint32_t CEFact) {
+  uint32_t EdgeIdx = static_cast<uint32_t>(CallEdges.size());
   if (!insertCallEdge({Invo, CallerCtx, Callee, CalleeCtx}))
     return;
 
@@ -528,7 +547,8 @@ void Solver::wireCall(InvokeId Invo, CtxId CallerCtx, MethodId Callee,
     CallEdgeFacts.push_back(CEFact);
   }
 
-  ensureReachable(Callee, CalleeCtx, prov::Rule::ReachCall, CEFact);
+  uint32_t CalleeFrame =
+      ensureReachable(Callee, CalleeCtx, prov::Rule::ReachCall, CEFact);
 
   // INTERPROCASSIGN: actual -> formal edges (Figure 2, first rule).
   const InvokeInfo &Call = Prog.invoke(Invo);
@@ -569,9 +589,21 @@ void Solver::wireCall(InvokeId Invo, CtxId CallerCtx, MethodId Callee,
   }
 
   // Exception escalation: what escapes the callee is raised in the
-  // calling frame.
-  addThrowLink(throwNode(Callee, CalleeCtx), Call.InMethod, CallerCtx,
-               CEFact);
+  // calling frame.  A callee that has let nothing escape yet has no throw
+  // slot; the edge waits on its pending chain until one exists.
+  if (CalleeFrame == NoIndex)
+    return; // Aborted before the callee became reachable.
+  stampThrowSeq(CalleeFrame);
+  Frame &F = Frames[CalleeFrame];
+  if (F.ThrowNode != NoIndex) {
+    addThrowLink(F.ThrowNode, Call.InMethod, CallerCtx, CEFact);
+    return;
+  }
+  if (F.PendingTail == NoIndex)
+    F.PendingHead = EdgeIdx;
+  else
+    PendingNext[F.PendingTail] = EdgeIdx;
+  F.PendingTail = EdgeIdx;
 }
 
 void Solver::processDelta(uint32_t NodeIdx) {
@@ -709,15 +741,16 @@ size_t Solver::memoryBytes() const {
     Bytes += N.ThrowLinks.capacity() * sizeof(uint64_t);
   }
   Bytes += VarCtxIndex.memoryBytes() + FieldSlotIndex.memoryBytes() +
-           StaticSlotIndex.memoryBytes() + ThrowSlotIndex.memoryBytes() +
-           ThrowLinkDedup.memoryBytes() + ObjIndex.memoryBytes() +
-           ReachableSet.memoryBytes() + CallEdgeHead.memoryBytes() +
-           EdgeDedup.memoryBytes();
+           StaticSlotIndex.memoryBytes() + ThrowLinkDedup.memoryBytes() +
+           ObjIndex.memoryBytes() + FrameIndex.memoryBytes() +
+           CallEdgeHead.memoryBytes() + EdgeDedup.memoryBytes();
   Bytes += ObjHeaps.capacity() * sizeof(HeapId) +
            ObjHCtxs.capacity() * sizeof(HCtxId);
-  Bytes += ReachableList.capacity() * sizeof(std::pair<MethodId, CtxId>);
+  Bytes += ReachableList.capacity() * sizeof(std::pair<MethodId, CtxId>) +
+           Frames.capacity() * sizeof(Frame);
   Bytes += CallEdges.capacity() * sizeof(CallGraphEdge) +
-           CallEdgeNext.capacity() * sizeof(uint32_t);
+           (CallEdgeNext.capacity() + PendingNext.capacity()) *
+               sizeof(uint32_t);
   // Provenance costs count against the same budget: the derivation arena
   // plus the per-node fact ids and edge justifications.
   if (provOn()) {
@@ -768,26 +801,36 @@ AnalysisResult Solver::harvest() {
   Result.CallEdges = std::move(CallEdges);
   Result.Reachable = std::move(ReachableList);
 
-  for (size_t I = 0; I < Nodes.size(); ++I) {
-    Node &N = Nodes[I];
-    if (N.Set.empty())
-      continue;
+  auto sortedObjs = [this](uint32_t NodeIdx) {
+    const ObjectSet &Set = Nodes[NodeIdx].Set;
     std::vector<uint32_t> Objs;
-    Objs.reserve(N.Set.size());
-    N.Set.forEach([&Objs](uint32_t Obj) { Objs.push_back(Obj); });
+    Objs.reserve(Set.size());
+    Set.forEach([&Objs](uint32_t Obj) { Objs.push_back(Obj); });
     std::sort(Objs.begin(), Objs.end());
+    return Objs;
+  };
+  for (uint32_t I = 0; I < Nodes.size(); ++I) {
     const NodeDesc &D = Descs[I];
-    if (D.Kind == NodeKind::VarCtx) {
-      Result.VarFacts.push_back(
-          {VarId(D.A), CtxId(D.B), std::move(Objs)});
-    } else if (D.Kind == NodeKind::FieldSlot) {
-      Result.FieldFacts.push_back({D.A, FieldId(D.B), std::move(Objs)});
-    } else if (D.Kind == NodeKind::StaticSlot) {
-      Result.StaticFacts.push_back({FieldId(D.A), std::move(Objs)});
-    } else {
-      Result.ThrowFacts.push_back(
-          {MethodId(D.A), CtxId(D.B), std::move(Objs)});
-    }
+    if (Nodes[I].Set.empty() || D.Kind == NodeKind::ThrowSlot)
+      continue;
+    if (D.Kind == NodeKind::VarCtx)
+      Result.VarFacts.push_back({VarId(D.A), CtxId(D.B), sortedObjs(I)});
+    else if (D.Kind == NodeKind::FieldSlot)
+      Result.FieldFacts.push_back({D.A, FieldId(D.B), sortedObjs(I)});
+    else
+      Result.StaticFacts.push_back({FieldId(D.A), sortedObjs(I)});
+  }
+  // Throw slots are created on first escape, so their node order is not
+  // the frames' stamp order; emit them by stamp.
+  std::vector<std::pair<uint32_t, uint32_t>> Slots; // (stamp, node)
+  for (const Frame &F : Frames)
+    if (F.ThrowNode != NoIndex && !Nodes[F.ThrowNode].Set.empty())
+      Slots.push_back({F.ThrowSeq, F.ThrowNode});
+  std::sort(Slots.begin(), Slots.end());
+  for (auto [Seq, NodeIdx] : Slots) {
+    const NodeDesc &D = Descs[NodeIdx];
+    Result.ThrowFacts.push_back(
+        {MethodId(D.A), CtxId(D.B), sortedObjs(NodeIdx)});
   }
   return Result;
 }

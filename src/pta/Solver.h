@@ -35,6 +35,21 @@
 /// edge's justification is stored parallel to the edge itself.  No fact
 /// is ever looked up by value.
 ///
+/// Frames and lazy throw slots.  Every reachable (method, context) pair is
+/// a frame, numbered by its position in the reachable list; the frame id
+/// is what \c ensureReachable returns.  Most frames never let an exception
+/// escape, so a frame's throw slot (METHODTHROWS) is created only when the
+/// first uncaught object reaches it in \c routeThrow.  Until then, a call
+/// edge into the frame only appends its index to the frame's pending
+/// chain (a head and a tail per frame, one link per call edge); creating
+/// the slot turns the chain, in order, into escalation links.  The slot is
+/// empty at that moment, so nothing replays, and every later call edge
+/// links eagerly.  Links, facts and derivations come out in the same
+/// order as if every frame got its slot with its first call edge.
+/// Harvest emits method-throws facts by each frame's sequence stamp,
+/// taken when the frame first gets an incoming call edge or an uncaught
+/// object: the slot order of that eager design.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef HYBRIDPT_PTA_SOLVER_H
@@ -197,7 +212,7 @@ private:
     /// objects through (the raising frames).
     std::vector<uint64_t> ThrowSubs;
     /// On a ThrowSlot node: packed (callerMethod, callerCtx) pairs the
-    /// escaping objects escalate into.
+    /// escaping objects escalate into, in call-edge order.
     std::vector<uint64_t> ThrowLinks;
     bool Queued = false;
   };
@@ -211,8 +226,18 @@ private:
   uint32_t varNode(VarId V, CtxId Ctx);
   uint32_t fieldNode(uint32_t Obj, FieldId Fld);
   uint32_t staticNode(FieldId Fld);
-  uint32_t throwNode(MethodId M, CtxId Ctx);
   uint32_t internObject(HeapId Heap, HCtxId HCtx);
+
+  /// The throw slot of frame \p F (stamping the frame), created when
+  /// first asked for: the frame's pending call edges then become its
+  /// escalation links, in order.
+  uint32_t throwSlot(uint32_t F);
+
+  /// Takes frame \p F's harvest sequence stamp unless it has one.
+  void stampThrowSeq(uint32_t F) {
+    if (Frames[F].ThrowSeq == NoIndex)
+      Frames[F].ThrowSeq = NextThrowSeq++;
+  }
 
   /// Delivers an exception object raised in or escalated into
   /// (\p M, \p Ctx): binds matching handlers or escapes to the method's
@@ -254,9 +279,11 @@ private:
   /// REACHABLE(M, Ctx): instantiates the method body on first sight.
   /// \p Why / \p WhyPrem describe how reachability was derived (entry
   /// point, ladder seed, or a call edge) for the provenance arena.
-  void ensureReachable(MethodId M, CtxId Ctx,
-                       prov::Rule Why = prov::Rule::Entry,
-                       uint32_t WhyPrem = prov::InvalidFact);
+  /// Returns the frame id, or \c NoIndex when an aborted run meets a new
+  /// frame.
+  uint32_t ensureReachable(MethodId M, CtxId Ctx,
+                           prov::Rule Why = prov::Rule::Entry,
+                           uint32_t WhyPrem = prov::InvalidFact);
 
   /// Handles one receiver object arriving at a virtual call's base node.
   /// \p ObjFact is the receiver's VarPointsTo fact id (provenance runs).
@@ -369,21 +396,39 @@ private:
   FlatMap<uint32_t> VarCtxIndex;    ///< packPair(var, ctx) -> node
   FlatMap<uint32_t> FieldSlotIndex; ///< packPair(obj, fld) -> node
   FlatMap<uint32_t> StaticSlotIndex; ///< fld -> node
-  FlatMap<uint32_t> ThrowSlotIndex; ///< packPair(method, ctx) -> node
   FlatSet ThrowLinkDedup;           ///< hash of (node, link)
 
   std::vector<HeapId> ObjHeaps;
   std::vector<HCtxId> ObjHCtxs;
   FlatMap<uint32_t> ObjIndex; ///< packPair(heap, hctx) -> dense object
 
-  FlatSet ReachableSet; ///< packed (method, ctx)
+  static constexpr uint32_t NoIndex = UINT32_MAX;
+
+  FlatMap<uint32_t> FrameIndex; ///< packPair(method, ctx) -> frame id
+  /// The frames in reachability order; a frame id indexes it.
   std::vector<std::pair<MethodId, CtxId>> ReachableList;
+
+  /// Per-frame exception state, parallel to \c ReachableList.
+  struct Frame {
+    /// The throw slot node, or \c NoIndex until something escapes.
+    uint32_t ThrowNode = NoIndex;
+    /// Call edges into the frame waiting for its slot: the first and last
+    /// \c CallEdges index, chained through \c PendingNext.
+    uint32_t PendingHead = NoIndex;
+    uint32_t PendingTail = NoIndex;
+    /// Harvest order of the frame's method-throws facts.
+    uint32_t ThrowSeq = NoIndex;
+  };
+  std::vector<Frame> Frames;
+  uint32_t NextThrowSeq = 0;
 
   /// Call-graph dedup: tuple hash -> head index into \c CallEdges, with
   /// per-edge chain links for exactness under hash collisions.
   FlatMap<uint32_t> CallEdgeHead;
   std::vector<uint32_t> CallEdgeNext;
   std::vector<CallGraphEdge> CallEdges;
+  /// Per call edge: the next edge on its callee frame's pending chain.
+  std::vector<uint32_t> PendingNext;
 
   FlatSet EdgeDedup; ///< packPair(from, to)
 

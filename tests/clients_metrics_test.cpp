@@ -8,6 +8,7 @@
 #include "context/PolicyRegistry.h"
 #include "ir/Program.h"
 #include "ir/ProgramBuilder.h"
+#include "irtext/TextFormat.h"
 #include "pta/AnalysisResult.h"
 #include "pta/Clients.h"
 #include "pta/DotExport.h"
@@ -16,6 +17,8 @@
 #include "pta/Metrics.h"
 #include "pta/Solver.h"
 #include "pta/Stats.h"
+#include "taint/Taint.h"
+#include "taint/TaintSpec.h"
 #include "workloads/Profiles.h"
 
 #include <gtest/gtest.h>
@@ -23,6 +26,8 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <unordered_map>
+#include <unordered_set>
 
 namespace {
 
@@ -384,6 +389,205 @@ TEST(Stats, TopListsAreOrderedAndCapped) {
   std::string Report = formatStats(St, *Bench.Prog);
   EXPECT_NE(Report.find("contexts per method"), std::string::npos);
   EXPECT_NE(Report.find("fattest variables"), std::string::npos);
+}
+
+// --- Metrics parity ---
+
+/// The hash-set computeMetrics that the one-pass CSR version replaced,
+/// kept as the reference: per-variable heap sets, CI call-graph pairs and
+/// per-site targets in node-based containers, straight from the
+/// definitions in pta/Metrics.h.
+PrecisionMetrics referenceMetrics(const AnalysisResult &Result) {
+  const Program &Prog = Result.program();
+  PrecisionMetrics M;
+  M.Aborted = Result.Aborted;
+  M.Reason = Result.Reason;
+  M.FaultInjected = Result.FaultInjected;
+  M.SolveMs = Result.SolveMs;
+  M.PeakNodes = Result.SolverNodes;
+  M.PeakBytes = Result.PeakBytes;
+  M.Counters = Result.Counters;
+  M.CsVarPointsTo = Result.numCsVarPointsTo();
+  M.FieldPointsTo = Result.numFieldPointsTo();
+  M.StaticFieldPointsTo = Result.numStaticFieldPointsTo();
+  M.ThrowFacts = Result.numThrowFacts();
+  M.UncaughtExceptionSites = Result.uncaughtExceptions().size();
+  M.NumContexts = Result.policy().ctxTable().size();
+  M.NumHContexts = Result.policy().hctxTable().size();
+  M.NumObjects = Result.numObjects();
+
+  std::unordered_map<uint32_t, std::unordered_set<uint32_t>> HeapsPerVar;
+  for (const auto &E : Result.VarFacts) {
+    auto &Set = HeapsPerVar[E.Var.index()];
+    for (uint32_t Obj : E.Objs)
+      Set.insert(Result.objHeap(Obj).index());
+  }
+  size_t TotalFacts = 0;
+  for (const auto &[Var, Set] : HeapsPerVar)
+    TotalFacts += Set.size();
+  M.AvgPointsTo = HeapsPerVar.empty()
+                      ? 0.0
+                      : static_cast<double>(TotalFacts) /
+                            static_cast<double>(HeapsPerVar.size());
+
+  std::unordered_set<uint64_t> CiEdges;
+  std::unordered_map<uint32_t, std::unordered_set<uint32_t>> TargetsPerSite;
+  for (const CallGraphEdge &E : Result.CallEdges) {
+    CiEdges.insert((uint64_t(E.Invo.index()) << 32) | E.Callee.index());
+    if (!Prog.invoke(E.Invo).IsStatic)
+      TargetsPerSite[E.Invo.index()].insert(E.Callee.index());
+  }
+  M.CallGraphEdges = CiEdges.size();
+
+  std::unordered_set<uint32_t> ReachableMethods;
+  for (const auto &[Method, Ctx] : Result.Reachable)
+    ReachableMethods.insert(Method.index());
+  M.ReachableMethods = ReachableMethods.size();
+
+  for (uint32_t MethodIdx : ReachableMethods) {
+    const MethodInfo &Body = Prog.method(MethodId(MethodIdx));
+    for (InvokeId Inv : Body.Invokes) {
+      if (Prog.invoke(Inv).IsStatic)
+        continue;
+      ++M.ReachableVCalls;
+      auto It = TargetsPerSite.find(Inv.index());
+      if (It != TargetsPerSite.end() && It->second.size() >= 2)
+        ++M.PolyVCalls;
+    }
+    for (const CastInstr &C : Body.Casts) {
+      ++M.ReachableCasts;
+      auto It = HeapsPerVar.find(C.From.index());
+      if (It == HeapsPerVar.end())
+        continue;
+      for (uint32_t HeapIdx : It->second) {
+        if (!Prog.isSubtype(Prog.heap(HeapId(HeapIdx)).Type, C.Target)) {
+          ++M.MayFailCasts;
+          break;
+        }
+      }
+    }
+  }
+
+  for (const Program::TaintSink &S : Prog.taintSinks()) {
+    const InvokeInfo &Inv = Prog.invoke(S.Site);
+    if (!ReachableMethods.count(Inv.InMethod.index()) ||
+        S.ArgIdx >= Inv.Actuals.size())
+      continue;
+    auto It = HeapsPerVar.find(Inv.Actuals[S.ArgIdx].index());
+    if (It == HeapsPerVar.end())
+      continue;
+    std::unordered_set<uint32_t> Tags;
+    for (uint32_t HeapIdx : It->second)
+      if (uint32_t Tag = Prog.heap(HeapId(HeapIdx)).TaintTag)
+        Tags.insert(Tag);
+    M.TaintedSinks += Tags.size();
+  }
+  return M;
+}
+
+/// Every field computeMetrics fills, compared with the reference.
+void expectSameMetrics(const PrecisionMetrics &Got,
+                       const PrecisionMetrics &Want, const std::string &Cell) {
+  EXPECT_EQ(Got.AvgPointsTo, Want.AvgPointsTo) << Cell;
+  EXPECT_EQ(Got.CallGraphEdges, Want.CallGraphEdges) << Cell;
+  EXPECT_EQ(Got.ReachableMethods, Want.ReachableMethods) << Cell;
+  EXPECT_EQ(Got.PolyVCalls, Want.PolyVCalls) << Cell;
+  EXPECT_EQ(Got.ReachableVCalls, Want.ReachableVCalls) << Cell;
+  EXPECT_EQ(Got.MayFailCasts, Want.MayFailCasts) << Cell;
+  EXPECT_EQ(Got.ReachableCasts, Want.ReachableCasts) << Cell;
+  EXPECT_EQ(Got.CsVarPointsTo, Want.CsVarPointsTo) << Cell;
+  EXPECT_EQ(Got.FieldPointsTo, Want.FieldPointsTo) << Cell;
+  EXPECT_EQ(Got.StaticFieldPointsTo, Want.StaticFieldPointsTo) << Cell;
+  EXPECT_EQ(Got.ThrowFacts, Want.ThrowFacts) << Cell;
+  EXPECT_EQ(Got.TaintedSinks, Want.TaintedSinks) << Cell;
+  EXPECT_EQ(Got.UncaughtExceptionSites, Want.UncaughtExceptionSites) << Cell;
+  EXPECT_EQ(Got.NumContexts, Want.NumContexts) << Cell;
+  EXPECT_EQ(Got.NumHContexts, Want.NumHContexts) << Cell;
+  EXPECT_EQ(Got.NumObjects, Want.NumObjects) << Cell;
+  EXPECT_EQ(Got.SolveMs, Want.SolveMs) << Cell;
+  EXPECT_EQ(Got.PeakNodes, Want.PeakNodes) << Cell;
+  EXPECT_EQ(Got.PeakBytes, Want.PeakBytes) << Cell;
+  EXPECT_TRUE(Got.Counters == Want.Counters) << Cell;
+  EXPECT_EQ(Got.Aborted, Want.Aborted) << Cell;
+  EXPECT_EQ(Got.Reason, Want.Reason) << Cell;
+  EXPECT_EQ(Got.FaultInjected, Want.FaultInjected) << Cell;
+}
+
+// computeMetrics against the reference on four benchmarks under every
+// Table 1 policy.  xalan/U-1obj reaches one method under more than 255
+// contexts, where a byte-wide per-method "seen" mark would wrap and count
+// the method again.
+TEST(MetricsParity, MatchesTheHashSetReferenceOnFourBenchmarks) {
+  bool SawManyContexts = false;
+  for (const char *Bench : {"luindex", "antlr", "pmd", "xalan"}) {
+    Benchmark B = buildBenchmark(Bench);
+    for (const std::string &Name : table1PolicyNames()) {
+      auto Policy = createPolicy(Name, *B.Prog);
+      ASSERT_NE(Policy, nullptr) << Name;
+      AnalysisResult R = solveProgram(*B.Prog, *Policy);
+      ASSERT_FALSE(R.Aborted) << Bench << '/' << Name;
+      expectSameMetrics(computeMetrics(R), referenceMetrics(R),
+                        std::string(Bench) + '/' + Name);
+      if (std::string(Bench) == "xalan" && Name == "U-1obj")
+        SawManyContexts = computeStats(R).MaxContextsPerMethod > 255;
+    }
+  }
+  EXPECT_TRUE(SawManyContexts)
+      << "xalan/U-1obj no longer reaches a method under >255 contexts";
+}
+
+// The tainted-sink count (distinct tags per reachable sink argument) on
+// taint-instrumented programs where it is nonzero: taintflow.ptir under
+// its default spec, and hsqldb under the synthetic spec with seed 3.
+TEST(MetricsParity, MatchesTheReferenceOnTaintedSinks) {
+  std::filesystem::path Dir(HYBRIDPT_EXAMPLES_DIR);
+  std::ifstream In(Dir / "taintflow.ptir");
+  std::stringstream Text;
+  Text << In.rdbuf();
+  ParseResult Parsed = parseProgram(Text.str());
+  ASSERT_TRUE(Parsed.ok());
+  taint::SpecParseResult Spec =
+      taint::parseSpecFile((Dir / "default.taintspec").string());
+  ASSERT_TRUE(Spec.ok());
+  auto Taintflow = taint::instrument(
+      *Parsed.Prog, taint::resolve(Spec.Spec, *Parsed.Prog));
+  Benchmark Hsqldb = buildBenchmark("hsqldb");
+  auto TaintedHsqldb = taint::instrument(
+      *Hsqldb.Prog,
+      taint::resolve(taint::syntheticSpec(*Hsqldb.Prog, 3), *Hsqldb.Prog));
+
+  size_t TaintflowSinks = 0;
+  for (const std::string &Name : table1PolicyNames()) {
+    auto Policy = createPolicy(Name, *Taintflow);
+    AnalysisResult R = solveProgram(*Taintflow, *Policy);
+    PrecisionMetrics Want = referenceMetrics(R);
+    expectSameMetrics(computeMetrics(R), Want, "taintflow/" + Name);
+    TaintflowSinks += Want.TaintedSinks;
+  }
+  EXPECT_GT(TaintflowSinks, 0u);
+  size_t HsqldbSinks = 0;
+  for (const char *Name : {"insens", "2obj+H", "S-2obj+H", "cs"}) {
+    auto Policy = createPolicy(Name, *TaintedHsqldb);
+    AnalysisResult R = solveProgram(*TaintedHsqldb, *Policy);
+    PrecisionMetrics Want = referenceMetrics(R);
+    expectSameMetrics(computeMetrics(R), Want,
+                      std::string("tainted hsqldb/") + Name);
+    HsqldbSinks += Want.TaintedSinks;
+  }
+  EXPECT_GT(HsqldbSinks, 0u);
+}
+
+// An aborted cell reports metrics over its partial fixpoint.
+TEST(MetricsParity, MatchesTheReferenceOnAnAbortedResult) {
+  Benchmark B = buildBenchmark("antlr");
+  auto Policy = createPolicy("2obj+H", *B.Prog);
+  SolverOptions Opts;
+  Opts.MaxFacts = 5000;
+  AnalysisResult R = solveProgram(*B.Prog, *Policy, Opts);
+  ASSERT_TRUE(R.Aborted);
+  PrecisionMetrics Want = referenceMetrics(R);
+  EXPECT_GT(Want.ReachableMethods, 0u);
+  expectSameMetrics(computeMetrics(R), Want, "antlr/2obj+H aborted");
 }
 
 } // namespace

@@ -85,6 +85,32 @@ TEST(Relation, ScanDeltaOnlySeesNewRows) {
   EXPECT_EQ(Count, 2u);
 }
 
+// A scan keeps iterating its index while the callback scans the same
+// relation under masks that have no index yet, as a self-join does.
+// Building those indexes must not move the outer one (ASan caught a
+// use-after-free here when the indexes lived in a growing vector).
+TEST(Relation, NestedScansUnderNewMasksKeepTheOuterIndex) {
+  Relation R("r", 3);
+  for (Value I = 0; I < 40; ++I)
+    R.insert({I % 4, I % 5, I});
+  R.promote();
+  size_t Pairs = 0;
+  Value OuterKey[1] = {1};
+  R.scan(Range::All, 0b001, OuterKey, [&](const Value *Row) {
+    for (uint32_t Mask : {0b010u, 0b100u, 0b110u, 0b011u, 0b101u}) {
+      Value Key[2];
+      uint32_t N = 0;
+      for (uint32_t C = 0; C < 3; ++C)
+        if (Mask & (1u << C))
+          Key[N++] = Row[C];
+      R.scan(Range::All, Mask, Key, [&](const Value *) { ++Pairs; });
+    }
+  });
+  // Ten outer rows; each matches 8 rows on column 1, itself on column 2
+  // and the (1, 2), (0, 2) pairs, and 2 rows on columns (0, 1).
+  EXPECT_EQ(Pairs, 10u * (8 + 1 + 1 + 2 + 1));
+}
+
 TEST(Engine, TransitiveClosure) {
   Engine E;
   Relation &Edge = E.relation("edge", 2);

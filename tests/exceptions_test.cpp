@@ -10,8 +10,13 @@
 #include "ir/ProgramBuilder.h"
 #include "pta/AnalysisResult.h"
 #include "pta/Solver.h"
+#include "pta/provenance/Provenance.h"
+#include "support/Hashing.h"
 
 #include <gtest/gtest.h>
+
+#include <map>
+#include <set>
 
 namespace {
 
@@ -226,6 +231,94 @@ TEST_F(ExcFixture, RecursiveThrowTerminates) {
     AnalysisResult R = analyze(*P, *Policy);
     EXPECT_FALSE(R.Aborted) << Name;
     EXPECT_EQ(R.uncaughtExceptions().size(), 1u) << Name;
+  }
+}
+
+TEST_F(ExcFixture, CallEdgesWaitingForTheFirstEscapeLinkInOrder) {
+  // thrower(p) throws its argument.  a() calls it twice and catches ExcA;
+  // b() calls it once and catches nothing; main catches everything.  All
+  // three call edges reach thrower before p's facts leave the worklist,
+  // so they wait on the frame until the first object escapes it.
+  MethodId Thrower = B.addMethod(Object, "thrower", 1, true);
+  B.addThrow(Thrower, B.formal(Thrower, 0));
+
+  MethodId A = B.addMethod(Object, "a", 0, true);
+  VarId EA = B.addLocal(A, "ea");
+  HeapId HA = B.addAlloc(A, EA, ExcA);
+  InvokeId A1 = B.addSCall(A, Thrower, {EA});
+  InvokeId A2 = B.addSCall(A, Thrower, {EA});
+  VarId AH = B.addHandler(A, ExcA, "acaught");
+
+  MethodId Bm = B.addMethod(Object, "b", 0, true);
+  VarId EB = B.addLocal(Bm, "eb");
+  HeapId HB = B.addAlloc(Bm, EB, ExcB);
+  InvokeId B1 = B.addSCall(Bm, Thrower, {EB});
+
+  MethodId Main = B.addMethod(Object, "main", 0, true);
+  B.addSCall(Main, A, {});
+  B.addSCall(Main, Bm, {});
+  VarId MainH = B.addHandler(Main, Throwable, "caught");
+  B.addEntryPoint(Main);
+  auto P = B.build();
+
+  auto Policy = createPolicy("insens", *P);
+  prov::Recorder Rec;
+  SolverOptions Opts;
+  Opts.Prov = &Rec;
+  AnalysisResult R = solveProgram(*P, *Policy, Opts);
+  ASSERT_FALSE(R.Aborted);
+
+  // Catch bindings: a() sees both objects escape thrower and keeps ExcA;
+  // ExcB leaves a(), both leave b(), and main catches them.
+  EXPECT_EQ(R.pointsTo(AH), std::vector<HeapId>{HA});
+  EXPECT_EQ(R.pointsTo(MainH), (std::vector<HeapId>{HA, HB}));
+  EXPECT_TRUE(R.uncaughtExceptions().empty());
+
+  // Method-throws facts come out in the order the frames first met a call
+  // edge, not the order their slots were created (b's before a's).
+  std::vector<MethodId> Order;
+  for (const auto &E : R.ThrowFacts)
+    Order.push_back(E.Meth);
+  EXPECT_EQ(Order, (std::vector<MethodId>{Thrower, A, Bm}));
+
+  // A slot is created right before its first fact: b's came first.
+  std::map<uint32_t, uint32_t> EdgeFactOf;  // invoke -> call-edge fact
+  std::map<uint32_t, uint32_t> FirstThrown; // method -> first throw fact
+  for (uint32_t Id = 0; Id < Rec.numFacts(); ++Id) {
+    prov::Fact F = Rec.fact(Id);
+    if (F.Kind == prov::FactKind::CallEdge)
+      EdgeFactOf[unpackHi(F.A)] = Id;
+    if (F.Kind == prov::FactKind::ThrowPointsTo)
+      FirstThrown.emplace(unpackHi(F.A), Id);
+  }
+  EXPECT_LT(FirstThrown.at(Bm.index()), FirstThrown.at(A.index()));
+
+  // Links: one per caller frame, justified by its first call edge.  a()'s
+  // second call edge is a duplicate link and never justifies anything.
+  std::set<uint32_t> EscalationEdges;
+  for (size_t I = 0; I < Rec.numSteps(); ++I) {
+    prov::Step S = Rec.stepAt(I);
+    if (S.rule() == prov::Rule::ThrowEscalate ||
+        S.rule() == prov::Rule::CatchEscalate)
+      EscalationEdges.insert(S.Prem1);
+  }
+  EXPECT_TRUE(EscalationEdges.count(EdgeFactOf.at(A1.index())));
+  EXPECT_TRUE(EscalationEdges.count(EdgeFactOf.at(B1.index())));
+  EXPECT_FALSE(EscalationEdges.count(EdgeFactOf.at(A2.index())));
+
+  // Every derivation replays under both engines.
+  for (SolverEngine Engine : {SolverEngine::Worklist, SolverEngine::Summary}) {
+    auto Fresh = createPolicy("insens", *P);
+    prov::Recorder Arena;
+    SolverOptions EOpts;
+    EOpts.Prov = &Arena;
+    EOpts.Engine = Engine;
+    AnalysisResult ER = solveProgram(*P, *Fresh, EOpts);
+    EXPECT_EQ(ER.pointsTo(MainH), (std::vector<HeapId>{HA, HB}));
+    prov::ValidationResult VR =
+        prov::validateSampledSteps(Arena, ER, Fresh.get(), /*Stride=*/1);
+    EXPECT_TRUE(VR.Ok) << solverEngineName(Engine) << ": " << VR.Error;
+    EXPECT_EQ(VR.CheckedSteps, Arena.numSteps());
   }
 }
 

@@ -8,18 +8,28 @@
 // the solver — which must be a conscious decision (regenerate the table
 // below by running every policy over `luindex` and updating the rows).
 //
+// Also pins the bytes of every exported relation (tests/baselines/
+// fact_dumps.txt): a solver refactor must reproduce each digest.
+//
 //===----------------------------------------------------------------------===//
 
 #include "context/PolicyRegistry.h"
 #include "ir/Program.h"
+#include "irtext/TextFormat.h"
 #include "pta/AnalysisResult.h"
+#include "pta/FactWriter.h"
 #include "pta/Metrics.h"
 #include "pta/Solver.h"
 #include "workloads/Profiles.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
 #include <map>
+#include <sstream>
 
 namespace {
 
@@ -95,6 +105,85 @@ TEST(Golden, CoversEveryRegisteredPolicy) {
     EXPECT_TRUE(goldenLuindex().count(Name))
         << "no golden row for new policy '" << Name
         << "' — extend tests/golden_test.cpp";
+}
+
+// --- Fact dumps ---
+
+std::string slurp(const std::filesystem::path &Path) {
+  std::ifstream In(Path, std::ios::binary);
+  std::ostringstream SS;
+  SS << In.rdbuf();
+  return SS.str();
+}
+
+/// FNV-1a over the bytes of one relation's .facts rendering.
+std::string digestHex(const std::string &Bytes) {
+  uint64_t H = 0xcbf29ce484222325ull;
+  for (unsigned char C : Bytes) {
+    H ^= C;
+    H *= 0x100000001b3ull;
+  }
+  char Hex[17];
+  std::snprintf(Hex, sizeof(Hex), "%016llx",
+                static_cast<unsigned long long>(H));
+  return Hex;
+}
+
+/// One baseline line: the cell, then each relation's digest in the order
+/// writeFacts writes them.
+std::string factDumpLine(const std::string &Label, const std::string &Policy,
+                         const AnalysisResult &R) {
+  using Writer = void (*)(const AnalysisResult &, std::ostream &);
+  const Writer Writers[] = {writeMethodThrows,  writeVarPointsTo,
+                            writeFieldPointsTo, writeStaticFieldPointsTo,
+                            writeCallGraph,     writeReachable};
+  std::string Line = Label + ' ' + Policy;
+  for (Writer W : Writers) {
+    std::ostringstream OS;
+    W(R, OS);
+    Line += ' ' + digestHex(OS.str());
+  }
+  return Line + '\n';
+}
+
+// Every exported relation of every example program, luindex and antlr
+// under the fourteen Table 1 policies, pinned byte for byte.  Output order
+// matters here (MethodThrows rows follow the solver's harvest order), so
+// this catches a refactor that keeps the fact sets but reorders them.
+TEST(Golden, FactDumpsMatchThePinnedDigests) {
+  std::vector<std::filesystem::path> Examples;
+  for (const auto &Entry :
+       std::filesystem::directory_iterator(HYBRIDPT_EXAMPLES_DIR))
+    if (Entry.path().extension() == ".ptir")
+      Examples.push_back(Entry.path());
+  std::sort(Examples.begin(), Examples.end());
+  ASSERT_GE(Examples.size(), 7u);
+
+  std::string Got;
+  auto Dump = [&Got](const std::string &Label, const Program &Prog) {
+    for (const std::string &Name : table1PolicyNames()) {
+      auto Policy = createPolicy(Name, Prog);
+      ASSERT_NE(Policy, nullptr) << Name;
+      AnalysisResult R = solveProgram(Prog, *Policy);
+      ASSERT_FALSE(R.Aborted) << Label << ' ' << Name;
+      Got += factDumpLine(Label, Name, R);
+    }
+  };
+  for (const std::filesystem::path &Path : Examples) {
+    ParseResult Parsed = parseProgram(slurp(Path));
+    ASSERT_TRUE(Parsed.ok()) << Path;
+    Dump(Path.filename().string(), *Parsed.Prog);
+  }
+  for (const char *Name : {"luindex", "antlr"})
+    Dump(Name, *buildBenchmark(Name).Prog);
+
+  std::istringstream Baseline(slurp(
+      std::filesystem::path(HYBRIDPT_BASELINES_DIR) / "fact_dumps.txt"));
+  std::string Want, Line;
+  while (std::getline(Baseline, Line))
+    if (!Line.empty() && Line[0] != '#')
+      Want += Line + '\n';
+  EXPECT_EQ(Got, Want) << "actual fact-dump digests:\n" << Got;
 }
 
 } // namespace
