@@ -29,11 +29,6 @@ CellOptions CellOptions::fromEnv() {
     Opts.Threads = static_cast<unsigned>(std::strtoul(Threads, nullptr, 10));
   if (const char *Ladder = std::getenv("HYBRIDPT_LADDER"))
     Opts.UseLadder = *Ladder != '\0' && std::strcmp(Ladder, "0") != 0;
-  if (const char *Solver = std::getenv("HYBRIDPT_SOLVER"))
-    parseSolverEngine(Solver, Opts.Engine); // Unknown names keep worklist.
-  if (const char *ST = std::getenv("HYBRIDPT_SOLVER_THREADS"))
-    Opts.SolverThreads =
-        static_cast<unsigned>(std::strtoul(ST, nullptr, 10));
   if (const char *Prof = std::getenv("HYBRIDPT_PROFILE"))
     Opts.Profile = *Prof != '\0' && std::strcmp(Prof, "0") != 0;
   return Opts;
@@ -44,8 +39,6 @@ static MatrixOptions toMatrixOptions(const CellOptions &Opts,
   MatrixOptions M;
   M.Solver.TimeBudgetMs = Opts.BudgetMs;
   M.Solver.Trace = Opts.Trace;
-  M.Solver.Engine = Opts.Engine;
-  M.Solver.SummaryThreads = Opts.SolverThreads;
   M.Threads = Threads;
   M.Runs = Opts.Runs;
   M.TraceLabelPrefix = Opts.TraceLabelPrefix;
@@ -110,8 +103,6 @@ bool pt::writeBenchJson(const std::string &Path, const std::string &Harness,
      << "  \"budget_ms\": " << Opts.BudgetMs << ",\n"
      << "  \"runs\": " << Opts.Runs << ",\n"
      << "  \"threads\": " << Opts.Threads << ",\n"
-     << "  \"solver\": \"" << solverEngineName(Opts.Engine) << "\",\n"
-     << "  \"solver_threads\": " << Opts.SolverThreads << ",\n"
      << "  \"ladder\": " << (Opts.UseLadder ? "true" : "false") << ",\n";
   if (!Opts.TaintSpec.empty())
     OS << "  \"taint_spec\": \"" << Opts.TaintSpec << "\",\n";

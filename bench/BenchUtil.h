@@ -38,18 +38,11 @@ class TraceRecorder;
 /// HYBRIDPT_RUNS (repetitions per cell; median time reported),
 /// HYBRIDPT_THREADS (worker threads for matrix runs; 0 = hardware),
 /// HYBRIDPT_LADDER (non-empty = degrade budget-aborted cells through the
-/// fallback ladder instead of reporting a dash),
-/// HYBRIDPT_SOLVER (worklist | summary — the solving engine per cell),
-/// HYBRIDPT_SOLVER_THREADS (summary-mode sweep workers; 0 = hardware).
+/// fallback ladder instead of reporting a dash).
 struct CellOptions {
   uint64_t BudgetMs = 120000;
   uint32_t Runs = 1;
   unsigned Threads = 1;
-  /// Engine each cell solves with (docs/PERF.md, "Two solver modes").
-  SolverEngine Engine = SolverEngine::Worklist;
-  /// Summary-mode SCC sweep workers (1 = deterministic inline sweep,
-  /// 0 = hardware concurrency).  Ignored by the worklist engine.
-  unsigned SolverThreads = 1;
   /// When a cell exhausts its budget, re-run it down the policy fallback
   /// ladder (pta/Degrade.h) until a rung converges; the record is then
   /// stamped with \c fallback_from instead of an aborted dash.

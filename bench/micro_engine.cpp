@@ -23,7 +23,7 @@
 #include "support/FlatMap.h"
 #include "support/ObjectSet.h"
 #include "support/Rng.h"
-#include "support/ThreadPool.h"
+#include "support/Parallel.h"
 #include "workloads/Profiles.h"
 
 #include <benchmark/benchmark.h>
@@ -258,7 +258,7 @@ int main(int argc, char **argv) {
   for (int I = 1; I < argc; ++I) {
     if (std::strcmp(argv[I], "--threads") == 0 && I + 1 < argc)
       // 0 = hardware concurrency, same rule as every other harness.
-      ThreadCounts.push_back(pt::ThreadPool::resolveThreads(
+      ThreadCounts.push_back(pt::resolveThreads(
           static_cast<unsigned>(std::strtoul(argv[++I], nullptr, 10))));
     else if (std::strcmp(argv[I], "--trace-out") == 0 && I + 1 < argc)
       TraceOut = argv[++I];
@@ -276,7 +276,7 @@ int main(int argc, char **argv) {
   }
   if (ThreadCounts.empty()) {
     ThreadCounts.push_back(1);
-    unsigned HW = pt::ThreadPool::hardwareThreads();
+    unsigned HW = pt::hardwareThreads();
     if (HW > 1)
       ThreadCounts.push_back(HW);
   }

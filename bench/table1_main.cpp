@@ -38,7 +38,7 @@
 #include "ir/Program.h"
 #include "pta/Trace.h"
 #include "support/TableWriter.h"
-#include "support/ThreadPool.h"
+#include "support/Parallel.h"
 #include "taint/Taint.h"
 #include "taint/TaintSpec.h"
 #include "workloads/Profiles.h"
@@ -69,19 +69,10 @@ int main(int argc, char **argv) {
     } else if (std::strcmp(argv[I], "--progress") == 0) {
       Progress = true;
     } else if (std::strcmp(argv[I], "--threads") == 0 && I + 1 < argc) {
-      // 0 = hardware concurrency (ThreadPool::resolveThreads is the one
-      // shared interpretation; docs/PERF.md).
-      Opts.Threads = ThreadPool::resolveThreads(
+      // 0 = hardware concurrency (resolveThreads is the one shared
+      // interpretation; docs/PERF.md).
+      Opts.Threads = resolveThreads(
           static_cast<unsigned>(std::strtoul(argv[++I], nullptr, 10)));
-    } else if (std::strcmp(argv[I], "--solver") == 0 && I + 1 < argc) {
-      if (!parseSolverEngine(argv[++I], Opts.Engine)) {
-        std::cerr << "unknown solver '" << argv[I]
-                  << "' (worklist or summary)\n";
-        return 1;
-      }
-    } else if (std::strcmp(argv[I], "--solver-threads") == 0 && I + 1 < argc) {
-      Opts.SolverThreads =
-          static_cast<unsigned>(std::strtoul(argv[++I], nullptr, 10));
     } else if (std::strcmp(argv[I], "--taint-spec") == 0 && I + 1 < argc) {
       Opts.TaintSpec = argv[++I];
     } else if (std::strcmp(argv[I], "--json") == 0 && I + 1 < argc) {
@@ -100,7 +91,6 @@ int main(int argc, char **argv) {
       for (const std::string &N : benchmarkNames())
         std::cerr << ' ' << N;
       std::cerr << "\n(options: --csv, --ladder, --threads N, "
-                   "--solver worklist|summary, --solver-threads N, "
                    "--taint-spec FILE, --json PATH, --profile-out PATH, "
                    "--trace-out FILE, --chrome-trace FILE, --progress)\n";
       return 1;

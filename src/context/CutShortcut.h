@@ -32,9 +32,8 @@
 /// "Clean" means the variable has no instruction definition in the body
 /// (its only values arrive through the parameter/this binding), which is
 /// what makes the per-edge shortcuts cover the generic cross-product flow.
-/// Plans are derived purely from program structure, so the worklist
-/// solver, the summary solver, and the Datalog reference model all consume
-/// the same plan and stay bit-identical.
+/// Plans are derived purely from program structure, so the solver and the
+/// Datalog reference model consume the same plan and stay bit-identical.
 ///
 //===----------------------------------------------------------------------===//
 

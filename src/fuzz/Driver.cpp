@@ -94,7 +94,6 @@ DriverResult pt::fuzz::runFuzz(const DriverOptions &Opts) {
     OOpts.Cancel = Opts.Cancel;
     OOpts.FullReferenceDiff =
         Opts.FullDiffEvery != 0 && Index % Opts.FullDiffEvery == 0;
-    OOpts.CheckSummary = Opts.CompareSummary;
     OOpts.CheckProvenance = Opts.CheckProvenance;
     OOpts.CheckTaint = Opts.CheckTaint;
 

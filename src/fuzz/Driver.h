@@ -48,16 +48,11 @@ struct DriverOptions {
   uint64_t SolverTimeBudgetMs = 0;
   /// Policies to check; empty = the fifteen standard analyses.
   std::vector<std::string> Policies;
-  /// Fourth comparison axis (OracleOptions::CheckSummary): re-solve every
-  /// policy with the compositional summary engine and require bit-identical
-  /// exports against the worklist run.  Roughly doubles per-program solver
-  /// cost, so it is opt-in (--compare-summary).
-  bool CompareSummary = false;
-  /// Fifth axis (OracleOptions::CheckProvenance): record derivation
+  /// Fourth axis (OracleOptions::CheckProvenance): record derivation
   /// provenance and replay sampled steps through the rule-checking
   /// validator (--check-provenance).
   bool CheckProvenance = false;
-  /// Sixth axis (OracleOptions::CheckTaint): synthetic-spec taint
+  /// Fifth axis (OracleOptions::CheckTaint): synthetic-spec taint
   /// instrumentation plus the dynamic taint oracle — every dynamically
   /// tainted sink must be statically reported, and HPT007 must be
   /// monotone across refining pairs (--check-taint).

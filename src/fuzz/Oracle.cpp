@@ -78,42 +78,30 @@ std::string renderRow(const std::vector<uint32_t> &Row) {
   return OS.str();
 }
 
-/// Exact export comparison (both directions), as in the differential test
-/// suite but reporting rather than asserting.  \p LeftSide / \p RightSide
-/// name the two engines in the message ("solver" vs "ref", "worklist" vs
-/// "summary").
-void diffExportsLabeled(const char *Relation, const char *LeftSide,
-                        const std::vector<std::vector<uint32_t>> &Left,
-                        const char *RightSide,
-                        const std::vector<std::vector<uint32_t>> &Right,
-                        const std::string &Policy, size_t MaxExamples,
-                        std::vector<CiViolation> &Out) {
-  if (Left == Right)
-    return;
-  std::vector<std::vector<uint32_t>> OnlyLeft, OnlyRight;
-  std::set_difference(Left.begin(), Left.end(), Right.begin(), Right.end(),
-                      std::back_inserter(OnlyLeft));
-  std::set_difference(Right.begin(), Right.end(), Left.begin(), Left.end(),
-                      std::back_inserter(OnlyRight));
-  std::ostringstream OS;
-  OS << Relation << ": " << LeftSide << "/" << Policy << " vs " << RightSide
-     << "/" << Policy << " exports differ: " << OnlyLeft.size() << " rows "
-     << LeftSide << "-only, " << OnlyRight.size() << " rows " << RightSide
-     << "-only;";
-  for (size_t I = 0; I < OnlyLeft.size() && I < MaxExamples; ++I)
-    OS << " " << LeftSide << "-only " << renderRow(OnlyLeft[I]);
-  for (size_t I = 0; I < OnlyRight.size() && I < MaxExamples; ++I)
-    OS << " " << RightSide << "-only " << renderRow(OnlyRight[I]);
-  Out.push_back({Relation, OS.str()});
-}
-
+/// Exact export comparison (both directions) between the solver and the
+/// reference model, as in the differential test suite but reporting
+/// rather than asserting.
 void diffExports(const char *Relation,
                  const std::vector<std::vector<uint32_t>> &Solver,
                  const std::vector<std::vector<uint32_t>> &Ref,
                  const std::string &Policy, size_t MaxExamples,
                  std::vector<CiViolation> &Out) {
-  diffExportsLabeled(Relation, "solver", Solver, "ref", Ref, Policy,
-                     MaxExamples, Out);
+  if (Solver == Ref)
+    return;
+  std::vector<std::vector<uint32_t>> OnlySolver, OnlyRef;
+  std::set_difference(Solver.begin(), Solver.end(), Ref.begin(), Ref.end(),
+                      std::back_inserter(OnlySolver));
+  std::set_difference(Ref.begin(), Ref.end(), Solver.begin(), Solver.end(),
+                      std::back_inserter(OnlyRef));
+  std::ostringstream OS;
+  OS << Relation << ": solver/" << Policy << " vs ref/" << Policy
+     << " exports differ: " << OnlySolver.size() << " rows solver-only, "
+     << OnlyRef.size() << " rows ref-only;";
+  for (size_t I = 0; I < OnlySolver.size() && I < MaxExamples; ++I)
+    OS << " solver-only " << renderRow(OnlySolver[I]);
+  for (size_t I = 0; I < OnlyRef.size() && I < MaxExamples; ++I)
+    OS << " ref-only " << renderRow(OnlyRef[I]);
+  Out.push_back({Relation, OS.str()});
 }
 
 /// Ids of the registered Direction::May checkers — the monotone ones.
@@ -154,7 +142,7 @@ std::string renderSinkKeys(const std::vector<SinkKey> &Keys, size_t Max) {
   return OS.str();
 }
 
-/// The sixth oracle axis (OracleOptions::CheckTaint): dynamic taint must
+/// The fifth oracle axis (OracleOptions::CheckTaint): dynamic taint must
 /// be contained in the static tainted-sink report under every policy, and
 /// the report must shrink monotonically with precision.
 void checkTaintOracle(const Program &Prog, const OracleOptions &Opts,
@@ -209,21 +197,6 @@ void checkTaintOracle(const Program &Prog, const OracleOptions &Opts,
          << renderSinkKeys(Missed, Opts.MaxViolationsPerCheck);
       Report.Violations.push_back({"TaintSoundness", OS.str()});
       Involved.insert(Name);
-    }
-
-    // Engine parity: the summary engine must report the same sinks.
-    if (Opts.CheckSummary) {
-      auto SumPolicy = createPolicy(Name, *Inst);
-      SolverOptions SumOpts = SOpts;
-      SumOpts.Engine = SolverEngine::Summary;
-      AnalysisResult SumR = solveProgram(*Inst, *SumPolicy, SumOpts);
-      if (!SumR.Aborted && taintedSinkKeys(SumR) != Keys) {
-        Report.Violations.push_back(
-            {"TaintEngineParity",
-             "worklist and summary tainted-sink reports differ under " +
-                 Name});
-        Involved.insert(Name);
-      }
     }
 
     StaticKeys.emplace(Name, std::move(Keys));
@@ -306,7 +279,7 @@ OracleReport pt::fuzz::checkProgram(const Program &Prog,
     SolverOptions SOpts;
     SOpts.TimeBudgetMs = Opts.SolverTimeBudgetMs;
     SOpts.Cancel = Opts.Cancel;
-    // Fifth axis: record every derivation and replay a sample through the
+    // Fourth axis: record every derivation and replay a sample through the
     // rule checker below.  Hooks never influence solving, so the primary
     // run can carry the recorder.
     prov::Recorder ProvRec;
@@ -356,65 +329,6 @@ OracleReport pt::fuzz::checkProgram(const Program &Prog,
         diffExports("MethodThrows", R.exportThrowPointsTo(),
                     Ref.exportThrowPointsTo(), Name,
                     Opts.MaxViolationsPerCheck, Report.Violations);
-        if (Report.Violations.size() > Before)
-          Involved.insert(Name);
-      }
-    }
-
-    // Fourth comparison axis: the compositional summary engine
-    // (pta/summary) solves the same monotone constraint system, whose
-    // least fixpoint is unique, so its canonical exports must match the
-    // worklist engine's bit for bit under every policy.  The summary run
-    // gets its own fresh policy (context ids are interning-order-relative,
-    // and exports re-encode them through the policy's tables — the policy
-    // must outlive the result).
-    if (Opts.CheckSummary) {
-      auto SumPolicy = createPolicy(Name, Prog);
-      SolverOptions SumOpts = SOpts;
-      SumOpts.Engine = SolverEngine::Summary;
-      // Its own arena: fact payloads embed per-run dense object ids, and
-      // parity means "valid under either engine", not "same steps".
-      prov::Recorder SumProvRec;
-      SumOpts.Prov = SOpts.Prov ? &SumProvRec : nullptr;
-      AnalysisResult SumR = solveProgram(Prog, *SumPolicy, SumOpts);
-      // A budget/cancel abort in only one engine is a timing artifact,
-      // not a divergence; comparing a truncated fixpoint would be noise.
-      if (!SumR.Aborted) {
-        size_t Before = Report.Violations.size();
-        diffExportsLabeled("VarPointsTo", "worklist", R.exportVarPointsTo(),
-                           "summary", SumR.exportVarPointsTo(), Name,
-                           Opts.MaxViolationsPerCheck, Report.Violations);
-        diffExportsLabeled("CallGraph", "worklist", R.exportCallGraph(),
-                           "summary", SumR.exportCallGraph(), Name,
-                           Opts.MaxViolationsPerCheck, Report.Violations);
-        diffExportsLabeled("FldPointsTo", "worklist", R.exportFieldPointsTo(),
-                           "summary", SumR.exportFieldPointsTo(), Name,
-                           Opts.MaxViolationsPerCheck, Report.Violations);
-        diffExportsLabeled("Reachable", "worklist", R.exportReachable(),
-                           "summary", SumR.exportReachable(), Name,
-                           Opts.MaxViolationsPerCheck, Report.Violations);
-        diffExportsLabeled("StaticFldPointsTo", "worklist",
-                           R.exportStaticFieldPointsTo(), "summary",
-                           SumR.exportStaticFieldPointsTo(), Name,
-                           Opts.MaxViolationsPerCheck, Report.Violations);
-        diffExportsLabeled("MethodThrows", "worklist", R.exportThrowPointsTo(),
-                           "summary", SumR.exportThrowPointsTo(), Name,
-                           Opts.MaxViolationsPerCheck, Report.Violations);
-        // The projection comparison catches client-level divergence even
-        // if a future export grows schedule-dependent fields.
-        CiProjection SumProj = ciProject(SumR);
-        Check(SumProj, Proj, "summary:" + Name, Name, {Name});
-        Check(Proj, SumProj, Name, "summary:" + Name, {Name});
-        if (SumOpts.Prov) {
-          prov::ValidationResult VR = prov::validateSampledSteps(
-              SumProvRec, SumR, SumPolicy.get(), Opts.ProvenanceStride);
-          if (!VR.Ok)
-            Report.Violations.push_back(
-                {"Provenance", "summary/" + Name + ": " + VR.Error +
-                                   " (after " +
-                                   std::to_string(VR.CheckedSteps) +
-                                   " checked steps)"});
-        }
         if (Report.Violations.size() > Before)
           Involved.insert(Name);
       }
@@ -491,7 +405,7 @@ OracleReport pt::fuzz::checkProgram(const Program &Prog,
     }
   }
 
-  // --- Sixth axis: the dynamic taint oracle ---
+  // --- Fifth axis: the dynamic taint oracle ---
   if (Opts.CheckTaint)
     checkTaintOracle(Prog, Opts, Policies, Report, Involved);
 

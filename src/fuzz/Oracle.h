@@ -73,33 +73,24 @@ struct OracleOptions {
   bool FullReferenceDiff = false;
   /// Check the precision-ordering invariants between refining pairs.
   bool CheckOrdering = true;
-  /// Fourth comparison axis: re-solve every non-aborted policy with the
-  /// compositional summary engine (pta/summary/SummarySolver.h) and
-  /// require bit-identical canonical exports against the worklist run.
-  /// Any divergence is a routing bug in the SCC engine (or a
-  /// schedule-dependence bug in the worklist engine).
-  bool CheckSummary = false;
   /// Check checker monotonicity between refining pairs: the refined policy
   /// must never report a may-fail cast, polymorphic call site, or escaping
   /// object the coarser policy proves safe (src/checks Direction::May
   /// checkers; Definite checkers grow with precision and are exempt).
   bool CheckCheckers = true;
-  /// Fifth comparison axis: record derivation provenance during every
+  /// Fourth comparison axis: record derivation provenance during every
   /// solver run and replay a sample of the recorded steps through the
   /// rule-checking validator (prov::validateSampledSteps) with the run's
   /// context policy — every step must re-check against the Figure-2 side
-  /// conditions.  With \c CheckSummary the summary engine's derivations
-  /// are validated too (parity: valid under either engine).  No-op when
-  /// the build compiles provenance out.
+  /// conditions.  No-op when the build compiles provenance out.
   bool CheckProvenance = false;
-  /// Sixth axis — the dynamic taint oracle (docs/CORRECTNESS.md): derive
+  /// Fifth axis — the dynamic taint oracle (docs/CORRECTNESS.md): derive
   /// a synthetic taint spec from the program, run the interpreter on the
   /// original program with shadow taint tags, solve the taint-instrumented
   /// program under every policy, and require each dynamically observed
   /// tainted sink (site, argument, tag) to be statically reported by the
   /// tainted-sink client.  Also checks HPT007 monotonicity between
-  /// refining policy pairs, and (with \c CheckSummary) key-identical
-  /// findings from the summary engine.
+  /// refining policy pairs.
   bool CheckTaint = false;
   /// Every Nth recorded step is replayed (1 = all; default samples).
   size_t ProvenanceStride = 3;

@@ -17,6 +17,12 @@
 
 using namespace pt;
 
+AnalysisResult pt::solveProgram(const Program &Prog, ContextPolicy &Policy,
+                                const SolverOptions &Opts) {
+  Solver S(Prog, Policy, Opts);
+  return S.run();
+}
+
 Solver::Solver(const Program &Prog, ContextPolicy &Policy, SolverOptions Opts)
     : Prog(Prog), Policy(Policy), CutPlan(Policy.cutPlan()), Opts(Opts),
       Budget(Opts.TimeBudgetMs) {

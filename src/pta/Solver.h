@@ -68,7 +68,6 @@
 #include <cstdint>
 #include <deque>
 #include <string>
-#include <string_view>
 #include <vector>
 
 namespace pt {
@@ -80,25 +79,6 @@ struct CutShortcutPlan;
 namespace trace {
 class TraceRecorder;
 }
-
-/// Which fixpoint engine solves the cell.  Both engines compute the same
-/// least fixpoint and produce identical \c AnalysisResult exports (the
-/// equivalence tests assert bit-identity); they differ only in schedule.
-enum class SolverEngine : uint8_t {
-  /// The whole-program difference-propagation worklist (this file).
-  Worklist,
-  /// The compositional bottom-up SCC solver (pta/summary/): the
-  /// context-insensitive call graph is condensed, each SCC is solved as a
-  /// partition with memoized (method, context) summaries, and independent
-  /// SCCs run concurrently on a work-stealing pool.
-  Summary,
-};
-
-/// "worklist" / "summary".
-const char *solverEngineName(SolverEngine E);
-
-/// Parses an engine name; false on unknown names (\p Out untouched).
-bool parseSolverEngine(std::string_view Name, SolverEngine &Out);
 
 /// Resource budgets and observability hooks for one solver run.
 struct SolverOptions {
@@ -143,19 +123,10 @@ struct SolverOptions {
   /// count against \c MemoryBudgetBytes.  Null keeps every hook a dead
   /// single-pointer test.
   prov::Recorder *Prov = nullptr;
-  /// Which engine solves the cell (see \c SolverEngine).
-  SolverEngine Engine = SolverEngine::Worklist;
-  /// Worker threads for \c SolverEngine::Summary (ignored by the
-  /// worklist engine).  1 = deterministic inline sweep without a pool;
-  /// 0 = one worker per hardware thread.  The result is bit-identical at
-  /// every thread count either way.
-  unsigned SummaryThreads = 1;
 };
 
-/// Solves \p Prog under \p Policy with the engine selected by
-/// \p Opts.Engine — the single entry point harnesses should use, so a
-/// cell's engine is a run-time knob exactly like its budgets.  Defined in
-/// summary/SummarySolver.cpp.
+/// Solves \p Prog under \p Policy: constructs a \c Solver and runs it.
+/// The single entry point harnesses should use.
 AnalysisResult solveProgram(const Program &Prog, ContextPolicy &Policy,
                             const SolverOptions &Opts = {});
 

@@ -129,30 +129,26 @@ void TraceRecorder::writeLineLocked(const std::string &Line) {
   Jsonl.flush();
 }
 
-void TraceRecorder::beginSpan(std::string_view Name, std::string_view Cat,
-                              std::string_view ArgsJson) {
+void TraceRecorder::beginSpan(std::string_view Name, std::string_view Cat) {
   std::lock_guard<std::mutex> Lock(Mu);
   Events.push_back({Phase::Begin, std::string(Name), std::string(Cat),
-                    tidLocked(), nowMs(), std::string(ArgsJson)});
+                    tidLocked(), nowMs(), {}});
 }
 
 void TraceRecorder::endSpan(std::string_view Name, std::string_view Cat,
-                            double StartMs, std::string_view ArgsJson) {
+                            double StartMs) {
   std::lock_guard<std::mutex> Lock(Mu);
   double End = nowMs();
   uint32_t Tid = tidLocked();
   Events.push_back({Phase::End, std::string(Name), std::string(Cat), Tid,
-                    End, std::string(ArgsJson)});
+                    End, {}});
   ++SpanCount;
   std::ostringstream OS;
   OS << "{\"type\":\"span\",\"name\":\"" << jsonEscape(Name)
      << "\",\"cat\":\"" << jsonEscape(Cat) << "\",\"tid\":" << Tid
      << ",\"t_start_ms\":" << formatDouble(StartMs)
      << ",\"t_end_ms\":" << formatDouble(End)
-     << ",\"dur_ms\":" << formatDouble(End - StartMs);
-  if (!ArgsJson.empty())
-    OS << ",\"args\":" << ArgsJson;
-  OS << '}';
+     << ",\"dur_ms\":" << formatDouble(End - StartMs) << '}';
   writeLineLocked(OS.str());
 }
 

@@ -94,14 +94,9 @@ public:
   double nowMs() const { return Epoch.elapsedMs(); }
 
   /// Records a span open/close pair on the calling thread's timeline.
-  /// \p ArgsJson is an optional preformatted JSON object ("{"k":v}") that
-  /// lands in the JSONL span record and the Chrome event's "args" — the
-  /// summary solver tags per-SCC spans with {"scc","depth","methods"} this
-  /// way.  Prefer the RAII \c Span wrapper.
-  void beginSpan(std::string_view Name, std::string_view Cat,
-                 std::string_view ArgsJson = {});
-  void endSpan(std::string_view Name, std::string_view Cat, double StartMs,
-               std::string_view ArgsJson = {});
+  /// Prefer the RAII \c Span wrapper.
+  void beginSpan(std::string_view Name, std::string_view Cat);
+  void endSpan(std::string_view Name, std::string_view Cat, double StartMs);
 
   /// Records a heartbeat (streams a JSONL line, remembers it as the
   /// label's latest, mirrors to the progress stream when enabled).
@@ -135,17 +130,16 @@ public:
   /// RAII span; a null recorder makes it a no-op.
   class Span {
   public:
-    Span(TraceRecorder *Rec, std::string_view Name, std::string_view Cat,
-         std::string_view ArgsJson = {})
-        : Rec(Rec), Name(Name), Cat(Cat), Args(ArgsJson) {
+    Span(TraceRecorder *Rec, std::string_view Name, std::string_view Cat)
+        : Rec(Rec), Name(Name), Cat(Cat) {
       if (Rec) {
         StartMs = Rec->nowMs();
-        Rec->beginSpan(this->Name, this->Cat, this->Args);
+        Rec->beginSpan(this->Name, this->Cat);
       }
     }
     ~Span() {
       if (Rec)
-        Rec->endSpan(Name, Cat, StartMs, Args);
+        Rec->endSpan(Name, Cat, StartMs);
     }
     Span(const Span &) = delete;
     Span &operator=(const Span &) = delete;
@@ -154,7 +148,6 @@ public:
     TraceRecorder *Rec;
     std::string Name;
     std::string Cat;
-    std::string Args;
     double StartMs = 0.0;
   };
 

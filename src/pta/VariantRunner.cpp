@@ -11,7 +11,7 @@
 #include "pta/AnalysisResult.h"
 #include "pta/Degrade.h"
 #include "pta/Trace.h"
-#include "support/ThreadPool.h"
+#include "support/Parallel.h"
 
 #include <algorithm>
 
@@ -76,7 +76,6 @@ PrecisionMetrics runOneCell(const Program &Prog, const std::string &Policy,
       AnalysisResult R = [&] {
         trace::TraceRecorder::Span SolveSpan(CellOpts.Trace, "solve",
                                              "phase");
-        // Engine choice (worklist or summary) rides in on CellOpts.
         return solveProgram(Prog, *Pol, CellOpts);
       }();
       {

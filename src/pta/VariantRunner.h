@@ -8,7 +8,7 @@
 /// Runs a set of context policies over one program concurrently.  The
 /// analysis-variant matrix (Table 1 / Fig. 3) is embarrassingly parallel:
 /// each cell is an independent \c Solver over an immutable \c Program, so
-/// the runner simply fans the cells out over a \c ThreadPool with per-run
+/// the runner simply fans the cells out with \c parallelFor, with per-run
 /// time/fact budgets and collects the metrics in policy order.
 ///
 /// Results are bit-identical regardless of thread count (asserted by the

@@ -101,21 +101,7 @@ uint64_t factHash(FactKind Kind, uint64_t A, uint64_t B64) {
 
 } // namespace
 
-uint32_t Recorder::appendLocked(FactKind Kind, uint64_t A, uint64_t B64) {
-  uint32_t Id = static_cast<uint32_t>(Facts.size());
-  Facts.push_back(FactRec{A, B64, UINT32_MAX, Kind});
-  return Id;
-}
-
-void Recorder::stepLocked(uint32_t Target, Rule R, uint32_t P0, uint32_t P1) {
-  assert(Target < Facts.size() && "step targets an unrecorded fact");
-  uint32_t Idx = static_cast<uint32_t>(Steps.size());
-  Steps.push_back(Step{Target, P0, P1, static_cast<uint32_t>(R)});
-  if (Facts[Target].FirstStep == UINT32_MAX)
-    Facts[Target].FirstStep = Idx;
-}
-
-void Recorder::indexLocked() {
+void Recorder::index() {
   // Load factor at most 1: when the facts outgrow the buckets, rechain
   // everything into a table of twice the size.
   size_t NumBuckets = std::max<size_t>(Buckets.size(), 1024);
@@ -134,32 +120,8 @@ void Recorder::indexLocked() {
   }
 }
 
-void Recorder::refreshBytesLocked() {
-  size_t B = Facts.capacity() * sizeof(FactRec) +
-             Steps.capacity() * sizeof(Step) +
-             (Buckets.capacity() + Chain.capacity()) * sizeof(uint32_t);
-  BytesA.store(B, std::memory_order_relaxed);
-}
-
-uint32_t Recorder::appendFact(FactKind Kind, uint64_t A, uint64_t B64, Rule R,
-                              uint32_t P0, uint32_t P1) {
-  std::lock_guard<std::mutex> Lock(Mu);
-  uint32_t Id = appendLocked(Kind, A, B64);
-  stepLocked(Id, R, P0, P1);
-  refreshBytesLocked();
-  return Id;
-}
-
-uint32_t Recorder::reserveFact(FactKind Kind, uint64_t A, uint64_t B64) {
-  std::lock_guard<std::mutex> Lock(Mu);
-  uint32_t Id = appendLocked(Kind, A, B64);
-  refreshBytesLocked();
-  return Id;
-}
-
 uint32_t Recorder::internFact(FactKind Kind, uint64_t A, uint64_t B64) {
-  std::lock_guard<std::mutex> Lock(Mu);
-  indexLocked();
+  index();
   uint64_t H = factHash(Kind, A, B64);
   for (uint32_t I = Buckets[H & (Buckets.size() - 1)]; I != UINT32_MAX;
        I = Chain[I]) {
@@ -167,56 +129,12 @@ uint32_t Recorder::internFact(FactKind Kind, uint64_t A, uint64_t B64) {
     if (F.Kind == Kind && F.A == A && F.B64 == B64)
       return I;
   }
-  uint32_t Id = appendLocked(Kind, A, B64);
-  indexLocked();
-  refreshBytesLocked();
+  uint32_t Id = reserveFact(Kind, A, B64);
+  index();
   return Id;
 }
 
-void Recorder::step(uint32_t Target, Rule R, uint32_t P0, uint32_t P1) {
-  std::lock_guard<std::mutex> Lock(Mu);
-  stepLocked(Target, R, P0, P1);
-  refreshBytesLocked();
-}
-
-size_t Recorder::numFacts() const {
-  std::lock_guard<std::mutex> Lock(Mu);
-  return Facts.size();
-}
-
-size_t Recorder::numSteps() const {
-  std::lock_guard<std::mutex> Lock(Mu);
-  return Steps.size();
-}
-
-Fact Recorder::fact(uint32_t Id) const {
-  std::lock_guard<std::mutex> Lock(Mu);
-  const FactRec &F = Facts[Id];
-  return Fact{F.A, F.B64, F.Kind};
-}
-
-Step Recorder::stepAt(size_t Idx) const {
-  std::lock_guard<std::mutex> Lock(Mu);
-  return Steps[Idx];
-}
-
-uint32_t Recorder::firstStepOf(uint32_t FactId) const {
-  std::lock_guard<std::mutex> Lock(Mu);
-  return Facts[FactId].FirstStep;
-}
-
-bool Recorder::readFacts(size_t Begin, std::vector<Fact> &Out) const {
-  constexpr size_t BlockFacts = 4096;
-  Out.clear();
-  std::lock_guard<std::mutex> Lock(Mu);
-  size_t End = std::min(Facts.size(), Begin + BlockFacts);
-  for (size_t I = Begin; I < End; ++I)
-    Out.push_back(Fact{Facts[I].A, Facts[I].B64, Facts[I].Kind});
-  return !Out.empty();
-}
-
 void Recorder::clear() {
-  std::lock_guard<std::mutex> Lock(Mu);
   Facts.clear();
   Facts.shrink_to_fit();
   Steps.clear();
@@ -225,42 +143,6 @@ void Recorder::clear() {
   Buckets.shrink_to_fit();
   Chain.clear();
   Chain.shrink_to_fit();
-  refreshBytesLocked();
-}
-
-// --- Fact payload helpers ---------------------------------------------------
-
-uint32_t pt::prov::varPointsTo(Recorder &R, VarId V, CtxId Ctx, uint32_t Obj) {
-  return R.internFact(FactKind::VarPointsTo,
-                      packPair(V.rawValue(), Ctx.rawValue()), Obj);
-}
-
-uint32_t pt::prov::fieldPointsTo(Recorder &R, uint32_t BaseObj, FieldId F,
-                                 uint32_t Obj) {
-  return R.internFact(FactKind::FieldPointsTo,
-                      packPair(BaseObj, F.rawValue()), Obj);
-}
-
-uint32_t pt::prov::staticPointsTo(Recorder &R, FieldId F, uint32_t Obj) {
-  return R.internFact(FactKind::StaticPointsTo, F.rawValue(), Obj);
-}
-
-uint32_t pt::prov::throwPointsTo(Recorder &R, MethodId M, CtxId Ctx,
-                                 uint32_t Obj) {
-  return R.internFact(FactKind::ThrowPointsTo,
-                      packPair(M.rawValue(), Ctx.rawValue()), Obj);
-}
-
-uint32_t pt::prov::reachableFact(Recorder &R, MethodId M, CtxId Ctx) {
-  return R.internFact(FactKind::Reachable,
-                      packPair(M.rawValue(), Ctx.rawValue()), 0);
-}
-
-uint32_t pt::prov::callEdgeFact(Recorder &R, InvokeId I, CtxId CallerCtx,
-                                MethodId Callee, CtxId CalleeCtx) {
-  return R.internFact(FactKind::CallEdge,
-                      packPair(I.rawValue(), CallerCtx.rawValue()),
-                      packPair(Callee.rawValue(), CalleeCtx.rawValue()));
 }
 
 // --- Queries ----------------------------------------------------------------

@@ -5,20 +5,19 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Per-fact derivation provenance: when a run carries a \c Recorder, both
-/// fixpoint engines append one 16-byte \c Step per derived fact naming the
+/// Per-fact derivation provenance: when a run carries a \c Recorder, the
+/// solver appends one 16-byte \c Step per derived fact naming the
 /// Figure-2 rule that fired and the (at most two) premise facts it
 /// consumed.  Facts live in an append-only arena of dense ids, so a
 /// derivation is a DAG over fact ids and "why does v point to h?" is a
 /// backward BFS from the conclusion (\c whyPointsTo).
 ///
-/// The worklist engine concludes every fact exactly once, where it first
-/// derives it, and keeps each fact's id next to the data it describes (a
-/// per-node array parallel to the points-to set, justifications parallel
-/// to the edges), so it appends with \c appendFact and never looks a fact
-/// up by value.  The summary engine re-derives facts across partitions and
-/// interns them through \c internFact, whose hash index is built on first
-/// use; a worklist run never allocates it.
+/// The solver concludes every fact exactly once, where it first derives
+/// it, and keeps each fact's id next to the data it describes (a per-node
+/// array parallel to the points-to set, justifications parallel to the
+/// edges), so it appends with \c appendFact and never looks a fact up by
+/// value.  \c internFact's hash index is built only on first use; a
+/// solver run never allocates it.
 ///
 /// Discipline mirrors support/Telemetry.h: a null recorder pointer makes
 /// every hook a single-pointer test, and the \c HYBRIDPT_PROVENANCE CMake
@@ -27,11 +26,9 @@
 /// reported through \c memoryBytes() and count against
 /// \c SolverOptions::MemoryBudgetBytes like any other solver container.
 ///
-/// Both engines record into the same schema; derivations are *valid*
-/// (every step re-checkable against the rule side conditions, see
-/// Validate) under either engine at any thread count, though the concrete
-/// step streams may differ with schedule.  docs/OBSERVABILITY.md has the
-/// query grammar and the cost model.
+/// Derivations are *valid*: every step re-checks against the rule side
+/// conditions (see Validate).  docs/OBSERVABILITY.md has the query
+/// grammar and the cost model.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -40,9 +37,8 @@
 
 #include "support/Ids.h"
 
-#include <atomic>
+#include <cassert>
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -155,10 +151,10 @@ struct Step {
 };
 static_assert(sizeof(Step) == 16, "derivation steps must stay compact");
 
-/// Append-only derivation arena shared by one solver run.  Thread-safe:
-/// the summary engine's partitions record concurrently under one internal
-/// mutex (provenance is a debug mode; contention is acceptable), and
-/// \c memoryBytes() reads an atomic so budget polls never take the lock.
+/// Append-only derivation arena of one solver run.  Single-writer, like
+/// \c Solver itself: the solver that owns the run appends, and every read
+/// happens on that thread or after the run returns.  Share a recorder
+/// between concurrent runs and the arena is corrupt.
 class Recorder {
 public:
   Recorder() = default;
@@ -166,14 +162,22 @@ public:
   Recorder &operator=(const Recorder &) = delete;
 
   /// Appends a fact the caller knows is new together with the step that
-  /// concludes it, under one lock and without touching the hash index.
-  /// Returns the new fact id.
+  /// concludes it, without touching the hash index.  Returns the new fact
+  /// id.
   uint32_t appendFact(FactKind Kind, uint64_t A, uint64_t B64, Rule R,
-                      uint32_t P0 = InvalidFact, uint32_t P1 = InvalidFact);
+                      uint32_t P0 = InvalidFact, uint32_t P1 = InvalidFact) {
+    uint32_t Id = reserveFact(Kind, A, B64);
+    step(Id, R, P0, P1);
+    return Id;
+  }
 
   /// Appends a fact the caller knows is new, without a step: for a fact
   /// cited as a premise before its own step is recorded with \c step().
-  uint32_t reserveFact(FactKind Kind, uint64_t A, uint64_t B64);
+  uint32_t reserveFact(FactKind Kind, uint64_t A, uint64_t B64) {
+    uint32_t Id = static_cast<uint32_t>(Facts.size());
+    Facts.push_back(FactRec{A, B64, UINT32_MAX, Kind});
+    return Id;
+  }
 
   /// Interns (\p Kind, \p A, \p B64) and returns its dense fact id.  The
   /// first call indexes every fact appended so far.
@@ -181,7 +185,13 @@ public:
 
   /// Appends one derivation step concluding \p Target.
   void step(uint32_t Target, Rule R, uint32_t P0 = InvalidFact,
-            uint32_t P1 = InvalidFact);
+            uint32_t P1 = InvalidFact) {
+    assert(Target < Facts.size() && "step targets an unrecorded fact");
+    uint32_t Idx = static_cast<uint32_t>(Steps.size());
+    Steps.push_back(Step{Target, P0, P1, static_cast<uint32_t>(R)});
+    if (Facts[Target].FirstStep == UINT32_MAX)
+      Facts[Target].FirstStep = Idx;
+  }
 
   /// Drops every fact and step.  Fact payloads embed per-run dense object
   /// ids, so a recorder reused across runs (ladder rungs, bench
@@ -189,43 +199,38 @@ public:
   /// derivations citing objects from a different result's tables.
   void clear();
 
-  // --- Post-run reads (engine quiesced, or under the same lock) ---
-
-  size_t numFacts() const;
-  size_t numSteps() const;
-  Fact fact(uint32_t Id) const;
-  Step stepAt(size_t Idx) const;
+  size_t numFacts() const { return Facts.size(); }
+  size_t numSteps() const { return Steps.size(); }
+  Fact fact(uint32_t Id) const {
+    const FactRec &F = Facts[Id];
+    return Fact{F.A, F.B64, F.Kind};
+  }
+  Step stepAt(size_t Idx) const { return Steps[Idx]; }
 
   /// The index of the lowest-indexed step concluding \p FactId, or
   /// UINT32_MAX when the fact has no step (yet).
-  uint32_t firstStepOf(uint32_t FactId) const;
-
-  /// Calls \p Fn(Id, Fact) for every fact in ascending id order; \p Fn
-  /// returns false to stop early.  Facts are copied out a block at a
-  /// time, so a whole-arena pass takes the lock once per block rather than
-  /// once per fact, and \p Fn runs unlocked.
-  template <typename Callback> void scanFacts(Callback &&Fn) const {
-    std::vector<Fact> Block;
-    for (size_t Begin = 0; readFacts(Begin, Block); Begin += Block.size())
-      for (size_t I = 0; I != Block.size(); ++I)
-        if (!Fn(static_cast<uint32_t>(Begin + I), Block[I]))
-          return;
+  uint32_t firstStepOf(uint32_t FactId) const {
+    return Facts[FactId].FirstStep;
   }
 
-  /// Arena bytes (facts + steps + index); lock-free, safe from guard polls.
+  /// Calls \p Fn(Id, Fact) for every fact in ascending id order; \p Fn
+  /// returns false to stop early.
+  template <typename Callback> void scanFacts(Callback &&Fn) const {
+    for (size_t I = 0; I != Facts.size(); ++I)
+      if (!Fn(static_cast<uint32_t>(I), fact(static_cast<uint32_t>(I))))
+        return;
+  }
+
+  /// Arena bytes (facts + steps + index).
   size_t memoryBytes() const {
-    return BytesA.load(std::memory_order_relaxed);
+    return Facts.capacity() * sizeof(FactRec) +
+           Steps.capacity() * sizeof(Step) +
+           (Buckets.capacity() + Chain.capacity()) * sizeof(uint32_t);
   }
 
 private:
-  uint32_t appendLocked(FactKind Kind, uint64_t A, uint64_t B64);
-  void stepLocked(uint32_t Target, Rule R, uint32_t P0, uint32_t P1);
   /// Brings the hash index up to date with \c Facts.
-  void indexLocked();
-  /// Replaces \p Out with the facts from id \p Begin on, at most one
-  /// block of them; false when there are none.
-  bool readFacts(size_t Begin, std::vector<Fact> &Out) const;
-  void refreshBytesLocked();
+  void index();
 
   struct FactRec {
     uint64_t A;
@@ -234,7 +239,6 @@ private:
     FactKind Kind;
   };
 
-  mutable std::mutex Mu;
   std::vector<FactRec> Facts;
   std::vector<Step> Steps;
   /// The hash index, for \c internFact only: power-of-two bucket heads
@@ -242,18 +246,7 @@ private:
   /// watermark: facts at or past it are not indexed yet.
   std::vector<uint32_t> Buckets;
   std::vector<uint32_t> Chain;
-  std::atomic<size_t> BytesA{0};
 };
-
-// --- Fact payload helpers ---------------------------------------------------
-
-uint32_t varPointsTo(Recorder &R, VarId V, CtxId Ctx, uint32_t Obj);
-uint32_t fieldPointsTo(Recorder &R, uint32_t BaseObj, FieldId F, uint32_t Obj);
-uint32_t staticPointsTo(Recorder &R, FieldId F, uint32_t Obj);
-uint32_t throwPointsTo(Recorder &R, MethodId M, CtxId Ctx, uint32_t Obj);
-uint32_t reachableFact(Recorder &R, MethodId M, CtxId Ctx);
-uint32_t callEdgeFact(Recorder &R, InvokeId I, CtxId CallerCtx, MethodId Callee,
-                      CtxId CalleeCtx);
 
 // --- Query API --------------------------------------------------------------
 

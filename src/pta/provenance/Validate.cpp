@@ -10,8 +10,8 @@
 /// justifies it (the instruction bag is flow-insensitive, so any witness
 /// is as good as another), all type filters hold, and — when a policy is
 /// supplied — the context constructors reproduce the recorded contexts.
-/// This is the oracle behind the derivation-replay fuzz axis: both
-/// engines, at any thread count, must only ever record checkable steps.
+/// This is the oracle behind the derivation-replay fuzz axis: the solver
+/// must only ever record checkable steps.
 ///
 //===----------------------------------------------------------------------===//
 

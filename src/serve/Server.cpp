@@ -292,8 +292,6 @@ SolverOptions Server::solverOptions(const Request &Req, CancelToken &Tok,
   SOpts.Cancel = &Tok;
   if (Fault)
     SOpts.Faults = *Fault;
-  SOpts.Engine = Opts.Engine;
-  SOpts.SummaryThreads = Opts.SolverThreads;
   return SOpts;
 }
 

@@ -79,8 +79,6 @@ struct ServerOptions {
   uint64_t RetryAfterMs = 50;
   /// Descend the fallback ladder on budget-blown solves.
   bool UseLadder = true;
-  SolverEngine Engine = SolverEngine::Worklist;
-  unsigned SolverThreads = 1;
   /// Per-request fault schedule (testing; docs/ROBUSTNESS.md).
   RequestFaultPlan Faults;
   /// Request-latency trace sink; may be null.

@@ -78,12 +78,7 @@ namespace pt::telemetry {
   X(NodesCreated, "nodes_created")       /* interned solver nodes   */         \
   X(ObjectsInterned, "objects_interned") /* (heap, hctx) objects    */         \
   X(CallEdgesInserted, "call_edges_inserted")                                  \
-  X(MethodsInstantiated, "methods_instantiated")                               \
-  X(SummaryHits, "summary_hits")         /* memoized (m,ctx) reuse  */         \
-  X(SummaryMisses, "summary_misses")     /* fresh (m,ctx) solves    */         \
-  X(SummaryInstantiations, "summary_instantiations") /* call-site links */     \
-  X(SccTasks, "scc_tasks")               /* SCC drain activations   */         \
-  X(CrossMsgs, "cross_msgs")             /* cross-SCC messages sent */
+  X(MethodsInstantiated, "methods_instantiated")
 
 /// Per-solver fire counters.  Plain cells, no atomics: each solver is
 /// single-threaded and owns its struct.
@@ -121,17 +116,6 @@ void forEachCounter(const SolverCounters &C, Callback &&Fn) {
 #define PT_VISIT(Field, Name) Fn(Name, C.Field);
   PT_SOLVER_COUNTERS(PT_VISIT)
 #undef PT_VISIT
-}
-
-/// Number of counters in \c PT_SOLVER_COUNTERS — the size of flattened
-/// counter arrays (the summary solver publishes per-partition snapshots
-/// into atomic arrays of this length for race-free heartbeats).
-constexpr size_t numSolverCounters() {
-  size_t N = 0;
-#define PT_TALLY(Field, Name) ++N;
-  PT_SOLVER_COUNTERS(PT_TALLY)
-#undef PT_TALLY
-  return N;
 }
 
 /// The \p K largest of the ten rule counters, descending (ties keep

@@ -19,11 +19,11 @@
 ///    program type U (so casts and virtual dispatch treat taint objects
 ///    exactly like the values they shadow) plus one root "tag marker"
 ///    type covering null-valued taint flow.  Sanitizer calls are rewritten
-///    to return through a \c SanitizeInstr barrier, which both engines
-///    wire as a cast edge filtered on \c HeapInfo::TaintTag.  Everything
-///    downstream — all context policies, the worklist and summary
-///    solvers, the Datalog reference model, the fallback ladder, guards,
-///    and provenance — applies unchanged.
+///    to return through a \c SanitizeInstr barrier, which the solver and
+///    the Datalog reference model both wire as a cast edge filtered on
+///    \c HeapInfo::TaintTag.  Everything downstream — all context
+///    policies, the solver, the Datalog reference model, the fallback
+///    ladder, guards, and provenance — applies unchanged.
 ///
 ///  * findTaintedSinks() is the client query: sink arguments whose
 ///    points-to set contains a tainted allocation site.  HPT007 and the

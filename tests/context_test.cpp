@@ -497,14 +497,16 @@ TEST_F(PolicyFixture, CutShortcutPoliciesAreContextless) {
 
 // --- Cut-shortcut plan derivation (cs / S-cs) ---------------------------
 
-/// Builds one small class with two fields plus an entry point; each test
-/// adds the method shape under scrutiny and derives the plan.
+/// Builds one small class with two instance fields and one static field
+/// plus an entry point; each test adds the method shape under scrutiny and
+/// derives the plan.
 struct CutPlanFixture : public ::testing::Test {
   void SetUp() override {
     TypeId Object = B.addType("Object");
     Cls = B.addType("Cls", Object);
     F = B.addField(Cls, "f");
     G = B.addField(Cls, "g");
+    Static = B.addStaticField(Cls, "s");
     B.addEntryPoint(B.addMethod(Object, "main", 0, true));
   }
 
@@ -517,7 +519,7 @@ struct CutPlanFixture : public ::testing::Test {
 
   ProgramBuilder B;
   TypeId Cls;
-  FieldId F, G;
+  FieldId F, G, Static;
   std::unique_ptr<Program> Prog;
   CutShortcutPlan Plan;
 };
@@ -596,7 +598,7 @@ TEST_F(CutPlanFixture, UncoverableReturnDefsVetoTheRetCut) {
   // A static-field load is global state.
   MethodId M5 = B.addMethod(Cls, "viaSLoad", 0, false);
   VarId R5 = B.addLocal(M5, "r");
-  B.addSLoad(M5, R5, G);
+  B.addSLoad(M5, R5, Static);
   B.setReturn(M5, R5);
   Prog = B.build();
   CutShortcutPlan P = computeCutShortcutPlan(*Prog, CutMode::All);

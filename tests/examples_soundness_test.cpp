@@ -62,7 +62,7 @@ TEST(ExamplesSoundness, EveryProgramCleanUnderEveryPaperPolicy) {
 
 // The cut-shortcut chain's new precision pairs (1call ⊑ cs ⊑ S-cs ⊑
 // insens), pinned explicitly through the ordering + monotonicity +
-// summary-parity + provenance-replay oracles on every example — the
+// provenance-replay oracles on every example — the
 // default smoke above covers them too (cs/S-cs are standard analyses
 // now), but this test keeps failing output focused on the cs family.
 TEST(ExamplesSoundness, CutShortcutChainOrderedOnEveryExample) {
@@ -77,7 +77,6 @@ TEST(ExamplesSoundness, CutShortcutChainOrderedOnEveryExample) {
     fuzz::OracleOptions Opts;
     Opts.Policies = {"1call", "cs", "S-cs", "insens"};
     Opts.FullReferenceDiff = true;
-    Opts.CheckSummary = true;
     Opts.CheckProvenance = true;
     Opts.ProvenanceStride = 1; // Replay every shortcut derivation.
     fuzz::OracleReport Report = fuzz::checkProgram(*Parsed.Prog, Opts);

@@ -5,7 +5,7 @@
 // The provenance subsystem's contract (pta/provenance/Provenance.h):
 // a run carrying a Recorder can answer "why does v point to h?" with a
 // derivation tree whose every step re-checks against the Figure-2 side
-// conditions, under EITHER engine at ANY thread count; a query the policy
+// conditions; a query the policy
 // refutes has no derivation; the arena's bytes count against the memory
 // budget like any other solver container; and an injected memory fault
 // leaves a partial arena that is still queryable and still valid.
@@ -372,7 +372,7 @@ TEST(Provenance, WorklistConcludesEveryFactOnce) {
 // A cast and a sanitize edge between one node pair each keep their own
 // justification: in castsanitize.ptir, y -> Note arrives only through the
 // sanitize edge (the cast to Shape rejects a Note), so its step must name
-// the sanitize rule and validate, under both engines.
+// the sanitize rule and validate.
 TEST(Provenance, CastAndSanitizeOnOneNodePairKeepTheirRules) {
   ParseResult Parsed = parseProgram(slurp(
       std::filesystem::path(HYBRIDPT_EXAMPLES_DIR) / "castsanitize.ptir"));
@@ -384,27 +384,23 @@ TEST(Provenance, CastAndSanitizeOnOneNodePairKeepTheirRules) {
   ASSERT_TRUE(Y.isValid());
   ASSERT_TRUE(Note.isValid());
   ASSERT_TRUE(Circle.isValid());
-  for (SolverEngine Engine : {SolverEngine::Worklist, SolverEngine::Summary}) {
-    SCOPED_TRACE(solverEngineName(Engine));
-    auto Policy = createPolicy("insens", P);
-    prov::Recorder Rec;
-    SolverOptions Opts;
-    Opts.Engine = Engine;
-    Opts.Prov = &Rec;
-    AnalysisResult R = solveProgram(P, *Policy, Opts);
-    ASSERT_FALSE(R.Aborted);
-    prov::DerivationTree ViaSanitize =
-        prov::whyPointsTo(Rec, R, Y, CtxId(), Note);
-    ASSERT_TRUE(ViaSanitize.Found) << ViaSanitize.Error;
-    EXPECT_EQ(ViaSanitize.Steps.back().R, prov::Rule::Sanitize);
-    prov::DerivationTree ViaCast =
-        prov::whyPointsTo(Rec, R, Y, CtxId(), Circle);
-    ASSERT_TRUE(ViaCast.Found) << ViaCast.Error;
-    EXPECT_EQ(ViaCast.Steps.back().R, prov::Rule::Cast);
-    prov::ValidationResult VR =
-        prov::validateSampledSteps(Rec, R, Policy.get(), /*Stride=*/1);
-    EXPECT_TRUE(VR.Ok) << VR.Error;
-  }
+  auto Policy = createPolicy("insens", P);
+  prov::Recorder Rec;
+  SolverOptions Opts;
+  Opts.Prov = &Rec;
+  AnalysisResult R = solveProgram(P, *Policy, Opts);
+  ASSERT_FALSE(R.Aborted);
+  prov::DerivationTree ViaSanitize =
+      prov::whyPointsTo(Rec, R, Y, CtxId(), Note);
+  ASSERT_TRUE(ViaSanitize.Found) << ViaSanitize.Error;
+  EXPECT_EQ(ViaSanitize.Steps.back().R, prov::Rule::Sanitize);
+  prov::DerivationTree ViaCast =
+      prov::whyPointsTo(Rec, R, Y, CtxId(), Circle);
+  ASSERT_TRUE(ViaCast.Found) << ViaCast.Error;
+  EXPECT_EQ(ViaCast.Steps.back().R, prov::Rule::Cast);
+  prov::ValidationResult VR =
+      prov::validateSampledSteps(Rec, R, Policy.get(), /*Stride=*/1);
+  EXPECT_TRUE(VR.Ok) << VR.Error;
 }
 
 // The hash index behind internFact is built on first use and catches up
@@ -446,11 +442,10 @@ TEST(Provenance, ClearResetsTheArena) {
   EXPECT_EQ(Rec.numSteps(), 0u);
 }
 
-// Parity: every checked-in example, every registered policy, both
-// engines (summary at 1 and 4 threads).  The step streams may differ
-// with engine and schedule, but EVERY recorded step must re-check
-// against the rule side conditions — stride 1, no sampling slack.
-TEST(Provenance, EveryStepValidatesUnderBothEngines) {
+// Every checked-in example under every registered policy: EVERY recorded
+// step must re-check against the rule side conditions — stride 1, no
+// sampling slack.
+TEST(Provenance, EveryStepValidates) {
   size_t Programs = 0;
   for (const auto &Entry :
        std::filesystem::directory_iterator(HYBRIDPT_EXAMPLES_DIR)) {
@@ -464,30 +459,18 @@ TEST(Provenance, EveryStepValidatesUnderBothEngines) {
 
     for (const std::string &Name : allPolicyNames()) {
       SCOPED_TRACE("policy " + Name);
-      struct Leg {
-        SolverEngine Engine;
-        unsigned Threads;
-        const char *Label;
-      };
-      for (const Leg &L : {Leg{SolverEngine::Worklist, 1, "worklist"},
-                           Leg{SolverEngine::Summary, 1, "summary/1"},
-                           Leg{SolverEngine::Summary, 4, "summary/4"}}) {
-        SCOPED_TRACE(L.Label);
-        auto Policy = createPolicy(Name, Prog);
-        ASSERT_TRUE(Policy);
-        prov::Recorder Rec;
-        SolverOptions Opts;
-        Opts.Engine = L.Engine;
-        Opts.SummaryThreads = L.Threads;
-        Opts.Prov = &Rec;
-        AnalysisResult R = solveProgram(Prog, *Policy, Opts);
-        ASSERT_FALSE(R.Aborted);
-        EXPECT_GT(Rec.numSteps(), 0u);
-        prov::ValidationResult VR =
-            prov::validateSampledSteps(Rec, R, Policy.get(), /*Stride=*/1);
-        EXPECT_TRUE(VR.Ok) << VR.Error;
-        EXPECT_EQ(VR.CheckedSteps, Rec.numSteps());
-      }
+      auto Policy = createPolicy(Name, Prog);
+      ASSERT_TRUE(Policy);
+      prov::Recorder Rec;
+      SolverOptions Opts;
+      Opts.Prov = &Rec;
+      AnalysisResult R = solveProgram(Prog, *Policy, Opts);
+      ASSERT_FALSE(R.Aborted);
+      EXPECT_GT(Rec.numSteps(), 0u);
+      prov::ValidationResult VR =
+          prov::validateSampledSteps(Rec, R, Policy.get(), /*Stride=*/1);
+      EXPECT_TRUE(VR.Ok) << VR.Error;
+      EXPECT_EQ(VR.CheckedSteps, Rec.numSteps());
     }
   }
   EXPECT_GE(Programs, 5u);

@@ -8,10 +8,10 @@
 // precedence, sink arity bounds), instrument()'s id-stability contract and
 // empty-plan behavioral identity, the taintflow.ptir end-to-end
 // expectation (one unsanitized flow, the sanitized one proven clean),
-// worklist/summary engine parity of the tainted-sink report, HPT007
-// monotonicity over every precision-ordering pair on every example, the
-// dynamic taint oracle's containment on a program where it concretely
-// fires, and the Metrics column's agreement with the client query.
+// HPT007 monotonicity over every precision-ordering pair on every
+// example, the dynamic taint oracle's containment on a program where it
+// concretely fires, and the Metrics column's agreement with the client
+// query.
 //
 //===----------------------------------------------------------------------===//
 
@@ -374,41 +374,6 @@ TEST(TaintFlow, UninstrumentedProgramReportsNothing) {
   EXPECT_TRUE(taint::findTaintedSinks(R).empty());
   EXPECT_EQ(computeMetrics(R).TaintedSinks, 0u);
   EXPECT_TRUE(checks::runCheckers(R, {"tainted-sink"}).Diags.empty());
-}
-
-//===----------------------------------------------------------------------===//
-// Engine parity: worklist == summary at any thread count
-//===----------------------------------------------------------------------===//
-
-TEST(TaintEngines, WorklistAndSummaryAgreeOnTaintedSinks) {
-  auto Inst = instrumentedTaintflow();
-  for (const char *Name : {"insens", "1call", "2obj+H", "S-2obj+H"}) {
-    SCOPED_TRACE(Name);
-    auto WPolicy = createPolicy(Name, *Inst);
-    ASSERT_TRUE(WPolicy);
-    AnalysisResult Worklist = solveWith(*Inst, *WPolicy);
-    std::set<SinkKey> Want = sinkKeys(Worklist);
-    std::set<std::string> WantDiags;
-    for (const checks::Diagnostic &D :
-         checks::runCheckers(Worklist, {"tainted-sink"}).Diags)
-      WantDiags.insert(D.key());
-
-    for (unsigned Threads : {1u, 4u}) {
-      SCOPED_TRACE(Threads);
-      auto SPolicy = createPolicy(Name, *Inst);
-      ASSERT_TRUE(SPolicy);
-      SolverOptions Opts;
-      Opts.Engine = SolverEngine::Summary;
-      Opts.SummaryThreads = Threads;
-      AnalysisResult Summary = solveWith(*Inst, *SPolicy, Opts);
-      EXPECT_EQ(sinkKeys(Summary), Want);
-      std::set<std::string> GotDiags;
-      for (const checks::Diagnostic &D :
-           checks::runCheckers(Summary, {"tainted-sink"}).Diags)
-        GotDiags.insert(D.key());
-      EXPECT_EQ(GotDiags, WantDiags);
-    }
-  }
 }
 
 //===----------------------------------------------------------------------===//

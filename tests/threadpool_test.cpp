@@ -1,117 +1,76 @@
-//===- tests/threadpool_test.cpp - work-stealing pool ---------------------===//
+//===- tests/threadpool_test.cpp - parallel loop --------------------------===//
 //
 // Part of the hybridpt project (PLDI 2013 reproduction).
 //
-// The support/ThreadPool work-stealing scheduler: completion tracking
-// through nested submission (what the summary solver's termination
-// detection leans on), stealing, --threads=0 resolution, and the
-// utilization statistics that feed BENCH_summary.json.
+// The support/Parallel.h loop the variant matrix fans its cells out on:
+// every index runs exactly once at any width, one thread runs inline and
+// in order, a throwing call reaches the caller, and --threads=0 resolves
+// to the hardware thread count.
 //
 //===----------------------------------------------------------------------===//
 
-#include "support/ThreadPool.h"
+#include "support/Parallel.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
+#include <stdexcept>
 #include <thread>
+#include <vector>
 
 namespace {
 
 using namespace pt;
 
-TEST(ThreadPool, ExecutesAllJobs) {
-  std::atomic<int> Count{0};
-  {
-    ThreadPool Pool(4);
-    EXPECT_EQ(Pool.threadCount(), 4u);
-    EXPECT_EQ(Pool.parallelism(), 4u);
-    for (int I = 0; I < 1000; ++I)
-      Pool.submit([&Count] { Count.fetch_add(1); });
-    Pool.wait();
-    EXPECT_EQ(Count.load(), 1000);
-    ThreadPool::Stats S = Pool.stats();
-    EXPECT_EQ(S.Submitted, 1000u);
-    EXPECT_EQ(S.Executed, 1000u);
-  }
-}
-
-TEST(ThreadPool, WaitCoversNestedSubmission) {
-  // A job that spawns more jobs: wait() must not return until the whole
-  // tree has run — the property the summary sweep's termination detector
-  // depends on.
-  std::atomic<int> Count{0};
-  ThreadPool Pool(3);
-  std::function<void(int)> Spawn = [&](int Depth) {
-    Count.fetch_add(1);
-    if (Depth < 6) {
-      Pool.submit([&Spawn, Depth] { Spawn(Depth + 1); });
-      Pool.submit([&Spawn, Depth] { Spawn(Depth + 1); });
-    }
-  };
-  Pool.submit([&Spawn] { Spawn(0); });
-  Pool.wait();
-  EXPECT_EQ(Count.load(), 127); // Full binary tree of depth 6.
-}
-
-TEST(ThreadPool, StealingMovesWorkOffABusyWorker) {
-  // One long job pins a worker while short jobs pile onto the deques;
-  // with more workers than one, the rest must finish the short jobs even
-  // though round-robin parked some behind the long one.
-  if (ThreadPool::hardwareThreads() < 2)
-    GTEST_SKIP() << "needs at least two hardware threads to be meaningful";
-  std::atomic<bool> Release{false};
-  std::atomic<int> Short{0};
-  ThreadPool Pool(4);
-  Pool.submit([&Release] {
-    while (!Release.load())
-      std::this_thread::yield();
-  });
-  for (int I = 0; I < 200; ++I)
-    Pool.submit([&Short] { Short.fetch_add(1); });
-  // The short jobs cannot all sit behind the blocked worker forever.
-  auto Deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  while (Short.load() < 200 &&
-         std::chrono::steady_clock::now() < Deadline)
-    std::this_thread::yield();
-  EXPECT_EQ(Short.load(), 200);
-  Release.store(true);
-  Pool.wait();
-}
-
-TEST(ThreadPool, ResolveThreadsMapsZeroToHardware) {
-  EXPECT_EQ(ThreadPool::resolveThreads(0), ThreadPool::hardwareThreads());
-  EXPECT_EQ(ThreadPool::resolveThreads(1), 1u);
-  EXPECT_EQ(ThreadPool::resolveThreads(7), 7u);
-  EXPECT_GE(ThreadPool::hardwareThreads(), 1u);
-}
-
-TEST(ThreadPool, ZeroThreadCtorUsesHardware) {
-  ThreadPool Pool(0);
-  EXPECT_EQ(Pool.threadCount(), ThreadPool::hardwareThreads());
-}
-
-TEST(ThreadPool, StatsTrackBusyTime) {
-  ThreadPool Pool(2);
-  for (int I = 0; I < 4; ++I)
-    Pool.submit([] {
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    });
-  Pool.wait();
-  ThreadPool::Stats S = Pool.stats();
-  EXPECT_EQ(S.Executed, 4u);
-  EXPECT_GE(S.BusyMs, 15.0); // 4 x 5ms of work across 2 workers.
-}
-
-TEST(ThreadPool, ParallelForCoversRangeAtAnyWidth) {
-  for (unsigned Threads : {1u, 2u, 5u}) {
+TEST(ParallelFor, CoversRangeAtAnyWidth) {
+  // 0 = one worker per hardware thread; 300 exceeds the range.
+  for (unsigned Threads : {0u, 1u, 2u, 5u, 300u}) {
     std::vector<std::atomic<int>> Hits(257);
     parallelFor(Hits.size(), Threads,
                 [&Hits](size_t I) { Hits[I].fetch_add(1); });
     for (auto &H : Hits)
-      EXPECT_EQ(H.load(), 1);
+      EXPECT_EQ(H.load(), 1) << "threads=" << Threads;
   }
+}
+
+TEST(ParallelFor, OneThreadRunsInlineInOrder) {
+  std::vector<size_t> Order;
+  const std::thread::id Caller = std::this_thread::get_id();
+  parallelFor(64, 1, [&](size_t I) {
+    EXPECT_EQ(std::this_thread::get_id(), Caller);
+    Order.push_back(I);
+  });
+  ASSERT_EQ(Order.size(), 64u);
+  for (size_t I = 0; I < Order.size(); ++I)
+    EXPECT_EQ(Order[I], I);
+}
+
+TEST(ParallelFor, ExceptionReachesTheCallerAfterTheJoin) {
+  for (unsigned Threads : {1u, 4u}) {
+    std::atomic<int> Calls{0};
+    EXPECT_THROW(parallelFor(100, Threads,
+                             [&Calls](size_t I) {
+                               Calls.fetch_add(1);
+                               if (I == 10)
+                                 throw std::runtime_error("cell failed");
+                             }),
+                 std::runtime_error)
+        << "threads=" << Threads;
+    EXPECT_GE(Calls.load(), 11) << "threads=" << Threads;
+  }
+}
+
+TEST(ParallelFor, EmptyRangeRunsNothing) {
+  std::atomic<int> Calls{0};
+  parallelFor(0, 4, [&Calls](size_t) { Calls.fetch_add(1); });
+  EXPECT_EQ(Calls.load(), 0);
+}
+
+TEST(ParallelFor, ResolveThreadsMapsZeroToHardware) {
+  EXPECT_EQ(resolveThreads(0), hardwareThreads());
+  EXPECT_EQ(resolveThreads(1), 1u);
+  EXPECT_EQ(resolveThreads(7), 7u);
+  EXPECT_GE(hardwareThreads(), 1u);
 }
 
 } // namespace

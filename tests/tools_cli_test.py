@@ -85,30 +85,6 @@ def test_trace_summary_truncated_and_malformed_records():
         os.unlink(path)
 
 
-def test_trace_summary_zero_span_scc_prints_na():
-    # An SCC sweep whose span durations are all zero or malformed has no
-    # derivable work/span figure: the summary must say "n/a", not divide
-    # by zero or print a fabricated "1.00".
-    lines = [
-        json.dumps({"type": "meta", "version": 1, "telemetry": True}),
-        json.dumps({"type": "span", "name": "scc:0", "cat": "scc",
-                    "dur_ms": 0.0,
-                    "args": {"scc": 0, "depth": 0, "methods": 3}}),
-        json.dumps({"type": "span", "name": "scc:1", "cat": "scc",
-                    "dur_ms": "NaNish",
-                    "args": {"scc": 1, "depth": 1, "methods": 1}}),
-    ]
-    path = write_tmp("\n".join(lines) + "\n", ".jsonl")
-    try:
-        proc = run(TRACE_SUMMARY, path)
-        assert_no_traceback(proc, "zero-span scc trace")
-        assert proc.returncode == 0, proc.stderr
-        assert "summary-mode SCC sweep" in proc.stdout
-        assert "parallelism <= n/a" in proc.stdout, proc.stdout
-    finally:
-        os.unlink(path)
-
-
 def test_trace_summary_happy_path_still_works():
     lines = [
         json.dumps({"type": "meta", "version": 1, "telemetry": False}),

@@ -34,30 +34,17 @@ of a per-benchmark message storm.  Counter values themselves are diffed warn-onl
 deterministic, so unexplained drift deserves a look, but they measure
 solver-internal work, not user-visible results.
 
-BENCH_summary.json (bench/summary_bench) adds engine-comparison fields:
-"speedup"/"self_speedup" ratios and the work/span "parallelism" under
-"utilization".  Ratio drops are warn-only — on a loaded or small-core
-machine the measured speedup is noise even when the DAG parallelism is
-real — and aborted cells carry no ratios at all, so they can never false-
-alarm.  The top-level "solver"/"solver_threads" config keys must match
-between the two files for timings to be comparable at all (a worklist
-baseline vs. a summary candidate is apples to oranges); a mismatch warns.
-
 BENCH_serve.json (hybridpt-replay --out) cells are per-request-kind
 latency aggregates keyed ("benchmark" = program, "policy" =
 "serve:<kind>"): time_ms is the average request latency, so the standard
 timing comparison applies, and the percentile fields ride along under
-the generic schema-drift warnings.  Cells from the "hybridpt-replay"
-harness must carry numeric "count" and "time_ms" keys — a file missing
-either fails hard, exactly like the utilization gate below.
+the generic schema-drift warnings.
 
-One schema rule IS load-bearing and fails hard: a cell that carries a
-"utilization" object must carry numeric work ("busy_ms") and span
-("critical_path_ms") keys — parallelism is work/span, so a file missing
-either is not a usable summary baseline (truncated write or a harness
-schema change that must land with a new baseline).  Such files exit 1
-with a message naming the file and cell instead of silently comparing
-nothing (or crashing).
+One schema rule IS load-bearing and fails hard: cells from the
+"hybridpt-replay" harness must carry numeric "count" and "time_ms" keys.
+A file missing either is a truncated write or a harness schema change
+that must land with a new baseline, so it exits 1 with a message naming
+the file and cell instead of silently comparing nothing (or crashing).
 """
 
 import argparse
@@ -106,16 +93,11 @@ def load(path):
             policy = requested
         keyed[(bench, policy)] = c
 
-        # Summary-bench schema guard: a utilization object without its
-        # work/span keys cannot yield a parallelism number — that file is
-        # truncated or from a drifted harness, and comparing it would
-        # silently check nothing.  Fail clearly instead.
         # Serve-replay schema guard (BENCH_serve.json, harness
         # "hybridpt-replay"): every cell is a per-request-kind latency
         # aggregate, so one without a numeric request count or average
         # time is a truncated or drifted file — comparing it would
-        # silently check nothing.  Same rationale as the utilization
-        # gate below.
+        # silently check nothing.  Fail clearly instead.
         if data.get("harness") == "hybridpt-replay":
             for key, what in (("count", "request count"),
                               ("time_ms", "average latency")):
@@ -125,21 +107,6 @@ def load(path):
                              f"'{key}' ({what}) key — not a usable serve "
                              f"baseline; regenerate it with "
                              f"hybridpt-replay --out")
-
-        util = c.get("utilization")
-        if util is not None:
-            if not isinstance(util, dict):
-                sys.exit(f"error: {path}: cell {bench}/{policy}: "
-                         f"'utilization' is not an object (truncated "
-                         f"file?)")
-            for work_span, key in (("work", "busy_ms"),
-                                   ("span", "critical_path_ms")):
-                if to_float(util.get(key)) is None:
-                    sys.exit(f"error: {path}: cell {bench}/{policy}: "
-                             f"utilization lacks a numeric '{key}' "
-                             f"({work_span}) key — not a usable summary "
-                             f"baseline; regenerate it with "
-                             f"bench/summary_bench")
     return data, keyed
 
 
@@ -157,8 +124,7 @@ def main():
     base_top, base = load(args.baseline)
     cand_top, cand = load(args.candidate)
 
-    for key in ("budget_ms", "runs", "threads", "ladder", "solver",
-                "solver_threads"):
+    for key in ("budget_ms", "runs", "threads", "ladder"):
         if base_top.get(key) != cand_top.get(key):
             print(f"warning: harness config differs: {key} = "
                   f"{base_top.get(key)} vs {cand_top.get(key)}")
@@ -227,41 +193,17 @@ def main():
             continue
 
         for fact in ("cs_vpt_facts", "cg_edges", "reachable_methods",
-                     "num_sccs", "max_depth", "facts_match",
                      "count", "errors"):
             if b.get(fact) != c.get(fact):
                 warnings.append(f"{name}: {fact} changed "
                                 f"{b.get(fact)} -> {c.get(fact)} "
                                 f"(precision/correctness drift?)")
 
-        # Engine-comparison ratios (summary_bench): warn-only — measured
-        # speedup is machine-load- and core-count-sensitive, and the
-        # aborted cases were already skipped above.
-        for ratio in ("speedup", "self_speedup"):
-            br, cr = to_float(b.get(ratio)), to_float(c.get(ratio))
-            if br is None or cr is None or br <= 0:
-                continue
-            drop_pct = (br - cr) / br * 100.0
-            if drop_pct > args.threshold:
-                warnings.append(f"{name}: {ratio} dropped "
-                                f"{br:.2f}x -> {cr:.2f}x (-{drop_pct:.1f}%; "
-                                f"warn-only, load/core sensitive)")
-        bu, cu = b.get("utilization"), c.get("utilization")
-        if isinstance(bu, dict) and isinstance(cu, dict):
-            bp, cp = to_float(bu.get("parallelism")), \
-                     to_float(cu.get("parallelism"))
-            if bp is not None and cp is not None and bp > 0:
-                drop_pct = (bp - cp) / bp * 100.0
-                if drop_pct > args.threshold:
-                    warnings.append(f"{name}: DAG parallelism dropped "
-                                    f"{bp:.2f} -> {cp:.2f} (-{drop_pct:.1f}%; "
-                                    f"SCC structure changed?)")
-
         # Fields on one side only (schema drift across PRs): warn-only.
         # Degradation fields already got a dedicated message above.
         for field in sorted((set(b) ^ set(c))
                             - {"counters", "fallback_from", "ladder",
-                               "abort_reason", "utilization"}):
+                               "abort_reason"}):
             side = "baseline" if field in b else "candidate"
             warnings.append(f"{name}: field '{field}' only in {side}")
 

@@ -31,11 +31,6 @@
 ///   --deadline-ms MS   whole-process deadline; expiry cancels cleanly
 ///   --matrix           run the full Table 1 policy matrix instead of one
 ///   --threads N        workers for --matrix (0 = hardware concurrency)
-///   --solver NAME      solving engine: worklist (default) or summary —
-///                      the compositional SCC solver (docs/PERF.md)
-///   --solver-threads N workers for the summary solver's bottom-up SCC
-///                      sweep (default 1 = deterministic inline sweep,
-///                      0 = hardware concurrency)
 ///   --taint-spec FILE  instrument the program with the taint spec before
 ///                      solving (docs/CHECKS.md "Taint analysis"); the
 ///                      metric block then reports tainted sinks
@@ -91,7 +86,7 @@
 #include "pta/VariantRunner.h"
 #include "support/Cancel.h"
 #include "support/TableWriter.h"
-#include "support/ThreadPool.h"
+#include "support/Parallel.h"
 #include "taint/Taint.h"
 #include "taint/TaintSpec.h"
 #include "workloads/Profiles.h"
@@ -121,8 +116,6 @@ struct CliOptions {
   bool Ladder = false;
   std::vector<std::string> LadderRungs;
   unsigned Threads = 1;
-  SolverEngine Engine = SolverEngine::Worklist;
-  unsigned SolverThreads = 1;
   bool Matrix = false;
   bool Metrics = false;
   std::string TaintSpecPath;
@@ -167,7 +160,6 @@ int usage(const char *Argv0) {
          "       [--budget MS] [--max-facts N] [--max-memory-mb N]\n"
          "       [--deadline-ms MS] [--ladder] [--ladder-rungs A,B,...]\n"
          "       [--matrix] [--threads N]\n"
-         "       [--solver worklist|summary] [--solver-threads N]\n"
          "       [--taint-spec FILE]\n"
          "       [--csv] [--trace-out FILE] [--chrome-trace FILE]\n"
          "       [--progress] [--explain-abort] [--heartbeat-steps N]\n"
@@ -236,8 +228,6 @@ SolverOptions solverOptions(const CliOptions &Cli, trace::TraceRecorder *Rec,
   Opts.Trace = Rec;
   Opts.HeartbeatSteps = Cli.HeartbeatSteps;
   Opts.HeartbeatMs = Cli.HeartbeatMs;
-  Opts.Engine = Cli.Engine;
-  Opts.SummaryThreads = Cli.SolverThreads;
   Opts.Prov = Cli.Prov;
   return Opts;
 }
@@ -576,17 +566,8 @@ int main(int argc, char **argv) {
     } else if (Arg == "--threads")
       // 0 = one worker per hardware thread, resolved through the one
       // shared rule so every tool agrees (docs/PERF.md).
-      Opts.Threads = ThreadPool::resolveThreads(
+      Opts.Threads = resolveThreads(
           static_cast<unsigned>(std::strtoul(Value(), nullptr, 10)));
-    else if (Arg == "--solver") {
-      if (!parseSolverEngine(Value(), Opts.Engine)) {
-        std::cerr << "unknown solver '" << argv[I]
-                  << "' (worklist or summary)\n";
-        return 1;
-      }
-    } else if (Arg == "--solver-threads")
-      Opts.SolverThreads =
-          static_cast<unsigned>(std::strtoul(Value(), nullptr, 10));
     else if (Arg == "--taint-spec")
       Opts.TaintSpecPath = Value();
     else if (Arg == "--matrix")

@@ -27,21 +27,15 @@
 ///                        (default 25; 0 = never)
 ///   --max-failures N     stop after N failing programs (default 5)
 ///   --solver-budget MS   per-solver-run budget (default 0 = unlimited)
-///   --compare-summary    re-solve every policy with the compositional
-///                        summary engine and require bit-identical exports
-///                        against the worklist run (fourth oracle axis;
-///                        roughly doubles solver cost per program)
 ///   --check-provenance   record derivation provenance during every solver
 ///                        run and replay sampled steps through the
-///                        rule-checking validator (fifth oracle axis; with
-///                        --compare-summary the summary engine's
-///                        derivations are validated too)
+///                        rule-checking validator (fourth oracle axis)
 ///   --check-taint        derive a synthetic taint spec per program, run
 ///                        the interpreter with shadow taint tags, and
 ///                        require every dynamically tainted sink to be
 ///                        statically reported by the tainted-sink client
 ///                        under every policy, monotonically across the
-///                        precision order (sixth oracle axis)
+///                        precision order (fifth oracle axis)
 ///   --deadline-ms MS     whole-campaign deadline; expiry cancels cleanly
 ///   --quiet              suppress progress output
 ///
@@ -72,8 +66,8 @@ int usage(const char *Argv0) {
                "       [--minimize | --no-minimize] [--regress-dir DIR]\n"
                "       [--policy NAME]... [--full-diff-every N]\n"
                "       [--max-failures N] [--solver-budget MS]\n"
-               "       [--compare-summary] [--check-provenance]\n"
-               "       [--check-taint] [--deadline-ms MS] [--quiet]\n";
+               "       [--check-provenance] [--check-taint]\n"
+               "       [--deadline-ms MS] [--quiet]\n";
   return 2;
 }
 
@@ -141,8 +135,6 @@ int main(int argc, char **argv) {
       const char *V = Next();
       if (!V || !parseU64(V, Opts.SolverTimeBudgetMs))
         return usage(argv[0]);
-    } else if (std::strcmp(Arg, "--compare-summary") == 0) {
-      Opts.CompareSummary = true;
     } else if (std::strcmp(Arg, "--check-provenance") == 0) {
       Opts.CheckProvenance = true;
     } else if (std::strcmp(Arg, "--check-taint") == 0) {

@@ -63,8 +63,6 @@ void printUsage() {
          "  --retry-after-ms MS back-off hint on shed replies (default 50)\n"
          "  --no-ladder         fail budget-blown solves instead of\n"
          "                      descending the fallback ladder\n"
-         "  --solver NAME       worklist (default) or summary\n"
-         "  --solver-threads N  summary-solver SCC workers\n"
          "  --fault-plan SPEC   per-request fault schedule, e.g.\n"
          "                      '3=oom-at-step=50;7=cancel-at-step=1'\n"
          "                      (HYBRIDPT_SERVE_FAULT_PLAN when absent)\n"
@@ -297,15 +295,6 @@ int main(int argc, char **argv) {
       Opts.RetryAfterMs = std::strtoull(Value(), nullptr, 10);
     else if (Arg == "--no-ladder")
       Opts.UseLadder = false;
-    else if (Arg == "--solver") {
-      if (!parseSolverEngine(Value(), Opts.Engine)) {
-        std::cerr << "hybridpt-serve: unknown solver '" << argv[I]
-                  << "' (worklist or summary)\n";
-        return 2;
-      }
-    } else if (Arg == "--solver-threads")
-      Opts.SolverThreads =
-          static_cast<unsigned>(std::strtoul(Value(), nullptr, 10));
     else if (Arg == "--fault-plan") {
       FaultSpec = Value();
       HaveFaultSpec = true;

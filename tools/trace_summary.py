@@ -26,11 +26,7 @@ For JSONL traces, these summaries are printed:
     rate, and min/avg/p50/p95/p99/max latency — mixed batch/serve traces
     render both this and the batch views;
   * fallback-ladder descents (docs/ROBUSTNESS.md): which labels degraded,
-    through which rungs, why, and how much time the aborted attempts cost;
-  * summary-mode SCC sweep (docs/PERF.md, only when `cat == "scc"` spans
-    are present): activation count, unique SCCs, DAG height, busiest
-    components, and a critical-path lower bound with the implied work/span
-    parallelism.
+    through which rungs, why, and how much time the aborted attempts cost.
 
 Only the Python standard library is used.  Unknown record types are
 ignored so the tool keeps working as the schema grows.
@@ -273,59 +269,6 @@ def summarize_heartbeats(records):
               f"partial under-approximations")
 
 
-def summarize_sccs(records, top):
-    """Summary-engine sweep view over the per-SCC drain spans
-    (pta/summary): each span is one partition activation, its args carry
-    the component id, DAG depth, and member-method count."""
-    spans = []
-    for rec in records:
-        if rec.get("type") != "span" or rec.get("cat") != "scc":
-            continue
-        args = rec.get("args")
-        if not isinstance(args, dict):
-            args = {}
-        spans.append((int(to_num(args.get("scc", -1), -1)),
-                      int(to_num(args.get("depth", 0))),
-                      int(to_num(args.get("methods", 0))),
-                      to_num(rec.get("dur_ms", 0.0), 0.0)))
-    if not spans:
-        return False
-    busy_per_scc = {}   # scc id -> [busy_ms, activations, depth, methods]
-    for scc, depth, methods, dur in spans:
-        entry = busy_per_scc.setdefault(scc, [0.0, 0, depth, methods])
-        entry[0] += dur
-        entry[1] += 1
-    total_busy = sum(e[0] for e in busy_per_scc.values())
-    max_depth = max(e[2] for e in busy_per_scc.values())
-    # Critical-path lower bound: the sweep cannot finish a depth level
-    # before its busiest component does, and levels are ordered by the
-    # DAG, so summing the per-level maxima bounds the span from below.
-    # (The engine's exact figure chains actual dependencies; this one
-    # needs only the trace.)
-    level_max = {}
-    for busy, _, depth, _ in busy_per_scc.values():
-        level_max[depth] = max(level_max.get(depth, 0.0), busy)
-    critical_path = sum(level_max.values())
-    print()
-    print(f"summary-mode SCC sweep: {len(spans)} activation(s) over "
-          f"{len(busy_per_scc)} SCC(s), DAG height {max_depth}")
-    # A zero critical path means every span duration was zero or malformed
-    # (e.g. a truncated trace whose dur_ms fields failed to parse): no
-    # parallelism figure is derivable, so say so instead of printing a
-    # made-up "1.00".
-    parallelism = (f"{total_busy / critical_path:.2f}"
-                   if critical_path > 0 else "n/a")
-    print(f"  total busy {fmt_ms(total_busy)}, critical path >= "
-          f"{fmt_ms(critical_path)}, parallelism <= {parallelism}")
-    ranked = sorted(busy_per_scc.items(), key=lambda kv: -kv[1][0])[:top]
-    print(f"  busiest {len(ranked)} SCC(s):")
-    for scc, (busy, acts, depth, methods) in ranked:
-        pct = 100.0 * busy / total_busy if total_busy else 0.0
-        print(f"    scc:{scc:<6} {fmt_ms(busy):>10} ({pct:.1f}%)  "
-              f"x{acts}  depth {depth}  {methods} method(s)")
-    return True
-
-
 def percentile(sorted_vals, p):
     if not sorted_vals:
         return 0.0
@@ -441,7 +384,6 @@ def main():
     if ladder:
         print()
         summarize_ladder(records)
-    summarize_sccs(records, args.top)
     return 0
 
 
