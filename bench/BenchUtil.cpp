@@ -6,59 +6,38 @@
 
 #include "BenchUtil.h"
 
-#include "ir/Program.h"
-#include "pta/VariantRunner.h"
 #include "support/TableWriter.h"
+#include "workloads/Profiles.h"
 
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
+#include <iostream>
 
 using namespace pt;
 
-CellOptions CellOptions::fromEnv() {
-  CellOptions Opts;
-  if (const char *Budget = std::getenv("HYBRIDPT_BUDGET_MS"))
-    Opts.BudgetMs = std::strtoull(Budget, nullptr, 10);
-  if (const char *Runs = std::getenv("HYBRIDPT_RUNS")) {
-    Opts.Runs = static_cast<uint32_t>(std::strtoul(Runs, nullptr, 10));
-    if (Opts.Runs == 0)
-      Opts.Runs = 1;
+SharedFlags pt::parseBenchArgs(int argc, char **argv, unsigned Shared,
+                               std::vector<std::string> *Selected,
+                               const std::string &Usage,
+                               const std::function<bool(ArgParser &)> &Local) {
+  SharedFlags Flags;
+  Flags.Config.Solver.TimeBudgetMs = BenchBudgetMs;
+  ArgParser Args(argc, argv);
+  while (Args.next()) {
+    if (Args.shared(Shared, Flags) || (Local && Local(Args)))
+      continue;
+    if (!Selected || !isBenchmarkName(Args.arg())) {
+      std::cerr << "unknown argument '" << Args.arg() << "'";
+      if (Selected) {
+        std::cerr << "; benchmarks:";
+        for (const std::string &N : benchmarkNames())
+          std::cerr << ' ' << N;
+      }
+      std::cerr << "\n(options: " << Usage << ")\n";
+      std::exit(1);
+    }
+    Selected->emplace_back(Args.arg());
   }
-  if (const char *Threads = std::getenv("HYBRIDPT_THREADS"))
-    Opts.Threads = static_cast<unsigned>(std::strtoul(Threads, nullptr, 10));
-  if (const char *Ladder = std::getenv("HYBRIDPT_LADDER"))
-    Opts.UseLadder = *Ladder != '\0' && std::strcmp(Ladder, "0") != 0;
-  if (const char *Prof = std::getenv("HYBRIDPT_PROFILE"))
-    Opts.Profile = *Prof != '\0' && std::strcmp(Prof, "0") != 0;
-  return Opts;
-}
-
-static MatrixOptions toMatrixOptions(const CellOptions &Opts,
-                                     unsigned Threads) {
-  MatrixOptions M;
-  M.Solver.TimeBudgetMs = Opts.BudgetMs;
-  M.Solver.Trace = Opts.Trace;
-  M.Threads = Threads;
-  M.Runs = Opts.Runs;
-  M.TraceLabelPrefix = Opts.TraceLabelPrefix;
-  M.UseLadder = Opts.UseLadder;
-  M.Profile = Opts.Profile;
-  M.ProfileTopK = Opts.ProfileTopK;
-  return M;
-}
-
-PrecisionMetrics pt::runCell(const Program &Prog, std::string_view PolicyName,
-                             const CellOptions &Opts) {
-  std::vector<std::string> One = {std::string(PolicyName)};
-  return runVariantMatrix(Prog, One, toMatrixOptions(Opts, 1)).front();
-}
-
-std::vector<PrecisionMetrics>
-pt::runCells(const Program &Prog, const std::vector<std::string> &Policies,
-             const CellOptions &Opts) {
-  return runVariantMatrix(Prog, Policies,
-                          toMatrixOptions(Opts, Opts.Threads));
+  return Flags;
 }
 
 BenchRecord pt::makeBenchRecord(const std::string &Benchmark,
@@ -90,7 +69,8 @@ BenchRecord pt::makeBenchRecord(const std::string &Benchmark,
 }
 
 bool pt::writeBenchJson(const std::string &Path, const std::string &Harness,
-                        const CellOptions &Opts,
+                        const MatrixOptions &Opts,
+                        const std::string &TaintSpec,
                         const std::vector<BenchRecord> &Records,
                         std::string &Error) {
   std::ofstream OS(Path);
@@ -100,12 +80,12 @@ bool pt::writeBenchJson(const std::string &Path, const std::string &Harness,
   }
   OS << "{\n"
      << "  \"harness\": \"" << Harness << "\",\n"
-     << "  \"budget_ms\": " << Opts.BudgetMs << ",\n"
+     << "  \"budget_ms\": " << Opts.Config.Solver.TimeBudgetMs << ",\n"
      << "  \"runs\": " << Opts.Runs << ",\n"
      << "  \"threads\": " << Opts.Threads << ",\n"
-     << "  \"ladder\": " << (Opts.UseLadder ? "true" : "false") << ",\n";
-  if (!Opts.TaintSpec.empty())
-    OS << "  \"taint_spec\": \"" << Opts.TaintSpec << "\",\n";
+     << "  \"ladder\": " << (Opts.Config.Ladder ? "true" : "false") << ",\n";
+  if (!TaintSpec.empty())
+    OS << "  \"taint_spec\": \"" << TaintSpec << "\",\n";
   OS << "  \"cells\": [\n";
   for (size_t I = 0; I < Records.size(); ++I) {
     const BenchRecord &R = Records[I];

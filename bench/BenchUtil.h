@@ -5,79 +5,44 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Helpers shared by the table/figure harnesses: run one (benchmark,
-/// policy) cell — or a whole policy matrix concurrently — under a budget,
-/// with optional repetition taking medians as the paper does ("all numbers
-/// shown are medians of three runs"), and emit machine-readable
-/// BENCH_*.json records so the performance trajectory is tracked across
-/// PRs (tools/check_bench_regression.py diffs two such files).
+/// Helpers shared by the table/figure harnesses: parse the harness
+/// command line into the shared flags (pta/Flags.h) — the harnesses then
+/// run their cells through \c runVariantMatrix, with optional repetition
+/// taking medians as the paper does ("all numbers shown are medians of
+/// three runs") — and emit machine-readable BENCH_*.json records so the
+/// performance trajectory is tracked across PRs
+/// (tools/check_bench_regression.py diffs two such files).
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef HYBRIDPT_BENCH_BENCHUTIL_H
 #define HYBRIDPT_BENCH_BENCHUTIL_H
 
+#include "pta/Flags.h"
 #include "pta/Metrics.h"
-#include "pta/Solver.h"
+#include "pta/VariantRunner.h"
 
 #include <cstdint>
+#include <functional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 namespace pt {
 
-class Program;
+/// Default per-cell time budget of every harness (--budget overrides it):
+/// 120 s, this reproduction's stand-in for the paper's 90-minute timeout.
+constexpr uint64_t BenchBudgetMs = 120000;
 
-namespace trace {
-class TraceRecorder;
-}
-
-/// Configuration for cell runs, overridable via environment variables:
-/// HYBRIDPT_BUDGET_MS (per-cell time budget, 0 = unlimited),
-/// HYBRIDPT_RUNS (repetitions per cell; median time reported),
-/// HYBRIDPT_THREADS (worker threads for matrix runs; 0 = hardware),
-/// HYBRIDPT_LADDER (non-empty = degrade budget-aborted cells through the
-/// fallback ladder instead of reporting a dash).
-struct CellOptions {
-  uint64_t BudgetMs = 120000;
-  uint32_t Runs = 1;
-  unsigned Threads = 1;
-  /// When a cell exhausts its budget, re-run it down the policy fallback
-  /// ladder (pta/Degrade.h) until a rung converges; the record is then
-  /// stamped with \c fallback_from instead of an aborted dash.
-  bool UseLadder = false;
-  /// Observability sink shared by all cells (spans + heartbeats);
-  /// nullptr = no tracing.  Not env-controlled — harnesses wire it from
-  /// their --trace-out/--progress flags.
-  trace::TraceRecorder *Trace = nullptr;
-  /// Cell label prefix, typically "<benchmark>/".
-  std::string TraceLabelPrefix;
-  /// Record derivation provenance per cell and attach the top-K blame
-  /// profile to each record ("profile" in BENCH json; docs/OBSERVABILITY.md).
-  /// Wired from --profile-out; also HYBRIDPT_PROFILE=1.
-  bool Profile = false;
-  size_t ProfileTopK = 10;
-  /// Taint-spec path the harness instrumented its programs with ("" =
-  /// uninstrumented); stamped into the BENCH json so regression diffs can
-  /// refuse to compare tainted against untainted runs.
-  std::string TaintSpec;
-
-  /// Reads the environment overrides.
-  static CellOptions fromEnv();
-};
-
-/// Runs \p PolicyName over \p Prog and returns the metrics; \c SolveMs is
-/// the median over \c Runs repetitions.  Aborted runs report the paper's
-/// dash convention via \c PrecisionMetrics::Aborted.
-PrecisionMetrics runCell(const Program &Prog, std::string_view PolicyName,
-                         const CellOptions &Opts);
-
-/// Runs every policy in \p Policies over \p Prog, fanning the cells out
-/// over \c Opts.Threads workers, and returns metrics in policy order.
-std::vector<PrecisionMetrics>
-runCells(const Program &Prog, const std::vector<std::string> &Policies,
-         const CellOptions &Opts);
+/// Parses a harness command line: the \p Shared flags, starting from the
+/// harness defaults (\c BenchBudgetMs), and benchmark names, collected
+/// into \p Selected unless it is null.  Any other argument goes to
+/// \p Local, which returns false when it does not know it; the harness
+/// then exits 1 listing the known benchmarks and \p Usage.
+SharedFlags parseBenchArgs(int argc, char **argv, unsigned Shared,
+                           std::vector<std::string> *Selected,
+                           const std::string &Usage,
+                           const std::function<bool(ArgParser &)> &Local =
+                               nullptr);
 
 /// One row of a BENCH_*.json file.
 struct BenchRecord {
@@ -116,11 +81,12 @@ BenchRecord makeBenchRecord(const std::string &Benchmark,
                             const PrecisionMetrics &M);
 
 /// Writes \p Records as pretty-printed JSON to \p Path.  The top level
-/// carries the harness configuration so regression diffs can refuse to
-/// compare apples to oranges.  Returns false (and sets \p Error) on I/O
-/// failure.
+/// carries the harness configuration — \p Opts and the taint-spec path
+/// the programs were instrumented with ("" = none) — so regression diffs
+/// can refuse to compare apples to oranges.  Returns false (and sets
+/// \p Error) on I/O failure.
 bool writeBenchJson(const std::string &Path, const std::string &Harness,
-                    const CellOptions &Opts,
+                    const MatrixOptions &Opts, const std::string &TaintSpec,
                     const std::vector<BenchRecord> &Records,
                     std::string &Error);
 

@@ -32,9 +32,10 @@ using namespace pt;
 
 int main(int argc, char **argv) {
   std::vector<std::string> Selected;
-  for (int I = 1; I < argc; ++I)
-    if (isBenchmarkName(argv[I]))
-      Selected.push_back(argv[I]);
+  MatrixOptions Opts =
+      parseBenchArgs(argc, argv, FlagBudget | FlagRuns | FlagLadder,
+                     &Selected, "--budget MS, --runs N, --ladder")
+          .matrix();
   if (Selected.empty())
     Selected = {"antlr", "bloat", "hsqldb", "xalan"};
 
@@ -42,21 +43,19 @@ int main(int argc, char **argv) {
       "2obj+H", "S-2obj+H", "U-2obj+H", "U-2obj+HI", "U-2obj+H-swapped",
       "D-2obj+H"};
 
-  CellOptions Opts = CellOptions::fromEnv();
   std::cout << "Context-choice ablation (paper Section 3 insights + "
                "Section 6 future work):\n\n";
 
   for (const std::string &Name : Selected) {
-    Benchmark Bench = buildBenchmark(Name);
+    LoadedProgram Bench = loadProgram(Name);
     TableWriter T;
     std::vector<std::string> Header = {"metric"};
     for (const std::string &P : Policies)
       Header.push_back(P);
     T.setHeader(Header);
 
-    std::vector<PrecisionMetrics> Cells;
-    for (const std::string &P : Policies)
-      Cells.push_back(runCell(*Bench.Prog, P, Opts));
+    std::vector<PrecisionMetrics> Cells =
+        runVariantMatrix(*Bench.Prog, Policies, Opts);
 
     auto Row = [&](const std::string &Label, auto Get, int Dec) {
       std::vector<std::string> Cols = {Label};

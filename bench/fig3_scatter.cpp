@@ -24,7 +24,6 @@
 #include "workloads/Profiles.h"
 
 #include <algorithm>
-#include <cstring>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -106,19 +105,20 @@ int main(int argc, char **argv) {
                                        "eclipse", "luindex", "lusearch",
                                        "pmd",     "xalan"};
   bool Csv = false;
-  for (int I = 1; I < argc; ++I) {
-    if (std::strcmp(argv[I], "--csv") == 0) {
-      Csv = true;
-      continue;
-    }
-    Selected.clear();
-    for (int J = I; J < argc; ++J)
-      if (isBenchmarkName(argv[J]))
-        Selected.push_back(argv[J]);
-    break;
-  }
+  std::vector<std::string> Named;
+  MatrixOptions Opts =
+      parseBenchArgs(argc, argv, FlagBudget | FlagRuns | FlagLadder, &Named,
+                     "--csv, --budget MS, --runs N, --ladder",
+                     [&](ArgParser &Args) {
+                       if (!Args.is("--csv"))
+                         return false;
+                       Csv = true;
+                       return true;
+                     })
+          .matrix();
+  if (!Named.empty())
+    Selected = Named;
 
-  CellOptions Opts = CellOptions::fromEnv();
   TableWriter CsvOut;
   CsvOut.setHeader({"benchmark", "analysis", "time_s", "may_fail_casts"});
 
@@ -126,10 +126,14 @@ int main(int argc, char **argv) {
             << "Lower is better on both axes.\n\n";
 
   for (const std::string &Name : Selected) {
-    Benchmark Bench = buildBenchmark(Name);
+    LoadedProgram Bench = loadProgram(Name);
+    const std::vector<std::string> &Policies = table1PolicyNames();
+    std::vector<PrecisionMetrics> Cells =
+        runVariantMatrix(*Bench.Prog, Policies, Opts);
     std::vector<Point> Points;
-    for (const std::string &Policy : table1PolicyNames()) {
-      PrecisionMetrics M = runCell(*Bench.Prog, Policy, Opts);
+    for (size_t I = 0; I < Policies.size(); ++I) {
+      const std::string &Policy = Policies[I];
+      const PrecisionMetrics &M = Cells[I];
       Points.push_back({Policy, M.SolveMs, M.MayFailCasts, M.Aborted});
       CsvOut.addRow({Name, Policy,
                      M.Aborted ? "-" : formatSeconds(M.SolveMs),

@@ -93,8 +93,11 @@ void printRatio(const std::vector<Cells> &All, const char *Claim,
 
 } // namespace
 
-int main() {
-  CellOptions Opts = CellOptions::fromEnv();
+int main(int argc, char **argv) {
+  MatrixOptions Opts =
+      parseBenchArgs(argc, argv, FlagBudget | FlagRuns | FlagLadder,
+                     nullptr, "--budget MS, --runs N, --ladder")
+          .matrix();
   const std::vector<std::string> Policies = {
       "1obj", "U-1obj", "SA-1obj", "SB-1obj",
       "2obj+H", "U-2obj+H", "S-2obj+H",
@@ -102,10 +105,12 @@ int main() {
 
   std::vector<Cells> All;
   for (const std::string &Name : benchmarkNames()) {
-    Benchmark Bench = buildBenchmark(Name);
+    LoadedProgram Bench = loadProgram(Name);
+    std::vector<PrecisionMetrics> Row =
+        runVariantMatrix(*Bench.Prog, Policies, Opts);
     Cells C;
-    for (const std::string &Policy : Policies)
-      C.M.emplace(Policy, runCell(*Bench.Prog, Policy, Opts));
+    for (size_t I = 0; I < Policies.size(); ++I)
+      C.M.emplace(Policies[I], std::move(Row[I]));
     All.push_back(std::move(C));
     std::cout << "measured " << Name << "\n";
   }

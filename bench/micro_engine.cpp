@@ -234,7 +234,7 @@ void BM_VariantMatrix(benchmark::State &State) {
   Benchmark Bench = buildBenchmark("luindex");
   MatrixOptions Opts;
   Opts.Threads = static_cast<unsigned>(State.range(0));
-  Opts.Solver.Trace = MatrixTrace;
+  Opts.Config.Solver.Trace = MatrixTrace;
   Opts.TraceLabelPrefix = "luindex/";
   for (auto _ : State) {
     auto Cells = runVariantMatrix(*Bench.Prog, table1PolicyNames(), Opts);

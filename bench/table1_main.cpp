@@ -14,17 +14,18 @@
 /// (cs, S-cs).
 ///
 /// Dash entries mean the per-cell budget expired (paper: 90-minute
-/// timeout; here HYBRIDPT_BUDGET_MS, default 120s).  Pass benchmark names
-/// as arguments to restrict the run; pass --csv for machine-readable
-/// output; pass --threads N to fan the independent cells of each
-/// benchmark out over N workers (0 = hardware concurrency).  Every run
+/// timeout; here --budget MS, default 120s).  Pass benchmark names as
+/// arguments to restrict the run; pass --csv for machine-readable output;
+/// pass --threads N to fan the independent cells of each benchmark out
+/// over N workers (0 = hardware concurrency) and --runs N to report the
+/// median of N repetitions per cell.  Every run
 /// also records its cells to BENCH_table1.json (override with --json
 /// PATH) so tools/check_bench_regression.py can track the perf
 /// trajectory across commits.  With --taint-spec FILE every benchmark is
 /// taint-instrumented first (docs/CHECKS.md "Taint analysis"): the table
 /// gains a "tainted sinks" row and every JSON cell a tainted_sinks count.
 ///
-/// With --ladder (or HYBRIDPT_LADDER=1), budget-expired cells degrade
+/// With --ladder, budget-expired cells degrade
 /// down the policy fallback ladder (docs/ROBUSTNESS.md) instead of
 /// showing a dash: the cell reports the first coarser rung that converges
 /// within the budget, rendered as `value*` with a per-benchmark footnote
@@ -38,12 +39,7 @@
 #include "ir/Program.h"
 #include "pta/Trace.h"
 #include "support/TableWriter.h"
-#include "support/Parallel.h"
-#include "taint/Taint.h"
-#include "taint/TaintSpec.h"
-#include "workloads/Profiles.h"
 
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -56,85 +52,56 @@ int main(int argc, char **argv) {
   bool Csv = false;
   bool Progress = false;
   std::string JsonPath = "BENCH_table1.json";
-  std::string ProfileOut;
-  std::string TraceOut;
   std::string ChromeTraceOut;
   std::vector<std::string> Selected;
-  CellOptions Opts = CellOptions::fromEnv();
-  for (int I = 1; I < argc; ++I) {
-    if (std::strcmp(argv[I], "--csv") == 0) {
-      Csv = true;
-    } else if (std::strcmp(argv[I], "--ladder") == 0) {
-      Opts.UseLadder = true;
-    } else if (std::strcmp(argv[I], "--progress") == 0) {
-      Progress = true;
-    } else if (std::strcmp(argv[I], "--threads") == 0 && I + 1 < argc) {
-      // 0 = hardware concurrency (resolveThreads is the one shared
-      // interpretation; docs/PERF.md).
-      Opts.Threads = resolveThreads(
-          static_cast<unsigned>(std::strtoul(argv[++I], nullptr, 10)));
-    } else if (std::strcmp(argv[I], "--taint-spec") == 0 && I + 1 < argc) {
-      Opts.TaintSpec = argv[++I];
-    } else if (std::strcmp(argv[I], "--json") == 0 && I + 1 < argc) {
-      JsonPath = argv[++I];
-    } else if (std::strcmp(argv[I], "--profile-out") == 0 && I + 1 < argc) {
-      ProfileOut = argv[++I];
-      Opts.Profile = true;
-    } else if (std::strcmp(argv[I], "--trace-out") == 0 && I + 1 < argc) {
-      TraceOut = argv[++I];
-    } else if (std::strcmp(argv[I], "--chrome-trace") == 0 && I + 1 < argc) {
-      ChromeTraceOut = argv[++I];
-    } else if (isBenchmarkName(argv[I])) {
-      Selected.push_back(argv[I]);
-    } else {
-      std::cerr << "unknown benchmark '" << argv[I] << "'; known:";
-      for (const std::string &N : benchmarkNames())
-        std::cerr << ' ' << N;
-      std::cerr << "\n(options: --csv, --ladder, --threads N, "
-                   "--taint-spec FILE, --json PATH, --profile-out PATH, "
-                   "--trace-out FILE, --chrome-trace FILE, --progress)\n";
-      return 1;
-    }
-  }
+  SharedFlags Flags = parseBenchArgs(
+      argc, argv,
+      FlagBudget | FlagRuns | FlagThreads | FlagLadder | FlagTaintSpec |
+          FlagProfileOut | FlagTraceOut,
+      &Selected,
+      "--csv, --budget MS, --runs N, --ladder, --threads N, "
+      "--taint-spec FILE, --json PATH, --profile-out PATH, "
+      "--trace-out FILE, --chrome-trace FILE, --progress",
+      [&](ArgParser &Args) {
+        if (Args.is("--csv"))
+          Csv = true;
+        else if (Args.is("--progress"))
+          Progress = true;
+        else if (Args.is("--json"))
+          JsonPath = Args.value();
+        else if (Args.is("--chrome-trace"))
+          ChromeTraceOut = Args.value();
+        else
+          return false;
+        return true;
+      });
   if (Selected.empty())
     Selected = benchmarkNames();
-
-  // --taint-spec: every benchmark runs taint-instrumented, and the JSON
-  // grows a tainted_sinks column (stamped with the spec path so
-  // check_bench_regression.py never diffs tainted against untainted).
-  taint::TaintSpec TaintSpec;
-  if (!Opts.TaintSpec.empty()) {
-    taint::SpecParseResult Parsed = taint::parseSpecFile(Opts.TaintSpec);
-    if (!Parsed.ok()) {
-      for (const std::string &E : Parsed.Errors)
-        std::cerr << "taint spec error: " << E << "\n";
-      return 1;
-    }
-    TaintSpec = Parsed.Spec;
-  }
+  MatrixOptions Opts = Flags.matrix();
+  const std::string &TaintSpec = Flags.TaintSpecPath;
 
   // Observability: one recorder across all benchmarks, so the matrix
   // renders as a single flame view of cells over worker threads.
   std::unique_ptr<trace::TraceRecorder> Rec;
-  if (!TraceOut.empty() || !ChromeTraceOut.empty() || Progress) {
+  if (!Flags.TraceOut.empty() || !ChromeTraceOut.empty() || Progress) {
     Rec = std::make_unique<trace::TraceRecorder>();
-    if (!TraceOut.empty()) {
+    if (!Flags.TraceOut.empty()) {
       std::string Error;
-      if (!Rec->openJsonl(TraceOut, Error)) {
+      if (!Rec->openJsonl(Flags.TraceOut, Error)) {
         std::cerr << Error << "\n";
         return 1;
       }
     }
     if (Progress)
       Rec->enableProgress(std::cerr);
-    Opts.Trace = Rec.get();
+    Opts.Config.Solver.Trace = Rec.get();
   }
 
   const std::vector<std::string> &Policies = table1PolicyNames();
 
   std::cout << "Table 1: precision and performance metrics for all "
                "benchmarks and analyses.\n"
-            << "(dash = budget of " << Opts.BudgetMs
+            << "(dash = budget of " << Opts.Config.Solver.TimeBudgetMs
             << " ms expired; lower is better everywhere)\n\n";
 
   TableWriter CsvOut;
@@ -145,21 +112,26 @@ int main(int argc, char **argv) {
 
   std::vector<BenchRecord> Records;
   for (const std::string &Name : Selected) {
+    // --taint-spec: every benchmark runs taint-instrumented, and the JSON
+    // grows a tainted_sinks column (stamped with the spec path so
+    // check_bench_regression.py never diffs tainted against untainted).
     std::unique_ptr<trace::TraceRecorder::Span> FactGenSpan;
     if (Rec)
       FactGenSpan = std::make_unique<trace::TraceRecorder::Span>(
           Rec.get(), Name + "/fact-gen", "phase");
-    Benchmark Bench = buildBenchmark(Name);
-    if (!Opts.TaintSpec.empty()) {
-      taint::TaintPlan Plan = taint::resolve(TaintSpec, *Bench.Prog);
-      Bench.Prog = taint::instrument(*Bench.Prog, Plan);
-    }
+    LoadedProgram Loaded = loadProgram(Name, TaintSpec);
     FactGenSpan.reset();
+    if (!Loaded.ok()) {
+      for (const std::string &E : Loaded.Errors)
+        std::cerr << E << "\n";
+      return 1;
+    }
 
     // All cells of one benchmark are independent solver runs; fan them
     // out over the worker pool.
     Opts.TraceLabelPrefix = Name + "/";
-    std::vector<PrecisionMetrics> Cells = runCells(*Bench.Prog, Policies, Opts);
+    std::vector<PrecisionMetrics> Cells =
+        runVariantMatrix(*Loaded.Prog, Policies, Opts);
     for (size_t PI = 0; PI < Policies.size(); ++PI) {
       const PrecisionMetrics &M = Cells[PI];
       Records.push_back(makeBenchRecord(Name, Policies[PI], M));
@@ -185,8 +157,8 @@ int main(int argc, char **argv) {
     std::cout << "=== " << Name << "  (~" << Ref.ReachableMethods
               << " reachable methods, ~" << Ref.ReachableVCalls
               << " v-calls, ~" << Ref.ReachableCasts << " casts; program: "
-              << Bench.Stats.Methods << " methods, "
-              << Bench.Prog->numInstructions() << " instructions) ===\n";
+              << Loaded.Bench.Stats.Methods << " methods, "
+              << Loaded.Prog->numInstructions() << " instructions) ===\n";
 
     TableWriter T;
     T.setHeader({"metric"});
@@ -219,7 +191,7 @@ int main(int argc, char **argv) {
         [](const PrecisionMetrics &M) { return double(M.PolyVCalls); }, 0);
     Row("may-fail casts",
         [](const PrecisionMetrics &M) { return double(M.MayFailCasts); }, 0);
-    if (!Opts.TaintSpec.empty())
+    if (!TaintSpec.empty())
       Row("tainted sinks",
           [](const PrecisionMetrics &M) { return double(M.TaintedSinks); },
           0);
@@ -248,7 +220,8 @@ int main(int argc, char **argv) {
 
   std::string Error;
   if (!JsonPath.empty() && JsonPath != "-") {
-    if (!writeBenchJson(JsonPath, "table1_main", Opts, Records, Error)) {
+    if (!writeBenchJson(JsonPath, "table1_main", Opts, TaintSpec, Records,
+                        Error)) {
       std::cerr << Error << "\n";
       return 1;
     }
@@ -259,6 +232,7 @@ int main(int argc, char **argv) {
   // Standalone per-cell cost-attribution profiles (--profile-out): the
   // same "profile" objects folded into the BENCH json, but in one small
   // file tools/trace_summary.py renders directly.
+  const std::string &ProfileOut = Flags.ProfileOut;
   if (!ProfileOut.empty()) {
     std::ofstream OS(ProfileOut);
     if (!OS) {

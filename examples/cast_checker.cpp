@@ -17,15 +17,12 @@
 
 #include "context/PolicyRegistry.h"
 #include "ir/Program.h"
-#include "irtext/TextFormat.h"
 #include "pta/AnalysisResult.h"
 #include "pta/Clients.h"
+#include "pta/Pipeline.h"
 #include "pta/Solver.h"
-#include "workloads/Profiles.h"
 
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <vector>
 
 using namespace pt;
@@ -42,33 +39,15 @@ size_t countMayFail(const std::vector<CastCheck> &Checks) {
 } // namespace
 
 int main(int argc, char **argv) {
-  Benchmark Bench;
-  std::unique_ptr<Program> Owned;
-  const Program *P = nullptr;
-
   std::string Input = argc > 1 ? argv[1] : "lusearch";
-  if (isBenchmarkName(Input)) {
-    Bench = buildBenchmark(Input);
-    P = Bench.Prog.get();
-    std::cout << "checking casts of built-in benchmark '" << Input << "'\n";
-  } else {
-    std::ifstream In(Input);
-    if (!In) {
-      std::cerr << "'" << Input
-                << "' is neither a benchmark name nor a readable file\n";
-      return 1;
-    }
-    std::stringstream Buffer;
-    Buffer << In.rdbuf();
-    ParseResult Parsed = parseProgram(Buffer.str());
-    if (!Parsed.ok()) {
-      for (const std::string &E : Parsed.Errors)
-        std::cerr << "parse error: " << E << "\n";
-      return 1;
-    }
-    Owned = std::move(Parsed.Prog);
-    P = Owned.get();
+  LoadedProgram Loaded = loadProgram(Input);
+  if (!Loaded.ok()) {
+    for (const std::string &E : Loaded.Errors)
+      std::cerr << E << "\n";
+    return 1;
   }
+  const Program *P = Loaded.Prog;
+  std::cout << "checking casts of '" << Input << "'\n";
 
   // The precision ladder, weakest to strongest.
   const std::vector<std::string> Ladder = {"insens", "1call", "1obj",

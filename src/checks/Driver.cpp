@@ -7,10 +7,8 @@
 #include "checks/Driver.h"
 
 #include "checks/Flow.h"
-#include "context/PolicyRegistry.h"
 #include "ir/Program.h"
 #include "pta/AnalysisResult.h"
-#include "pta/Solver.h"
 
 #include <algorithm>
 #include <set>
@@ -41,26 +39,19 @@ LintRun pt::checks::runCheckers(const AnalysisResult &Result,
 }
 
 LintRun pt::checks::lintProgram(const Program &Prog, const LintOptions &Opts) {
-  std::unique_ptr<ContextPolicy> Policy = createPolicy(Opts.Policy, Prog);
-  if (!Policy) {
+  LadderResult Solved = analyze(Prog, Opts.Config);
+  if (!Solved.Result) {
     LintRun Run;
-    Run.Error = "unknown policy '" + Opts.Policy + "'";
+    Run.Error = Solved.Error;
     return Run;
   }
-  SolverOptions SOpts;
-  SOpts.TimeBudgetMs = Opts.TimeBudgetMs;
-  SOpts.MaxFacts = Opts.MaxFacts;
-  SOpts.MemoryBudgetBytes = Opts.MemoryBudgetBytes;
-  SOpts.Cancel = Opts.Cancel;
-  SOpts.Prov = Opts.Prov;
-  Solver S(Prog, *Policy, SOpts);
-  AnalysisResult Result = S.run();
+  const AnalysisResult &Result = *Solved.Result;
   LintRun Run = runCheckers(Result, Opts.Checks);
-  if (PT_PROV_ACTIVE(Opts.Prov))
-    attachDerivationFlows(Result, *Opts.Prov, Run.Diags);
+  if (PT_PROV_ACTIVE(Opts.Config.Solver.Prov))
+    attachDerivationFlows(Result, *Opts.Config.Solver.Prov, Run.Diags);
   if (Opts.KeepResult) {
-    Run.Policy = std::move(Policy);
-    Run.Result.emplace(std::move(Result));
+    Run.Policy = std::move(Solved.Policy);
+    Run.Result = std::move(Solved.Result);
   }
   return Run;
 }
@@ -104,22 +95,19 @@ CompareResult pt::checks::comparePolicies(const Program &Prog,
   CR.BasePolicy = Base;
   CR.RefinedPolicy = Refined;
 
-  LintOptions BaseOpts = Opts;
-  BaseOpts.Policy = Base;
   // Two runs cannot share one arena: fact payloads embed per-run dense
   // object ids.  The comparison never reads provenance anyway.
-  BaseOpts.Prov = nullptr;
-  BaseOpts.KeepResult = false;
-  CR.Base = lintProgram(Prog, BaseOpts);
+  LintOptions RunOpts = Opts;
+  RunOpts.Config.Solver.Prov = nullptr;
+  RunOpts.KeepResult = false;
+  RunOpts.Config.Policy = Base;
+  CR.Base = lintProgram(Prog, RunOpts);
   if (!CR.Base.ok()) {
     CR.Error = CR.Base.Error;
     return CR;
   }
-  LintOptions RefOpts = Opts;
-  RefOpts.Policy = Refined;
-  RefOpts.Prov = nullptr;
-  RefOpts.KeepResult = false;
-  CR.Refined = lintProgram(Prog, RefOpts);
+  RunOpts.Config.Policy = Refined;
+  CR.Refined = lintProgram(Prog, RunOpts);
   if (!CR.Refined.ok()) {
     CR.Error = CR.Refined.Error;
     return CR;

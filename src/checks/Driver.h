@@ -19,8 +19,7 @@
 #include "checks/Checker.h"
 #include "checks/Diagnostic.h"
 #include "pta/AnalysisResult.h"
-#include "pta/provenance/Provenance.h"
-#include "support/Cancel.h"
+#include "pta/Pipeline.h"
 
 #include <cstdint>
 #include <memory>
@@ -39,26 +38,19 @@ namespace checks {
 
 /// Options of one lint run.
 struct LintOptions {
-  /// Context policy name (see context/PolicyRegistry.h).
-  std::string Policy = "2obj+H";
+  /// The solve behind the lint (pta/Pipeline.h): policy, budgets,
+  /// cancellation (a cancelled run still renders and flushes its report,
+  /// marked aborted) and the provenance recorder.  When the recorder is
+  /// set, diagnostics with "why" anchors get their derivation attached as
+  /// \c Diagnostic::Flow (SARIF codeFlows); it must be empty, and
+  /// comparePolicies ignores it (two runs cannot share one arena).
+  AnalysisConfig Config = {"2obj+H", {}, /*Ladder=*/false, {}};
   /// Checker ids to run; empty = all registered checkers.
   std::vector<std::string> Checks;
-  /// Solver budgets, 0 = unlimited.
-  uint64_t TimeBudgetMs = 0;
-  uint64_t MaxFacts = 0;
-  uint64_t MemoryBudgetBytes = 0;
-  /// Cooperative cancellation (^C / deadline); nullptr = none.  A
-  /// cancelled run still renders and flushes its report, marked aborted.
-  const CancelToken *Cancel = nullptr;
-  /// Derivation provenance recorder.  When set, the solver records into it
-  /// and diagnostics with "why" anchors get their derivation attached as
-  /// \c Diagnostic::Flow (SARIF codeFlows).  The recorder must be empty;
-  /// comparePolicies ignores it (two runs cannot share one arena).
-  prov::Recorder *Prov = nullptr;
   /// Keep the solved result (and its policy) alive in the returned
   /// \c LintRun so callers can run post-lint provenance queries against it
-  /// (`hybridpt-lint --why`); fact ids in \c Prov are only meaningful
-  /// against this result's object tables.
+  /// (`hybridpt-lint --why`); fact ids in the recorder are only
+  /// meaningful against this result's object tables.
   bool KeepResult = false;
 };
 
@@ -90,7 +82,7 @@ struct LintRun {
 LintRun runCheckers(const AnalysisResult &Result,
                     const std::vector<std::string> &Checks = {});
 
-/// Solves \p Prog under \c Opts.Policy, then runs the checkers.
+/// Solves \p Prog under \c Opts.Config, then runs the checkers.
 LintRun lintProgram(const Program &Prog, const LintOptions &Opts = {});
 
 /// Per-checker report-count delta between two policies.

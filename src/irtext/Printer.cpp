@@ -263,3 +263,12 @@ MethodId pt::findMethodByPath(const Program &Prog, std::string_view Path) {
   }
   return MethodId::invalid();
 }
+
+HeapId pt::findHeapByName(const Program &Prog, std::string_view Name) {
+  for (size_t H = 0; H < Prog.numHeaps(); ++H) {
+    HeapId Id = HeapId::fromIndex(H);
+    if (Prog.text(Prog.heap(Id).Name) == Name)
+      return Id;
+  }
+  return HeapId();
+}

@@ -85,6 +85,11 @@ VarId findVarByPath(const Program &Prog, std::string_view Path);
 /// Looks up a method by "Class::name/arity".
 MethodId findMethodByPath(const Program &Prog, std::string_view Path);
 
+/// Looks up a heap allocation site by its exact name; the first site with
+/// that name wins (heap names are unique per program in practice).
+/// Returns an invalid id when absent.
+HeapId findHeapByName(const Program &Prog, std::string_view Name);
+
 } // namespace pt
 
 #endif // HYBRIDPT_IRTEXT_TEXTFORMAT_H

@@ -99,7 +99,16 @@ LadderResult pt::solveWithLadder(const Program &Prog,
   }
   if (!validateLadder(Rungs, Out.Error))
     return Out;
+  return solveRungs(Prog, Rungs, Opts, &LOpts);
+}
 
+LadderResult pt::solveRungs(const Program &Prog,
+                            const std::vector<std::string> &Rungs,
+                            const SolverOptions &Opts,
+                            const LadderOptions *Ladder) {
+  LadderResult Out;
+  Out.RequestedPolicy = Rungs.front();
+  const bool WarmStart = Ladder && Ladder->WarmStart;
   std::vector<MethodId> Seeds;
   for (size_t RI = 0; RI < Rungs.size(); ++RI) {
     const std::string &Rung = Rungs[RI];
@@ -113,14 +122,15 @@ LadderResult pt::solveWithLadder(const Program &Prog,
     // series are monotone per label, and a re-run restarts from zero.
     if (RI > 0 && !Opts.TraceLabel.empty())
       SOpts.TraceLabel = Opts.TraceLabel + "~" + Rung;
-    if (LOpts.WarmStart && Rung == "insens")
+    if (WarmStart && Rung == "insens")
       SOpts.SeedReachable = Seeds;
     // Each rung is a fresh run with fresh dense object ids; derivations of
     // the landed rung must not cite facts from an aborted finer attempt.
-    if (PT_PROV_ACTIVE(SOpts.Prov))
+    if (Ladder && PT_PROV_ACTIVE(SOpts.Prov))
       SOpts.Prov->clear();
     AnalysisResult R = solveProgram(Prog, *Pol, SOpts);
-    Out.Trail.push_back({Rung, R.SolveMs, R.Reason});
+    if (Ladder)
+      Out.Trail.push_back({Rung, R.SolveMs, R.Reason});
 
     bool ResourceAbort =
         R.Aborted && (R.Reason == AbortReason::TimeBudget ||
@@ -130,7 +140,7 @@ LadderResult pt::solveWithLadder(const Program &Prog,
     if (!ResourceAbort || LastRung) {
       // Land here: converged, cancelled (the user wants out, not a
       // coarser answer), or ladder exhausted.
-      if (Opts.Trace && ResourceAbort)
+      if (Ladder && Opts.Trace && ResourceAbort)
         Opts.Trace->ladder(Opts.TraceLabel, Rung, /*To=*/"",
                            abortReasonName(R.Reason), R.SolveMs);
       Out.LandedPolicy = Rung;
@@ -145,7 +155,7 @@ LadderResult pt::solveWithLadder(const Program &Prog,
     if (Opts.Trace)
       Opts.Trace->ladder(Opts.TraceLabel, Rung, Rungs[RI + 1],
                          abortReasonName(R.Reason), R.SolveMs);
-    if (LOpts.WarmStart)
+    if (WarmStart)
       Seeds = R.reachableMethods();
   }
   // Unreachable: the loop always lands on its last rung.

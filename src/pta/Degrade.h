@@ -109,6 +109,16 @@ LadderResult solveWithLadder(const Program &Prog, std::string_view PolicyName,
                              const SolverOptions &Opts,
                              const LadderOptions &LOpts = {});
 
+/// The one solve loop behind \c solveWithLadder and \c analyze
+/// (pta/Pipeline.h): solves \p Rungs in order, moving on only after a
+/// resource-budget abort.  \p Ladder null is a native run of the single
+/// policy in \p Rungs, which records no trail and no "ladder" trace
+/// record.
+LadderResult solveRungs(const Program &Prog,
+                        const std::vector<std::string> &Rungs,
+                        const SolverOptions &Opts,
+                        const LadderOptions *Ladder);
+
 } // namespace pt
 
 #endif // HYBRIDPT_PTA_DEGRADE_H

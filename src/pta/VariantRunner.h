@@ -20,7 +20,7 @@
 #define HYBRIDPT_PTA_VARIANTRUNNER_H
 
 #include "pta/Metrics.h"
-#include "pta/Solver.h"
+#include "pta/Pipeline.h"
 
 #include <string>
 #include <vector>
@@ -31,10 +31,14 @@ class Program;
 
 /// Configuration for one matrix run.
 struct MatrixOptions {
-  /// Per-run budgets (time and fact caps apply to every cell).  Its
-  /// \c Trace sink, when set, receives one span per cell plus
-  /// solve/metrics phase spans and the cells' heartbeats.
-  SolverOptions Solver;
+  /// What every cell runs (pta/Pipeline.h), except its policy, which
+  /// comes from the policy list.  The solver budgets apply to every cell;
+  /// the \c Trace sink, when set, receives one span per cell plus
+  /// solve/metrics phase spans and the cells' heartbeats.  With
+  /// \c Config.Ladder, a cell that aborts on a resource budget descends
+  /// its fallback ladder instead of reporting a dash, and carries
+  /// FallbackFrom/LandedPolicy/LadderTrail.
+  AnalysisConfig Config;
   /// Worker threads; 0 = one per hardware thread.
   unsigned Threads = 1;
   /// Repetitions per cell; the reported cell is the repetition with the
@@ -49,18 +53,11 @@ struct MatrixOptions {
   /// Prefix for cell trace labels, typically "<benchmark>/"; the policy
   /// name is appended per cell.
   std::string TraceLabelPrefix;
-  /// Graceful degradation (pta/Degrade.h): when a cell aborts on a
-  /// resource budget, descend its fallback ladder instead of reporting a
-  /// dash.  Degraded cells carry FallbackFrom/LandedPolicy/LadderTrail.
-  bool UseLadder = false;
-  /// Explicit ladder tail applied after each cell's own policy; empty =
-  /// the derived default ladder.  Only meaningful with \c UseLadder.
-  std::vector<std::string> LadderRungs;
   /// Record derivation provenance per cell and attach the rendered blame
   /// profile (prov::renderBlameJson) to \c PrecisionMetrics::ProfileJson.
   /// Each repetition gets its own recorder — cells run concurrently and
-  /// fact payloads embed per-run object ids — so \c Solver.Prov is ignored
-  /// by the matrix.  No-op when the build compiles provenance out.
+  /// fact payloads embed per-run object ids — so \c Config.Solver.Prov is
+  /// ignored by the matrix.  No-op when the build compiles provenance out.
   bool Profile = false;
   /// Rows per attribution bucket in the per-cell profile.
   size_t ProfileTopK = 10;

@@ -93,56 +93,11 @@ const char *pt::prov::ruleName(Rule R) {
   return "?";
 }
 
-namespace {
-
-uint64_t factHash(FactKind Kind, uint64_t A, uint64_t B64) {
-  return hashCombine(hashCombine(mix64(static_cast<uint64_t>(Kind)), A), B64);
-}
-
-} // namespace
-
-void Recorder::index() {
-  // Load factor at most 1: when the facts outgrow the buckets, rechain
-  // everything into a table of twice the size.
-  size_t NumBuckets = std::max<size_t>(Buckets.size(), 1024);
-  while (NumBuckets < Facts.size())
-    NumBuckets *= 2;
-  if (NumBuckets != Buckets.size()) {
-    Buckets.assign(NumBuckets, UINT32_MAX);
-    Chain.clear();
-  }
-  for (uint32_t I = static_cast<uint32_t>(Chain.size()); I < Facts.size();
-       ++I) {
-    size_t S = factHash(Facts[I].Kind, Facts[I].A, Facts[I].B64) &
-               (NumBuckets - 1);
-    Chain.push_back(Buckets[S]);
-    Buckets[S] = I;
-  }
-}
-
-uint32_t Recorder::internFact(FactKind Kind, uint64_t A, uint64_t B64) {
-  index();
-  uint64_t H = factHash(Kind, A, B64);
-  for (uint32_t I = Buckets[H & (Buckets.size() - 1)]; I != UINT32_MAX;
-       I = Chain[I]) {
-    const FactRec &F = Facts[I];
-    if (F.Kind == Kind && F.A == A && F.B64 == B64)
-      return I;
-  }
-  uint32_t Id = reserveFact(Kind, A, B64);
-  index();
-  return Id;
-}
-
 void Recorder::clear() {
   Facts.clear();
   Facts.shrink_to_fit();
   Steps.clear();
   Steps.shrink_to_fit();
-  Buckets.clear();
-  Buckets.shrink_to_fit();
-  Chain.clear();
-  Chain.shrink_to_fit();
 }
 
 // --- Queries ----------------------------------------------------------------

@@ -16,8 +16,7 @@
 /// it, and keeps each fact's id next to the data it describes (a per-node
 /// array parallel to the points-to set, justifications parallel to the
 /// edges), so it appends with \c appendFact and never looks a fact up by
-/// value.  \c internFact's hash index is built only on first use; a
-/// solver run never allocates it.
+/// value.
 ///
 /// Discipline mirrors support/Telemetry.h: a null recorder pointer makes
 /// every hook a single-pointer test, and the \c HYBRIDPT_PROVENANCE CMake
@@ -179,10 +178,6 @@ public:
     return Id;
   }
 
-  /// Interns (\p Kind, \p A, \p B64) and returns its dense fact id.  The
-  /// first call indexes every fact appended so far.
-  uint32_t internFact(FactKind Kind, uint64_t A, uint64_t B64);
-
   /// Appends one derivation step concluding \p Target.
   void step(uint32_t Target, Rule R, uint32_t P0 = InvalidFact,
             uint32_t P1 = InvalidFact) {
@@ -221,17 +216,13 @@ public:
         return;
   }
 
-  /// Arena bytes (facts + steps + index).
+  /// Arena bytes (facts + steps).
   size_t memoryBytes() const {
     return Facts.capacity() * sizeof(FactRec) +
-           Steps.capacity() * sizeof(Step) +
-           (Buckets.capacity() + Chain.capacity()) * sizeof(uint32_t);
+           Steps.capacity() * sizeof(Step);
   }
 
 private:
-  /// Brings the hash index up to date with \c Facts.
-  void index();
-
   struct FactRec {
     uint64_t A;
     uint64_t B64;
@@ -241,11 +232,6 @@ private:
 
   std::vector<FactRec> Facts;
   std::vector<Step> Steps;
-  /// The hash index, for \c internFact only: power-of-two bucket heads
-  /// and one chain link per indexed fact.  \c Chain.size() is the
-  /// watermark: facts at or past it are not indexed yet.
-  std::vector<uint32_t> Buckets;
-  std::vector<uint32_t> Chain;
 };
 
 // --- Query API --------------------------------------------------------------

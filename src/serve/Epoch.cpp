@@ -7,10 +7,6 @@
 #include "serve/Epoch.h"
 
 #include "ir/Program.h"
-#include "irtext/TextFormat.h"
-
-#include <fstream>
-#include <sstream>
 
 using namespace pt;
 using namespace pt::serve;
@@ -19,31 +15,14 @@ std::shared_ptr<const Epoch> pt::serve::loadEpoch(uint64_t Id,
                                                   const std::string &Spec,
                                                   std::string &Error) {
   auto Ep = std::make_shared<Epoch>();
+  static_cast<LoadedProgram &>(*Ep) = loadProgram(Spec);
+  if (!Ep->ok()) {
+    // The first error names the problem; the rest are usually noise.
+    Error = Ep->Errors.front();
+    return nullptr;
+  }
   Ep->Id = Id;
   Ep->Spec = Spec;
-  if (isBenchmarkName(Spec)) {
-    Ep->Bench = buildBenchmark(Spec);
-    Ep->Prog = Ep->Bench.Prog.get();
-    return Ep;
-  }
-  std::ifstream In(Spec);
-  if (!In) {
-    Error = "cannot open '" + Spec + "'";
-    return nullptr;
-  }
-  std::stringstream Buffer;
-  Buffer << In.rdbuf();
-  ParseResult Parsed = parseProgram(Buffer.str(), Spec);
-  if (!Parsed.ok()) {
-    Error = "parse error in '" + Spec + "'";
-    for (const std::string &E : Parsed.Errors) {
-      Error += ": " + E;
-      break; // First error names the problem; the rest are usually noise.
-    }
-    return nullptr;
-  }
-  Ep->Owned = std::move(Parsed.Prog);
-  Ep->Prog = Ep->Owned.get();
   return Ep;
 }
 

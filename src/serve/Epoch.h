@@ -30,7 +30,7 @@
 
 #include "pta/AnalysisResult.h"
 #include "pta/Metrics.h"
-#include "workloads/Profiles.h"
+#include "pta/Pipeline.h"
 
 #include <cstdint>
 #include <list>
@@ -49,20 +49,16 @@ class Program;
 
 namespace serve {
 
-/// One immutable loaded program.
-struct Epoch {
+/// One immutable loaded program (\c LoadedProgram::Prog) and its id.
+struct Epoch : LoadedProgram {
   uint64_t Id = 0;
   /// What was loaded: a built-in benchmark name or a PTIR file path.
   std::string Spec;
-  /// Ownership: exactly one of these holds the program.
-  Benchmark Bench;
-  std::unique_ptr<Program> Owned;
-  /// The program, whoever owns it.
-  const Program *Prog = nullptr;
 };
 
-/// Loads \p Spec (benchmark name or PTIR file) as epoch \p Id.  Returns
-/// nullptr and fills \p Error on failure.
+/// Loads \p Spec (benchmark name or PTIR file, through \c loadProgram) as
+/// epoch \p Id.  Returns nullptr and fills \p Error with the first load
+/// error on failure.
 std::shared_ptr<const Epoch> loadEpoch(uint64_t Id, const std::string &Spec,
                                        std::string &Error);
 

@@ -10,7 +10,6 @@
 #include "context/PolicyRegistry.h"
 #include "ir/Program.h"
 #include "irtext/TextFormat.h"
-#include "pta/Degrade.h"
 #include "serve/Canon.h"
 #include "support/Json.h"
 
@@ -281,18 +280,23 @@ void Server::workerLoop() {
   }
 }
 
-SolverOptions Server::solverOptions(const Request &Req, CancelToken &Tok,
-                                    const FaultPlan *Fault) const {
-  SolverOptions SOpts;
-  SOpts.TimeBudgetMs = Req.BudgetMs ? Req.BudgetMs : Opts.DefaultBudgetMs;
-  SOpts.MaxFacts = Req.MaxFacts ? Req.MaxFacts : Opts.DefaultMaxFacts;
-  uint64_t MemMb =
-      Req.MaxMemoryMb ? Req.MaxMemoryMb : Opts.DefaultMaxMemoryMb;
-  SOpts.MemoryBudgetBytes = MemMb * 1000000;
-  SOpts.Cancel = &Tok;
+AnalysisConfig Server::analysisConfig(const Request &Req,
+                                      const std::string &Policy,
+                                      CancelToken &Tok,
+                                      const FaultPlan *Fault) const {
+  AnalysisConfig C = Opts.Analysis;
+  C.Policy = Policy;
+  SolverOptions &S = C.Solver;
+  if (Req.BudgetMs)
+    S.TimeBudgetMs = Req.BudgetMs;
+  if (Req.MaxFacts)
+    S.MaxFacts = Req.MaxFacts;
+  if (Req.MaxMemoryMb)
+    S.MemoryBudgetBytes = Req.MaxMemoryMb * 1000000;
+  S.Cancel = &Tok;
   if (Fault)
-    SOpts.Faults = *Fault;
-  return SOpts;
+    S.Faults = *Fault;
+  return C;
 }
 
 std::shared_ptr<const CacheEntry>
@@ -345,25 +349,18 @@ Server::solveCell(const Job &Job, const std::string &Policy, CancelToken &Tok,
     return nullptr;
   }
 
-  SolverOptions SOpts = solverOptions(Job.Req, Tok, Fault);
+  LadderResult LR = analyze(P, analysisConfig(Job.Req, Policy, Tok, Fault));
+  if (!LR.Result) {
+    Out.Code = ErrorCode::Internal;
+    Out.Error = LR.Error;
+    return nullptr;
+  }
   auto Entry = std::make_shared<CacheEntry>();
   Entry->Ep = Job.Ep;
-  if (Opts.UseLadder) {
-    LadderResult LR = solveWithLadder(P, Policy, SOpts, {});
-    if (!LR.Result) {
-      Out.Code = ErrorCode::Internal;
-      Out.Error = LR.Error;
-      return nullptr;
-    }
-    Entry->Policy = std::move(LR.Policy);
-    Entry->Result = std::move(LR.Result);
-    Entry->LandedPolicy = LR.LandedPolicy;
-    Entry->FallbackFrom = LR.FallbackFrom;
-  } else {
-    Entry->Policy = createPolicy(Policy, P);
-    Entry->Result.emplace(solveProgram(P, *Entry->Policy, SOpts));
-    Entry->LandedPolicy = Policy;
-  }
+  Entry->Policy = std::move(LR.Policy);
+  Entry->Result = std::move(LR.Result);
+  Entry->LandedPolicy = LR.LandedPolicy;
+  Entry->FallbackFrom = LR.FallbackFrom;
 
   if (Entry->Result->Aborted) {
     if (Entry->Result->Reason == AbortReason::Cancelled) {
@@ -375,7 +372,7 @@ Server::solveCell(const Job &Job, const std::string &Policy, CancelToken &Tok,
       Out.Code = ErrorCode::Budget;
       Out.Error = std::string("solver budget exhausted (") +
                   abortReasonName(Entry->Result->Reason) +
-                  (Opts.UseLadder ? "; ladder exhausted)" : ")");
+                  (Opts.Analysis.Ladder ? "; ladder exhausted)" : ")");
     }
     return nullptr;
   }
@@ -488,13 +485,10 @@ Server::Outcome Server::runCompare(const Job &Job, CancelToken &Tok,
   }
   checks::LintOptions LO;
   LO.Checks = Job.Req.Checks;
-  LO.TimeBudgetMs =
-      Job.Req.BudgetMs ? Job.Req.BudgetMs : Opts.DefaultBudgetMs;
-  LO.MaxFacts = Job.Req.MaxFacts ? Job.Req.MaxFacts : Opts.DefaultMaxFacts;
-  LO.MemoryBudgetBytes =
-      (Job.Req.MaxMemoryMb ? Job.Req.MaxMemoryMb : Opts.DefaultMaxMemoryMb) *
-      1000000;
-  LO.Cancel = &Tok;
+  LO.Config = analysisConfig(Job.Req, "", Tok, nullptr);
+  // Both sides run natively: a comparison against a degraded rung would
+  // not be the comparison the client asked for.
+  LO.Config.Ladder = false;
   checks::CompareResult CR =
       checks::comparePolicies(P, Job.Req.Base, Job.Req.Refined, LO);
   if (!CR.ok()) {

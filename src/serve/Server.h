@@ -36,7 +36,7 @@
 #ifndef HYBRIDPT_SERVE_SERVER_H
 #define HYBRIDPT_SERVE_SERVER_H
 
-#include "pta/Solver.h"
+#include "pta/Pipeline.h"
 #include "pta/Trace.h"
 #include "serve/Epoch.h"
 #include "serve/Protocol.h"
@@ -61,8 +61,11 @@ namespace pt::serve {
 struct ServerOptions {
   /// Program to load as epoch 1 (benchmark name or PTIR file).
   std::string ProgramSpec;
-  /// Policy used when a request names none.
-  std::string DefaultPolicy = "2obj+H";
+  /// The analysis a request gets by default (pta/Pipeline.h): the policy
+  /// used when a request names none, the solver budgets (0 = unlimited,
+  /// overridable per request) and the fallback ladder, on by default so a
+  /// budget-blown solve descends instead of failing.
+  AnalysisConfig Analysis = {"2obj+H", {}, /*Ladder=*/true, {}};
   /// Worker threads draining the admission queue.
   unsigned Workers = 2;
   /// Admission queue bound; a full queue sheds ("overloaded").
@@ -71,14 +74,8 @@ struct ServerOptions {
   size_t CacheEntries = 32;
   /// Default per-request wall-clock deadline (0 = none).
   uint64_t DefaultDeadlineMs = 0;
-  /// Default solver budgets (0 = unlimited), overridable per request.
-  uint64_t DefaultBudgetMs = 0;
-  uint64_t DefaultMaxFacts = 0;
-  uint64_t DefaultMaxMemoryMb = 0;
   /// Suggested client back-off stamped on shed replies.
   uint64_t RetryAfterMs = 50;
-  /// Descend the fallback ladder on budget-blown solves.
-  bool UseLadder = true;
   /// Per-request fault schedule (testing; docs/ROBUSTNESS.md).
   RequestFaultPlan Faults;
   /// Request-latency trace sink; may be null.
@@ -178,10 +175,13 @@ private:
   std::string handleHealth(const Request &Req);
   std::string handleReload(const Request &Req);
 
-  SolverOptions solverOptions(const Request &Req, CancelToken &Tok,
-                              const FaultPlan *Fault) const;
+  /// The daemon's analysis defaults under \p Req's budget overrides,
+  /// solving \p Policy.
+  AnalysisConfig analysisConfig(const Request &Req, const std::string &Policy,
+                                CancelToken &Tok,
+                                const FaultPlan *Fault) const;
   std::string requestedPolicy(const Request &Req) const {
-    return Req.Policy.empty() ? Opts.DefaultPolicy : Req.Policy;
+    return Req.Policy.empty() ? Opts.Analysis.Policy : Req.Policy;
   }
 
   ServerOptions Opts;

@@ -101,7 +101,7 @@ TEST(Checkers, DispatchExampleFindings) {
   auto Prog = parseExample("dispatch.ptir");
   ASSERT_TRUE(Prog);
   LintOptions Opts;
-  Opts.Policy = "2obj+H";
+  Opts.Config.Policy = "2obj+H";
   LintRun Run = lintProgram(*Prog, Opts);
   ASSERT_TRUE(Run.ok()) << Run.Error;
   EXPECT_FALSE(Run.Aborted);
@@ -144,7 +144,7 @@ TEST(Checkers, DeterministicAcrossRepeatedRuns) {
   auto Prog = parseExample("dispatch.ptir");
   ASSERT_TRUE(Prog);
   LintOptions Opts;
-  Opts.Policy = "S-2obj+H";
+  Opts.Config.Policy = "S-2obj+H";
   LintRun A = lintProgram(*Prog, Opts);
   LintRun B = lintProgram(*Prog, Opts);
   ASSERT_TRUE(A.ok());
@@ -279,7 +279,7 @@ TEST(Checkers, WellFormedUnderEveryPaperPolicy) {
     for (const std::string &PolicyName : paperPolicyNames()) {
       SCOPED_TRACE(PolicyName);
       LintOptions Opts;
-      Opts.Policy = PolicyName;
+      Opts.Config.Policy = PolicyName;
       LintRun Run = lintProgram(*Parsed.Prog, Opts);
       ASSERT_TRUE(Run.ok()) << Run.Error;
       std::set<std::string> Keys;

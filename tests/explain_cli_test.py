@@ -63,6 +63,9 @@ def check_golden(name, actual, golden_path):
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--hybridpt", required=True)
+    ap.add_argument("--lint", default="",
+                    help="hybridpt-lint binary; its --why runs the "
+                         "malformed-query checks too")
     ap.add_argument("--examples", required=True)
     ap.add_argument("--golden", required=True,
                     help="directory holding *.explain.txt goldens")
@@ -121,13 +124,19 @@ def main():
     check("no derivation" in proc.stdout,
           f"negative: unexpected output: {proc.stdout[-300:]}")
 
-    # Malformed queries: clear message, no derivation attempt.
-    for bad in ("var=Basket::fill/0::a", "var=No::such/0::v,heap=new X@1",
-                "frob=1"):
-        proc = run([args.hybridpt, "explain", "--policy", "2obj+H",
-                    "--why", bad, factory])
-        check(proc.returncode == 1,
-              f"bad query {bad!r}: exited {proc.returncode}, want 1")
+    # Malformed queries: clear message, no derivation attempt — the same
+    # parse in hybridpt and hybridpt-lint.
+    front_doors = [[args.hybridpt, "explain"]]
+    if args.lint:
+        front_doors.append([args.lint])
+    for door in front_doors:
+        for bad in ("var=Basket::fill/0::a",
+                    "var=No::such/0::v,heap=new X@1", "frob=1",
+                    "var," + FACTORY_WHY):
+            proc = run(door + ["--policy", "2obj+H", "--why", bad, factory])
+            check(proc.returncode == 1,
+                  f"{door[0]}: bad query {bad!r}: exited "
+                  f"{proc.returncode}, want 1")
 
     # The ladder-degraded cell: 2call+H blows a 21000-fact budget on
     # luindex, the ladder walk lands on 1call, and the query is answered

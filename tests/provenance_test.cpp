@@ -56,13 +56,6 @@ const Program &luindex() {
   return *Bench.Prog;
 }
 
-HeapId findHeapByName(const Program &P, std::string_view Name) {
-  for (uint32_t I = 0, E = P.numHeaps(); I != E; ++I)
-    if (P.text(P.heap(HeapId::fromIndex(I)).Name) == Name)
-      return HeapId::fromIndex(I);
-  return HeapId();
-}
-
 // The paper's Section 3 motivation as a provenance query: under the
 // merging baseline, Basket::fill's `a` reaches the banana allocation
 // through the static pass-through, and the recorder can say exactly how.
@@ -401,31 +394,6 @@ TEST(Provenance, CastAndSanitizeOnOneNodePairKeepTheirRules) {
   prov::ValidationResult VR =
       prov::validateSampledSteps(Rec, R, Policy.get(), /*Stride=*/1);
   EXPECT_TRUE(VR.Ok) << VR.Error;
-}
-
-// The hash index behind internFact is built on first use and catches up
-// with facts appended without it, so the two ways in never disagree on
-// an id.
-TEST(Provenance, InternFindsAppendedFacts) {
-  using prov::FactKind;
-  prov::Recorder Rec;
-  uint32_t A = Rec.appendFact(FactKind::VarPointsTo, 7, 1, prov::Rule::Alloc);
-  uint32_t B = Rec.reserveFact(FactKind::CallEdge, 7, 9);
-  EXPECT_EQ(Rec.internFact(FactKind::VarPointsTo, 7, 1), A);
-  EXPECT_EQ(Rec.internFact(FactKind::CallEdge, 7, 9), B);
-  uint32_t C = Rec.internFact(FactKind::VarPointsTo, 7, 2);
-  EXPECT_EQ(C, 2u);
-  // Enough appends to force the index to grow past its first table.
-  for (uint64_t I = 0; I < 5000; ++I)
-    Rec.appendFact(FactKind::FieldPointsTo, I, I, prov::Rule::Store);
-  EXPECT_EQ(Rec.internFact(FactKind::FieldPointsTo, 4321, 4321), 3u + 4321);
-  EXPECT_EQ(Rec.internFact(FactKind::VarPointsTo, 7, 2), C);
-  EXPECT_EQ(Rec.numFacts(), 5003u);
-  // Only appendFact records a step; the reserved and interned facts
-  // have none.
-  EXPECT_EQ(Rec.numSteps(), 5001u);
-  EXPECT_EQ(Rec.firstStepOf(B), UINT32_MAX);
-  EXPECT_EQ(Rec.firstStepOf(C), UINT32_MAX);
 }
 
 TEST(Provenance, ClearResetsTheArena) {

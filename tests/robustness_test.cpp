@@ -561,8 +561,8 @@ TEST(AbortObservability, ConvergedRunHasNoAbortStamp) {
 TEST(VariantRunner, GenuineResourceAbortShortCircuitsRepetitions) {
   trace::TraceRecorder Rec;
   MatrixOptions M;
-  M.Solver.MaxFacts = 500;
-  M.Solver.Trace = &Rec;
+  M.Config.Solver.MaxFacts = 500;
+  M.Config.Solver.Trace = &Rec;
   M.Runs = 3;
   M.TraceLabelPrefix = "rr/";
   std::vector<PrecisionMetrics> Cells =
@@ -578,8 +578,8 @@ TEST(VariantRunner, GenuineResourceAbortShortCircuitsRepetitions) {
 TEST(VariantRunner, InjectedFaultsDoNotShortCircuitRepetitions) {
   trace::TraceRecorder Rec;
   MatrixOptions M;
-  M.Solver.Faults.CancelAtStep = 300;
-  M.Solver.Trace = &Rec;
+  M.Config.Solver.Faults.CancelAtStep = 300;
+  M.Config.Solver.Trace = &Rec;
   M.Runs = 3;
   M.TraceLabelPrefix = "ri/";
   std::vector<PrecisionMetrics> Cells =
@@ -599,9 +599,9 @@ TEST(VariantRunner, LadderMatrixHasNoDashCells) {
   // Calibrate over the call-site rungs only: the derived ladder's cs/S-cs
   // rungs are contextless and as cheap as insens, so they sit below any
   // budget that lets insens converge — the descent lands on cs.
-  M.Solver.MaxFacts =
+  M.Config.Solver.MaxFacts =
       calibratedBudget({"2call+H", "1call+H", "1call", "insens"});
-  M.UseLadder = true;
+  M.Config.Ladder = true;
   std::vector<PrecisionMetrics> Cells =
       runVariantMatrix(luindex(), Policies, M);
   ASSERT_EQ(Cells.size(), Policies.size());

@@ -338,7 +338,7 @@ std::vector<std::string> replyLines(const json::Value &V) {
 ServerOptions smallServer() {
   ServerOptions Opts;
   Opts.ProgramSpec = "luindex";
-  Opts.DefaultPolicy = "2obj+H";
+  Opts.Analysis.Policy = "2obj+H";
   Opts.Workers = 2;
   return Opts;
 }

@@ -1,10 +1,14 @@
 #!/usr/bin/env python3
-"""CLI robustness tests for tools/trace_summary.py and
-tools/check_bench_regression.py.
+"""CLI robustness tests for tools/trace_summary.py,
+tools/check_bench_regression.py and the analysis binaries.
 
 Every malformed input — missing file, empty file, truncated JSONL, wrong
 top-level JSON shape, non-numeric fields — must produce a clear one-line
 error or warning and a controlled exit code, never a Python traceback.
+The analysis binaries' stdout is pinned by tests/baselines/cli_outputs.txt
+(time and byte columns removed); re-record it with
+`python3 tests/tools_cli_test.py --hybridpt BIN --table1 BIN
+--record-cli-outputs tests/baselines/cli_outputs.txt`.
 
 Runs under pytest (each test_* function is collected) and standalone
 (`python3 tests/tools_cli_test.py`).
@@ -265,11 +269,147 @@ def test_lint_compare_known_pair_is_not_conflated():
                                   proc.stdout + proc.stderr)
 
 
+# --- pinned stdout of hybridpt and table1_main ---
+#
+# Needs the built binaries; ctest passes them via --hybridpt/--table1.
+
+HYBRIDPT_BIN = os.environ.get("HYBRIDPT_BIN", "")
+TABLE1_BIN = os.environ.get("HYBRIDPT_TABLE1_BIN", "")
+REPO_ROOT = os.path.normpath(os.path.join(
+    os.path.dirname(os.path.abspath(__file__)), os.pardir))
+CLI_BASELINE = os.path.join(REPO_ROOT, "tests", "baselines",
+                            "cli_outputs.txt")
+TABLE1_POLICIES = ["1call", "1call+H", "1obj", "U-1obj", "SA-1obj",
+                   "SB-1obj", "2obj+H", "U-2obj+H", "S-2obj+H", "2type+H",
+                   "U-2type+H", "S-2type+H", "cs", "S-cs"]
+# Wall time and byte accounting vary run to run; everything else is pinned.
+UNPINNED_COLUMNS = ("time_s", "peak_bytes")
+
+
+def _have(path):
+    return path if path and os.path.exists(path) else None
+
+
+def cli_commands():
+    """(label, binary key, argv) for every pinned invocation."""
+    cmds = []
+    for policy in TABLE1_POLICIES:
+        cmds.append(("hybridpt", ["--csv", "--policy", policy, "luindex"]))
+        cmds.append(("hybridpt", ["--csv", "--ladder", "--policy", policy,
+                                  "luindex"]))
+    cmds.append(("hybridpt", ["--matrix", "--csv", "luindex"]))
+    cmds.append(("hybridpt", ["--taint-spec",
+                              "examples/programs/default.taintspec", "--csv",
+                              "examples/programs/taintflow.ptir"]))
+    cmds.append(("hybridpt", ["--compare", "insens", "--policy", "2obj+H",
+                              "luindex"]))
+    cmds.append(("table1_main", ["--csv", "--json", "-", "luindex",
+                                 "antlr"]))
+    return cmds
+
+
+def strip_unpinned(text):
+    """Drops the UNPINNED_COLUMNS of every CSV block in \p text; a CSV
+    block starts at a header line naming one of them."""
+    out, drop = [], None
+    for line in text.splitlines():
+        cols = line.split(",")
+        if any(c in UNPINNED_COLUMNS for c in cols):
+            drop = {i for i, c in enumerate(cols) if c in UNPINNED_COLUMNS}
+        elif drop is not None and len(cols) <= max(drop):
+            drop = None
+        if drop is not None:
+            cols = [c for i, c in enumerate(cols) if i not in drop]
+            line = ",".join(cols)
+        out.append(line)
+    return "\n".join(out) + "\n"
+
+
+def render_cli_outputs(hybridpt, table1):
+    bins = {"hybridpt": hybridpt, "table1_main": table1}
+    chunks = []
+    for name, args in cli_commands():
+        proc = subprocess.run([bins[name]] + args, capture_output=True,
+                              text=True, timeout=300, cwd=REPO_ROOT)
+        chunks.append("$ %s %s (exit %d)\n" % (name, " ".join(args),
+                                               proc.returncode))
+        chunks.append(strip_unpinned(proc.stdout))
+    return "".join(chunks)
+
+
+def test_cli_outputs_match_baseline():
+    hybridpt, table1 = _have(HYBRIDPT_BIN), _have(TABLE1_BIN)
+    if not hybridpt or not table1:
+        print("skip: hybridpt/table1_main binaries not provided")
+        return
+    got = render_cli_outputs(hybridpt, table1)
+    with open(CLI_BASELINE) as f:
+        want = f.read()
+    if got != want:
+        import difflib
+        diff = "".join(list(difflib.unified_diff(
+            want.splitlines(True), got.splitlines(True),
+            "cli_outputs.txt", "now"))[:60])
+        assert False, "CLI output drifted from the baseline:\n" + diff
+
+
+# --- malformed numeric flags ---
+#
+# Every numeric flag accepts only a whole decimal that fits its field;
+# anything else exits 1 naming the flag — never a crash, never a silent
+# default.
+
+SERVE_BIN = os.environ.get("HYBRIDPT_SERVE_BIN", "")
+REPLAY_BIN = os.environ.get("HYBRIDPT_REPLAY_BIN", "")
+
+
+def test_malformed_numeric_flags_exit_1_naming_the_flag():
+    # (binary, leading args, flag, malformed value, trailing args)
+    cases = [
+        (HYBRIDPT_BIN, [], "--max-facts", "1x", ["luindex"]),
+        (HYBRIDPT_BIN, [], "--budget", "abc", ["luindex"]),
+        (LINT_BIN, [], "--budget", "abc", ["luindex"]),
+        (SERVE_BIN, ["--program", "luindex"], "--workers", "abc", []),
+        (REPLAY_BIN, ["--program", "luindex"], "--requests", "-5", []),
+        (TABLE1_BIN, [], "--runs", "99999999999", ["luindex"]),
+    ]
+    ran = 0
+    for binary, head, flag, bad, tail in cases:
+        if not _have(binary):
+            continue
+        ran += 1
+        args = head + [flag, bad] + tail
+        proc = subprocess.run([binary] + args, capture_output=True,
+                              text=True, timeout=60,
+                              stdin=subprocess.DEVNULL)
+        what = "%s %s" % (os.path.basename(binary), " ".join(args))
+        assert proc.returncode >= 0, "%s: killed by signal %d" % (
+            what, -proc.returncode)
+        assert proc.returncode == 1, "%s: exit %d, want 1: %s" % (
+            what, proc.returncode, proc.stderr)
+        want = "%s needs a number, got '%s'" % (flag, bad)
+        assert want in proc.stderr, "%s: stderr lacks %r: %s" % (
+            what, want, proc.stderr)
+    if not ran:
+        print("skip: no analysis binaries provided")
+
+
 def main():
-    global LINT_BIN
+    global LINT_BIN, HYBRIDPT_BIN, TABLE1_BIN, SERVE_BIN, REPLAY_BIN
     argv = sys.argv[1:]
-    if "--lint" in argv:
-        LINT_BIN = argv[argv.index("--lint") + 1]
+
+    def arg(flag, default):
+        return argv[argv.index(flag) + 1] if flag in argv else default
+    LINT_BIN = arg("--lint", LINT_BIN)
+    HYBRIDPT_BIN = arg("--hybridpt", HYBRIDPT_BIN)
+    TABLE1_BIN = arg("--table1", TABLE1_BIN)
+    SERVE_BIN = arg("--serve", SERVE_BIN)
+    REPLAY_BIN = arg("--replay", REPLAY_BIN)
+    if "--record-cli-outputs" in argv:
+        path = argv[argv.index("--record-cli-outputs") + 1]
+        with open(path, "w") as f:
+            f.write(render_cli_outputs(HYBRIDPT_BIN, TABLE1_BIN))
+        return 0
     tests = [(name, fn) for name, fn in sorted(globals().items())
              if name.startswith("test_") and callable(fn)]
     failed = 0

@@ -75,79 +75,58 @@
 #include "irtext/TextFormat.h"
 #include "pta/AnalysisResult.h"
 #include "pta/Clients.h"
-#include "pta/Degrade.h"
 #include "pta/Explain.h"
 #include "pta/DotExport.h"
 #include "pta/FactWriter.h"
 #include "pta/Stats.h"
 #include "pta/Metrics.h"
-#include "pta/Solver.h"
+#include "pta/Flags.h"
 #include "pta/Trace.h"
 #include "pta/VariantRunner.h"
 #include "support/Cancel.h"
 #include "support/TableWriter.h"
-#include "support/Parallel.h"
-#include "taint/Taint.h"
-#include "taint/TaintSpec.h"
 #include "workloads/Profiles.h"
 
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <optional>
-#include <sstream>
 
 using namespace pt;
 
 namespace {
 
 struct CliOptions {
-  std::string Policy = "S-2obj+H";
+  /// --policy, the budgets, --deadline-ms, --taint-spec, the ladder,
+  /// --threads, --provenance, --why, --trace-out and --profile-out.
+  SharedFlags Flags;
   std::string Compare;
   std::string Input;
   std::string FactsDir;
   std::string CallGraphDotPath;
   std::string PointsToDotFocus;
   std::vector<std::string> DumpVars;
-  uint64_t BudgetMs = 0;
-  uint64_t MaxFacts = 0;
-  uint64_t MaxMemoryMb = 0;
-  uint64_t DeadlineMs = 0;
-  bool Ladder = false;
-  std::vector<std::string> LadderRungs;
-  unsigned Threads = 1;
   bool Matrix = false;
   bool Metrics = false;
-  std::string TaintSpecPath;
   bool Stats = false;
   bool Devirt = false;
   bool Casts = false;
   bool Csv = false;
-  std::string TraceOut;
   std::string ChromeTraceOut;
   bool Progress = false;
   bool ExplainAbort = false;
-  uint64_t HeartbeatSteps = 65536;
-  uint64_t HeartbeatMs = 250;
   /// Provenance mode (hybridpt explain / --provenance / --why / --blame).
   bool Explain = false;
-  bool Provenance = false;
-  std::vector<std::string> WhyQueries;
   std::string WhyFormat = "text";
   size_t BlameTopK = 0;
   bool ValidateWhy = false;
-  std::string ProfileOut;
-  /// The run's derivation recorder, owned by main(); null when provenance
-  /// is off.
-  prov::Recorder *Prov = nullptr;
 
   bool wantsProvenance() const {
-    return Provenance || Explain || !WhyQueries.empty() || BlameTopK != 0 ||
-           !ProfileOut.empty();
+    return Flags.Provenance || Explain || !Flags.Why.empty() ||
+           BlameTopK != 0 || !Flags.ProfileOut.empty();
   }
 
   bool wantsTrace() const {
-    return !TraceOut.empty() || !ChromeTraceOut.empty() || Progress ||
+    return !Flags.TraceOut.empty() || !ChromeTraceOut.empty() || Progress ||
            ExplainAbort;
   }
 };
@@ -204,78 +183,6 @@ void finishTrace(trace::TraceRecorder *Rec, const CliOptions &Cli) {
     std::cerr << "chrome trace: " << Error << "\n";
 }
 
-std::vector<std::string> splitCommaList(std::string_view Spec) {
-  std::vector<std::string> Out;
-  size_t Pos = 0;
-  while (Pos <= Spec.size()) {
-    size_t End = Spec.find(',', Pos);
-    if (End == std::string_view::npos)
-      End = Spec.size();
-    if (End > Pos)
-      Out.emplace_back(Spec.substr(Pos, End - Pos));
-    Pos = End + 1;
-  }
-  return Out;
-}
-
-SolverOptions solverOptions(const CliOptions &Cli, trace::TraceRecorder *Rec,
-                            const CancelToken *Cancel) {
-  SolverOptions Opts;
-  Opts.TimeBudgetMs = Cli.BudgetMs;
-  Opts.MaxFacts = Cli.MaxFacts;
-  Opts.MemoryBudgetBytes = Cli.MaxMemoryMb * 1000000;
-  Opts.Cancel = Cancel;
-  Opts.Trace = Rec;
-  Opts.HeartbeatSteps = Cli.HeartbeatSteps;
-  Opts.HeartbeatMs = Cli.HeartbeatMs;
-  Opts.Prov = Cli.Prov;
-  return Opts;
-}
-
-/// Heap allocation site whose name matches \p Name exactly; invalid when
-/// absent or ambiguous-free (first match wins — heap names are unique per
-/// program in practice).
-HeapId findHeapByName(const Program &P, std::string_view Name) {
-  for (size_t H = 0; H < P.numHeaps(); ++H) {
-    HeapId Id = HeapId::fromIndex(H);
-    if (P.text(P.heap(Id).Name) == Name)
-      return Id;
-  }
-  return HeapId();
-}
-
-/// One --why query: "var=Class::method/arity::var,heap=siteName".  The
-/// context is deliberately not part of the grammar: the query means "in
-/// any context", which is what a user chasing a spurious fact wants.
-struct WhyQuery {
-  std::string VarPath;
-  std::string HeapName;
-};
-
-bool parseWhyQuery(std::string_view Spec, WhyQuery &Out, std::string &Error) {
-  for (const std::string &Part : splitCommaList(Spec)) {
-    size_t Eq = Part.find('=');
-    if (Eq == std::string::npos) {
-      Error = "bad --why component '" + Part + "' (want key=value)";
-      return false;
-    }
-    std::string Key = Part.substr(0, Eq), Val = Part.substr(Eq + 1);
-    if (Key == "var")
-      Out.VarPath = Val;
-    else if (Key == "heap")
-      Out.HeapName = Val;
-    else {
-      Error = "unknown --why key '" + Key + "' (var, heap)";
-      return false;
-    }
-  }
-  if (Out.VarPath.empty() || Out.HeapName.empty()) {
-    Error = "--why needs both var= and heap=";
-    return false;
-  }
-  return true;
-}
-
 void printBlameText(const prov::BlameReport &B) {
   std::cout << "cost attribution: " << B.TotalSteps << " derivation steps, "
             << B.TotalFacts << " facts, " << B.ArenaBytes
@@ -295,16 +202,10 @@ void printBlameText(const prov::BlameReport &B) {
 /// Answers every --why query and the --blame/--profile-out requests over a
 /// finished provenance-enabled run.  Returns the process exit code.
 int runProvenanceQueries(const Program &P, const AnalysisResult &R,
-                         ContextPolicy *Policy, const CliOptions &Cli) {
-  prov::Recorder &Rec = *Cli.Prov;
+                         ContextPolicy *Policy, prov::Recorder &Rec,
+                         const CliOptions &Cli) {
   int Exit = 0;
-  for (const std::string &Spec : Cli.WhyQueries) {
-    WhyQuery Q;
-    std::string Error;
-    if (!parseWhyQuery(Spec, Q, Error)) {
-      std::cerr << Error << "\n";
-      return 1;
-    }
+  for (const WhyQuery &Q : Cli.Flags.Why) {
     VarId V = findVarByPath(P, Q.VarPath);
     if (!V.isValid()) {
       std::cerr << "no variable '" << Q.VarPath << "'\n";
@@ -343,80 +244,52 @@ int runProvenanceQueries(const Program &P, const AnalysisResult &R,
     else
       printBlameText(B);
   }
-  if (!Cli.ProfileOut.empty()) {
+  const std::string &ProfileOut = Cli.Flags.ProfileOut;
+  if (!ProfileOut.empty()) {
     size_t TopK = Cli.BlameTopK != 0 ? Cli.BlameTopK : 10;
-    std::ofstream OS(Cli.ProfileOut);
+    std::ofstream OS(ProfileOut);
     if (!OS) {
-      std::cerr << "cannot write '" << Cli.ProfileOut << "'\n";
+      std::cerr << "cannot write '" << ProfileOut << "'\n";
       return 1;
     }
     OS << prov::renderBlameJson(prov::blame(Rec, R, TopK)) << "\n";
-    std::cout << "wrote profile to " << Cli.ProfileOut << "\n";
+    std::cout << "wrote profile to " << ProfileOut << "\n";
   }
   return Exit;
 }
 
-/// One analysis run plus whatever keeps its result valid.  With --ladder
-/// the landed policy may be coarser than the requested one.
-struct RunOutcome {
-  std::optional<AnalysisResult> R;
-  std::unique_ptr<ContextPolicy> Policy;
-  std::string LandedPolicy;
-  std::string FallbackFrom;
-};
-
-RunOutcome analyze(const Program &P, const std::string &PolicyName,
-                   const CliOptions &Cli, trace::TraceRecorder *Rec,
-                   const std::string &Label, const CancelToken *Cancel) {
-  SolverOptions Opts = solverOptions(Cli, Rec, Cancel);
-  Opts.TraceLabel = Label;
-  trace::TraceRecorder::Span SolveSpan(Rec, Label, "cell");
-  RunOutcome Out;
-  if (Cli.Ladder) {
-    LadderOptions LOpts;
-    LOpts.Rungs = Cli.LadderRungs;
-    LadderResult LR = solveWithLadder(P, PolicyName, Opts, LOpts);
-    if (!LR.Result) {
-      std::cerr << LR.Error << " (see --list-policies)\n";
-      return Out;
-    }
-    if (LR.degraded())
-      std::cerr << "[ladder] " << PolicyName << " exhausted its budget; "
-                << "reporting " << LR.LandedPolicy << " instead\n";
-    Out.Policy = std::move(LR.Policy);
-    Out.R = std::move(LR.Result);
-    Out.LandedPolicy = LR.LandedPolicy;
-    Out.FallbackFrom = LR.FallbackFrom;
-    return Out;
-  }
-  Out.Policy = createPolicy(PolicyName, P);
-  if (!Out.Policy) {
-    std::cerr << "unknown policy '" << PolicyName
-              << "' (see --list-policies)\n";
-    return Out;
-  }
-  Out.R.emplace(solveProgram(P, *Out.Policy, Opts));
-  Out.LandedPolicy = PolicyName;
-  return Out;
+/// Solves \p Policy through the pipeline under the command line's
+/// config, as one "cell" span labeled \p Label.  With --ladder the landed
+/// policy may be coarser than the requested one.  Reports an unknown
+/// policy or a ladder descent on stderr.
+LadderResult solve(const Program &P, const std::string &Policy,
+                   const CliOptions &Cli, const std::string &Label,
+                   prov::Recorder *Prov) {
+  AnalysisConfig Config = Cli.Flags.Config;
+  Config.Policy = Policy;
+  Config.Solver.TraceLabel = Label;
+  Config.Solver.Prov = Prov;
+  trace::TraceRecorder::Span SolveSpan(Config.Solver.Trace, Label, "cell");
+  LadderResult LR = analyze(P, Config);
+  if (!LR.Result)
+    std::cerr << LR.Error << " (see --list-policies)\n";
+  else if (LR.degraded())
+    std::cerr << "[ladder] " << Policy << " exhausted its budget; "
+              << "reporting " << LR.LandedPolicy << " instead\n";
+  return LR;
 }
 
 /// --matrix: all Table 1 policies, fanned out over the worker pool.
 int runMatrix(const Program &P, const CliOptions &Cli,
-              trace::TraceRecorder *Rec, const CancelToken *Cancel) {
+              trace::TraceRecorder *Rec) {
   const std::vector<std::string> &Policies = table1PolicyNames();
-  MatrixOptions MOpts;
-  MOpts.Solver = solverOptions(Cli, Rec, Cancel);
-  // Cells run concurrently and each is its own run; a recorder shared
-  // across them would mix per-run object ids.  The matrix path instead
-  // asks the runner for per-cell profiles.
-  MOpts.Solver.Prov = nullptr;
-  MOpts.Profile = !Cli.ProfileOut.empty();
+  const std::string &ProfileOut = Cli.Flags.ProfileOut;
+  // Cells run concurrently and each is its own run, so they never share
+  // the single-run recorder; the runner records per-cell profiles.
+  MatrixOptions MOpts = Cli.Flags.matrix();
   if (Cli.BlameTopK != 0)
     MOpts.ProfileTopK = Cli.BlameTopK;
-  MOpts.Threads = Cli.Threads;
   MOpts.TraceLabelPrefix = Cli.Input + "/";
-  MOpts.UseLadder = Cli.Ladder;
-  MOpts.LadderRungs = Cli.LadderRungs;
   std::vector<PrecisionMetrics> Cells = runVariantMatrix(P, Policies, MOpts);
 
   TableWriter T;
@@ -451,10 +324,10 @@ int runMatrix(const Program &P, const CliOptions &Cli,
     std::cout << Degraded << " cell(s) degraded via the fallback ladder "
               << "('requested>landed'); metrics describe the landed "
               << "policy.\n";
-  if (!Cli.ProfileOut.empty()) {
-    std::ofstream OS(Cli.ProfileOut);
+  if (!ProfileOut.empty()) {
+    std::ofstream OS(ProfileOut);
     if (!OS) {
-      std::cerr << "cannot write '" << Cli.ProfileOut << "'\n";
+      std::cerr << "cannot write '" << ProfileOut << "'\n";
       return 1;
     }
     OS << "{\"harness\": \"hybridpt-matrix\", \"benchmark\": \""
@@ -468,7 +341,7 @@ int runMatrix(const Program &P, const CliOptions &Cli,
       First = false;
     }
     OS << "\n]}\n";
-    std::cout << "wrote per-cell profiles to " << Cli.ProfileOut << "\n";
+    std::cout << "wrote per-cell profiles to " << ProfileOut << "\n";
   }
   finishTrace(Rec, Cli);
   return 0;
@@ -514,115 +387,86 @@ void printMetrics(const PrecisionMetrics &M, const std::string &Policy,
 
 int main(int argc, char **argv) {
   CliOptions Opts;
+  Opts.Flags.Config.Policy = "S-2obj+H";
   int FirstArg = 1;
   if (argc > 1 && std::strcmp(argv[1], "explain") == 0) {
     Opts.Explain = true;
     FirstArg = 2;
   }
-  for (int I = FirstArg; I < argc; ++I) {
-    std::string_view Arg = argv[I];
-    auto Value = [&]() -> const char * {
-      if (I + 1 >= argc) {
-        std::cerr << Arg << " needs a value\n";
-        exit(1);
-      }
-      return argv[++I];
-    };
-    if (Arg == "--list-policies") {
+  const unsigned Shared = FlagPolicy | FlagBudgets | FlagDeadline |
+                          FlagTaintSpec | FlagLadder | FlagLadderRungs |
+                          FlagThreads | FlagProvenance | FlagWhy |
+                          FlagTraceOut | FlagProfileOut;
+  SolverOptions &Solver = Opts.Flags.Config.Solver;
+  ArgParser Args(argc, argv, FirstArg);
+  while (Args.next()) {
+    if (Args.shared(Shared, Opts.Flags))
+      continue;
+    if (Args.is("--list-policies")) {
       for (const std::string &N : allPolicyNames())
         std::cout << N << "\n";
       return 0;
     }
-    if (Arg == "--list-benchmarks") {
+    if (Args.is("--list-benchmarks")) {
       for (const std::string &N : benchmarkNames())
         std::cout << N << "\n";
       return 0;
     }
-    if (Arg == "--policy")
-      Opts.Policy = Value();
-    else if (Arg == "--compare")
-      Opts.Compare = Value();
-    else if (Arg == "--dump-vpt")
-      Opts.DumpVars.push_back(Value());
-    else if (Arg == "--dump-facts")
-      Opts.FactsDir = Value();
-    else if (Arg == "--dot-callgraph")
-      Opts.CallGraphDotPath = Value();
-    else if (Arg == "--dot-pointsto")
-      Opts.PointsToDotFocus = Value();
-    else if (Arg == "--budget")
-      Opts.BudgetMs = std::strtoull(Value(), nullptr, 10);
-    else if (Arg == "--max-facts")
-      Opts.MaxFacts = std::strtoull(Value(), nullptr, 10);
-    else if (Arg == "--max-memory-mb")
-      Opts.MaxMemoryMb = std::strtoull(Value(), nullptr, 10);
-    else if (Arg == "--deadline-ms")
-      Opts.DeadlineMs = std::strtoull(Value(), nullptr, 10);
-    else if (Arg == "--ladder")
-      Opts.Ladder = true;
-    else if (Arg == "--ladder-rungs") {
-      Opts.Ladder = true;
-      Opts.LadderRungs = splitCommaList(Value());
-    } else if (Arg == "--threads")
-      // 0 = one worker per hardware thread, resolved through the one
-      // shared rule so every tool agrees (docs/PERF.md).
-      Opts.Threads = resolveThreads(
-          static_cast<unsigned>(std::strtoul(Value(), nullptr, 10)));
-    else if (Arg == "--taint-spec")
-      Opts.TaintSpecPath = Value();
-    else if (Arg == "--matrix")
+    if (Args.is("--compare"))
+      Opts.Compare = Args.value();
+    else if (Args.is("--dump-vpt"))
+      Opts.DumpVars.push_back(Args.value());
+    else if (Args.is("--dump-facts"))
+      Opts.FactsDir = Args.value();
+    else if (Args.is("--dot-callgraph"))
+      Opts.CallGraphDotPath = Args.value();
+    else if (Args.is("--dot-pointsto"))
+      Opts.PointsToDotFocus = Args.value();
+    else if (Args.is("--matrix"))
       Opts.Matrix = true;
-    else if (Arg == "--metrics")
+    else if (Args.is("--metrics"))
       Opts.Metrics = true;
-    else if (Arg == "--stats")
+    else if (Args.is("--stats"))
       Opts.Stats = true;
-    else if (Arg == "--devirt")
+    else if (Args.is("--devirt"))
       Opts.Devirt = true;
-    else if (Arg == "--casts")
+    else if (Args.is("--casts"))
       Opts.Casts = true;
-    else if (Arg == "--csv")
+    else if (Args.is("--csv"))
       Opts.Csv = true;
-    else if (Arg == "--trace-out")
-      Opts.TraceOut = Value();
-    else if (Arg == "--chrome-trace")
-      Opts.ChromeTraceOut = Value();
-    else if (Arg == "--progress")
+    else if (Args.is("--chrome-trace"))
+      Opts.ChromeTraceOut = Args.value();
+    else if (Args.is("--progress"))
       Opts.Progress = true;
-    else if (Arg == "--explain-abort")
+    else if (Args.is("--explain-abort"))
       Opts.ExplainAbort = true;
-    else if (Arg == "--heartbeat-steps")
-      Opts.HeartbeatSteps = std::strtoull(Value(), nullptr, 10);
-    else if (Arg == "--heartbeat-ms")
-      Opts.HeartbeatMs = std::strtoull(Value(), nullptr, 10);
-    else if (Arg == "--provenance")
-      Opts.Provenance = true;
-    else if (Arg == "--why")
-      Opts.WhyQueries.push_back(Value());
-    else if (Arg == "--format") {
-      Opts.WhyFormat = Value();
+    else if (Args.is("--heartbeat-steps"))
+      Solver.HeartbeatSteps = Args.number<uint64_t>();
+    else if (Args.is("--heartbeat-ms"))
+      Solver.HeartbeatMs = Args.number<uint64_t>();
+    else if (Args.is("--format")) {
+      Opts.WhyFormat = Args.value();
       if (Opts.WhyFormat != "text" && Opts.WhyFormat != "json" &&
           Opts.WhyFormat != "dot") {
         std::cerr << "unknown --format '" << Opts.WhyFormat
                   << "' (text, json, dot)\n";
         return 1;
       }
-    } else if (Arg == "--blame")
-      Opts.BlameTopK = std::strtoull(Value(), nullptr, 10);
-    else if (Arg == "--validate")
+    } else if (Args.is("--blame"))
+      Opts.BlameTopK = Args.number<size_t>();
+    else if (Args.is("--validate"))
       Opts.ValidateWhy = true;
-    else if (Arg == "--profile-out")
-      Opts.ProfileOut = Value();
-    else if (Arg.size() >= 2 && Arg.substr(0, 2) == "--")
+    else if (Args.arg().substr(0, 2) == "--")
       return usage(argv[0]);
     else if (Opts.Input.empty())
-      Opts.Input = Arg;
+      Opts.Input = Args.arg();
     else
       return usage(argv[0]);
   }
   if (Opts.Input.empty())
     return usage(argv[0]);
-  if (Opts.Explain && Opts.WhyQueries.empty() && Opts.BlameTopK == 0 &&
-      Opts.ProfileOut.empty()) {
+  if (Opts.Explain && Opts.Flags.Why.empty() && Opts.BlameTopK == 0 &&
+      Opts.Flags.ProfileOut.empty()) {
     std::cerr << "explain needs --why, --blame, or --profile-out\n";
     return usage(argv[0]);
   }
@@ -630,20 +474,21 @@ int main(int argc, char **argv) {
       !Opts.Stats && !Opts.Matrix && Opts.DumpVars.empty() &&
       Opts.Compare.empty() && Opts.FactsDir.empty() &&
       Opts.CallGraphDotPath.empty() && Opts.PointsToDotFocus.empty() &&
-      Opts.WhyQueries.empty() && Opts.BlameTopK == 0 &&
-      Opts.ProfileOut.empty())
+      Opts.Flags.Why.empty() && Opts.BlameTopK == 0 &&
+      Opts.Flags.ProfileOut.empty())
     Opts.Metrics = true;
 
   // The derivation recorder outlives the analysis so the queries below can
   // read it; a null pointer keeps every solver hook a dead branch.
   prov::Recorder ProvRec;
+  prov::Recorder *Prov = nullptr;
   if (Opts.wantsProvenance()) {
 #if !HYBRIDPT_PROVENANCE_ENABLED
     std::cerr << "this build has provenance compiled out "
                  "(HYBRIDPT_PROVENANCE=0)\n";
     return 1;
 #endif
-    Opts.Prov = &ProvRec;
+    Prov = &ProvRec;
   }
 
   // Cooperative cancellation: ^C (or the --deadline-ms expiry) trips the
@@ -652,78 +497,52 @@ int main(int argc, char **argv) {
   // with SA_RESETHAND, so a second ^C kills the process the normal way.
   static CancelToken Cancel;
   installSigintCancel(Cancel);
-  if (Opts.DeadlineMs != 0)
-    Cancel.setDeadlineMs(Opts.DeadlineMs);
+  if (Opts.Flags.DeadlineMs != 0)
+    Cancel.setDeadlineMs(Opts.Flags.DeadlineMs);
+  Solver.Cancel = &Cancel;
 
   // Observability sink: one recorder for the whole invocation.
   std::unique_ptr<trace::TraceRecorder> Rec;
   if (Opts.wantsTrace()) {
     Rec = std::make_unique<trace::TraceRecorder>();
-    if (!Opts.TraceOut.empty()) {
+    if (!Opts.Flags.TraceOut.empty()) {
       std::string Error;
-      if (!Rec->openJsonl(Opts.TraceOut, Error)) {
+      if (!Rec->openJsonl(Opts.Flags.TraceOut, Error)) {
         std::cerr << Error << "\n";
         return 1;
       }
     }
     if (Opts.Progress)
       Rec->enableProgress(std::cerr);
+    Solver.Trace = Rec.get();
   }
 
-  // Load the program.
-  Benchmark Bench;
-  std::unique_ptr<Program> Owned;
-  const Program *P = nullptr;
+  // Load the program; --taint-spec instruments it before solving, so every
+  // downstream consumer (metrics, clients, provenance, --matrix) sees the
+  // taint objects.
+  LoadedProgram Loaded;
   {
     trace::TraceRecorder::Span ParseSpan(Rec.get(), "parse", "phase");
-    if (isBenchmarkName(Opts.Input)) {
-      Bench = buildBenchmark(Opts.Input);
-      P = Bench.Prog.get();
-    } else {
-      std::ifstream In(Opts.Input);
-      if (!In) {
-        std::cerr << "cannot open '" << Opts.Input << "'\n";
-        return 1;
-      }
-      std::stringstream Buffer;
-      Buffer << In.rdbuf();
-      ParseResult Parsed = parseProgram(Buffer.str(), Opts.Input);
-      if (!Parsed.ok()) {
-        for (const std::string &E : Parsed.Errors)
-          std::cerr << "parse error: " << E << "\n";
-        return 1;
-      }
-      Owned = std::move(Parsed.Prog);
-      P = Owned.get();
-    }
+    Loaded = loadProgram(Opts.Input, Opts.Flags.TaintSpecPath);
   }
-
-  // --taint-spec: instrument before solving, so every downstream consumer
-  // (metrics, clients, provenance, --matrix) sees the taint objects.
-  std::unique_ptr<Program> Instrumented;
-  if (!Opts.TaintSpecPath.empty()) {
-    taint::SpecParseResult Spec = taint::parseSpecFile(Opts.TaintSpecPath);
-    if (!Spec.ok()) {
-      for (const std::string &E : Spec.Errors)
-        std::cerr << "taint spec error: " << E << "\n";
-      return 1;
-    }
-    taint::TaintPlan Plan = taint::resolve(Spec.Spec, *P);
-    Instrumented = taint::instrument(*P, Plan);
-    P = Instrumented.get();
+  if (!Loaded.ok()) {
+    for (const std::string &E : Loaded.Errors)
+      std::cerr << E << "\n";
+    return 1;
   }
+  const Program *P = Loaded.Prog;
 
   if (Opts.Matrix)
-    return runMatrix(*P, Opts, Rec.get(), &Cancel);
+    return runMatrix(*P, Opts, Rec.get());
 
-  const std::string CellLabel = Opts.Input + "/" + Opts.Policy;
-  RunOutcome Main =
-      analyze(*P, Opts.Policy, Opts, Rec.get(), CellLabel, &Cancel);
-  if (!Main.R) {
+  const std::string &Policy = Opts.Flags.Config.Policy;
+  const std::string CellLabel = Opts.Input + "/" + Policy;
+  LadderResult Main = solve(*P, Policy, Opts, CellLabel, Prov);
+  if (!Main.Result) {
     finishTrace(Rec.get(), Opts);
     return 1;
   }
-  AnalysisResult &R = *Main.R;
+  AnalysisResult &R = *Main.Result;
   if (R.Aborted) {
     std::cerr << "[abort] " << CellLabel << ": " << abortReasonName(R.Reason)
               << (R.FaultInjected ? " (injected)" : "") << "\n";
@@ -738,7 +557,7 @@ int main(int argc, char **argv) {
     MetricsLabel += " (fallback from " + Main.FallbackFrom + ")";
   if (Opts.Metrics)
     printMetrics(computeMetrics(R), MetricsLabel, Opts.Csv,
-                 !Opts.TaintSpecPath.empty());
+                 !Opts.Flags.TaintSpecPath.empty());
 
   if (Opts.Stats)
     std::cout << "\n" << formatStats(computeStats(R), *P);
@@ -825,22 +644,20 @@ int main(int argc, char **argv) {
   if (!Opts.Compare.empty()) {
     // The comparison run must not record into the main run's arena: fact
     // payloads embed per-run dense object ids.
-    CliOptions OtherOpts = Opts;
-    OtherOpts.Prov = nullptr;
-    RunOutcome Other = analyze(*P, Opts.Compare, OtherOpts, Rec.get(),
-                               Opts.Input + "/" + Opts.Compare, &Cancel);
-    if (!Other.R) {
+    LadderResult Other = solve(*P, Opts.Compare, Opts,
+                               Opts.Input + "/" + Opts.Compare, nullptr);
+    if (!Other.Result) {
       finishTrace(Rec.get(), Opts);
       return 1;
     }
     std::cout << "\n--- delta " << Main.LandedPolicy << " -> "
               << Other.LandedPolicy << " ---\n"
-              << formatDelta(diffResults(R, *Other.R), *P);
+              << formatDelta(diffResults(R, *Other.Result), *P);
   }
 
   int ExitCode = 0;
-  if (Opts.Prov)
-    ExitCode = runProvenanceQueries(*P, R, Main.Policy.get(), Opts);
+  if (Prov)
+    ExitCode = runProvenanceQueries(*P, R, Main.Policy.get(), *Prov, Opts);
   finishTrace(Rec.get(), Opts);
   return ExitCode;
 }

@@ -55,33 +55,25 @@
 #include "context/PolicyRegistry.h"
 #include "ir/Program.h"
 #include "irtext/TextFormat.h"
+#include "pta/Flags.h"
 #include "support/Cancel.h"
-#include "taint/Taint.h"
-#include "workloads/Profiles.h"
 
-#include <cstring>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 
 using namespace pt;
 
 namespace {
 
 struct CliOptions {
-  std::string Policy = "2obj+H";
+  /// --policy, the budgets, --deadline-ms, --provenance, --why and
+  /// --taint-spec.
+  SharedFlags Flags;
   std::string Format = "text";
   std::string Output;
   std::string Input;
   std::string ComparePair;
   std::vector<std::string> Checks;
-  uint64_t BudgetMs = 0;
-  uint64_t MaxFacts = 0;
-  uint64_t MaxMemoryMb = 0;
-  uint64_t DeadlineMs = 0;
-  bool Provenance = false;
-  std::vector<std::string> WhyQueries;
-  std::string TaintSpecPath;
   std::string FailOn;
 };
 
@@ -100,16 +92,6 @@ int usage(const char *Argv0) {
   return 1;
 }
 
-std::vector<std::string> splitList(const std::string &S) {
-  std::vector<std::string> Out;
-  std::stringstream SS(S);
-  std::string Item;
-  while (std::getline(SS, Item, ','))
-    if (!Item.empty())
-      Out.push_back(Item);
-  return Out;
-}
-
 int listChecks() {
   checks::CheckerRegistry &Reg = checks::CheckerRegistry::instance();
   for (const std::string &Id : Reg.ids()) {
@@ -126,75 +108,39 @@ int listChecks() {
 
 int main(int argc, char **argv) {
   CliOptions Opts;
-  for (int I = 1; I < argc; ++I) {
-    const char *Arg = argv[I];
-    auto Next = [&](std::string &Into) {
-      if (I + 1 >= argc)
-        return false;
-      Into = argv[++I];
-      return true;
-    };
-    std::string Val;
-    if (!std::strcmp(Arg, "--list-checks")) {
+  Opts.Flags.Config.Policy = "2obj+H";
+  const unsigned Shared = FlagPolicy | FlagBudgets | FlagDeadline |
+                          FlagProvenance | FlagWhy | FlagTaintSpec;
+  ArgParser Args(argc, argv);
+  while (Args.next()) {
+    if (Args.shared(Shared, Opts.Flags))
+      continue;
+    if (Args.is("--list-checks")) {
       return listChecks();
-    } else if (!std::strcmp(Arg, "--list-policies")) {
+    } else if (Args.is("--list-policies")) {
       for (const std::string &Name : allPolicyNames())
         std::cout << Name << "\n";
       return 0;
-    } else if (!std::strcmp(Arg, "--policy")) {
-      if (!Next(Opts.Policy))
-        return usage(argv[0]);
-    } else if (!std::strcmp(Arg, "--checks")) {
-      if (!Next(Val))
-        return usage(argv[0]);
-      Opts.Checks = splitList(Val);
-    } else if (!std::strcmp(Arg, "--format")) {
-      if (!Next(Opts.Format))
-        return usage(argv[0]);
+    } else if (Args.is("--checks")) {
+      Opts.Checks = splitCommaList(Args.value());
+    } else if (Args.is("--format")) {
+      Opts.Format = Args.value();
       if (Opts.Format != "text" && Opts.Format != "jsonl" &&
           Opts.Format != "sarif")
         return usage(argv[0]);
-    } else if (!std::strcmp(Arg, "--output")) {
-      if (!Next(Opts.Output))
-        return usage(argv[0]);
-    } else if (!std::strcmp(Arg, "--compare")) {
-      if (!Next(Opts.ComparePair))
-        return usage(argv[0]);
-    } else if (!std::strcmp(Arg, "--budget")) {
-      if (!Next(Val))
-        return usage(argv[0]);
-      Opts.BudgetMs = std::stoull(Val);
-    } else if (!std::strcmp(Arg, "--max-facts")) {
-      if (!Next(Val))
-        return usage(argv[0]);
-      Opts.MaxFacts = std::stoull(Val);
-    } else if (!std::strcmp(Arg, "--max-memory-mb")) {
-      if (!Next(Val))
-        return usage(argv[0]);
-      Opts.MaxMemoryMb = std::stoull(Val);
-    } else if (!std::strcmp(Arg, "--deadline-ms")) {
-      if (!Next(Val))
-        return usage(argv[0]);
-      Opts.DeadlineMs = std::stoull(Val);
-    } else if (!std::strcmp(Arg, "--provenance")) {
-      Opts.Provenance = true;
-    } else if (!std::strcmp(Arg, "--why")) {
-      if (!Next(Val))
-        return usage(argv[0]);
-      Opts.WhyQueries.push_back(Val);
-    } else if (!std::strcmp(Arg, "--taint-spec")) {
-      if (!Next(Opts.TaintSpecPath))
-        return usage(argv[0]);
-    } else if (!std::strcmp(Arg, "--fail-on")) {
-      if (!Next(Opts.FailOn))
-        return usage(argv[0]);
+    } else if (Args.is("--output")) {
+      Opts.Output = Args.value();
+    } else if (Args.is("--compare")) {
+      Opts.ComparePair = Args.value();
+    } else if (Args.is("--fail-on")) {
+      Opts.FailOn = Args.value();
       if (Opts.FailOn != "note" && Opts.FailOn != "warning" &&
           Opts.FailOn != "error")
         return usage(argv[0]);
-    } else if (Arg[0] == '-') {
+    } else if (Args.arg()[0] == '-') {
       return usage(argv[0]);
     } else if (Opts.Input.empty()) {
-      Opts.Input = Arg;
+      Opts.Input = Args.arg();
     } else {
       return usage(argv[0]);
     }
@@ -202,45 +148,15 @@ int main(int argc, char **argv) {
   if (Opts.Input.empty())
     return usage(argv[0]);
 
-  // Load the program: a built-in benchmark name or a PTIR file.
-  Benchmark Bench;
-  std::unique_ptr<Program> Owned;
-  const Program *P = nullptr;
-  if (isBenchmarkName(Opts.Input)) {
-    Bench = buildBenchmark(Opts.Input);
-    P = Bench.Prog.get();
-  } else {
-    std::ifstream In(Opts.Input);
-    if (!In) {
-      std::cerr << "cannot open '" << Opts.Input << "'\n";
-      return 1;
-    }
-    std::stringstream Buffer;
-    Buffer << In.rdbuf();
-    ParseResult Parsed = parseProgram(Buffer.str(), Opts.Input);
-    if (!Parsed.ok()) {
-      for (const std::string &E : Parsed.Errors)
-        std::cerr << "parse error: " << E << "\n";
-      return 1;
-    }
-    Owned = std::move(Parsed.Prog);
-    P = Owned.get();
-  }
-
   // Taint instrumentation rewrites the program before any analysis, so
   // both the single-run and --compare paths see the instrumented IR.
-  std::unique_ptr<Program> Instrumented;
-  if (!Opts.TaintSpecPath.empty()) {
-    taint::SpecParseResult Spec = taint::parseSpecFile(Opts.TaintSpecPath);
-    if (!Spec.ok()) {
-      for (const std::string &E : Spec.Errors)
-        std::cerr << "taint spec error: " << E << "\n";
-      return 1;
-    }
-    taint::TaintPlan Plan = taint::resolve(Spec.Spec, *P);
-    Instrumented = taint::instrument(*P, Plan);
-    P = Instrumented.get();
+  LoadedProgram Loaded = loadProgram(Opts.Input, Opts.Flags.TaintSpecPath);
+  if (!Loaded.ok()) {
+    for (const std::string &E : Loaded.Errors)
+      std::cerr << E << "\n";
+    return 1;
   }
+  const Program *P = Loaded.Prog;
 
   std::ofstream OutFile;
   std::ostream *OS = &std::cout;
@@ -257,18 +173,16 @@ int main(int argc, char **argv) {
   // renders and flushes (SA_RESETHAND: a second ^C kills).
   static CancelToken Cancel;
   installSigintCancel(Cancel);
-  if (Opts.DeadlineMs != 0)
-    Cancel.setDeadlineMs(Opts.DeadlineMs);
+  if (Opts.Flags.DeadlineMs != 0)
+    Cancel.setDeadlineMs(Opts.Flags.DeadlineMs);
 
   checks::LintOptions LOpts;
+  LOpts.Config = Opts.Flags.Config;
+  LOpts.Config.Solver.Cancel = &Cancel;
   LOpts.Checks = Opts.Checks;
-  LOpts.TimeBudgetMs = Opts.BudgetMs;
-  LOpts.MaxFacts = Opts.MaxFacts;
-  LOpts.MemoryBudgetBytes = Opts.MaxMemoryMb * 1000000;
-  LOpts.Cancel = &Cancel;
 
   prov::Recorder ProvRec;
-  if (Opts.Provenance || !Opts.WhyQueries.empty()) {
+  if (Opts.Flags.Provenance || !Opts.Flags.Why.empty()) {
 #if !HYBRIDPT_PROVENANCE_ENABLED
     std::cerr << "this build has provenance compiled out "
                  "(HYBRIDPT_PROVENANCE=0)\n";
@@ -279,8 +193,8 @@ int main(int argc, char **argv) {
                    "(two runs cannot share one derivation arena)\n";
       return 1;
     }
-    LOpts.Prov = &ProvRec;
-    LOpts.KeepResult = !Opts.WhyQueries.empty();
+    LOpts.Config.Solver.Prov = &ProvRec;
+    LOpts.KeepResult = !Opts.Flags.Why.empty();
   }
 
   if (!Opts.ComparePair.empty()) {
@@ -289,7 +203,7 @@ int main(int argc, char **argv) {
                    "monotonicity diff already gates via exit 2)\n";
       return 1;
     }
-    std::vector<std::string> Pair = splitList(Opts.ComparePair);
+    std::vector<std::string> Pair = splitCommaList(Opts.ComparePair);
     if (Pair.size() != 2) {
       std::cerr << "--compare wants BASE,REFINED\n";
       return 1;
@@ -314,7 +228,7 @@ int main(int argc, char **argv) {
     return CR.monotonicityViolations().empty() ? 0 : 2;
   }
 
-  LOpts.Policy = Opts.Policy;
+  const std::string &Policy = Opts.Flags.Config.Policy;
   checks::LintRun Run = checks::lintProgram(*P, LOpts);
   if (!Run.ok()) {
     std::cerr << "error: " << Run.Error << "\n";
@@ -327,49 +241,28 @@ int main(int argc, char **argv) {
 
   if (Opts.Format == "text") {
     checks::renderText(*OS, *P, Run.Diags);
-    *OS << Run.Diags.size() << " diagnostic(s) under policy " << Opts.Policy
+    *OS << Run.Diags.size() << " diagnostic(s) under policy " << Policy
         << "\n";
   } else if (Opts.Format == "jsonl") {
-    checks::renderJsonl(*OS, *P, Run.Diags, Opts.Policy);
+    checks::renderJsonl(*OS, *P, Run.Diags, Policy);
   } else {
     checks::SarifOptions SOpts;
-    SOpts.PolicyName = Opts.Policy;
+    SOpts.PolicyName = Policy;
     checks::writeSarif(*OS, *P, Run.Diags, Run.Rules, SOpts);
   }
 
   // --why queries run against the kept result: derivation trees go to
   // stdout (never the --output report file).
   int Exit = 0;
-  for (const std::string &Spec : Opts.WhyQueries) {
-    std::string VarPath, HeapName;
-    for (const std::string &Part : splitList(Spec)) {
-      size_t Eq = Part.find('=');
-      std::string Key = Eq == std::string::npos ? Part : Part.substr(0, Eq);
-      std::string V = Eq == std::string::npos ? "" : Part.substr(Eq + 1);
-      if (Key == "var")
-        VarPath = V;
-      else if (Key == "heap")
-        HeapName = V;
-      else {
-        std::cerr << "unknown --why key '" << Key << "' (var, heap)\n";
-        return 1;
-      }
-    }
-    if (VarPath.empty() || HeapName.empty()) {
-      std::cerr << "--why needs both var= and heap=\n";
-      return 1;
-    }
-    VarId V = findVarByPath(*P, VarPath);
+  for (const WhyQuery &Q : Opts.Flags.Why) {
+    VarId V = findVarByPath(*P, Q.VarPath);
     if (!V.isValid()) {
-      std::cerr << "no variable '" << VarPath << "'\n";
+      std::cerr << "no variable '" << Q.VarPath << "'\n";
       return 1;
     }
-    HeapId H;
-    for (size_t HI = 0; HI < P->numHeaps(); ++HI)
-      if (P->text(P->heap(HeapId::fromIndex(HI)).Name) == HeapName)
-        H = HeapId::fromIndex(HI);
+    HeapId H = findHeapByName(*P, Q.HeapName);
     if (!H.isValid()) {
-      std::cerr << "no heap site '" << HeapName << "'\n";
+      std::cerr << "no heap site '" << Q.HeapName << "'\n";
       return 1;
     }
     prov::DerivationTree Tree =

@@ -30,11 +30,10 @@
 #include "serve/Canon.h"
 #include "serve/Epoch.h"
 #include "checks/Driver.h"
-#include "context/PolicyRegistry.h"
 #include "ir/Program.h"
 #include "irtext/TextFormat.h"
 #include "pta/Metrics.h"
-#include "pta/Solver.h"
+#include "pta/Flags.h"
 #include "support/Json.h"
 #include "support/Timer.h"
 
@@ -344,22 +343,20 @@ struct ReplyPump {
 struct LocalOracle {
   std::shared_ptr<const Epoch> Ep;
   std::string Policy, BasePolicy;
-  std::map<std::string,
-           std::pair<std::unique_ptr<ContextPolicy>, AnalysisResult>>
-      Solved;
+  std::map<std::string, LadderResult> Solved;
 
   const AnalysisResult &result(const std::string &Name) {
     auto It = Solved.find(Name);
     if (It == Solved.end()) {
-      auto Pol = createPolicy(Name, *Ep->Prog);
-      SolverOptions SOpts;
-      AnalysisResult R = solveProgram(*Ep->Prog, *Pol, SOpts);
-      It = Solved
-               .emplace(Name,
-                        std::make_pair(std::move(Pol), std::move(R)))
-               .first;
+      AnalysisConfig Config;
+      Config.Policy = Name;
+      It = Solved.emplace(Name, analyze(*Ep->Prog, Config)).first;
+      if (!It->second.Result) {
+        std::cerr << "hybridpt-replay: " << It->second.Error << "\n";
+        std::exit(1);
+      }
     }
-    return It->second.second;
+    return *It->second.Result;
   }
 
   std::vector<std::string> expect(const Planned &Req) {
@@ -373,12 +370,8 @@ struct LocalOracle {
       checks::LintRun Run = checks::runCheckers(result(Policy), {});
       return lintLines(P, Run.Diags, Policy);
     }
-    if (Req.Kind == "compare") {
-      checks::LintOptions LO;
-      checks::CompareResult CR =
-          checks::comparePolicies(P, BasePolicy, Policy, LO);
-      return compareLines(CR);
-    }
+    if (Req.Kind == "compare")
+      return compareLines(checks::comparePolicies(P, BasePolicy, Policy));
     return {};
   }
 };
@@ -485,57 +478,50 @@ int runOverloadCheck(const Options &Opts, const std::string &VarPath) {
 
 int main(int argc, char **argv) {
   Options Opts;
-  for (int I = 1; I < argc; ++I) {
-    std::string Arg = argv[I];
-    auto Value = [&]() -> const char * {
-      if (I + 1 >= argc) {
-        std::cerr << "hybridpt-replay: " << Arg << " needs a value\n";
-        std::exit(2);
-      }
-      return argv[++I];
-    };
-    if (Arg == "--help" || Arg == "-h") {
+  SharedFlags Flags;
+  Flags.Config.Policy = Opts.Policy;
+  ArgParser Args(argc, argv, 1, /*UsageExit=*/2);
+  while (Args.next()) {
+    if (Args.shared(FlagPolicy | FlagBudget | FlagDeadline, Flags))
+      continue;
+    if (Args.is("--help") || Args.is("-h")) {
       printUsage();
       return 0;
     }
-    if (Arg == "--program")
-      Opts.Program = Value();
-    else if (Arg == "--serve-bin")
-      Opts.ServeBin = Value();
-    else if (Arg == "--requests")
-      Opts.Requests = std::strtoull(Value(), nullptr, 10);
-    else if (Arg == "--concurrency")
-      Opts.Concurrency =
-          static_cast<unsigned>(std::strtoul(Value(), nullptr, 10));
-    else if (Arg == "--seed")
-      Opts.Seed = std::strtoull(Value(), nullptr, 10);
-    else if (Arg == "--fault-rate")
-      Opts.FaultRate = std::strtod(Value(), nullptr);
-    else if (Arg == "--policy")
-      Opts.Policy = Value();
-    else if (Arg == "--base-policy")
-      Opts.BasePolicy = Value();
-    else if (Arg == "--workers")
-      Opts.Workers =
-          static_cast<unsigned>(std::strtoul(Value(), nullptr, 10));
-    else if (Arg == "--queue")
-      Opts.Queue = std::strtoull(Value(), nullptr, 10);
-    else if (Arg == "--deadline-ms")
-      Opts.DeadlineMs = std::strtoull(Value(), nullptr, 10);
-    else if (Arg == "--budget")
-      Opts.BudgetMs = std::strtoull(Value(), nullptr, 10);
-    else if (Arg == "--verify")
+    if (Args.is("--program"))
+      Opts.Program = Args.value();
+    else if (Args.is("--serve-bin"))
+      Opts.ServeBin = Args.value();
+    else if (Args.is("--requests"))
+      Opts.Requests = Args.number<uint64_t>();
+    else if (Args.is("--concurrency"))
+      Opts.Concurrency = Args.number<unsigned>();
+    else if (Args.is("--seed"))
+      Opts.Seed = Args.number<uint64_t>();
+    else if (Args.is("--fault-rate"))
+      Opts.FaultRate = Args.fraction();
+    else if (Args.is("--base-policy"))
+      Opts.BasePolicy = Args.value();
+    else if (Args.is("--workers"))
+      Opts.Workers = Args.number<unsigned>();
+    else if (Args.is("--queue"))
+      Opts.Queue = Args.number<uint64_t>();
+    else if (Args.is("--verify"))
       Opts.Verify = true;
-    else if (Arg == "--overload-check")
+    else if (Args.is("--overload-check"))
       Opts.OverloadCheck = true;
-    else if (Arg == "--out")
-      Opts.OutPath = Value();
+    else if (Args.is("--out"))
+      Opts.OutPath = Args.value();
     else {
-      std::cerr << "hybridpt-replay: unknown option '" << Arg << "'\n";
+      std::cerr << "hybridpt-replay: unknown option '" << Args.arg()
+                << "'\n";
       printUsage();
       return 2;
     }
   }
+  Opts.Policy = Flags.Config.Policy;
+  Opts.DeadlineMs = Flags.DeadlineMs;
+  Opts.BudgetMs = Flags.Config.Solver.TimeBudgetMs;
   if (Opts.Program.empty()) {
     std::cerr << "hybridpt-replay: --program is required\n";
     return 2;

@@ -19,6 +19,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "pta/Flags.h"
 #include "serve/Server.h"
 #include "support/Cancel.h"
 #include "support/FaultPlan.h"
@@ -26,7 +27,6 @@
 #include <cerrno>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <mutex>
@@ -256,58 +256,46 @@ int runSocket(Server &S, const std::string &Path,
 
 int main(int argc, char **argv) {
   ServerOptions Opts;
-  std::string FaultSpec, TraceOut, Listen;
+  SharedFlags Flags;
+  Flags.Config = Opts.Analysis;
+  std::string FaultSpec, Listen;
   bool HaveFaultSpec = false;
 
-  for (int I = 1; I < argc; ++I) {
-    std::string Arg = argv[I];
-    auto Value = [&]() -> const char * {
-      if (I + 1 >= argc) {
-        std::cerr << "hybridpt-serve: " << Arg << " needs a value\n";
-        std::exit(2);
-      }
-      return argv[++I];
-    };
-    if (Arg == "--help" || Arg == "-h") {
+  const unsigned Shared =
+      FlagPolicy | FlagBudgets | FlagDeadline | FlagTraceOut;
+  ArgParser Args(argc, argv, 1, /*UsageExit=*/2);
+  while (Args.next()) {
+    if (Args.shared(Shared, Flags))
+      continue;
+    if (Args.is("--help") || Args.is("-h")) {
       printUsage();
       return 0;
     }
-    if (Arg == "--program")
-      Opts.ProgramSpec = Value();
-    else if (Arg == "--policy")
-      Opts.DefaultPolicy = Value();
-    else if (Arg == "--workers")
-      Opts.Workers =
-          static_cast<unsigned>(std::strtoul(Value(), nullptr, 10));
-    else if (Arg == "--queue")
-      Opts.QueueLimit = std::strtoull(Value(), nullptr, 10);
-    else if (Arg == "--cache")
-      Opts.CacheEntries = std::strtoull(Value(), nullptr, 10);
-    else if (Arg == "--deadline-ms")
-      Opts.DefaultDeadlineMs = std::strtoull(Value(), nullptr, 10);
-    else if (Arg == "--budget")
-      Opts.DefaultBudgetMs = std::strtoull(Value(), nullptr, 10);
-    else if (Arg == "--max-facts")
-      Opts.DefaultMaxFacts = std::strtoull(Value(), nullptr, 10);
-    else if (Arg == "--max-memory-mb")
-      Opts.DefaultMaxMemoryMb = std::strtoull(Value(), nullptr, 10);
-    else if (Arg == "--retry-after-ms")
-      Opts.RetryAfterMs = std::strtoull(Value(), nullptr, 10);
-    else if (Arg == "--no-ladder")
-      Opts.UseLadder = false;
-    else if (Arg == "--fault-plan") {
-      FaultSpec = Value();
+    if (Args.is("--program"))
+      Opts.ProgramSpec = Args.value();
+    else if (Args.is("--workers"))
+      Opts.Workers = Args.number<unsigned>();
+    else if (Args.is("--queue"))
+      Opts.QueueLimit = Args.number<size_t>();
+    else if (Args.is("--cache"))
+      Opts.CacheEntries = Args.number<size_t>();
+    else if (Args.is("--retry-after-ms"))
+      Opts.RetryAfterMs = Args.number<uint64_t>();
+    else if (Args.is("--no-ladder"))
+      Flags.Config.Ladder = false;
+    else if (Args.is("--fault-plan")) {
+      FaultSpec = Args.value();
       HaveFaultSpec = true;
-    } else if (Arg == "--trace-out")
-      TraceOut = Value();
-    else if (Arg == "--listen")
-      Listen = Value();
+    } else if (Args.is("--listen"))
+      Listen = Args.value();
     else {
-      std::cerr << "hybridpt-serve: unknown option '" << Arg << "'\n";
+      std::cerr << "hybridpt-serve: unknown option '" << Args.arg() << "'\n";
       printUsage();
       return 2;
     }
   }
+  Opts.Analysis = Flags.Config;
+  Opts.DefaultDeadlineMs = Flags.DeadlineMs;
   if (Opts.ProgramSpec.empty()) {
     std::cerr << "hybridpt-serve: --program is required\n";
     printUsage();
@@ -325,9 +313,9 @@ int main(int argc, char **argv) {
   }
 
   trace::TraceRecorder Trace;
-  if (!TraceOut.empty()) {
+  if (!Flags.TraceOut.empty()) {
     std::string Error;
-    if (!Trace.openJsonl(TraceOut, Error)) {
+    if (!Trace.openJsonl(Flags.TraceOut, Error)) {
       std::cerr << "hybridpt-serve: " << Error << "\n";
       return 1;
     }
