@@ -18,7 +18,6 @@
 #include "ir/Program.h"
 #include "pta/AnalysisResult.h"
 #include "pta/Clients.h"
-#include "taint/Taint.h"
 
 #include <string>
 
@@ -84,8 +83,7 @@ public:
 
   void run(const AnalysisResult &R, std::vector<Diagnostic> &Out) const override {
     const Program &P = R.program();
-    auto Pts = R.pointsToByVar();
-    auto Empty = [&](VarId V) { return Pts[V.index()].empty(); };
+    auto Empty = [&](VarId V) { return R.ci().pointsTo(V).empty(); };
 
     for (MethodId M : R.reachableMethods()) {
       const MethodInfo &MI = P.method(M);
@@ -152,13 +150,10 @@ public:
 
   void run(const AnalysisResult &R, std::vector<Diagnostic> &Out) const override {
     const Program &P = R.program();
-    std::vector<bool> Reached(P.numMethods(), false);
-    for (MethodId M : R.reachableMethods())
-      Reached[M.index()] = true;
     for (size_t M = 0; M != P.numMethods(); ++M) {
-      if (Reached[M])
-        continue;
       MethodId Id = MethodId::fromIndex(M);
+      if (R.ci().isReachable(Id))
+        continue;
       Diagnostic D = blank();
       D.SiteKey = "method:" + std::to_string(M);
       D.Message = "method " + P.qualifiedName(Id) +
@@ -321,7 +316,7 @@ public:
     // Reports nothing on ordinary programs: only taint::instrument()
     // attaches sink metadata, so every non-taint pipeline is unaffected.
     const Program &P = R.program();
-    for (const taint::TaintedSink &S : taint::findTaintedSinks(R)) {
+    for (const TaintedSink &S : findTaintedSinks(R)) {
       const InvokeInfo &Inv = P.invoke(S.Site);
       Diagnostic D = blank();
       D.SiteKey = "sink:" + std::to_string(S.Site.index()) + ":" +

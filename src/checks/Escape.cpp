@@ -33,15 +33,14 @@ pt::checks::computeEscapes(const AnalysisResult &Result) {
                 Prog.text(Prog.field(FieldId::fromIndex(Fld)).Name));
 
   // Roots: returned from the allocating method.
-  auto PtsByVar = Result.pointsToByVar();
   for (size_t M = 0; M != Prog.numMethods(); ++M) {
     VarId Ret = Prog.method(MethodId::fromIndex(M)).Return;
     if (!Ret.isValid())
       continue;
-    for (uint32_t H : PtsByVar[Ret.index()])
-      if (Prog.heap(HeapId::fromIndex(H)).InMethod.index() == M)
-        Mark(H, "returned from " +
-                    Prog.qualifiedName(MethodId::fromIndex(M)));
+    for (HeapId H : Result.ci().pointsTo(Ret))
+      if (Prog.heap(H).InMethod.index() == M)
+        Mark(H.index(), "returned from " +
+                            Prog.qualifiedName(MethodId::fromIndex(M)));
   }
 
   // Fixpoint over field edges: a store into an escaping base, or into a

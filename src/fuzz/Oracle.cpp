@@ -11,6 +11,7 @@
 #include "interp/Interpreter.h"
 #include "ir/Program.h"
 #include "pta/AnalysisResult.h"
+#include "pta/Clients.h"
 #include "pta/Solver.h"
 #include "pta/provenance/Provenance.h"
 #include "ptaref/ReferenceAnalysis.h"
@@ -129,7 +130,7 @@ using SinkKey = std::tuple<uint32_t, uint32_t, uint32_t>;
 
 std::set<SinkKey> taintedSinkKeys(const AnalysisResult &R) {
   std::set<SinkKey> Out;
-  for (const taint::TaintedSink &T : taint::findTaintedSinks(R))
+  for (const TaintedSink &T : findTaintedSinks(R))
     Out.emplace(T.Site.index(), T.ArgIdx, T.TagIdx);
   return Out;
 }

@@ -28,49 +28,81 @@ const char *pt::abortReasonName(AbortReason Reason) {
   return "none";
 }
 
-std::vector<HeapId> AnalysisResult::pointsTo(VarId V) const {
-  std::vector<HeapId> Out;
-  for (const VarFactsEntry &E : VarFacts) {
-    if (E.Var != V)
-      continue;
-    for (uint32_t Obj : E.Objs)
-      Out.push_back(objHeap(Obj));
-  }
-  std::sort(Out.begin(), Out.end());
-  Out.erase(std::unique(Out.begin(), Out.end()), Out.end());
-  return Out;
-}
-
-std::vector<MethodId> AnalysisResult::callTargets(InvokeId I) const {
-  std::vector<MethodId> Out;
-  for (const CallGraphEdge &E : CallEdges)
-    if (E.Invo == I)
-      Out.push_back(E.Callee);
-  std::sort(Out.begin(), Out.end());
-  Out.erase(std::unique(Out.begin(), Out.end()), Out.end());
-  return Out;
-}
-
-std::vector<MethodId> AnalysisResult::reachableMethods() const {
-  std::vector<MethodId> Out;
-  Out.reserve(Reachable.size());
-  for (const auto &[M, Ctx] : Reachable)
-    Out.push_back(M);
-  std::sort(Out.begin(), Out.end());
-  Out.erase(std::unique(Out.begin(), Out.end()), Out.end());
-  return Out;
-}
-
 bool AnalysisResult::mayFailCast(uint32_t Site) const {
   const CastSite &CS = Prog->castSite(Site);
-  for (const VarFactsEntry &E : VarFacts) {
-    if (E.Var != CS.From)
-      continue;
-    for (uint32_t Obj : E.Objs)
-      if (!Prog->isSubtype(Prog->heap(objHeap(Obj)).Type, CS.Target))
-        return true;
-  }
+  for (HeapId H : Ci.pointsTo(CS.From))
+    if (!Prog->isSubtype(Prog->heap(H).Type, CS.Target))
+      return true;
   return false;
+}
+
+namespace {
+
+/// Groups \p Items by key into CSR form: \p Start gets NumKeys + 1 offsets
+/// and \p Vals each key's distinct values, ascending.  A counting sort
+/// orders the items by key; a per-value stamp (the key index, so it never
+/// wraps) drops values repeated across a key's items.  \p ForEachValue
+/// calls its sink once per (possibly repeated) value index of an item.
+template <typename ValT, typename ItemT, typename KeyFn, typename ValuesFn>
+void groupDistinct(const std::vector<ItemT> &Items, size_t NumKeys,
+                   size_t NumVals, KeyFn KeyOf, ValuesFn ForEachValue,
+                   std::vector<uint32_t> &Start, std::vector<ValT> &Vals) {
+  std::vector<uint32_t> ItemStart(NumKeys + 1, 0);
+  for (const ItemT &Item : Items)
+    ++ItemStart[KeyOf(Item) + 1];
+  for (size_t K = 0; K < NumKeys; ++K)
+    ItemStart[K + 1] += ItemStart[K];
+  std::vector<uint32_t> Order(Items.size());
+  {
+    std::vector<uint32_t> Cursor(ItemStart.begin(), ItemStart.end() - 1);
+    for (uint32_t I = 0; I < Items.size(); ++I)
+      Order[Cursor[KeyOf(Items[I])]++] = I;
+  }
+
+  Start.assign(NumKeys + 1, 0);
+  std::vector<uint32_t> Stamp(NumVals, UINT32_MAX);
+  for (uint32_t K = 0; K < NumKeys; ++K) {
+    Start[K] = static_cast<uint32_t>(Vals.size());
+    for (uint32_t F = ItemStart[K]; F < ItemStart[K + 1]; ++F)
+      ForEachValue(Items[Order[F]], [&](uint32_t V) {
+        if (Stamp[V] != K) {
+          Stamp[V] = K;
+          Vals.push_back(ValT(V));
+        }
+      });
+    std::sort(Vals.begin() + Start[K], Vals.end());
+  }
+  Start[NumKeys] = static_cast<uint32_t>(Vals.size());
+}
+
+} // namespace
+
+CiView::CiView(const AnalysisResult &Result) {
+  const Program &Prog = Result.program();
+
+  groupDistinct(
+      Result.VarFacts, Prog.numVars(), Prog.numHeaps(),
+      [](const AnalysisResult::VarFactsEntry &E) { return E.Var.index(); },
+      [&Result](const AnalysisResult::VarFactsEntry &E, auto Sink) {
+        for (uint32_t Obj : E.Objs)
+          Sink(Result.objHeap(Obj).index());
+      },
+      VarStart, VarHeaps);
+  for (size_t V = 0; V < Prog.numVars(); ++V)
+    PointingVars += VarStart[V] != VarStart[V + 1];
+
+  groupDistinct(
+      Result.CallEdges, Prog.numInvokes(), Prog.numMethods(),
+      [](const CallGraphEdge &E) { return E.Invo.index(); },
+      [](const CallGraphEdge &E, auto Sink) { Sink(E.Callee.index()); },
+      InvokeStart, Callees);
+
+  Reached.assign(Prog.numMethods(), false);
+  for (const auto &[M, Ctx] : Result.Reachable)
+    Reached[M.index()] = true;
+  for (uint32_t M = 0; M < Reached.size(); ++M)
+    if (Reached[M])
+      ReachList.push_back(MethodId(M));
 }
 
 size_t AnalysisResult::numCsVarPointsTo() const {
@@ -114,18 +146,6 @@ std::vector<HeapId> AnalysisResult::uncaughtExceptions() const {
   }
   std::sort(Out.begin(), Out.end());
   Out.erase(std::unique(Out.begin(), Out.end()), Out.end());
-  return Out;
-}
-
-std::vector<std::vector<uint32_t>> AnalysisResult::pointsToByVar() const {
-  std::vector<std::vector<uint32_t>> Out(Prog->numVars());
-  for (const VarFactsEntry &E : VarFacts)
-    for (uint32_t Obj : E.Objs)
-      Out[E.Var.index()].push_back(objHeap(Obj).index());
-  for (std::vector<uint32_t> &Set : Out) {
-    std::sort(Set.begin(), Set.end());
-    Set.erase(std::unique(Set.begin(), Set.end()), Set.end());
-  }
   return Out;
 }
 

@@ -9,6 +9,14 @@
 /// VARPOINTSTO, FLDPOINTSTO, CALLGRAPH, and REACHABLE, together with query
 /// helpers and canonical exports used by the differential tests.
 ///
+/// Every result also owns its context-insensitive view (\c CiView): per
+/// variable the distinct heap sites, per invocation site the distinct
+/// callees, and the reachable methods, as sorted CSR ranges.  The solver
+/// builds it once when the solve ends, outside \c SolveMs and
+/// \c PeakBytes; the Table 1 metrics, the clients, the checkers and the
+/// daemon all read it through \c ci() instead of re-projecting the
+/// context-sensitive facts.
+///
 /// An \c AnalysisResult borrows the \c Program and \c ContextPolicy it was
 /// produced against; both must outlive it.
 ///
@@ -22,12 +30,14 @@
 #include "support/Telemetry.h"
 
 #include <cstdint>
+#include <span>
 #include <tuple>
 #include <utility>
 #include <vector>
 
 namespace pt {
 
+class AnalysisResult;
 class Program;
 
 /// Why a run stopped short of its fixpoint (docs/ROBUSTNESS.md).  The
@@ -53,6 +63,55 @@ struct CallGraphEdge {
   CtxId CallerCtx;
   MethodId Callee;
   CtxId CalleeCtx;
+};
+
+/// The context-insensitive projection of VARPOINTSTO, CALLGRAPH and
+/// REACHABLE, on which all four Table 1 precision columns are defined: CSR
+/// arrays over dense variable and invocation-site ids plus a
+/// reachable-method bitmap.  Every range is sorted and duplicate-free.
+class CiView {
+public:
+  CiView() = default;
+
+  /// Projects the raw relations of \p Result.
+  explicit CiView(const AnalysisResult &Result);
+
+  /// Heap sites \p V may point to in any context, ascending.
+  std::span<const HeapId> pointsTo(VarId V) const {
+    return {VarHeaps.data() + VarStart[V.index()],
+            VarHeaps.data() + VarStart[V.index() + 1]};
+  }
+
+  /// Methods invocation site \p I may dispatch to in any context,
+  /// ascending.
+  std::span<const MethodId> callTargets(InvokeId I) const {
+    return {Callees.data() + InvokeStart[I.index()],
+            Callees.data() + InvokeStart[I.index() + 1]};
+  }
+
+  /// True when \p M is reachable in at least one context.
+  bool isReachable(MethodId M) const { return Reached[M.index()]; }
+
+  /// Every method reachable in at least one context, ascending.
+  const std::vector<MethodId> &reachableMethods() const { return ReachList; }
+
+  /// Variables that point to at least one heap site.
+  size_t numPointingVars() const { return PointingVars; }
+
+  /// Distinct (variable, heap site) pairs.
+  size_t numVarHeapPairs() const { return VarHeaps.size(); }
+
+  /// Distinct (invocation site, callee) pairs: the CI call-graph edges.
+  size_t numCallEdges() const { return Callees.size(); }
+
+private:
+  std::vector<uint32_t> VarStart; ///< numVars + 1 offsets into VarHeaps.
+  std::vector<HeapId> VarHeaps;
+  std::vector<uint32_t> InvokeStart; ///< numInvokes + 1 offsets into Callees.
+  std::vector<MethodId> Callees;
+  std::vector<bool> Reached;
+  std::vector<MethodId> ReachList;
+  size_t PointingVars = 0;
 };
 
 /// The complete result of a points-to analysis run.
@@ -137,21 +196,35 @@ public:
   /// build disables HYBRIDPT_TELEMETRY or the engine does not count.
   telemetry::SolverCounters Counters;
 
+  /// Projects the raw relations into the context-insensitive view; the
+  /// solver calls this once the relations are final.
+  void buildCiView() { Ci = CiView(*this); }
+
   // --- Queries ---
 
   const Program &program() const { return *Prog; }
   const ContextPolicy &policy() const { return *Policy; }
 
-  /// Context-insensitive projection: all heap sites \p V may point to,
-  /// sorted and deduplicated.
-  std::vector<HeapId> pointsTo(VarId V) const;
+  /// The context-insensitive view of this result.
+  const CiView &ci() const { return Ci; }
+
+  /// All heap sites \p V may point to, sorted and deduplicated.
+  std::vector<HeapId> pointsTo(VarId V) const {
+    auto Heaps = Ci.pointsTo(V);
+    return {Heaps.begin(), Heaps.end()};
+  }
 
   /// All methods invocation site \p I may dispatch to, sorted and
   /// deduplicated over all contexts.
-  std::vector<MethodId> callTargets(InvokeId I) const;
+  std::vector<MethodId> callTargets(InvokeId I) const {
+    auto Targets = Ci.callTargets(I);
+    return {Targets.begin(), Targets.end()};
+  }
 
   /// All methods reachable in at least one context, sorted and dedup'd.
-  std::vector<MethodId> reachableMethods() const;
+  const std::vector<MethodId> &reachableMethods() const {
+    return Ci.reachableMethods();
+  }
 
   /// True when cast site \p Site may observe an object that is not a
   /// subtype of the cast target (the may-fail-casts client).
@@ -174,12 +247,7 @@ public:
   /// uncaught, sorted and deduplicated (the uncaught-exceptions client).
   std::vector<HeapId> uncaughtExceptions() const;
 
-  // --- Context-insensitive bulk accessors (checker clients) ---
-
-  /// CI points-to set of every variable, indexed densely by VarId: heap
-  /// site indices, sorted and deduplicated.  One pass over VarFacts, so
-  /// clients querying many variables should prefer this over pointsTo().
-  std::vector<std::vector<uint32_t>> pointsToByVar() const;
+  // --- Context-insensitive field relations (checker clients) ---
 
   /// CI field edges (base heap, field, heap), sorted and deduplicated —
   /// the store-reachability input of the method-escape checker.
@@ -215,6 +283,7 @@ public:
 private:
   const Program *Prog;
   const ContextPolicy *Policy;
+  CiView Ci;
 };
 
 } // namespace pt

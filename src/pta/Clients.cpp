@@ -10,78 +10,82 @@
 #include "pta/AnalysisResult.h"
 
 #include <algorithm>
-#include <unordered_map>
-#include <unordered_set>
+#include <tuple>
 
 using namespace pt;
 
 std::vector<DevirtSite> pt::devirtualizeCalls(const AnalysisResult &Result) {
   const Program &Prog = Result.program();
-
-  std::unordered_map<uint32_t, std::unordered_set<uint32_t>> TargetsPerSite;
-  for (const CallGraphEdge &E : Result.CallEdges)
-    if (!Prog.invoke(E.Invo).IsStatic)
-      TargetsPerSite[E.Invo.index()].insert(E.Callee.index());
+  const CiView &Ci = Result.ci();
 
   std::vector<DevirtSite> Rows;
-  for (MethodId M : Result.reachableMethods()) {
-    for (InvokeId Inv : Prog.method(M).Invokes) {
-      if (Prog.invoke(Inv).IsStatic)
-        continue;
-      DevirtSite Row;
-      Row.Invo = Inv;
-      auto It = TargetsPerSite.find(Inv.index());
-      if (It == TargetsPerSite.end() || It->second.empty()) {
-        Row.Verdict = DevirtVerdict::Dead;
-      } else {
-        for (uint32_t T : It->second)
-          Row.Targets.push_back(MethodId(T));
-        std::sort(Row.Targets.begin(), Row.Targets.end());
-        Row.Verdict = Row.Targets.size() == 1 ? DevirtVerdict::Monomorphic
-                                              : DevirtVerdict::Polymorphic;
-      }
-      Rows.push_back(std::move(Row));
-    }
+  for (uint32_t I = 0; I < Prog.numInvokes(); ++I) {
+    const InvokeInfo &Inv = Prog.invoke(InvokeId(I));
+    if (Inv.IsStatic || !Ci.isReachable(Inv.InMethod))
+      continue;
+    auto Targets = Ci.callTargets(InvokeId(I));
+    DevirtSite Row;
+    Row.Invo = InvokeId(I);
+    Row.Targets.assign(Targets.begin(), Targets.end());
+    Row.Verdict = Targets.empty()        ? DevirtVerdict::Dead
+                  : Targets.size() == 1 ? DevirtVerdict::Monomorphic
+                                        : DevirtVerdict::Polymorphic;
+    Rows.push_back(std::move(Row));
   }
-  std::sort(Rows.begin(), Rows.end(),
-            [](const DevirtSite &A, const DevirtSite &B) {
-              return A.Invo < B.Invo;
-            });
   return Rows;
 }
 
 std::vector<CastCheck> pt::checkCasts(const AnalysisResult &Result) {
   const Program &Prog = Result.program();
-
-  std::unordered_map<uint32_t, std::unordered_set<uint32_t>> HeapsPerVar;
-  for (const auto &E : Result.VarFacts) {
-    auto &Set = HeapsPerVar[E.Var.index()];
-    for (uint32_t Obj : E.Objs)
-      Set.insert(Result.objHeap(Obj).index());
-  }
+  const CiView &Ci = Result.ci();
 
   std::vector<CastCheck> Rows;
-  for (MethodId M : Result.reachableMethods()) {
-    for (const CastInstr &C : Prog.method(M).Casts) {
-      CastCheck Row;
-      Row.Site = C.Site;
-      auto It = HeapsPerVar.find(C.From.index());
-      if (It == HeapsPerVar.end() || It->second.empty()) {
-        Row.Verdict = CastVerdict::Unreached;
-      } else {
-        for (uint32_t HeapIdx : It->second)
-          if (!Prog.isSubtype(Prog.heap(HeapId(HeapIdx)).Type, C.Target))
-            Row.Offenders.push_back(HeapId(HeapIdx));
-        std::sort(Row.Offenders.begin(), Row.Offenders.end());
-        Row.Verdict = Row.Offenders.empty() ? CastVerdict::Safe
-                                            : CastVerdict::MayFail;
-      }
-      Rows.push_back(std::move(Row));
-    }
+  for (uint32_t Site = 0; Site < Prog.numCastSites(); ++Site) {
+    const CastSite &CS = Prog.castSite(Site);
+    if (!Ci.isReachable(CS.InMethod))
+      continue;
+    auto Heaps = Ci.pointsTo(CS.From);
+    CastCheck Row;
+    Row.Site = Site;
+    for (HeapId H : Heaps)
+      if (!Prog.isSubtype(Prog.heap(H).Type, CS.Target))
+        Row.Offenders.push_back(H);
+    Row.Verdict = Heaps.empty()              ? CastVerdict::Unreached
+                  : Row.Offenders.empty() ? CastVerdict::Safe
+                                          : CastVerdict::MayFail;
+    Rows.push_back(std::move(Row));
   }
-  std::sort(Rows.begin(), Rows.end(),
-            [](const CastCheck &A, const CastCheck &B) {
-              return A.Site < B.Site;
-            });
   return Rows;
+}
+
+std::vector<TaintedSink> pt::findTaintedSinks(const AnalysisResult &Result) {
+  const Program &Prog = Result.program();
+  const CiView &Ci = Result.ci();
+  std::vector<TaintedSink> Out;
+  std::vector<HeapId> Witness(Prog.taintTags().size());
+
+  for (const Program::TaintSink &S : Prog.taintSinks()) {
+    const InvokeInfo &I = Prog.invoke(S.Site);
+    if (!Ci.isReachable(I.InMethod))
+      continue;
+    VarId Actual = I.Actuals[S.ArgIdx];
+    // Heap sites are sorted ascending, so the first hit per tag is the
+    // lowest-id witness.
+    std::fill(Witness.begin(), Witness.end(), HeapId::invalid());
+    for (HeapId H : Ci.pointsTo(Actual)) {
+      uint32_t Tag = Prog.heap(H).TaintTag;
+      if (Tag != 0 && !Witness[Tag - 1].isValid())
+        Witness[Tag - 1] = H;
+    }
+    for (uint32_t T = 0; T < Witness.size(); ++T)
+      if (Witness[T].isValid())
+        Out.push_back({S.Site, S.ArgIdx, T, Actual, Witness[T]});
+  }
+
+  std::sort(Out.begin(), Out.end(), [](const TaintedSink &A,
+                                       const TaintedSink &B) {
+    return std::tie(A.Site, A.ArgIdx, A.TagIdx) <
+           std::tie(B.Site, B.ArgIdx, B.TagIdx);
+  });
+  return Out;
 }

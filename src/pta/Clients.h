@@ -6,8 +6,10 @@
 ///
 /// \file
 /// The two client analyses the paper uses to measure precision, exposed as
-/// reusable reports: call devirtualization and cast-safety checking.
-/// The example binaries build human-readable output from these.
+/// reusable reports: call devirtualization and cast-safety checking, plus
+/// the taint client's sink query.  All three read the result's
+/// context-insensitive view (\c CiView).  The example binaries build
+/// human-readable output from these.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -61,6 +63,24 @@ struct CastCheck {
 /// Checks every cast site in a context-insensitively reachable method.
 /// Rows are ordered by cast-site id.
 std::vector<CastCheck> checkCasts(const AnalysisResult &Result);
+
+/// One tainted sink finding: the points-to set of \c Actual (argument
+/// \c ArgIdx of call \c Site) contains \c Witness, an allocation site
+/// tagged with tag \c TagIdx.
+struct TaintedSink {
+  InvokeId Site;
+  uint32_t ArgIdx = 0;
+  uint32_t TagIdx = 0;
+  VarId Actual;
+  HeapId Witness;
+};
+
+/// The taint client query over a solved result of a taint-instrumented
+/// program (taint/Taint.h): every (reachable sink, tag) pair whose
+/// argument may hold a tainted object.  Sorted by (site, argIdx, tag); the
+/// witness is the lowest tainted heap id in the set.  Empty on
+/// uninstrumented programs.  Its size is the \c tainted_sinks metric.
+std::vector<TaintedSink> findTaintedSinks(const AnalysisResult &Result);
 
 } // namespace pt
 

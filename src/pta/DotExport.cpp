@@ -10,11 +10,11 @@
 #include "pta/AnalysisResult.h"
 #include "support/Hashing.h"
 
+#include <algorithm>
 #include <map>
 #include <ostream>
 #include <set>
 #include <sstream>
-#include <unordered_map>
 
 using namespace pt;
 
@@ -41,12 +41,13 @@ void pt::writeCallGraphDot(const AnalysisResult &Result, std::ostream &OS,
   // Context-insensitive edges: caller method -> callee method.
   std::set<std::pair<uint32_t, uint32_t>> Edges;
   std::map<uint32_t, size_t> Degree;
-  for (const CallGraphEdge &E : Result.CallEdges) {
-    uint32_t Caller = Prog.invoke(E.Invo).InMethod.index();
-    uint32_t Callee = E.Callee.index();
-    if (Edges.insert({Caller, Callee}).second) {
-      ++Degree[Caller];
-      ++Degree[Callee];
+  for (uint32_t I = 0; I < Prog.numInvokes(); ++I) {
+    uint32_t Caller = Prog.invoke(InvokeId(I)).InMethod.index();
+    for (MethodId Callee : Result.ci().callTargets(InvokeId(I))) {
+      if (Edges.insert({Caller, Callee.index()}).second) {
+        ++Degree[Caller];
+        ++Degree[Callee.index()];
+      }
     }
   }
 
@@ -94,53 +95,46 @@ void pt::writePointsToDot(const AnalysisResult &Result, MethodId Focus,
   const Program &Prog = Result.program();
   const MethodInfo &Body = Prog.method(Focus);
 
-  std::set<uint32_t> FocusVars;
-  for (VarId V : Body.Locals)
-    FocusVars.insert(V.index());
+  // The focus method's locals that point somewhere, and the heap sites
+  // they reach (context-insensitive projection).
+  std::vector<VarId> Vars;
+  std::vector<HeapId> Heaps;
+  for (VarId V : Body.Locals) {
+    auto Pts = Result.ci().pointsTo(V);
+    if (Pts.empty())
+      continue;
+    Vars.push_back(V);
+    Heaps.insert(Heaps.end(), Pts.begin(), Pts.end());
+  }
+  std::sort(Vars.begin(), Vars.end());
+  Vars.erase(std::unique(Vars.begin(), Vars.end()), Vars.end());
+  std::sort(Heaps.begin(), Heaps.end());
+  Heaps.erase(std::unique(Heaps.begin(), Heaps.end()), Heaps.end());
+  auto Shown = [&](uint32_t H) {
+    return std::binary_search(Heaps.begin(), Heaps.end(), HeapId(H));
+  };
 
   OS << "digraph pointsto {\n  rankdir=LR;\n"
         "  node [fontsize=9];\n";
-
-  // Variable -> heap edges (context-insensitive projection).
-  std::set<uint32_t> Heaps;
-  std::set<std::pair<uint32_t, uint32_t>> VarEdges;
-  for (const auto &E : Result.VarFacts) {
-    if (!FocusVars.count(E.Var.index()))
-      continue;
-    for (uint32_t Obj : E.Objs) {
-      uint32_t H = Result.objHeap(Obj).index();
-      Heaps.insert(H);
-      VarEdges.insert({E.Var.index(), H});
-    }
-  }
-
-  for (uint32_t V : FocusVars) {
-    bool Points = false;
-    for (const auto &[Var, H] : VarEdges)
-      if (Var == V) {
-        Points = true;
-        break;
-      }
-    if (!Points)
-      continue;
-    OS << "  v" << V << " [shape=box, label=\""
-       << escape(Prog.text(Prog.var(VarId(V)).Name)) << "\"];\n";
-  }
-  for (uint32_t H : Heaps)
-    OS << "  h" << H << " [shape=ellipse, label=\""
-       << escape(Prog.text(Prog.heap(HeapId(H)).Name)) << "\"];\n";
-  for (const auto &[V, H] : VarEdges)
-    OS << "  v" << V << " -> h" << H << ";\n";
+  for (VarId V : Vars)
+    OS << "  v" << V.index() << " [shape=box, label=\""
+       << escape(Prog.text(Prog.var(V).Name)) << "\"];\n";
+  for (HeapId H : Heaps)
+    OS << "  h" << H.index() << " [shape=ellipse, label=\""
+       << escape(Prog.text(Prog.heap(H).Name)) << "\"];\n";
+  for (VarId V : Vars)
+    for (HeapId H : Result.ci().pointsTo(V))
+      OS << "  v" << V.index() << " -> h" << H.index() << ";\n";
 
   // Field edges among the displayed objects.
   std::set<std::pair<uint64_t, uint32_t>> FieldEdges; // (packed pair, fld)
   for (const auto &E : Result.FieldFacts) {
     uint32_t BaseH = Result.objHeap(E.BaseObj).index();
-    if (!Heaps.count(BaseH))
+    if (!Shown(BaseH))
       continue;
     for (uint32_t Obj : E.Objs) {
       uint32_t H = Result.objHeap(Obj).index();
-      if (!Heaps.count(H))
+      if (!Shown(H))
         continue;
       if (FieldEdges.insert({packPair(BaseH, H), E.Fld.index()}).second)
         OS << "  h" << BaseH << " -> h" << H << " [style=dashed, label=\""

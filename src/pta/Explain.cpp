@@ -9,39 +9,25 @@
 #include "ir/Program.h"
 #include "pta/AnalysisResult.h"
 #include "pta/Clients.h"
-#include "support/Hashing.h"
 
 #include <algorithm>
-#include <map>
-#include <set>
+#include <iterator>
+#include <span>
 #include <sstream>
-#include <unordered_map>
-#include <unordered_set>
 
 using namespace pt;
 
 namespace {
 
-std::set<uint64_t> ciVarPairs(const AnalysisResult &R) {
-  std::set<uint64_t> Out;
-  for (const auto &E : R.VarFacts)
-    for (uint32_t Obj : E.Objs)
-      Out.insert(packPair(E.Var.index(), R.objHeap(Obj).index()));
-  return Out;
-}
-
-std::set<uint64_t> ciCallEdges(const AnalysisResult &R) {
-  std::set<uint64_t> Out;
-  for (const CallGraphEdge &E : R.CallEdges)
-    Out.insert(packPair(E.Invo.index(), E.Callee.index()));
-  return Out;
-}
-
-size_t countMissing(const std::set<uint64_t> &Coarse,
-                    const std::set<uint64_t> &Refined) {
+/// Number of elements of sorted \p Coarse missing from sorted \p Refined.
+template <typename T>
+size_t countMissing(std::span<const T> Coarse, std::span<const T> Refined) {
   size_t N = 0;
-  for (uint64_t P : Coarse)
-    N += Refined.find(P) == Refined.end();
+  auto It = Refined.begin();
+  for (const T &X : Coarse) {
+    It = std::lower_bound(It, Refined.end(), X);
+    N += It == Refined.end() || *It != X;
+  }
   return N;
 }
 
@@ -51,68 +37,39 @@ AnalysisDelta pt::diffResults(const AnalysisResult &Coarse,
                               const AnalysisResult &Refined) {
   AnalysisDelta Delta;
 
-  // Cast verdicts with offender evidence from both sides.
-  auto CoarseCasts = checkCasts(Coarse);
-  auto RefinedCasts = checkCasts(Refined);
-  std::unordered_map<uint32_t, const CastCheck *> RefinedBySite;
-  for (const CastCheck &C : RefinedCasts)
-    RefinedBySite.emplace(C.Site, &C);
-  for (const CastCheck &C : CoarseCasts) {
+  // A cast may-fail under Coarse either still fails under Refined or lost
+  // every offender.
+  for (const CastCheck &C : checkCasts(Coarse)) {
     if (C.Verdict != CastVerdict::MayFail)
       continue;
-    auto It = RefinedBySite.find(C.Site);
-    bool RefinedFails =
-        It != RefinedBySite.end() &&
-        It->second->Verdict == CastVerdict::MayFail;
-    if (RefinedFails) {
+    if (Refined.mayFailCast(C.Site))
       Delta.CastsStillFailing.push_back(C.Site);
-      continue;
-    }
-    CastFix Fix;
-    Fix.Site = C.Site;
-    const std::vector<HeapId> *RefinedOffenders =
-        It != RefinedBySite.end() ? &It->second->Offenders : nullptr;
-    for (HeapId H : C.Offenders) {
-      bool StillThere =
-          RefinedOffenders &&
-          std::binary_search(RefinedOffenders->begin(),
-                             RefinedOffenders->end(), H);
-      if (!StillThere)
-        Fix.RemovedOffenders.push_back(H);
-    }
-    Delta.CastsFixed.push_back(std::move(Fix));
+    else
+      Delta.CastsFixed.push_back({C.Site, C.Offenders});
   }
 
   // Devirtualization deltas.
-  auto CoarseSites = devirtualizeCalls(Coarse);
-  auto RefinedSites = devirtualizeCalls(Refined);
-  std::unordered_map<uint32_t, const DevirtSite *> RefinedByInvo;
-  for (const DevirtSite &S : RefinedSites)
-    RefinedByInvo.emplace(S.Invo.index(), &S);
-  for (const DevirtSite &S : CoarseSites) {
-    auto It = RefinedByInvo.find(S.Invo.index());
-    const std::vector<MethodId> Empty;
-    const std::vector<MethodId> &After =
-        It != RefinedByInvo.end() ? It->second->Targets : Empty;
-    CallFix Fix;
-    Fix.Invo = S.Invo;
-    for (MethodId T : S.Targets)
-      if (!std::binary_search(After.begin(), After.end(), T))
-        Fix.RemovedTargets.push_back(T);
+  for (const DevirtSite &S : devirtualizeCalls(Coarse)) {
+    auto After = Refined.ci().callTargets(S.Invo);
+    CallFix Fix{S.Invo, {}};
+    std::set_difference(S.Targets.begin(), S.Targets.end(), After.begin(),
+                        After.end(), std::back_inserter(Fix.RemovedTargets));
     if (!Fix.RemovedTargets.empty())
       Delta.CallsRefined.push_back(std::move(Fix));
   }
 
-  Delta.VarPointsToPairsRemoved =
-      countMissing(ciVarPairs(Coarse), ciVarPairs(Refined));
-  Delta.CallEdgesRemoved =
-      countMissing(ciCallEdges(Coarse), ciCallEdges(Refined));
-
-  auto CoarseReach = Coarse.reachableMethods();
-  auto RefinedReach = Refined.reachableMethods();
-  for (MethodId M : CoarseReach)
-    Delta.MethodsRemoved +=
-        !std::binary_search(RefinedReach.begin(), RefinedReach.end(), M);
+  // The context-insensitive relations, merged range by range.
+  const CiView &CoarseCi = Coarse.ci();
+  const CiView &RefinedCi = Refined.ci();
+  const Program &Prog = Coarse.program();
+  for (uint32_t V = 0; V < Prog.numVars(); ++V)
+    Delta.VarPointsToPairsRemoved += countMissing(
+        CoarseCi.pointsTo(VarId(V)), RefinedCi.pointsTo(VarId(V)));
+  for (uint32_t I = 0; I < Prog.numInvokes(); ++I)
+    Delta.CallEdgesRemoved += countMissing(
+        CoarseCi.callTargets(InvokeId(I)), RefinedCi.callTargets(InvokeId(I)));
+  for (MethodId M : CoarseCi.reachableMethods())
+    Delta.MethodsRemoved += !RefinedCi.isReachable(M);
   return Delta;
 }
 

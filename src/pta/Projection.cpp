@@ -14,25 +14,25 @@
 using namespace pt;
 
 CiProjection pt::ciProject(const AnalysisResult &R) {
-  CiProjection P;
-  for (const AnalysisResult::VarFactsEntry &E : R.VarFacts)
-    for (uint32_t Obj : E.Objs)
-      P.VarPointsTo.emplace(E.Var.index(), R.objHeap(Obj).index());
-  for (const CallGraphEdge &E : R.CallEdges)
-    P.CallEdges.emplace(E.Invo.index(), E.Callee.index());
-  for (const auto &[M, Ctx] : R.Reachable)
-    P.ReachableMethods.insert(M.index());
-  for (const AnalysisResult::StaticFactsEntry &E : R.StaticFacts)
-    for (uint32_t Obj : E.Objs)
-      P.StaticFieldPointsTo.emplace(E.Fld.index(), R.objHeap(Obj).index());
-  for (const AnalysisResult::FieldFactsEntry &E : R.FieldFacts)
-    for (uint32_t Obj : E.Objs)
-      P.FieldPointsTo.emplace(R.objHeap(E.BaseObj).index(), E.Fld.index(),
-                              R.objHeap(Obj).index());
   const Program &Prog = R.program();
+  const CiView &Ci = R.ci();
+  CiProjection P;
+  // Every source below is sorted, so each insert lands at the end.
+  for (uint32_t V = 0; V < Prog.numVars(); ++V)
+    for (HeapId H : Ci.pointsTo(VarId(V)))
+      P.VarPointsTo.emplace_hint(P.VarPointsTo.end(), V, H.index());
+  for (uint32_t I = 0; I < Prog.numInvokes(); ++I)
+    for (MethodId M : Ci.callTargets(InvokeId(I)))
+      P.CallEdges.emplace_hint(P.CallEdges.end(), I, M.index());
+  for (MethodId M : Ci.reachableMethods())
+    P.ReachableMethods.emplace_hint(P.ReachableMethods.end(), M.index());
+  auto Statics = R.ciStaticEdges();
+  P.StaticFieldPointsTo.insert(Statics.begin(), Statics.end());
+  auto Fields = R.ciFieldEdges();
+  P.FieldPointsTo.insert(Fields.begin(), Fields.end());
   for (uint32_t Site = 0; Site < Prog.numCastSites(); ++Site)
     if (R.mayFailCast(Site))
-      P.MayFailCasts.insert(Site);
+      P.MayFailCasts.emplace_hint(P.MayFailCasts.end(), Site);
   return P;
 }
 

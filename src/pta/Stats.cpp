@@ -11,25 +11,22 @@
 
 #include <algorithm>
 #include <sstream>
-#include <unordered_map>
-#include <unordered_set>
 
 using namespace pt;
 
 namespace {
 
-/// Keeps the \p TopN largest (id, count) pairs, count-descending.
+/// Keeps the \p TopN largest nonzero (id, count) pairs of a dense count
+/// vector, count-descending, ties by ascending id.
 template <typename IdT>
-std::vector<std::pair<IdT, size_t>>
-topN(const std::unordered_map<uint32_t, size_t> &Counts, size_t TopN) {
+std::vector<std::pair<IdT, size_t>> topN(const std::vector<size_t> &Counts,
+                                         size_t TopN) {
   std::vector<std::pair<IdT, size_t>> All;
-  All.reserve(Counts.size());
-  for (const auto &[Id, Count] : Counts)
-    All.push_back({IdT(Id), Count});
-  std::sort(All.begin(), All.end(), [](const auto &A, const auto &B) {
-    if (A.second != B.second)
-      return A.second > B.second;
-    return A.first < B.first;
+  for (uint32_t Id = 0; Id < Counts.size(); ++Id)
+    if (Counts[Id] != 0)
+      All.push_back({IdT(Id), Counts[Id]});
+  std::stable_sort(All.begin(), All.end(), [](const auto &A, const auto &B) {
+    return A.second > B.second;
   });
   if (All.size() > TopN)
     All.resize(TopN);
@@ -53,37 +50,33 @@ ContextStats pt::computeStats(const AnalysisResult &Result, size_t TopN) {
   ContextStats Stats;
 
   // Contexts per method.
-  std::unordered_map<uint32_t, size_t> CtxPerMethod;
+  std::vector<size_t> CtxPerMethod(Prog.numMethods(), 0);
   for (const auto &[M, Ctx] : Result.Reachable)
     ++CtxPerMethod[M.index()];
-  size_t Total = 0;
-  for (const auto &[M, N] : CtxPerMethod) {
-    Total += N;
+  for (size_t N : CtxPerMethod)
     Stats.MaxContextsPerMethod = std::max(Stats.MaxContextsPerMethod, N);
-  }
+  size_t NumReached = Result.ci().reachableMethods().size();
   Stats.AvgContextsPerMethod =
-      CtxPerMethod.empty()
-          ? 0.0
-          : static_cast<double>(Total) /
-                static_cast<double>(CtxPerMethod.size());
+      NumReached == 0 ? 0.0
+                      : static_cast<double>(Result.Reachable.size()) /
+                            static_cast<double>(NumReached);
   Stats.TopMethodsByContexts = topN<MethodId>(CtxPerMethod, TopN);
 
-  // Projected per-variable set sizes.
-  std::unordered_map<uint32_t, std::unordered_set<uint32_t>> PerVar;
-  std::unordered_map<uint32_t, size_t> FactsPerMethod;
-  for (const auto &E : Result.VarFacts) {
-    auto &Set = PerVar[E.Var.index()];
-    for (uint32_t Obj : E.Objs)
-      Set.insert(Result.objHeap(Obj).index());
+  // Context-sensitive facts per owning method.
+  std::vector<size_t> FactsPerMethod(Prog.numMethods(), 0);
+  for (const auto &E : Result.VarFacts)
     FactsPerMethod[Prog.var(E.Var).Owner.index()] += E.Objs.size();
-  }
 
+  // Projected per-variable set sizes: the view's range lengths.
   std::vector<size_t> Sizes;
-  std::unordered_map<uint32_t, size_t> VarSizes;
-  for (const auto &[Var, Set] : PerVar) {
-    Sizes.push_back(Set.size());
-    VarSizes[Var] = Set.size();
-    size_t Bucket = log2Bucket(Set.size());
+  std::vector<size_t> VarSizes(Prog.numVars(), 0);
+  for (uint32_t V = 0; V < Prog.numVars(); ++V) {
+    size_t Size = Result.ci().pointsTo(VarId(V)).size();
+    if (Size == 0)
+      continue;
+    Sizes.push_back(Size);
+    VarSizes[V] = Size;
+    size_t Bucket = log2Bucket(Size);
     if (Stats.PointsToSizeHistogram.size() <= Bucket)
       Stats.PointsToSizeHistogram.resize(Bucket + 1, 0);
     ++Stats.PointsToSizeHistogram[Bucket];

@@ -36,7 +36,7 @@ std::vector<std::string> pt::serve::pointsToLines(const Program &P,
                                                   const AnalysisResult &R,
                                                   VarId V) {
   std::vector<std::string> Out;
-  for (HeapId H : R.pointsTo(V))
+  for (HeapId H : R.ci().pointsTo(V))
     Out.push_back(std::string(P.text(P.heap(H).Name)) + " : " +
                   std::string(P.text(P.type(P.heap(H).Type).Name)));
   return Out;

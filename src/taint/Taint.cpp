@@ -8,7 +8,6 @@
 
 #include "ir/Program.h"
 #include "ir/ProgramBuilder.h"
-#include "pta/AnalysisResult.h"
 
 #include <algorithm>
 #include <cassert>
@@ -305,45 +304,6 @@ std::unique_ptr<Program> pt::taint::instrument(const Program &Prog,
     B.addTaintSink(Site, ArgIdx);
 
   return B.build();
-}
-
-std::vector<TaintedSink>
-pt::taint::findTaintedSinks(const AnalysisResult &Result) {
-  const Program &Prog = Result.program();
-  std::vector<TaintedSink> Out;
-  if (Prog.taintSinks().empty())
-    return Out;
-
-  std::vector<char> Reach(Prog.numMethods(), 0);
-  for (MethodId M : Result.reachableMethods())
-    Reach[M.index()] = 1;
-  const std::vector<std::vector<uint32_t>> PtByVar = Result.pointsToByVar();
-  const size_t NumTags = Prog.taintTags().size();
-
-  for (const Program::TaintSink &S : Prog.taintSinks()) {
-    const InvokeInfo &I = Prog.invoke(S.Site);
-    if (!Reach[I.InMethod.index()])
-      continue;
-    VarId Actual = I.Actuals[S.ArgIdx];
-    // Heap indices are sorted ascending, so the first hit per tag is the
-    // lowest-id witness.
-    std::vector<HeapId> Witness(NumTags, HeapId::invalid());
-    for (uint32_t H : PtByVar[Actual.index()]) {
-      uint32_t Tag = Prog.heap(HeapId(H)).TaintTag;
-      if (Tag != 0 && !Witness[Tag - 1].isValid())
-        Witness[Tag - 1] = HeapId(H);
-    }
-    for (uint32_t T = 0; T < NumTags; ++T)
-      if (Witness[T].isValid())
-        Out.push_back({S.Site, S.ArgIdx, T, Actual, Witness[T]});
-  }
-
-  std::sort(Out.begin(), Out.end(), [](const TaintedSink &A,
-                                       const TaintedSink &B) {
-    return std::tie(A.Site, A.ArgIdx, A.TagIdx) <
-           std::tie(B.Site, B.ArgIdx, B.TagIdx);
-  });
-  return Out;
 }
 
 TaintSpec pt::taint::syntheticSpec(const Program &Prog, uint64_t Seed) {

@@ -25,9 +25,9 @@
 ///    policies, the solver, the Datalog reference model, the fallback
 ///    ladder, guards, and provenance — applies unchanged.
 ///
-///  * findTaintedSinks() is the client query: sink arguments whose
-///    points-to set contains a tainted allocation site.  HPT007 and the
-///    bench column both use it.
+///  * pt::findTaintedSinks() (pta/Clients.h) is the client query: sink
+///    arguments whose points-to set contains a tainted allocation site.
+///    HPT007, the fuzz oracle and the tainted_sinks metric all use it.
 ///
 /// Id stability contract of instrument(): type/field/sig/method/invoke/
 /// heap ids and cast-site indices of the original program are preserved
@@ -50,7 +50,6 @@
 
 namespace pt {
 
-class AnalysisResult;
 class Program;
 
 namespace taint {
@@ -87,23 +86,6 @@ TaintPlan resolve(const TaintSpec &Spec, const Program &Prog);
 /// is behaviorally identical to the input.
 std::unique_ptr<Program> instrument(const Program &Prog,
                                     const TaintPlan &Plan);
-
-/// One tainted sink finding: the points-to set of \c Actual (argument
-/// \c ArgIdx of call \c Site) contains \c Witness, an allocation site
-/// tagged with tag \c TagIdx.
-struct TaintedSink {
-  InvokeId Site;
-  uint32_t ArgIdx = 0;
-  uint32_t TagIdx = 0;
-  VarId Actual;
-  HeapId Witness;
-};
-
-/// The taint client query over a solved result of an instrumented
-/// program: every (reachable sink, tag) pair whose argument may hold a
-/// tainted object.  Sorted by (site, argIdx, tag); the witness is the
-/// lowest tainted heap id in the set.  Empty on uninstrumented programs.
-std::vector<TaintedSink> findTaintedSinks(const AnalysisResult &Result);
 
 /// Derives a deterministic synthetic spec from \p Prog's method names
 /// (the fuzz harness's 6th axis): a couple of `*::name/arity` sources,

@@ -485,6 +485,216 @@ PrecisionMetrics referenceMetrics(const AnalysisResult &Result) {
   return M;
 }
 
+/// Methods reachable in at least one context, sorted and deduplicated.
+std::vector<MethodId> referenceReachable(const AnalysisResult &Result) {
+  std::vector<MethodId> Out;
+  for (const auto &[M, Ctx] : Result.Reachable)
+    Out.push_back(M);
+  std::sort(Out.begin(), Out.end());
+  Out.erase(std::unique(Out.begin(), Out.end()), Out.end());
+  return Out;
+}
+
+/// The per-variable points-to sets the clients and checkers rebuilt before
+/// the context-insensitive view: heap indices, sorted and deduplicated.
+std::vector<std::vector<uint32_t>>
+referencePointsToByVar(const AnalysisResult &Result) {
+  std::vector<std::vector<uint32_t>> Out(Result.program().numVars());
+  for (const auto &E : Result.VarFacts)
+    for (uint32_t Obj : E.Objs)
+      Out[E.Var.index()].push_back(Result.objHeap(Obj).index());
+  for (std::vector<uint32_t> &Set : Out) {
+    std::sort(Set.begin(), Set.end());
+    Set.erase(std::unique(Set.begin(), Set.end()), Set.end());
+  }
+  return Out;
+}
+
+/// The hash-set devirtualization client the view replaced.
+std::vector<DevirtSite>
+referenceDevirtualizeCalls(const AnalysisResult &Result) {
+  const Program &Prog = Result.program();
+  std::unordered_map<uint32_t, std::unordered_set<uint32_t>> TargetsPerSite;
+  for (const CallGraphEdge &E : Result.CallEdges)
+    if (!Prog.invoke(E.Invo).IsStatic)
+      TargetsPerSite[E.Invo.index()].insert(E.Callee.index());
+
+  std::vector<DevirtSite> Rows;
+  for (MethodId M : referenceReachable(Result)) {
+    for (InvokeId Inv : Prog.method(M).Invokes) {
+      if (Prog.invoke(Inv).IsStatic)
+        continue;
+      DevirtSite Row;
+      Row.Invo = Inv;
+      auto It = TargetsPerSite.find(Inv.index());
+      if (It == TargetsPerSite.end() || It->second.empty()) {
+        Row.Verdict = DevirtVerdict::Dead;
+      } else {
+        for (uint32_t T : It->second)
+          Row.Targets.push_back(MethodId(T));
+        std::sort(Row.Targets.begin(), Row.Targets.end());
+        Row.Verdict = Row.Targets.size() == 1 ? DevirtVerdict::Monomorphic
+                                              : DevirtVerdict::Polymorphic;
+      }
+      Rows.push_back(std::move(Row));
+    }
+  }
+  std::sort(Rows.begin(), Rows.end(),
+            [](const DevirtSite &A, const DevirtSite &B) {
+              return A.Invo < B.Invo;
+            });
+  return Rows;
+}
+
+/// The hash-set cast-safety client the view replaced.
+std::vector<CastCheck> referenceCheckCasts(const AnalysisResult &Result) {
+  const Program &Prog = Result.program();
+  std::unordered_map<uint32_t, std::unordered_set<uint32_t>> HeapsPerVar;
+  for (const auto &E : Result.VarFacts) {
+    auto &Set = HeapsPerVar[E.Var.index()];
+    for (uint32_t Obj : E.Objs)
+      Set.insert(Result.objHeap(Obj).index());
+  }
+
+  std::vector<CastCheck> Rows;
+  for (MethodId M : referenceReachable(Result)) {
+    for (const CastInstr &C : Prog.method(M).Casts) {
+      CastCheck Row;
+      Row.Site = C.Site;
+      auto It = HeapsPerVar.find(C.From.index());
+      if (It == HeapsPerVar.end() || It->second.empty()) {
+        Row.Verdict = CastVerdict::Unreached;
+      } else {
+        for (uint32_t HeapIdx : It->second)
+          if (!Prog.isSubtype(Prog.heap(HeapId(HeapIdx)).Type, C.Target))
+            Row.Offenders.push_back(HeapId(HeapIdx));
+        std::sort(Row.Offenders.begin(), Row.Offenders.end());
+        Row.Verdict = Row.Offenders.empty() ? CastVerdict::Safe
+                                            : CastVerdict::MayFail;
+      }
+      Rows.push_back(std::move(Row));
+    }
+  }
+  std::sort(Rows.begin(), Rows.end(),
+            [](const CastCheck &A, const CastCheck &B) {
+              return A.Site < B.Site;
+            });
+  return Rows;
+}
+
+/// The tainted-sink enumeration the view replaced.
+std::vector<TaintedSink> referenceTaintedSinks(const AnalysisResult &Result) {
+  const Program &Prog = Result.program();
+  std::vector<TaintedSink> Out;
+  if (Prog.taintSinks().empty())
+    return Out;
+  std::vector<char> Reach(Prog.numMethods(), 0);
+  for (MethodId M : referenceReachable(Result))
+    Reach[M.index()] = 1;
+  const auto PtByVar = referencePointsToByVar(Result);
+  const size_t NumTags = Prog.taintTags().size();
+  for (const Program::TaintSink &S : Prog.taintSinks()) {
+    const InvokeInfo &I = Prog.invoke(S.Site);
+    if (!Reach[I.InMethod.index()])
+      continue;
+    VarId Actual = I.Actuals[S.ArgIdx];
+    std::vector<HeapId> Witness(NumTags, HeapId::invalid());
+    for (uint32_t H : PtByVar[Actual.index()]) {
+      uint32_t Tag = Prog.heap(HeapId(H)).TaintTag;
+      if (Tag != 0 && !Witness[Tag - 1].isValid())
+        Witness[Tag - 1] = HeapId(H);
+    }
+    for (uint32_t T = 0; T < NumTags; ++T)
+      if (Witness[T].isValid())
+        Out.push_back({S.Site, S.ArgIdx, T, Actual, Witness[T]});
+  }
+  std::sort(Out.begin(), Out.end(), [](const TaintedSink &A,
+                                       const TaintedSink &B) {
+    return std::tie(A.Site, A.ArgIdx, A.TagIdx) <
+           std::tie(B.Site, B.ArgIdx, B.TagIdx);
+  });
+  return Out;
+}
+
+/// The clients, per-variable points-to and computeStats' points-to
+/// distribution, compared with the references above.
+void expectSameClients(const AnalysisResult &R, const std::string &Cell) {
+  const Program &Prog = R.program();
+  auto Pts = referencePointsToByVar(R);
+  size_t WrongVars = 0;
+  for (uint32_t V = 0; V < Prog.numVars(); ++V) {
+    auto Got = R.ci().pointsTo(VarId(V));
+    WrongVars += !std::equal(Got.begin(), Got.end(), Pts[V].begin(),
+                             Pts[V].end(), [](HeapId H, uint32_t Want) {
+                               return H.index() == Want;
+                             });
+  }
+  EXPECT_EQ(WrongVars, 0u) << Cell << ": per-variable points-to";
+
+  auto Sites = devirtualizeCalls(R);
+  auto WantSites = referenceDevirtualizeCalls(R);
+  EXPECT_TRUE(std::equal(Sites.begin(), Sites.end(), WantSites.begin(),
+                         WantSites.end(),
+                         [](const DevirtSite &A, const DevirtSite &B) {
+                           return A.Invo == B.Invo &&
+                                  A.Verdict == B.Verdict &&
+                                  A.Targets == B.Targets;
+                         }))
+      << Cell << ": devirtualization rows";
+
+  auto Casts = checkCasts(R);
+  auto WantCasts = referenceCheckCasts(R);
+  EXPECT_TRUE(std::equal(Casts.begin(), Casts.end(), WantCasts.begin(),
+                         WantCasts.end(),
+                         [](const CastCheck &A, const CastCheck &B) {
+                           return A.Site == B.Site &&
+                                  A.Verdict == B.Verdict &&
+                                  A.Offenders == B.Offenders;
+                         }))
+      << Cell << ": cast rows";
+
+  auto Sinks = findTaintedSinks(R);
+  auto WantSinks = referenceTaintedSinks(R);
+  EXPECT_TRUE(std::equal(Sinks.begin(), Sinks.end(), WantSinks.begin(),
+                         WantSinks.end(),
+                         [](const TaintedSink &A, const TaintedSink &B) {
+                           return A.Site == B.Site && A.ArgIdx == B.ArgIdx &&
+                                  A.TagIdx == B.TagIdx &&
+                                  A.Actual == B.Actual &&
+                                  A.Witness == B.Witness;
+                         }))
+      << Cell << ": tainted sinks";
+
+  // The points-to distribution over variables with a nonempty set: log2
+  // buckets, the median, and the ten fattest (size-descending, then id).
+  std::vector<size_t> Hist, Sizes;
+  std::vector<std::pair<VarId, size_t>> Fattest;
+  for (uint32_t V = 0; V < Prog.numVars(); ++V) {
+    size_t N = Pts[V].size();
+    if (N == 0)
+      continue;
+    size_t Bucket = 0;
+    while ((size_t(1) << Bucket) < N)
+      ++Bucket;
+    if (Hist.size() <= Bucket)
+      Hist.resize(Bucket + 1, 0);
+    ++Hist[Bucket];
+    Sizes.push_back(N);
+    Fattest.push_back({VarId(V), N});
+  }
+  std::sort(Fattest.begin(), Fattest.end(), [](const auto &A, const auto &B) {
+    return A.second != B.second ? A.second > B.second : A.first < B.first;
+  });
+  if (Fattest.size() > 10)
+    Fattest.resize(10);
+  std::sort(Sizes.begin(), Sizes.end());
+  ContextStats St = computeStats(R);
+  EXPECT_EQ(St.PointsToSizeHistogram, Hist) << Cell;
+  EXPECT_EQ(St.MedianPointsToSize, Sizes.empty() ? 0 : Sizes[Sizes.size() / 2])
+      << Cell;
+  EXPECT_EQ(St.FattestVars, Fattest) << Cell;
+}
+
 /// Every field computeMetrics fills, compared with the reference.
 void expectSameMetrics(const PrecisionMetrics &Got,
                        const PrecisionMetrics &Want, const std::string &Cell) {
@@ -528,6 +738,7 @@ TEST(MetricsParity, MatchesTheHashSetReferenceOnFourBenchmarks) {
       ASSERT_FALSE(R.Aborted) << Bench << '/' << Name;
       expectSameMetrics(computeMetrics(R), referenceMetrics(R),
                         std::string(Bench) + '/' + Name);
+      expectSameClients(R, std::string(Bench) + '/' + Name);
       if (std::string(Bench) == "xalan" && Name == "U-1obj")
         SawManyContexts = computeStats(R).MaxContextsPerMethod > 255;
     }
@@ -536,9 +747,10 @@ TEST(MetricsParity, MatchesTheHashSetReferenceOnFourBenchmarks) {
       << "xalan/U-1obj no longer reaches a method under >255 contexts";
 }
 
-// The tainted-sink count (distinct tags per reachable sink argument) on
-// taint-instrumented programs where it is nonzero: taintflow.ptir under
-// its default spec, and hsqldb under the synthetic spec with seed 3.
+// The tainted-sink count (distinct tags per reachable sink argument) and
+// the sink triples on taint-instrumented programs where they are nonempty:
+// taintflow.ptir under its default spec, and hsqldb under the synthetic
+// spec with seed 3.
 TEST(MetricsParity, MatchesTheReferenceOnTaintedSinks) {
   std::filesystem::path Dir(HYBRIDPT_EXAMPLES_DIR);
   std::ifstream In(Dir / "taintflow.ptir");
@@ -562,6 +774,7 @@ TEST(MetricsParity, MatchesTheReferenceOnTaintedSinks) {
     AnalysisResult R = solveProgram(*Taintflow, *Policy);
     PrecisionMetrics Want = referenceMetrics(R);
     expectSameMetrics(computeMetrics(R), Want, "taintflow/" + Name);
+    expectSameClients(R, "taintflow/" + Name);
     TaintflowSinks += Want.TaintedSinks;
   }
   EXPECT_GT(TaintflowSinks, 0u);
@@ -572,6 +785,7 @@ TEST(MetricsParity, MatchesTheReferenceOnTaintedSinks) {
     PrecisionMetrics Want = referenceMetrics(R);
     expectSameMetrics(computeMetrics(R), Want,
                       std::string("tainted hsqldb/") + Name);
+    expectSameClients(R, std::string("tainted hsqldb/") + Name);
     HsqldbSinks += Want.TaintedSinks;
   }
   EXPECT_GT(HsqldbSinks, 0u);
@@ -588,6 +802,7 @@ TEST(MetricsParity, MatchesTheReferenceOnAnAbortedResult) {
   PrecisionMetrics Want = referenceMetrics(R);
   EXPECT_GT(Want.ReachableMethods, 0u);
   expectSameMetrics(computeMetrics(R), Want, "antlr/2obj+H aborted");
+  expectSameClients(R, "antlr/2obj+H aborted");
 }
 
 } // namespace

@@ -23,6 +23,7 @@
 #include "ir/Program.h"
 #include "irtext/TextFormat.h"
 #include "pta/AnalysisResult.h"
+#include "pta/Clients.h"
 #include "pta/Metrics.h"
 #include "pta/Projection.h"
 #include "pta/Solver.h"
@@ -76,7 +77,7 @@ using SinkKey = std::tuple<uint32_t, uint32_t, uint32_t>;
 
 std::set<SinkKey> sinkKeys(const AnalysisResult &R) {
   std::set<SinkKey> Out;
-  for (const taint::TaintedSink &T : taint::findTaintedSinks(R))
+  for (const TaintedSink &T : findTaintedSinks(R))
     Out.emplace(T.Site.index(), T.ArgIdx, T.TagIdx);
   return Out;
 }
@@ -320,7 +321,7 @@ TEST(TaintInstrument, EmptyPlanIsBehaviorallyIdentical) {
     EXPECT_EQ(C1.StaticFieldPointsTo, C2.StaticFieldPointsTo);
     EXPECT_EQ(C1.FieldPointsTo, C2.FieldPointsTo);
     EXPECT_EQ(C1.MayFailCasts, C2.MayFailCasts);
-    EXPECT_TRUE(taint::findTaintedSinks(R2).empty());
+    EXPECT_TRUE(findTaintedSinks(R2).empty());
   }
 }
 
@@ -346,7 +347,7 @@ TEST(TaintFlow, UnsanitizedFlowReportedSanitizedFlowClean) {
   AnalysisResult R = solveWith(*Inst, *Policy);
   ASSERT_FALSE(R.Aborted);
 
-  std::vector<taint::TaintedSink> Sinks = taint::findTaintedSinks(R);
+  std::vector<TaintedSink> Sinks = findTaintedSinks(R);
   ASSERT_EQ(Sinks.size(), 1u);
   // The one finding is the raw Handler path, tagged `net`, witnessed by a
   // taint allocation; the SafeHandler path (through San::clean) is clean.
@@ -371,7 +372,7 @@ TEST(TaintFlow, UninstrumentedProgramReportsNothing) {
   auto Policy = createPolicy("2obj+H", *Prog);
   ASSERT_TRUE(Policy);
   AnalysisResult R = solveWith(*Prog, *Policy);
-  EXPECT_TRUE(taint::findTaintedSinks(R).empty());
+  EXPECT_TRUE(findTaintedSinks(R).empty());
   EXPECT_EQ(computeMetrics(R).TaintedSinks, 0u);
   EXPECT_TRUE(checks::runCheckers(R, {"tainted-sink"}).Diags.empty());
 }
@@ -481,7 +482,7 @@ TEST(TaintMetrics, ColumnMatchesClientQuery) {
       ASSERT_TRUE(Policy);
       AnalysisResult R = solveWith(*Inst, *Policy);
       EXPECT_EQ(computeMetrics(R).TaintedSinks,
-                taint::findTaintedSinks(R).size());
+                findTaintedSinks(R).size());
     }
   }
 }

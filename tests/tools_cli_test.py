@@ -189,6 +189,35 @@ def test_bench_check_detects_a_real_regression():
         os.unlink(cand)
 
 
+def test_bench_check_fails_on_deterministic_column_drift():
+    # Each deterministic result column fails on its own, naming the cell
+    # and the column; a column on one side only stays a warning.
+    for column, value in (("cs_vpt_facts", 6), ("cg_edges", 8),
+                          ("reachable_methods", 4), ("tainted_sinks", 1)):
+        cell = dict(GOOD_CELL, cg_edges=7, reachable_methods=3,
+                    tainted_sinks=0)
+        base = write_tmp(bench_doc([cell]), ".json")
+        cand = write_tmp(bench_doc([dict(cell, **{column: value})]),
+                         ".json")
+        try:
+            proc = run(BENCH_CHECK, base, cand)
+            assert_no_traceback(proc, "drift in " + column)
+            assert proc.returncode == 1, (column, proc.stdout)
+            assert "b/p: %s changed" % column in proc.stdout, proc.stdout
+        finally:
+            os.unlink(base)
+            os.unlink(cand)
+    base = write_tmp(bench_doc([GOOD_CELL]), ".json")
+    cand = write_tmp(bench_doc([dict(GOOD_CELL, tainted_sinks=2)]), ".json")
+    try:
+        proc = run(BENCH_CHECK, base, cand)
+        assert proc.returncode == 0, proc.stdout
+        assert "field 'tainted_sinks' only in candidate" in proc.stdout
+    finally:
+        os.unlink(base)
+        os.unlink(cand)
+
+
 def test_bench_check_new_policy_column_collapses_to_one_warning():
     # A policy absent from the baseline entirely (a newly registered
     # analysis, e.g. the cs columns) must produce ONE "new column" warning
@@ -303,6 +332,15 @@ def cli_commands():
                               "examples/programs/taintflow.ptir"]))
     cmds.append(("hybridpt", ["--compare", "insens", "--policy", "2obj+H",
                               "luindex"]))
+    # The context-insensitive clients: stats, devirtualization, casts,
+    # per-variable points-to sets and the points-to DOT neighbourhood.
+    for bench, var in (("luindex", "Worker7::step2/1::e538"),
+                       ("antlr", "Worker8::step1/1::e791")):
+        cmds.append(("hybridpt", ["--stats", "--devirt", "--casts",
+                                  "--dump-vpt", "ArrayList::get/0::r",
+                                  "--dump-vpt", var, bench]))
+    cmds.append(("hybridpt", ["--dot-pointsto", "Worker7::step2/1",
+                              "luindex"]))
     cmds.append(("table1_main", ["--csv", "--json", "-", "luindex",
                                  "antlr"]))
     return cmds
@@ -351,6 +389,21 @@ def test_cli_outputs_match_baseline():
             want.splitlines(True), got.splitlines(True),
             "cli_outputs.txt", "now"))[:60])
         assert False, "CLI output drifted from the baseline:\n" + diff
+
+
+def test_dump_vpt_unknown_variable_exits_1():
+    # Known paths still print; one unknown path makes the exit status 1,
+    # as --dot-pointsto does for an unknown method.
+    hybridpt = _have(HYBRIDPT_BIN)
+    if not hybridpt:
+        print("skip: hybridpt binary not provided")
+        return
+    proc = run_bin(hybridpt, "--dump-vpt", "ArrayList::get/0::r",
+                   "--dump-vpt", "Nope::x/0::y", "luindex")
+    assert_no_traceback(proc, "unknown --dump-vpt path")
+    assert proc.returncode == 1, (proc.returncode, proc.stderr)
+    assert "no variable 'Nope::x/0::y'" in proc.stderr, proc.stderr
+    assert "ArrayList::get/0::r points to:" in proc.stdout, proc.stdout
 
 
 # --- malformed numeric flags ---

@@ -20,10 +20,14 @@ direction are reported as warnings, never as failures — they are budget-
 and machine-load-sensitive.  Cells faster than --min-ms in the baseline
 are reported but never fail the check: their timings are noise-dominated.
 
-Fact counts (cs_vpt_facts, cg_edges) are compared exactly — the analyses
-are deterministic, so any drift is a correctness change, not noise — but
-only warn, since an intentional precision change lands together with its
-new baseline.
+The deterministic result columns (cs_vpt_facts, cg_edges,
+reachable_methods, tainted_sinks) are compared exactly between cells that
+completed on the same rung, and any drift fails the check (exit 1) naming
+the cell and the column: the analyses are deterministic, so drift is a
+correctness change, not noise, and an intentional precision change lands
+together with its refreshed baseline.  A column present on one side only
+is schema drift and only warns.  The serve-replay request count and error
+count also only warn.
 
 Schema drift across PRs is tolerated: cells present in only one file and
 fields present in only one cell (e.g. the telemetry "counters" object or
@@ -130,6 +134,7 @@ def main():
                   f"{base_top.get(key)} vs {cand_top.get(key)}")
 
     regressions = []
+    drifts = []
     warnings = []
     compared = 0
     base_total = cand_total = 0.0
@@ -193,11 +198,14 @@ def main():
             continue
 
         for fact in ("cs_vpt_facts", "cg_edges", "reachable_methods",
-                     "count", "errors"):
+                     "tainted_sinks"):
+            if fact in b and fact in c and b[fact] != c[fact]:
+                drifts.append(f"{name}: {fact} changed {b[fact]} -> "
+                              f"{c[fact]}")
+        for fact in ("count", "errors"):
             if b.get(fact) != c.get(fact):
                 warnings.append(f"{name}: {fact} changed "
-                                f"{b.get(fact)} -> {c.get(fact)} "
-                                f"(precision/correctness drift?)")
+                                f"{b.get(fact)} -> {c.get(fact)}")
 
         # Fields on one side only (schema drift across PRs): warn-only.
         # Degradation fields already got a dedicated message above.
@@ -247,11 +255,18 @@ def main():
         print(f"compared {compared} cells: total {base_total:.0f} ms -> "
               f"{cand_total:.0f} ms (speedup {ratio:.2f}x)")
 
+    if drifts:
+        print(f"\nFAIL: {len(drifts)} deterministic column(s) drifted "
+              f"(precision/correctness change; refresh the baseline if "
+              f"intended):")
+        for d in drifts:
+            print(f"  {d}")
     if regressions:
         print(f"\nFAIL: {len(regressions)} cell(s) regressed more than "
               f"{args.threshold:.0f}%:")
         for r in regressions:
             print(f"  {r}")
+    if drifts or regressions:
         return 1
     print(f"OK: no cell regressed more than {args.threshold:.0f}%")
     return 0

@@ -20,6 +20,7 @@
 ///   --devirt           print the devirtualization report
 ///   --casts            print the cast-safety report
 ///   --dump-vpt PATH    print what Class::method/arity::var points to
+///                      (repeatable; exit 1 if a path names no variable)
 ///   --dump-facts DIR   write all relations as Doop-style .facts files
 ///   --stats            context/points-to distribution report
 ///   --dot-callgraph F  write the call graph as GraphViz DOT to file F
@@ -598,16 +599,22 @@ int main(int argc, char **argv) {
     }
   }
 
+  bool UnknownVar = false;
   for (const std::string &Path : Opts.DumpVars) {
     VarId V = findVarByPath(*P, Path);
     if (!V.isValid()) {
       std::cerr << "no variable '" << Path << "'\n";
+      UnknownVar = true;
       continue;
     }
     std::cout << "\n" << Path << " points to:\n";
-    for (HeapId H : R.pointsTo(V))
+    for (HeapId H : R.ci().pointsTo(V))
       std::cout << "  " << P->text(P->heap(H).Name) << " : "
                 << P->text(P->type(P->heap(H).Type).Name) << "\n";
+  }
+  if (UnknownVar) {
+    finishTrace(Rec.get(), Opts);
+    return 1;
   }
 
   if (!Opts.FactsDir.empty()) {
