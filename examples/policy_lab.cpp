@@ -7,19 +7,18 @@
 /// \file
 /// Shows the two extension points downstream users care about:
 ///
-///  1. Defining a *new* context-sensitivity policy by subclassing
-///     ContextPolicy — here, the paper's Section 6 future-work idea of a
-///     RECORD function that adapts to the allocating method's context
-///     shape ("objects could have different context, via the RECORD
-///     function, depending on the context form of their allocating
-///     method").
+///  1. Defining a *new* context-sensitivity policy as a \c PolicyRow —
+///     here, the paper's Section 6 future-work idea of a RECORD function
+///     that adapts to the allocating method's context shape ("objects
+///     could have different context, via the RECORD function, depending
+///     on the context form of their allocating method").
 ///
 ///  2. Running the generic Datalog engine directly for a custom
 ///     whole-program query over analysis results.
 ///
 //===----------------------------------------------------------------------===//
 
-#include "context/Policies.h"
+#include "context/PolicyRegistry.h"
 #include "datalog/Engine.h"
 #include "ir/Program.h"
 #include "pta/AnalysisResult.h"
@@ -39,29 +38,11 @@ namespace {
 /// method's context — allocations inside statically-called helper chains
 /// (detectable by the invocation-site slot) record the *invocation site*
 /// as heap context instead of the stale most-significant object.
-class AdaptiveRecordPolicy final : public ContextPolicy {
-public:
-  using ContextPolicy::ContextPolicy;
-  std::string name() const override { return "lab-adaptive"; }
-  uint32_t methodCtxArity() const override { return 3; }
-  uint32_t heapCtxArity() const override { return 1; }
-
-  HCtxId record(HeapId, CtxId Ctx) override {
-    ContextElem Second = Ctxs.elem(Ctx, 1);
-    if (Second.isInvoke())
-      // Allocation inside a statically-called method: the call site is
-      // the sharpest discriminator available.
-      return makeHCtx(Second);
-    return makeHCtx(Ctxs.elem(Ctx, 0));
-  }
-  CtxId merge(HeapId Heap, HCtxId HCtx, InvokeId, CtxId) override {
-    return makeCtx(ContextElem::heap(Heap), HCtxs.elem(HCtx, 0));
-  }
-  CtxId mergeStatic(InvokeId Invo, CtxId Ctx) override {
-    return makeCtx(Ctxs.elem(Ctx, 0), ContextElem::invoke(Invo),
-                   Ctxs.elem(Ctx, 1));
-  }
-};
+constexpr PolicyRow AdaptiveRecord = {
+    "lab-adaptive", PolicyGroup::Ablation, 3, 1,
+    /*RECORD=*/{slots::ifInvoke(slots::ctx(1), slots::ctx(0))},
+    /*MERGE=*/{slots::heap, slots::hctx(0)},
+    /*MERGESTATIC=*/{slots::ctx(0), slots::invo, slots::ctx(1)}};
 
 /// Custom query via the Datalog engine: which (field, heap-site) pairs
 /// are "shared sinks" — written through two or more distinct base
@@ -117,11 +98,11 @@ int main() {
   for (int Which = 0; Which < 3; ++Which) {
     std::unique_ptr<ContextPolicy> Policy;
     if (Which == 0)
-      Policy = std::make_unique<TwoObjHPolicy>(P);
+      Policy = createPolicy("2obj+H", P);
     else if (Which == 1)
-      Policy = std::make_unique<SelectiveTwoObjHPolicy>(P);
+      Policy = createPolicy("S-2obj+H", P);
     else
-      Policy = std::make_unique<AdaptiveRecordPolicy>(P);
+      Policy = std::make_unique<ContextPolicy>(P, AdaptiveRecord);
 
     Solver S(P, *Policy);
     AnalysisResult R = S.run();

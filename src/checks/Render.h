@@ -17,7 +17,6 @@
 
 #include <ostream>
 #include <string>
-#include <string_view>
 #include <vector>
 
 namespace pt {
@@ -42,14 +41,6 @@ void renderText(std::ostream &OS, const Program &Prog,
 void renderJsonl(std::ostream &OS, const Program &Prog,
                  const std::vector<Diagnostic> &Diags,
                  const std::string &PolicyName = {});
-
-/// Escapes \p S for embedding inside a JSON string literal (quotes,
-/// backslashes, control characters).
-std::string jsonEscape(const std::string &S);
-
-/// \c jsonEscape appending to \p Out, for writers that build output in a
-/// buffer of their own.
-void appendJsonEscaped(std::string &Out, std::string_view S);
 
 } // namespace checks
 } // namespace pt

@@ -8,6 +8,7 @@
 
 #include "checks/Render.h"
 #include "ir/Program.h"
+#include "support/Json.h"
 
 #include <charconv>
 #include <cstddef>
@@ -40,7 +41,7 @@ public:
     comma();
     indent();
     Buf += '"';
-    appendJsonEscaped(Buf, K);
+    json::appendEscaped(Buf, K);
     Buf += "\": ";
     Pending = true;
   }
@@ -48,7 +49,7 @@ public:
   void value(std::string_view V) {
     prefix();
     Buf += '"';
-    appendJsonEscaped(Buf, V);
+    json::appendEscaped(Buf, V);
     Buf += '"';
   }
   void value(uint64_t V) {

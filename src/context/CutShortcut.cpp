@@ -9,6 +9,7 @@
 #include "ir/Program.h"
 
 #include <algorithm>
+#include <cassert>
 #include <unordered_set>
 
 using namespace pt;
@@ -77,6 +78,7 @@ uint32_t uniqueFormalPos(const MethodInfo &Body, VarId V) {
 
 CutShortcutPlan pt::computeCutShortcutPlan(const Program &Prog,
                                            CutMode Mode) {
+  assert(Mode != CutMode::None && "a policy without cuts has no plan");
   CutShortcutPlan Plan;
   Plan.Methods.resize(Prog.numMethods());
 

@@ -52,6 +52,8 @@ class Program;
 
 /// Which call boundaries a plan may cut.
 enum class CutMode {
+  /// Cut nowhere: the policy has no plan (every context-tuple policy).
+  None,
   /// Cut everywhere a flow is coverable: virtual boundaries plus
   /// static-method returns (the `cs` policy).
   All,
@@ -110,9 +112,10 @@ struct CutShortcutPlan {
   size_t numRetCuts() const;
 };
 
-/// Derives the plan for \p Prog under \p Mode.  Pure function of program
-/// structure; both solver engines and the reference model must consume the
-/// same plan instance (via ContextPolicy::cutPlan) to stay comparable.
+/// Derives the plan for \p Prog under \p Mode (not \c CutMode::None).
+/// Pure function of program structure; the solver and the reference model
+/// must consume the same plan instance (via ContextPolicy::cutPlan) to stay
+/// comparable.
 CutShortcutPlan computeCutShortcutPlan(const Program &Prog, CutMode Mode);
 
 } // namespace pt

@@ -16,10 +16,15 @@
 ///                                        (MERGESTATIC — the paper's new
 ///                                        knob for selective hybrids)
 ///
+/// An analysis is data, not code: a \c PolicyRow names, for each output
+/// slot of each constructor function, where the slot's element comes from
+/// (docs/ANALYSES.md writes every registered row as one table line).
+/// \c ContextPolicy evaluates a row over one program.
+///
 /// A policy owns the hash-consing tables for both context domains, so
-/// context identity is per-analysis-run.  Both solvers (the specialized one
-/// in src/pta and the Datalog reference in src/ptaref) drive the same
-/// policy objects, which is what makes their results comparable.
+/// context identity is per-analysis-run.  The solver (src/pta) and the
+/// Datalog reference (src/ptaref) drive the same policy objects, which is
+/// what makes their results comparable.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -27,49 +32,117 @@
 #define HYBRIDPT_CONTEXT_POLICY_H
 
 #include "context/ContextTable.h"
+#include "context/CutShortcut.h"
 #include "support/Ids.h"
 
-#include <string>
+#include <array>
+#include <optional>
+#include <string_view>
 
 namespace pt {
 
 class Program;
-struct CutShortcutPlan;
 
-/// Abstract context-sensitivity policy (one per analysis flavor).
+/// Where one element of a constructed context comes from.
+enum class SlotFrom : uint8_t {
+  Star,   ///< `*`.
+  Heap,   ///< `heap`: the allocation site (RECORD, MERGE).
+  CAHeap, ///< `CA(heap)`: the class containing that allocation site.
+  Invo,   ///< `invo`: the invocation site (MERGE, MERGESTATIC).
+  Ctx,    ///< `ctx[i]`: slot i of the caller's / allocating method's context.
+  HCtx,   ///< `hctx[i]`: slot i of the receiver's heap context (MERGE).
+};
+
+/// One source: \c From, plus the slot index for \c Ctx and \c HCtx.
+struct SlotSource {
+  SlotFrom From = SlotFrom::Star;
+  uint8_t Index = 0;
+
+  friend bool operator==(SlotSource, SlotSource) = default;
+};
+
+/// One output slot of a constructor function.  Unconditional slots read
+/// \c Src.  A conditional slot reads \c Src when that yields an invocation
+/// site and \c Else otherwise: the paper's Section 6 idea of constructors
+/// that "examine the context passed to them" (D-2obj+H's MERGESTATIC).
+struct Slot {
+  SlotSource Src;
+  bool IfInvoke = false;
+  SlotSource Else;
+
+  friend bool operator==(Slot, Slot) = default;
+};
+
+/// The slot spellings a policy row is written in.
+namespace slots {
+constexpr Slot from(SlotFrom From, uint8_t Index = 0) {
+  return {{From, Index}, false, {}};
+}
+inline constexpr Slot star = from(SlotFrom::Star);
+inline constexpr Slot heap = from(SlotFrom::Heap);
+inline constexpr Slot caHeap = from(SlotFrom::CAHeap);
+inline constexpr Slot invo = from(SlotFrom::Invo);
+constexpr Slot ctx(uint8_t I) { return from(SlotFrom::Ctx, I); }
+constexpr Slot hctx(uint8_t I) { return from(SlotFrom::HCtx, I); }
+/// `If` when it yields an invocation site, else `Else`.
+constexpr Slot ifInvoke(Slot If, Slot Else) {
+  return {If.Src, true, Else.Src};
+}
+} // namespace slots
+
+/// The slots of one constructor function's output, most significant first;
+/// only the first arity-many are read.
+using SlotRow = std::array<Slot, MaxContextDepth>;
+
+/// Which evaluation line-up a registered policy belongs to.
+enum class PolicyGroup : uint8_t {
+  Paper,    ///< In the paper, not a Table 1 column (insens).
+  Table1,   ///< A Table 1 column.
+  Ablation, ///< An ablation or future-work variant.
+};
+
+/// One analysis: everything that distinguishes it from every other.
+struct PolicyRow {
+  std::string_view Name; ///< The paper's abbreviation, e.g. "S-2obj+H".
+  PolicyGroup Group;
+  uint8_t MethodArity; ///< Slots in a method context.
+  uint8_t HeapArity;   ///< Slots in a heap context.
+  SlotRow Record;      ///< RECORD(heap, ctx): reads heap, CA(heap), ctx.
+  SlotRow Merge;       ///< MERGE(heap, hctx, invo, ctx): reads any source.
+  SlotRow MergeStatic; ///< MERGESTATIC(invo, ctx): reads invo, ctx.
+  /// The cut-shortcut plan's mode; \c CutMode::None for a pure
+  /// context-tuple policy.
+  CutMode Cut = CutMode::None;
+};
+
+/// One analysis flavor evaluated over one program.
 class ContextPolicy {
 public:
-  explicit ContextPolicy(const Program &Prog) : Prog(Prog) {}
-  virtual ~ContextPolicy();
+  ContextPolicy(const Program &Prog, const PolicyRow &Row);
 
-  /// The analysis abbreviation from the paper, e.g. "S-2obj+H".
-  virtual std::string name() const = 0;
-
-  /// Number of slots in method contexts produced by this policy.
-  virtual uint32_t methodCtxArity() const = 0;
-
-  /// Number of slots in heap contexts produced by this policy.
-  virtual uint32_t heapCtxArity() const = 0;
+  std::string_view name() const { return Row.Name; }
+  uint32_t methodCtxArity() const { return Row.MethodArity; }
+  uint32_t heapCtxArity() const { return Row.HeapArity; }
 
   /// RECORD(heap, ctx): the heap context attached to an object allocated at
   /// \p Heap in a method analyzed under \p Ctx.
-  virtual HCtxId record(HeapId Heap, CtxId Ctx) = 0;
+  HCtxId record(HeapId Heap, CtxId Ctx);
 
   /// MERGE(heap, hctx, invo, ctx): the callee context for a virtual call at
   /// \p Invo in caller context \p Ctx, on a receiver abstracted as
   /// (\p Heap, \p HCtx).
-  virtual CtxId merge(HeapId Heap, HCtxId HCtx, InvokeId Invo, CtxId Ctx) = 0;
+  CtxId merge(HeapId Heap, HCtxId HCtx, InvokeId Invo, CtxId Ctx);
 
   /// MERGESTATIC(invo, ctx): the callee context for a static call at
   /// \p Invo in caller context \p Ctx.
-  virtual CtxId mergeStatic(InvokeId Invo, CtxId Ctx) = 0;
+  CtxId mergeStatic(InvokeId Invo, CtxId Ctx);
 
   /// The cut-shortcut plan of this policy, or null for pure context-tuple
-  /// policies.  When non-null, both solver engines cut the planned flows
-  /// at call boundaries and wire per-call-edge shortcut edges instead, and
-  /// the Datalog reference model mirrors the same cuts (see
+  /// policies.  When non-null, the solver cuts the planned flows at call
+  /// boundaries and wires per-call-edge shortcut edges instead, and the
+  /// Datalog reference model mirrors the same cuts (see
   /// context/CutShortcut.h).
-  virtual const CutShortcutPlan *cutPlan() const { return nullptr; }
+  const CutShortcutPlan *cutPlan() const { return Plan ? &*Plan : nullptr; }
 
   /// The context under which entry-point methods are analyzed: a tuple of
   /// stars of the policy's method arity.
@@ -82,23 +155,26 @@ public:
 
   const Program &program() const { return Prog; }
 
-protected:
-  /// Interns a method context of exactly \c methodCtxArity() slots, padding
-  /// with stars.
-  CtxId makeCtx(ContextElem A = ContextElem::star(),
-                ContextElem B = ContextElem::star(),
-                ContextElem C = ContextElem::star());
+private:
+  /// The constructor functions' inputs; a function reads only its own.
+  struct Inputs {
+    HeapId Heap;
+    HCtxId HCtx;
+    InvokeId Invo;
+    CtxId Ctx;
+  };
 
-  /// Interns a heap context of exactly \c heapCtxArity() slots.
-  HCtxId makeHCtx(ContextElem A = ContextElem::star(),
-                  ContextElem B = ContextElem::star(),
-                  ContextElem C = ContextElem::star());
-
-  /// The paper's CA : H -> T (class containing the allocation site), as a
-  /// context element.
-  ContextElem caElem(HeapId Heap) const;
+  ContextElem read(SlotSource S, const Inputs &In) const;
+  /// Evaluates the first \p Arity slots of \p Slots into \p Out.
+  void build(const SlotRow &Slots, uint32_t Arity, const Inputs &In,
+             ContextElem *Out) const;
 
   const Program &Prog;
+  PolicyRow Row;
+  /// MERGESTATIC is `ctx` itself (object- and type-sensitive policies):
+  /// return the caller's context without a lookup.
+  bool StaticKeepsCtx;
+  std::optional<CutShortcutPlan> Plan;
   ContextTable<CtxId> Ctxs;
   ContextTable<HCtxId> HCtxs;
 };

@@ -5,8 +5,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Creates \c ContextPolicy instances from paper abbreviations ("1obj",
-/// "S-2obj+H", ...) and enumerates the standard evaluation line-ups.
+/// The table of registered analyses: creates \c ContextPolicy instances
+/// from paper abbreviations ("1obj", "S-2obj+H", ...) and enumerates the
+/// standard evaluation line-ups, all derived from one list of
+/// \c PolicyRow values (docs/ANALYSES.md).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -25,11 +27,9 @@ namespace pt {
 
 class Program;
 
-/// Instantiates the policy named \p Name for \p Prog.  Returns null for an
-/// unknown name.  Recognized names: insens, 1call, 1call+H, 1obj, U-1obj,
-/// SA-1obj, SB-1obj, 2obj+H, U-2obj+H, S-2obj+H, 2type+H, U-2type+H,
-/// S-2type+H, cs, S-cs, U-2obj+HI, U-2obj+H-swapped, D-2obj+H, 3obj+2H,
-/// 2call+H.
+/// Instantiates the registered policy row named \p Name for \p Prog.
+/// Returns null for an unknown name; \c allPolicyNames lists the known
+/// ones.
 std::unique_ptr<ContextPolicy> createPolicy(std::string_view Name,
                                             const Program &Prog);
 
@@ -43,7 +43,8 @@ const std::vector<std::string> &paperPolicyNames();
 /// The extra ablation / future-work variants this repo adds.
 const std::vector<std::string> &ablationPolicyNames();
 
-/// Everything createPolicy knows about.
+/// Everything createPolicy knows about: the paper's analyses, then the
+/// ablations.
 const std::vector<std::string> &allPolicyNames();
 
 /// The known precision-ordering pairs (finer, coarser): each finer

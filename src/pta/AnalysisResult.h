@@ -184,12 +184,12 @@ public:
   double SolveMs = 0.0;
 
   /// Peak solver node count (interned (var, ctx) pairs plus field, static
-  /// and throw slots); 0 when produced by a non-node-based engine.
+  /// and throw slots), filled by the solver.
   size_t SolverNodes = 0;
 
   /// Bytes held by the solver's persistent containers at harvest time
   /// (points-to sets, intern tables, dedup sets, call graph).  The solver
-  /// only grows, so this is also the peak; 0 for non-node-based engines.
+  /// only grows, so this is also the peak.
   size_t PeakBytes = 0;
 
   /// Rule-fire and infrastructure counters for the run; all-zero when the

@@ -6,44 +6,13 @@
 
 #include "pta/Trace.h"
 
+#include "support/Json.h"
+
 #include <cstdio>
 #include <sstream>
 
 using namespace pt;
 using namespace pt::trace;
-
-std::string pt::trace::jsonEscape(std::string_view S) {
-  std::string Out;
-  Out.reserve(S.size());
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\r':
-      Out += "\\r";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        Out += Buf;
-      } else {
-        Out += C;
-      }
-    }
-  }
-  return Out;
-}
 
 namespace {
 
@@ -144,8 +113,8 @@ void TraceRecorder::endSpan(std::string_view Name, std::string_view Cat,
                     End, {}});
   ++SpanCount;
   std::ostringstream OS;
-  OS << "{\"type\":\"span\",\"name\":\"" << jsonEscape(Name)
-     << "\",\"cat\":\"" << jsonEscape(Cat) << "\",\"tid\":" << Tid
+  OS << "{\"type\":\"span\",\"name\":\"" << json::escape(Name)
+     << "\",\"cat\":\"" << json::escape(Cat) << "\",\"tid\":" << Tid
      << ",\"t_start_ms\":" << formatDouble(StartMs)
      << ",\"t_end_ms\":" << formatDouble(End)
      << ",\"dur_ms\":" << formatDouble(End - StartMs) << '}';
@@ -169,7 +138,7 @@ void TraceRecorder::heartbeat(Heartbeat HB) {
   }
 
   std::ostringstream OS;
-  OS << "{\"type\":\"heartbeat\",\"label\":\"" << jsonEscape(HB.Label)
+  OS << "{\"type\":\"heartbeat\",\"label\":\"" << json::escape(HB.Label)
      << "\",\"tid\":" << Tid << ",\"t_ms\":" << formatDouble(HB.TMs)
      << ",\"step\":" << HB.Step << ",\"worklist\":" << HB.WorklistDepth
      << ",\"nodes\":" << HB.Nodes << ",\"facts\":" << HB.Facts
@@ -177,7 +146,7 @@ void TraceRecorder::heartbeat(Heartbeat HB) {
      << ",\"memory_bytes\":" << HB.MemoryBytes
      << ",\"final\":" << (HB.Final ? "true" : "false");
   if (!HB.Abort.empty())
-    OS << ",\"abort_reason\":\"" << jsonEscape(HB.Abort) << '"';
+    OS << ",\"abort_reason\":\"" << json::escape(HB.Abort) << '"';
   OS << ",\"delta\":" << countersJson(HB.Deltas)
      << ",\"total\":" << countersJson(HB.Totals) << '}';
   writeLineLocked(OS.str());
@@ -208,7 +177,7 @@ void TraceRecorder::counters(std::string_view Label,
                              const telemetry::SolverCounters &Counters) {
   std::lock_guard<std::mutex> Lock(Mu);
   std::ostringstream OS;
-  OS << "{\"type\":\"counters\",\"label\":\"" << jsonEscape(Label)
+  OS << "{\"type\":\"counters\",\"label\":\"" << json::escape(Label)
      << "\",\"tid\":" << tidLocked() << ",\"t_ms\":" << formatDouble(nowMs())
      << ",\"counters\":" << countersJson(Counters) << '}';
   writeLineLocked(OS.str());
@@ -218,11 +187,11 @@ void TraceRecorder::request(const RequestRecord &R) {
   std::lock_guard<std::mutex> Lock(Mu);
   std::ostringstream OS;
   OS << "{\"type\":\"request\",\"id\":" << R.Id << ",\"kind\":\""
-     << jsonEscape(R.Kind) << "\",\"policy\":\"" << jsonEscape(R.Policy)
+     << json::escape(R.Kind) << "\",\"policy\":\"" << json::escape(R.Policy)
      << "\",\"epoch\":" << R.EpochId << ",\"outcome\":\""
-     << jsonEscape(R.Outcome) << '"';
+     << json::escape(R.Outcome) << '"';
   if (!R.Code.empty())
-    OS << ",\"code\":\"" << jsonEscape(R.Code) << '"';
+    OS << ",\"code\":\"" << json::escape(R.Code) << '"';
   OS << ",\"cache_hit\":" << (R.CacheHit ? "true" : "false")
      << ",\"tid\":" << tidLocked() << ",\"t_ms\":" << formatDouble(nowMs())
      << ",\"queue_ms\":" << formatDouble(R.QueueMs)
@@ -242,10 +211,10 @@ void TraceRecorder::ladder(std::string_view Label, std::string_view From,
                            double SolveMs) {
   std::lock_guard<std::mutex> Lock(Mu);
   std::ostringstream OS;
-  OS << "{\"type\":\"ladder\",\"label\":\"" << jsonEscape(Label)
+  OS << "{\"type\":\"ladder\",\"label\":\"" << json::escape(Label)
      << "\",\"tid\":" << tidLocked() << ",\"t_ms\":" << formatDouble(nowMs())
-     << ",\"from\":\"" << jsonEscape(From) << "\",\"to\":\""
-     << jsonEscape(To) << "\",\"reason\":\"" << jsonEscape(Reason)
+     << ",\"from\":\"" << json::escape(From) << "\",\"to\":\""
+     << json::escape(To) << "\",\"reason\":\"" << json::escape(Reason)
      << "\",\"solve_ms\":" << formatDouble(SolveMs) << '}';
   writeLineLocked(OS.str());
   if (Progress) {
@@ -303,8 +272,8 @@ bool TraceRecorder::writeChromeTrace(const std::string &Path,
     const char *Ph = E.Ph == Phase::Begin ? "B"
                      : E.Ph == Phase::End ? "E"
                                           : "C";
-    OS << "{\"name\":\"" << jsonEscape(E.Name) << "\",\"cat\":\""
-       << jsonEscape(E.Cat) << "\",\"ph\":\"" << Ph
+    OS << "{\"name\":\"" << json::escape(E.Name) << "\",\"cat\":\""
+       << json::escape(E.Cat) << "\",\"ph\":\"" << Ph
        << "\",\"pid\":1,\"tid\":" << E.Tid
        << ",\"ts\":" << formatDouble(E.TsMs * 1000.0);
     if (!E.ArgsJson.empty())

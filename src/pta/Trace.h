@@ -184,9 +184,6 @@ private:
   std::ostream *Progress = nullptr;
 };
 
-/// Escapes \p S for embedding in a JSON string literal.
-std::string jsonEscape(std::string_view S);
-
 } // namespace pt::trace
 
 #endif // HYBRIDPT_PTA_TRACE_H

@@ -18,8 +18,8 @@
 #include "context/Policy.h"
 #include "ir/Program.h"
 #include "pta/AnalysisResult.h"
-#include "pta/Trace.h"
 #include "support/Hashing.h"
+#include "support/Json.h"
 
 #include <sstream>
 
@@ -142,7 +142,7 @@ std::string pt::prov::renderTreeJson(const Recorder &R,
   std::ostringstream OS;
   OS << "{\"found\":" << (Tree.Found ? "true" : "false");
   if (!Tree.Found) {
-    OS << ",\"error\":\"" << trace::jsonEscape(Tree.Error) << "\"}";
+    OS << ",\"error\":\"" << json::escape(Tree.Error) << "\"}";
     return OS.str();
   }
   OS << ",\"root\":" << Tree.Root << ",\"steps\":[";
@@ -152,7 +152,7 @@ std::string pt::prov::renderTreeJson(const Recorder &R,
       OS << ",";
     First = false;
     OS << "{\"fact\":" << TS.FactId << ",\"rule\":\"" << ruleName(TS.R)
-       << "\",\"text\":\"" << trace::jsonEscape(formatFact(R, Res, TS.FactId))
+       << "\",\"text\":\"" << json::escape(formatFact(R, Res, TS.FactId))
        << "\",\"premises\":[";
     bool FirstP = true;
     for (uint32_t P : {TS.Prem0, TS.Prem1}) {
@@ -219,7 +219,7 @@ void writeRows(std::ostringstream &OS, const char *Key,
     if (!First)
       OS << ",";
     First = false;
-    OS << "{\"key\":\"" << trace::jsonEscape(Row.Key)
+    OS << "{\"key\":\"" << json::escape(Row.Key)
        << "\",\"steps\":" << Row.Steps << ",\"bytes\":" << Row.Bytes << "}";
   }
   OS << "]";

@@ -424,10 +424,16 @@ bool pt::json::parse(std::string_view Text, Value &Out, std::string &Error,
   return Parser(Text, Limits).run(Out, Error);
 }
 
-std::string pt::json::escape(std::string_view S) {
-  std::string Out;
-  Out.reserve(S.size());
-  for (char C : S) {
+void pt::json::appendEscaped(std::string &Out, std::string_view S) {
+  // Copy runs of plain characters in one append; only the (rare) characters
+  // that need an escape go one at a time.
+  size_t Run = 0;
+  for (size_t I = 0; I != S.size(); ++I) {
+    unsigned char C = static_cast<unsigned char>(S[I]);
+    if (C >= 0x20 && C != '"' && C != '\\')
+      continue;
+    Out.append(S.data() + Run, I - Run);
+    Run = I + 1;
     switch (C) {
     case '"':
       Out += "\\\"";
@@ -444,16 +450,19 @@ std::string pt::json::escape(std::string_view S) {
     case '\t':
       Out += "\\t";
       break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x",
-                      static_cast<unsigned>(static_cast<unsigned char>(C)));
-        Out += Buf;
-      } else {
-        Out += C;
-      }
+    default: {
+      char Buf[8];
+      std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
+      Out += Buf;
+    }
     }
   }
+  Out.append(S.data() + Run, S.size() - Run);
+}
+
+std::string pt::json::escape(std::string_view S) {
+  std::string Out;
+  Out.reserve(S.size());
+  appendEscaped(Out, S);
   return Out;
 }

@@ -83,8 +83,15 @@ struct Value {
 bool parse(std::string_view Text, Value &Out, std::string &Error,
            const ParseLimits &Limits = {});
 
-/// Escapes \p S for embedding inside a JSON string literal.
+/// Escapes \p S for embedding inside a JSON string literal: `"`, `\`,
+/// `\n`, `\r` and `\t` get their two-character escapes, every other byte
+/// below 0x20 becomes `\u00XX`, and all other bytes (UTF-8 included) pass
+/// through verbatim.
 std::string escape(std::string_view S);
+
+/// \c escape appending to \p Out, for writers that build output in a
+/// buffer of their own.
+void appendEscaped(std::string &Out, std::string_view S);
 
 } // namespace pt::json
 

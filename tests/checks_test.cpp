@@ -346,17 +346,6 @@ TEST(Render, JsonlEscapesAndTagsPolicy) {
   size_t Lines = std::count(Out.begin(), Out.end(), '\n');
   EXPECT_EQ(Lines, Run.Diags.size());
   EXPECT_NE(Out.find("\"policy\":\"2obj+H\""), std::string::npos);
-
-  EXPECT_EQ(jsonEscape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-}
-
-TEST(Render, JsonEscapeControlAndHighBytes) {
-  EXPECT_EQ(jsonEscape("a\x01" "b\tc\rd"), "a\\u0001b\\tc\\rd");
-  EXPECT_EQ(jsonEscape("\x7f\xc3\xa9"), "\x7f\xc3\xa9"); // UTF-8 passes.
-  EXPECT_EQ(jsonEscape(""), "");
-  std::string Out = "x";
-  appendJsonEscaped(Out, "\"q\"");
-  EXPECT_EQ(Out, "x\\\"q\\\"");
 }
 
 #if HYBRIDPT_PROVENANCE_ENABLED

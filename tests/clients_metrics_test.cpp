@@ -4,7 +4,6 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "context/Policies.h"
 #include "context/PolicyRegistry.h"
 #include "ir/Program.h"
 #include "ir/ProgramBuilder.h"
@@ -54,8 +53,8 @@ TEST(StaticFields, GlobalSlotRoundTrip) {
   B.addEntryPoint(Main);
   auto P = B.build();
 
-  InsensPolicy Policy(*P);
-  AnalysisResult R = analyze(*P, Policy);
+  auto Policy = createPolicy("insens", *P);
+  AnalysisResult R = analyze(*P, *Policy);
   EXPECT_EQ(R.pointsTo(Y), std::vector<HeapId>{H});
   EXPECT_EQ(R.numStaticFieldPointsTo(), 1u);
 }
@@ -91,8 +90,8 @@ TEST(StaticFields, SlotsAreContextFree) {
   // Even 2obj+H sees one merged slot (single alloc site in put, but the
   // two receiver contexts produce two heap contexts — both land in the
   // global slot).
-  TwoObjHPolicy Policy(*P);
-  AnalysisResult R = analyze(*P, Policy);
+  auto Policy = createPolicy("2obj+H", *P);
+  AnalysisResult R = analyze(*P, *Policy);
   auto Pts = R.pointsTo(Out);
   EXPECT_EQ(Pts.size(), 1u); // one alloc site...
   size_t Objs = 0;
@@ -110,8 +109,8 @@ TEST(StaticFields, UnwrittenSlotReadsEmpty) {
   B.addSLoad(Main, Y, G);
   B.addEntryPoint(Main);
   auto P = B.build();
-  InsensPolicy Policy(*P);
-  AnalysisResult R = analyze(*P, Policy);
+  auto Policy = createPolicy("insens", *P);
+  AnalysisResult R = analyze(*P, *Policy);
   EXPECT_TRUE(R.pointsTo(Y).empty());
 }
 
@@ -123,8 +122,8 @@ TEST(Metrics, EmptyProgram) {
   MethodId Main = B.addMethod(Object, "main", 0, true);
   B.addEntryPoint(Main);
   auto P = B.build();
-  InsensPolicy Policy(*P);
-  PrecisionMetrics M = computeMetrics(analyze(*P, Policy));
+  auto Policy = createPolicy("insens", *P);
+  PrecisionMetrics M = computeMetrics(analyze(*P, *Policy));
   EXPECT_EQ(M.AvgPointsTo, 0.0);
   EXPECT_EQ(M.CallGraphEdges, 0u);
   EXPECT_EQ(M.ReachableMethods, 1u);
@@ -144,8 +143,8 @@ TEST(Metrics, CountsOnlyReachableCastsAndCalls) {
   MethodId Main = B.addMethod(Object, "main", 0, true);
   B.addEntryPoint(Main);
   auto P = B.build();
-  InsensPolicy Policy(*P);
-  PrecisionMetrics M = computeMetrics(analyze(*P, Policy));
+  auto Policy = createPolicy("insens", *P);
+  PrecisionMetrics M = computeMetrics(analyze(*P, *Policy));
   EXPECT_EQ(M.ReachableCasts, 0u);
   EXPECT_EQ(M.ReachableVCalls, 0u);
 }
@@ -162,8 +161,8 @@ TEST(Metrics, AvgPointsToCountsDistinctHeapSites) {
   B.addAlloc(Main, Y, A);
   B.addEntryPoint(Main);
   auto P = B.build();
-  InsensPolicy Policy(*P);
-  PrecisionMetrics M = computeMetrics(analyze(*P, Policy));
+  auto Policy = createPolicy("insens", *P);
+  PrecisionMetrics M = computeMetrics(analyze(*P, *Policy));
   // x -> 2 sites, y -> 1 site; average over pointing vars = 1.5.
   EXPECT_DOUBLE_EQ(M.AvgPointsTo, 1.5);
 }
@@ -291,8 +290,8 @@ TEST(DotExport, PointsToNeighbourhoodShowsFocusVars) {
   B.addStore(Main, X, F, Y);
   B.addEntryPoint(Main);
   auto P = B.build();
-  InsensPolicy Policy(*P);
-  Solver S(*P, Policy);
+  auto Policy = createPolicy("insens", *P);
+  Solver S(*P, *Policy);
   AnalysisResult R = S.run();
   std::string Dot = pointsToDot(R, Main);
   EXPECT_NE(Dot.find("xvar"), std::string::npos);

@@ -10,7 +10,6 @@
 #include "context/ContextElement.h"
 #include "context/ContextTable.h"
 #include "context/CutShortcut.h"
-#include "context/Policies.h"
 #include "context/PolicyRegistry.h"
 #include "ir/Program.h"
 #include "ir/ProgramBuilder.h"
@@ -143,192 +142,192 @@ struct PolicyFixture : public ::testing::Test {
 };
 
 TEST_F(PolicyFixture, InsensEverythingCollapses) {
-  InsensPolicy P(*Prog);
-  CtxId C0 = P.initialContext();
-  EXPECT_EQ(P.merge(H1, P.record(H1, C0), I1, C0), C0);
-  EXPECT_EQ(P.mergeStatic(I1, C0), C0);
-  EXPECT_EQ(P.record(H1, C0), P.record(H2, C0));
-  EXPECT_EQ(P.ctxTable().size(), 1u);
-  EXPECT_EQ(P.hctxTable().size(), 1u);
+  auto P = createPolicy("insens", *Prog);
+  CtxId C0 = P->initialContext();
+  EXPECT_EQ(P->merge(H1, P->record(H1, C0), I1, C0), C0);
+  EXPECT_EQ(P->mergeStatic(I1, C0), C0);
+  EXPECT_EQ(P->record(H1, C0), P->record(H2, C0));
+  EXPECT_EQ(P->ctxTable().size(), 1u);
+  EXPECT_EQ(P->hctxTable().size(), 1u);
 }
 
 TEST_F(PolicyFixture, OneCallUsesInvocationSites) {
-  OneCallPolicy P(*Prog);
-  CtxId C0 = P.initialContext();
-  CtxId C1 = P.merge(H1, P.record(H1, C0), I1, C0);
-  EXPECT_EQ(words(P, C1),
+  auto P = createPolicy("1call", *Prog);
+  CtxId C0 = P->initialContext();
+  CtxId C1 = P->merge(H1, P->record(H1, C0), I1, C0);
+  EXPECT_EQ(words(*P, C1),
             std::vector<uint32_t>{ContextElem::invoke(I1).raw()});
   // Virtual and static agree and ignore everything but the site.
-  EXPECT_EQ(P.mergeStatic(I1, C1), C1);
-  EXPECT_NE(P.mergeStatic(I2, C1), C1);
+  EXPECT_EQ(P->mergeStatic(I1, C1), C1);
+  EXPECT_NE(P->mergeStatic(I2, C1), C1);
   // No heap context.
-  EXPECT_EQ(P.record(H1, C1), P.record(H2, C0));
+  EXPECT_EQ(P->record(H1, C1), P->record(H2, C0));
 }
 
 TEST_F(PolicyFixture, OneCallHRecordsCallerContext) {
-  OneCallHPolicy P(*Prog);
-  CtxId C0 = P.initialContext();
-  CtxId AtI1 = P.mergeStatic(I1, C0);
-  HCtxId H = P.record(H1, AtI1);
-  EXPECT_EQ(hwords(P, H),
+  auto P = createPolicy("1call+H", *Prog);
+  CtxId C0 = P->initialContext();
+  CtxId AtI1 = P->mergeStatic(I1, C0);
+  HCtxId H = P->record(H1, AtI1);
+  EXPECT_EQ(hwords(*P, H),
             std::vector<uint32_t>{ContextElem::invoke(I1).raw()});
 }
 
 TEST_F(PolicyFixture, OneObjUsesReceiverAllocationSite) {
-  OneObjPolicy P(*Prog);
-  CtxId C0 = P.initialContext();
-  HCtxId HC = P.record(H1, C0);
-  CtxId C1 = P.merge(H1, HC, I1, C0);
-  EXPECT_EQ(words(P, C1),
+  auto P = createPolicy("1obj", *Prog);
+  CtxId C0 = P->initialContext();
+  HCtxId HC = P->record(H1, C0);
+  CtxId C1 = P->merge(H1, HC, I1, C0);
+  EXPECT_EQ(words(*P, C1),
             std::vector<uint32_t>{ContextElem::heap(H1).raw()});
   // Call site is irrelevant for virtual calls.
-  EXPECT_EQ(P.merge(H1, HC, I2, C0), C1);
+  EXPECT_EQ(P->merge(H1, HC, I2, C0), C1);
   // Static calls copy the caller context.
-  EXPECT_EQ(P.mergeStatic(I1, C1), C1);
-  EXPECT_EQ(P.mergeStatic(I2, C1), C1);
+  EXPECT_EQ(P->mergeStatic(I1, C1), C1);
+  EXPECT_EQ(P->mergeStatic(I2, C1), C1);
 }
 
 TEST_F(PolicyFixture, TwoObjHChainsReceivers) {
-  TwoObjHPolicy P(*Prog);
-  CtxId C0 = P.initialContext();
+  auto P = createPolicy("2obj+H", *Prog);
+  CtxId C0 = P->initialContext();
   // Receiver H1 allocated in empty context: hctx = first(C0) = *.
-  HCtxId HC1 = P.record(H1, C0);
-  CtxId C1 = P.merge(H1, HC1, I1, C0);
-  EXPECT_EQ(words(P, C1),
+  HCtxId HC1 = P->record(H1, C0);
+  CtxId C1 = P->merge(H1, HC1, I1, C0);
+  EXPECT_EQ(words(*P, C1),
             (std::vector<uint32_t>{ContextElem::heap(H1).raw(),
                                    ContextElem::star().raw()}));
   // An object allocated under C1 remembers H1.
-  HCtxId HC2 = P.record(H2, C1);
-  EXPECT_EQ(hwords(P, HC2),
+  HCtxId HC2 = P->record(H2, C1);
+  EXPECT_EQ(hwords(*P, HC2),
             std::vector<uint32_t>{ContextElem::heap(H1).raw()});
   // Dispatching on it yields (H2, H1) — receiver plus parent receiver.
-  CtxId C2 = P.merge(H2, HC2, I2, C1);
-  EXPECT_EQ(words(P, C2),
+  CtxId C2 = P->merge(H2, HC2, I2, C1);
+  EXPECT_EQ(words(*P, C2),
             (std::vector<uint32_t>{ContextElem::heap(H2).raw(),
                                    ContextElem::heap(H1).raw()}));
-  EXPECT_EQ(P.mergeStatic(I1, C2), C2);
+  EXPECT_EQ(P->mergeStatic(I1, C2), C2);
 }
 
 TEST_F(PolicyFixture, TwoTypeHMapsCAOverNewElements) {
-  TwoTypeHPolicy P(*Prog);
-  CtxId C0 = P.initialContext();
-  HCtxId HC1 = P.record(H1, C0);
-  CtxId C1 = P.merge(H1, HC1, I1, C0);
+  auto P = createPolicy("2type+H", *Prog);
+  CtxId C0 = P->initialContext();
+  HCtxId HC1 = P->record(H1, C0);
+  CtxId C1 = P->merge(H1, HC1, I1, C0);
   // CA(H1) = class containing H1's allocation = ClsA.
-  EXPECT_EQ(words(P, C1),
+  EXPECT_EQ(words(*P, C1),
             (std::vector<uint32_t>{ContextElem::type(CA1).raw(),
                                    ContextElem::star().raw()}));
-  HCtxId HC2 = P.record(H2, C1);
-  EXPECT_EQ(hwords(P, HC2),
+  HCtxId HC2 = P->record(H2, C1);
+  EXPECT_EQ(hwords(*P, HC2),
             std::vector<uint32_t>{ContextElem::type(CA1).raw()});
 }
 
 TEST_F(PolicyFixture, UniformOneObjKeepsBothKinds) {
-  UniformOneObjPolicy P(*Prog);
-  CtxId C0 = P.initialContext();
-  CtxId C1 = P.merge(H1, P.record(H1, C0), I1, C0);
-  EXPECT_EQ(words(P, C1),
+  auto P = createPolicy("U-1obj", *Prog);
+  CtxId C0 = P->initialContext();
+  CtxId C1 = P->merge(H1, P->record(H1, C0), I1, C0);
+  EXPECT_EQ(words(*P, C1),
             (std::vector<uint32_t>{ContextElem::heap(H1).raw(),
                                    ContextElem::invoke(I1).raw()}));
   // Static: keep most-significant part, swap in the new site.
-  CtxId C2 = P.mergeStatic(I2, C1);
-  EXPECT_EQ(words(P, C2),
+  CtxId C2 = P->mergeStatic(I2, C1);
+  EXPECT_EQ(words(*P, C2),
             (std::vector<uint32_t>{ContextElem::heap(H1).raw(),
                                    ContextElem::invoke(I2).raw()}));
 }
 
 TEST_F(PolicyFixture, UniformTwoObjHTriple) {
-  UniformTwoObjHPolicy P(*Prog);
-  CtxId C0 = P.initialContext();
-  HCtxId HC1 = P.record(H1, C0);
-  CtxId C1 = P.merge(H1, HC1, I1, C0);
-  EXPECT_EQ(words(P, C1),
+  auto P = createPolicy("U-2obj+H", *Prog);
+  CtxId C0 = P->initialContext();
+  HCtxId HC1 = P->record(H1, C0);
+  CtxId C1 = P->merge(H1, HC1, I1, C0);
+  EXPECT_EQ(words(*P, C1),
             (std::vector<uint32_t>{ContextElem::heap(H1).raw(),
                                    ContextElem::star().raw(),
                                    ContextElem::invoke(I1).raw()}));
   // RECORD takes the most-significant slot — same heap context as 2obj+H.
-  HCtxId HC2 = P.record(H2, C1);
-  EXPECT_EQ(hwords(P, HC2),
+  HCtxId HC2 = P->record(H2, C1);
+  EXPECT_EQ(hwords(*P, HC2),
             std::vector<uint32_t>{ContextElem::heap(H1).raw()});
-  CtxId C2 = P.mergeStatic(I2, C1);
-  EXPECT_EQ(words(P, C2),
+  CtxId C2 = P->mergeStatic(I2, C1);
+  EXPECT_EQ(words(*P, C2),
             (std::vector<uint32_t>{ContextElem::heap(H1).raw(),
                                    ContextElem::star().raw(),
                                    ContextElem::invoke(I2).raw()}));
 }
 
 TEST_F(PolicyFixture, SelectiveAOneObjSwitchesKind) {
-  SelectiveAOneObjPolicy P(*Prog);
-  CtxId C0 = P.initialContext();
-  CtxId Virt = P.merge(H1, P.record(H1, C0), I1, C0);
-  EXPECT_EQ(words(P, Virt),
+  auto P = createPolicy("SA-1obj", *Prog);
+  CtxId C0 = P->initialContext();
+  CtxId Virt = P->merge(H1, P->record(H1, C0), I1, C0);
+  EXPECT_EQ(words(*P, Virt),
             std::vector<uint32_t>{ContextElem::heap(H1).raw()});
-  CtxId Stat = P.mergeStatic(I1, Virt);
-  EXPECT_EQ(words(P, Stat),
+  CtxId Stat = P->mergeStatic(I1, Virt);
+  EXPECT_EQ(words(*P, Stat),
             std::vector<uint32_t>{ContextElem::invoke(I1).raw()});
   // Chained statics keep switching to the newest site.
-  CtxId Stat2 = P.mergeStatic(I2, Stat);
-  EXPECT_EQ(words(P, Stat2),
+  CtxId Stat2 = P->mergeStatic(I2, Stat);
+  EXPECT_EQ(words(*P, Stat2),
             std::vector<uint32_t>{ContextElem::invoke(I2).raw()});
 }
 
 TEST_F(PolicyFixture, SelectiveBOneObjExtendsStatics) {
-  SelectiveBOneObjPolicy P(*Prog);
-  CtxId C0 = P.initialContext();
-  CtxId Virt = P.merge(H1, P.record(H1, C0), I1, C0);
-  EXPECT_EQ(words(P, Virt),
+  auto P = createPolicy("SB-1obj", *Prog);
+  CtxId C0 = P->initialContext();
+  CtxId Virt = P->merge(H1, P->record(H1, C0), I1, C0);
+  EXPECT_EQ(words(*P, Virt),
             (std::vector<uint32_t>{ContextElem::heap(H1).raw(),
                                    ContextElem::star().raw()}));
-  CtxId Stat = P.mergeStatic(I1, Virt);
-  EXPECT_EQ(words(P, Stat),
+  CtxId Stat = P->mergeStatic(I1, Virt);
+  EXPECT_EQ(words(*P, Stat),
             (std::vector<uint32_t>{ContextElem::heap(H1).raw(),
                                    ContextElem::invoke(I1).raw()}));
   // The heap part survives deeper static chains.
-  CtxId Stat2 = P.mergeStatic(I2, Stat);
-  EXPECT_EQ(words(P, Stat2),
+  CtxId Stat2 = P->mergeStatic(I2, Stat);
+  EXPECT_EQ(words(*P, Stat2),
             (std::vector<uint32_t>{ContextElem::heap(H1).raw(),
                                    ContextElem::invoke(I2).raw()}));
 }
 
 TEST_F(PolicyFixture, SelectiveTwoObjHDefinitions) {
-  SelectiveTwoObjHPolicy P(*Prog);
-  CtxId C0 = P.initialContext();
-  HCtxId HC1 = P.record(H1, C0);
+  auto P = createPolicy("S-2obj+H", *Prog);
+  CtxId C0 = P->initialContext();
+  HCtxId HC1 = P->record(H1, C0);
   // Virtual: exactly like 2obj+H plus a star slot.
-  CtxId Virt = P.merge(H1, HC1, I1, C0);
-  EXPECT_EQ(words(P, Virt),
+  CtxId Virt = P->merge(H1, HC1, I1, C0);
+  EXPECT_EQ(words(*P, Virt),
             (std::vector<uint32_t>{ContextElem::heap(H1).raw(),
                                    ContextElem::star().raw(),
                                    ContextElem::star().raw()}));
   // First static level: superset of 2obj+H, augmented by the site.
-  CtxId Stat = P.mergeStatic(I1, Virt);
-  EXPECT_EQ(words(P, Stat),
+  CtxId Stat = P->mergeStatic(I1, Virt);
+  EXPECT_EQ(words(*P, Stat),
             (std::vector<uint32_t>{ContextElem::heap(H1).raw(),
                                    ContextElem::invoke(I1).raw(),
                                    ContextElem::star().raw()}));
   // Deeper static: both trailing slots hold invocation sites.
-  CtxId Stat2 = P.mergeStatic(I2, Stat);
-  EXPECT_EQ(words(P, Stat2),
+  CtxId Stat2 = P->mergeStatic(I2, Stat);
+  EXPECT_EQ(words(*P, Stat2),
             (std::vector<uint32_t>{ContextElem::heap(H1).raw(),
                                    ContextElem::invoke(I2).raw(),
                                    ContextElem::invoke(I1).raw()}));
   // RECORD keeps producing 2obj+H-quality heap contexts.
-  HCtxId HC2 = P.record(H2, Stat2);
-  EXPECT_EQ(hwords(P, HC2),
+  HCtxId HC2 = P->record(H2, Stat2);
+  EXPECT_EQ(hwords(*P, HC2),
             std::vector<uint32_t>{ContextElem::heap(H1).raw()});
 }
 
 TEST_F(PolicyFixture, SelectiveTwoTypeHIsomorphic) {
-  SelectiveTwoTypeHPolicy P(*Prog);
-  CtxId C0 = P.initialContext();
-  HCtxId HC1 = P.record(H1, C0);
-  CtxId Virt = P.merge(H1, HC1, I1, C0);
-  EXPECT_EQ(words(P, Virt),
+  auto P = createPolicy("S-2type+H", *Prog);
+  CtxId C0 = P->initialContext();
+  HCtxId HC1 = P->record(H1, C0);
+  CtxId Virt = P->merge(H1, HC1, I1, C0);
+  EXPECT_EQ(words(*P, Virt),
             (std::vector<uint32_t>{ContextElem::type(CA1).raw(),
                                    ContextElem::star().raw(),
                                    ContextElem::star().raw()}));
-  CtxId Stat = P.mergeStatic(I2, Virt);
-  EXPECT_EQ(words(P, Stat),
+  CtxId Stat = P->mergeStatic(I2, Virt);
+  EXPECT_EQ(words(*P, Stat),
             (std::vector<uint32_t>{ContextElem::type(CA1).raw(),
                                    ContextElem::invoke(I2).raw(),
                                    ContextElem::star().raw()}));
@@ -338,103 +337,103 @@ TEST_F(PolicyFixture, UniformPrecisionRefinement) {
   // U-1obj contexts refine 1obj contexts: projecting the first slot of any
   // U-1obj context gives the corresponding 1obj context.  Spot-check the
   // constructor outputs.
-  OneObjPolicy Base(*Prog);
-  UniformOneObjPolicy Uni(*Prog);
-  CtxId B0 = Base.initialContext(), U0 = Uni.initialContext();
-  CtxId B1 = Base.merge(H1, Base.record(H1, B0), I1, B0);
-  CtxId U1 = Uni.merge(H1, Uni.record(H1, U0), I1, U0);
-  EXPECT_EQ(Base.ctxTable().elem(B1, 0), Uni.ctxTable().elem(U1, 0));
-  CtxId B2 = Base.mergeStatic(I2, B1);
-  CtxId U2 = Uni.mergeStatic(I2, U1);
-  EXPECT_EQ(Base.ctxTable().elem(B2, 0), Uni.ctxTable().elem(U2, 0));
+  auto Base = createPolicy("1obj", *Prog);
+  auto Uni = createPolicy("U-1obj", *Prog);
+  CtxId B0 = Base->initialContext(), U0 = Uni->initialContext();
+  CtxId B1 = Base->merge(H1, Base->record(H1, B0), I1, B0);
+  CtxId U1 = Uni->merge(H1, Uni->record(H1, U0), I1, U0);
+  EXPECT_EQ(Base->ctxTable().elem(B1, 0), Uni->ctxTable().elem(U1, 0));
+  CtxId B2 = Base->mergeStatic(I2, B1);
+  CtxId U2 = Uni->mergeStatic(I2, U1);
+  EXPECT_EQ(Base->ctxTable().elem(B2, 0), Uni->ctxTable().elem(U2, 0));
 }
 
 TEST_F(PolicyFixture, AblationInvokeHeapContext) {
-  UniformTwoObjInvokeHeapPolicy P(*Prog);
-  CtxId C0 = P.initialContext();
-  CtxId C1 = P.merge(H1, P.record(H1, C0), I1, C0);
+  auto P = createPolicy("U-2obj+HI", *Prog);
+  CtxId C0 = P->initialContext();
+  CtxId C1 = P->merge(H1, P->record(H1, C0), I1, C0);
   // Heap context of an object allocated under C1 is C1's invocation slot.
-  HCtxId HC = P.record(H2, C1);
-  EXPECT_EQ(hwords(P, HC),
+  HCtxId HC = P->record(H2, C1);
+  EXPECT_EQ(hwords(*P, HC),
             std::vector<uint32_t>{ContextElem::invoke(I1).raw()});
 }
 
 TEST_F(PolicyFixture, AblationSwappedSignificance) {
-  UniformTwoObjHSwappedPolicy P(*Prog);
-  CtxId C0 = P.initialContext();
-  HCtxId HC1 = P.record(H1, C0);
-  CtxId C1 = P.merge(H1, HC1, I1, C0);
+  auto P = createPolicy("U-2obj+H-swapped", *Prog);
+  CtxId C0 = P->initialContext();
+  HCtxId HC1 = P->record(H1, C0);
+  CtxId C1 = P->merge(H1, HC1, I1, C0);
   // hctx leads, receiver second.
-  EXPECT_EQ(words(P, C1),
+  EXPECT_EQ(words(*P, C1),
             (std::vector<uint32_t>{ContextElem::star().raw(),
                                    ContextElem::heap(H1).raw(),
                                    ContextElem::invoke(I1).raw()}));
   // RECORD naively takes first(ctx), which is now the *grandparent*
   // object (star here), not the allocating method's receiver H1 — the
   // heap-context quality loss the paper warns about.
-  HCtxId HC2 = P.record(H2, C1);
-  EXPECT_EQ(hwords(P, HC2),
+  HCtxId HC2 = P->record(H2, C1);
+  EXPECT_EQ(hwords(*P, HC2),
             std::vector<uint32_t>{ContextElem::star().raw()});
 }
 
 TEST_F(PolicyFixture, DepthAdaptiveSwitchesOnContextShape) {
-  DepthAdaptiveTwoObjHPolicy P(*Prog);
-  CtxId C0 = P.initialContext();
-  HCtxId HC1 = P.record(H1, C0);
-  CtxId Virt = P.merge(H1, HC1, I1, C0);
-  EXPECT_TRUE(P.ctxTable().elem(Virt, 2).isStar());
+  auto P = createPolicy("D-2obj+H", *Prog);
+  CtxId C0 = P->initialContext();
+  HCtxId HC1 = P->record(H1, C0);
+  CtxId Virt = P->merge(H1, HC1, I1, C0);
+  EXPECT_TRUE(P->ctxTable().elem(Virt, 2).isStar());
   // First static level: keep both object slots, append the site (uniform
   // shape).
-  CtxId S1 = P.mergeStatic(I1, Virt);
-  EXPECT_EQ(words(P, S1),
+  CtxId S1 = P->mergeStatic(I1, Virt);
+  EXPECT_EQ(words(*P, S1),
             (std::vector<uint32_t>{ContextElem::heap(H1).raw(),
                                    ContextElem::star().raw(),
                                    ContextElem::invoke(I1).raw()}));
   // Second static level: switch to the call-site-chain shape.
-  CtxId S2 = P.mergeStatic(I2, S1);
-  EXPECT_EQ(words(P, S2),
+  CtxId S2 = P->mergeStatic(I2, S1);
+  EXPECT_EQ(words(*P, S2),
             (std::vector<uint32_t>{ContextElem::heap(H1).raw(),
                                    ContextElem::invoke(I1).raw(),
                                    ContextElem::invoke(I2).raw()}));
 }
 
 TEST_F(PolicyFixture, ThreeObjTwoHChains) {
-  ThreeObjTwoHPolicy P(*Prog);
-  CtxId C0 = P.initialContext();
-  HCtxId HC1 = P.record(H1, C0);
-  CtxId C1 = P.merge(H1, HC1, I1, C0);
-  EXPECT_EQ(words(P, C1),
+  auto P = createPolicy("3obj+2H", *Prog);
+  CtxId C0 = P->initialContext();
+  HCtxId HC1 = P->record(H1, C0);
+  CtxId C1 = P->merge(H1, HC1, I1, C0);
+  EXPECT_EQ(words(*P, C1),
             (std::vector<uint32_t>{ContextElem::heap(H1).raw(),
                                    ContextElem::star().raw(),
                                    ContextElem::star().raw()}));
   // An object allocated under C1 remembers the two leading elements.
-  HCtxId HC2 = P.record(H2, C1);
-  EXPECT_EQ(hwords(P, HC2),
+  HCtxId HC2 = P->record(H2, C1);
+  EXPECT_EQ(hwords(*P, HC2),
             (std::vector<uint32_t>{ContextElem::heap(H1).raw(),
                                    ContextElem::star().raw()}));
   // Dispatch on it: a 3-deep receiver chain.
-  CtxId C2 = P.merge(H2, HC2, I2, C1);
-  EXPECT_EQ(words(P, C2),
+  CtxId C2 = P->merge(H2, HC2, I2, C1);
+  EXPECT_EQ(words(*P, C2),
             (std::vector<uint32_t>{ContextElem::heap(H2).raw(),
                                    ContextElem::heap(H1).raw(),
                                    ContextElem::star().raw()}));
-  EXPECT_EQ(P.mergeStatic(I1, C2), C2);
+  EXPECT_EQ(P->mergeStatic(I1, C2), C2);
 }
 
 TEST_F(PolicyFixture, TwoCallHChainsSites) {
-  TwoCallHPolicy P(*Prog);
-  CtxId C0 = P.initialContext();
-  CtxId C1 = P.mergeStatic(I1, C0);
-  EXPECT_EQ(words(P, C1),
+  auto P = createPolicy("2call+H", *Prog);
+  CtxId C0 = P->initialContext();
+  CtxId C1 = P->mergeStatic(I1, C0);
+  EXPECT_EQ(words(*P, C1),
             (std::vector<uint32_t>{ContextElem::invoke(I1).raw(),
                                    ContextElem::star().raw()}));
-  CtxId C2 = P.merge(H1, P.record(H1, C1), I2, C1);
-  EXPECT_EQ(words(P, C2),
+  CtxId C2 = P->merge(H1, P->record(H1, C1), I2, C1);
+  EXPECT_EQ(words(*P, C2),
             (std::vector<uint32_t>{ContextElem::invoke(I2).raw(),
                                    ContextElem::invoke(I1).raw()}));
   // Heap context: the caller's leading site.
-  HCtxId HC = P.record(H2, C2);
-  EXPECT_EQ(hwords(P, HC),
+  HCtxId HC = P->record(H2, C2);
+  EXPECT_EQ(hwords(*P, HC),
             std::vector<uint32_t>{ContextElem::invoke(I2).raw()});
 }
 
@@ -468,15 +467,15 @@ TEST_F(PolicyFixture, RegistryLineups) {
 }
 
 TEST_F(PolicyFixture, ContextsAreHashConsedAcrossCalls) {
-  SelectiveTwoObjHPolicy P(*Prog);
-  CtxId C0 = P.initialContext();
-  HCtxId HC = P.record(H1, C0);
-  CtxId A = P.merge(H1, HC, I1, C0);
-  CtxId B = P.merge(H1, HC, I2, C0); // site ignored at virtual calls
+  auto P = createPolicy("S-2obj+H", *Prog);
+  CtxId C0 = P->initialContext();
+  HCtxId HC = P->record(H1, C0);
+  CtxId A = P->merge(H1, HC, I1, C0);
+  CtxId B = P->merge(H1, HC, I2, C0); // site ignored at virtual calls
   EXPECT_EQ(A, B);
-  size_t Before = P.ctxTable().size();
-  P.merge(H1, HC, I1, C0);
-  EXPECT_EQ(P.ctxTable().size(), Before);
+  size_t Before = P->ctxTable().size();
+  P->merge(H1, HC, I1, C0);
+  EXPECT_EQ(P->ctxTable().size(), Before);
 }
 
 TEST_F(PolicyFixture, CutShortcutPoliciesAreContextless) {

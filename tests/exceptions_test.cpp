@@ -4,7 +4,6 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "context/Policies.h"
 #include "context/PolicyRegistry.h"
 #include "ir/Program.h"
 #include "ir/ProgramBuilder.h"
@@ -49,8 +48,8 @@ TEST_F(ExcFixture, LocalHandlerCatchesOwnThrow) {
   B.addEntryPoint(Main);
   auto P = B.build();
 
-  InsensPolicy Policy(*P);
-  AnalysisResult R = analyze(*P, Policy);
+  auto Policy = createPolicy("insens", *P);
+  AnalysisResult R = analyze(*P, *Policy);
   EXPECT_EQ(R.pointsTo(HV), std::vector<HeapId>{H});
   EXPECT_TRUE(R.uncaughtExceptions().empty());
   EXPECT_EQ(R.numThrowFacts(), 0u);
@@ -65,8 +64,8 @@ TEST_F(ExcFixture, TypeMismatchedHandlerDoesNotCatch) {
   B.addEntryPoint(Main);
   auto P = B.build();
 
-  InsensPolicy Policy(*P);
-  AnalysisResult R = analyze(*P, Policy);
+  auto Policy = createPolicy("insens", *P);
+  AnalysisResult R = analyze(*P, *Policy);
   EXPECT_TRUE(R.pointsTo(HV).empty());
   EXPECT_EQ(R.uncaughtExceptions(), std::vector<HeapId>{H});
 }
@@ -115,8 +114,8 @@ TEST_F(ExcFixture, MidLevelHandlerStopsEscalation) {
   B.addEntryPoint(Main);
   auto P = B.build();
 
-  InsensPolicy Policy(*P);
-  AnalysisResult R = analyze(*P, Policy);
+  auto Policy = createPolicy("insens", *P);
+  AnalysisResult R = analyze(*P, *Policy);
   EXPECT_EQ(R.pointsTo(MidHV), std::vector<HeapId>{H});
   EXPECT_TRUE(R.pointsTo(MainHV).empty());
 }
@@ -141,8 +140,8 @@ TEST_F(ExcFixture, TypeRoutedEscalation) {
   B.addEntryPoint(Main);
   auto P = B.build();
 
-  InsensPolicy Policy(*P);
-  AnalysisResult R = analyze(*P, Policy);
+  auto Policy = createPolicy("insens", *P);
+  AnalysisResult R = analyze(*P, *Policy);
   EXPECT_EQ(R.pointsTo(MidHV), std::vector<HeapId>{HA});
   EXPECT_EQ(R.pointsTo(MainHV), std::vector<HeapId>{HB});
   EXPECT_TRUE(R.uncaughtExceptions().empty());
@@ -159,8 +158,8 @@ TEST_F(ExcFixture, MultipleMatchingHandlersAllBind) {
   B.addEntryPoint(Main);
   auto P = B.build();
 
-  InsensPolicy Policy(*P);
-  AnalysisResult R = analyze(*P, Policy);
+  auto Policy = createPolicy("insens", *P);
+  AnalysisResult R = analyze(*P, *Policy);
   EXPECT_EQ(R.pointsTo(H1), std::vector<HeapId>{H});
   EXPECT_EQ(R.pointsTo(H2), std::vector<HeapId>{H});
 }
@@ -194,8 +193,8 @@ TEST_F(ExcFixture, ContextSensitiveExceptionSeparation) {
   auto P = B.build();
 
   // Everything escapes main (no handler): both sites uncaught.
-  TwoObjHPolicy Precise(*P);
-  AnalysisResult RP = analyze(*P, Precise);
+  auto Precise = createPolicy("2obj+H", *P);
+  AnalysisResult RP = analyze(*P, *Precise);
   EXPECT_EQ(RP.uncaughtExceptions(), (std::vector<HeapId>{HA, HB}));
 
   // Context-sensitive separation: go's throw slot holds one object per
@@ -206,8 +205,8 @@ TEST_F(ExcFixture, ContextSensitiveExceptionSeparation) {
       MaxPerCtx = std::max(MaxPerCtx, E.Objs.size());
   EXPECT_EQ(MaxPerCtx, 1u);
 
-  InsensPolicy Coarse(*P);
-  AnalysisResult RC = analyze(*P, Coarse);
+  auto Coarse = createPolicy("insens", *P);
+  AnalysisResult RC = analyze(*P, *Coarse);
   MaxPerCtx = 0;
   for (const auto &E : RC.ThrowFacts)
     if (P->method(E.Meth).Owner == Thrower)

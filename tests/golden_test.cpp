@@ -147,7 +147,7 @@ std::string factDumpLine(const std::string &Label, const std::string &Policy,
 }
 
 // Every exported relation of every example program, luindex and antlr
-// under the fourteen Table 1 policies, pinned byte for byte.  Output order
+// under every registered policy, pinned byte for byte.  Output order
 // matters here (MethodThrows rows follow the solver's harvest order), so
 // this catches a refactor that keeps the fact sets but reorders them.
 TEST(Golden, FactDumpsMatchThePinnedDigests) {
@@ -161,7 +161,7 @@ TEST(Golden, FactDumpsMatchThePinnedDigests) {
 
   std::string Got;
   auto Dump = [&Got](const std::string &Label, const Program &Prog) {
-    for (const std::string &Name : table1PolicyNames()) {
+    for (const std::string &Name : allPolicyNames()) {
       auto Policy = createPolicy(Name, Prog);
       ASSERT_NE(Policy, nullptr) << Name;
       AnalysisResult R = solveProgram(Prog, *Policy);

@@ -4,7 +4,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "context/Policies.h"
+#include "context/PolicyRegistry.h"
 #include "ir/Program.h"
 #include "ir/ProgramBuilder.h"
 #include "irtext/TextFormat.h"
@@ -68,8 +68,8 @@ TEST(Parser, ParsedProgramAnalyzesCorrectly) {
   ASSERT_TRUE(R.ok());
   const Program &P = *R.Prog;
 
-  InsensPolicy Policy(P);
-  Solver S(P, Policy);
+  auto Policy = createPolicy("insens", P);
+  Solver S(P, *Policy);
   AnalysisResult Result = S.run();
   VarId Y = findVarByPath(P, "App::main/0::y");
   ASSERT_TRUE(Y.isValid());
@@ -166,8 +166,9 @@ TEST(Printer, RoundTripPreservesAnalysisResults) {
 
   // Entity ids are renumbered by the round trip, so compare the
   // isomorphism-invariant metrics rather than raw exports.
-  TwoObjHPolicy P1(*R1.Prog), P2(*R2.Prog);
-  Solver S1(*R1.Prog, P1), S2(*R2.Prog, P2);
+  auto P1 = createPolicy("2obj+H", *R1.Prog);
+  auto P2 = createPolicy("2obj+H", *R2.Prog);
+  Solver S1(*R1.Prog, *P1), S2(*R2.Prog, *P2);
   PrecisionMetrics M1 = computeMetrics(S1.run());
   PrecisionMetrics M2 = computeMetrics(S2.run());
   EXPECT_EQ(M1.CsVarPointsTo, M2.CsVarPointsTo);
@@ -220,8 +221,9 @@ TEST_P(RoundTripFuzz, PrintParsePrintIsFixpoint) {
 
   // Analysis equivalence under a representative policy (metrics are
   // invariant under the round trip's entity renumbering).
-  SelectiveTwoObjHPolicy Pol1(*P), Pol2(*R.Prog);
-  Solver S1(*P, Pol1), S2(*R.Prog, Pol2);
+  auto Pol1 = createPolicy("S-2obj+H", *P);
+  auto Pol2 = createPolicy("S-2obj+H", *R.Prog);
+  Solver S1(*P, *Pol1), S2(*R.Prog, *Pol2);
   PrecisionMetrics M1 = computeMetrics(S1.run());
   PrecisionMetrics M2 = computeMetrics(S2.run());
   EXPECT_EQ(M1.CsVarPointsTo, M2.CsVarPointsTo);
@@ -286,8 +288,9 @@ TEST(Printer, ReservedVariableNamesAreUniquified) {
   EXPECT_EQ(R.Prog->numVars(), P->numVars());
   EXPECT_EQ(R.Prog->numInstructions(), P->numInstructions());
 
-  InsensPolicy Pol1(*P), Pol2(*R.Prog);
-  Solver S1(*P, Pol1), S2(*R.Prog, Pol2);
+  auto Pol1 = createPolicy("insens", *P);
+  auto Pol2 = createPolicy("insens", *R.Prog);
+  Solver S1(*P, *Pol1), S2(*R.Prog, *Pol2);
   PrecisionMetrics M1 = computeMetrics(S1.run());
   PrecisionMetrics M2 = computeMetrics(S2.run());
   EXPECT_EQ(M1.CsVarPointsTo, M2.CsVarPointsTo);

@@ -537,8 +537,9 @@ TEST(AbortObservability, FinalHeartbeatCarriesAbortReason) {
     ASSERT_TRUE(Rec.lastHeartbeat(Opts.TraceLabel, HB)) << C.Name;
     EXPECT_TRUE(HB.Final) << C.Name;
     EXPECT_EQ(HB.Abort, C.Want) << C.Name;
-    if (C.WantSteps)
+    if (C.WantSteps) {
       EXPECT_GT(HB.Step, 0u) << C.Name;
+    }
   }
 }
 

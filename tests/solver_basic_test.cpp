@@ -8,7 +8,6 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "context/Policies.h"
 #include "context/PolicyRegistry.h"
 #include "ir/Program.h"
 #include "ir/ProgramBuilder.h"
@@ -51,8 +50,8 @@ TEST(SolverBasic, AllocAndMove) {
   B.addEntryPoint(Main);
   auto P = B.build();
 
-  InsensPolicy Policy(*P);
-  AnalysisResult R = analyze(*P, Policy);
+  auto Policy = createPolicy("insens", *P);
+  AnalysisResult R = analyze(*P, *Policy);
   EXPECT_FALSE(R.Aborted);
   EXPECT_EQ(R.pointsTo(X), std::vector<HeapId>{H});
   EXPECT_EQ(R.pointsTo(Y), std::vector<HeapId>{H});
@@ -73,8 +72,8 @@ TEST(SolverBasic, MoveChainPropagates) {
   B.addEntryPoint(Main);
   auto P = B.build();
 
-  InsensPolicy Policy(*P);
-  AnalysisResult R = analyze(*P, Policy);
+  auto Policy = createPolicy("insens", *P);
+  AnalysisResult R = analyze(*P, *Policy);
   for (VarId V : Vars)
     EXPECT_EQ(R.pointsTo(V), std::vector<HeapId>{H});
 }
@@ -96,8 +95,8 @@ TEST(SolverBasic, FieldStoreLoad) {
   B.addEntryPoint(Main);
   auto P = B.build();
 
-  InsensPolicy Policy(*P);
-  AnalysisResult R = analyze(*P, Policy);
+  auto Policy = createPolicy("insens", *P);
+  AnalysisResult R = analyze(*P, *Policy);
   EXPECT_EQ(R.pointsTo(W), std::vector<HeapId>{HV});
   EXPECT_EQ(R.numFieldPointsTo(), 1u);
 }
@@ -122,8 +121,8 @@ TEST(SolverBasic, FieldAliasing) {
   B.addEntryPoint(Main);
   auto P = B.build();
 
-  InsensPolicy Policy(*P);
-  AnalysisResult R = analyze(*P, Policy);
+  auto Policy = createPolicy("insens", *P);
+  AnalysisResult R = analyze(*P, *Policy);
   EXPECT_EQ(R.pointsTo(W), std::vector<HeapId>{HV});
 }
 
@@ -153,8 +152,8 @@ TEST(SolverBasic, DistinctObjectsDistinctFields) {
   B.addEntryPoint(Main);
   auto P = B.build();
 
-  InsensPolicy Policy(*P);
-  AnalysisResult R = analyze(*P, Policy);
+  auto Policy = createPolicy("insens", *P);
+  AnalysisResult R = analyze(*P, *Policy);
   EXPECT_EQ(R.pointsTo(W1), std::vector<HeapId>{H1});
   EXPECT_EQ(R.pointsTo(W2), std::vector<HeapId>{H2});
 }
@@ -174,8 +173,8 @@ TEST(SolverBasic, VirtualDispatchSelectsOverride) {
   B.addEntryPoint(Main);
   auto P = B.build();
 
-  InsensPolicy Policy(*P);
-  AnalysisResult R = analyze(*P, Policy);
+  auto Policy = createPolicy("insens", *P);
+  AnalysisResult R = analyze(*P, *Policy);
   EXPECT_EQ(R.callTargets(Inv), std::vector<MethodId>{MB});
   auto Reach = R.reachableMethods();
   EXPECT_TRUE(std::find(Reach.begin(), Reach.end(), MB) != Reach.end());
@@ -198,8 +197,8 @@ TEST(SolverBasic, PolymorphicReceiverFindsBothTargets) {
   B.addEntryPoint(Main);
   auto P = B.build();
 
-  InsensPolicy Policy(*P);
-  AnalysisResult R = analyze(*P, Policy);
+  auto Policy = createPolicy("insens", *P);
+  AnalysisResult R = analyze(*P, *Policy);
   EXPECT_EQ(R.callTargets(Inv), (std::vector<MethodId>{MA, MB}));
 
   PrecisionMetrics M = computeMetrics(R);
@@ -227,15 +226,15 @@ TEST(SolverBasic, ThisBindingIsPerReceiver) {
 
   VarId This = P->method(MA).This;
 
-  TwoObjHPolicy Ctx2(*P);
-  AnalysisResult R = analyze(*P, Ctx2);
+  auto Ctx2 = createPolicy("2obj+H", *P);
+  AnalysisResult R = analyze(*P, *Ctx2);
   std::vector<size_t> Sizes = factSizesOf(R, This);
   ASSERT_EQ(Sizes.size(), 2u); // two contexts
   EXPECT_EQ(Sizes[0], 1u);     // each sees exactly one receiver
   EXPECT_EQ(Sizes[1], 1u);
 
-  InsensPolicy Ins(*P);
-  AnalysisResult RI = analyze(*P, Ins);
+  auto Ins = createPolicy("insens", *P);
+  AnalysisResult RI = analyze(*P, *Ins);
   std::vector<size_t> SizesI = factSizesOf(RI, This);
   ASSERT_EQ(SizesI.size(), 1u); // single context
   EXPECT_EQ(SizesI[0], 2u);     // conflates both receivers
@@ -268,28 +267,28 @@ TEST(SolverBasic, MotivatingExampleCallSiteVsObjectSensitivity) {
 
   // insens: one context, both objects.
   {
-    InsensPolicy Policy(*P);
-    AnalysisResult R = analyze(*P, Policy);
+    auto Policy = createPolicy("insens", *P);
+    AnalysisResult R = analyze(*P, *Policy);
     EXPECT_EQ(R.pointsTo(FooArg), (std::vector<HeapId>{H1, H2}));
     EXPECT_EQ(factSizesOf(R, FooArg), std::vector<size_t>{2});
   }
   // 1call: two contexts, one object each.
   {
-    OneCallPolicy Policy(*P);
-    AnalysisResult R = analyze(*P, Policy);
+    auto Policy = createPolicy("1call", *P);
+    AnalysisResult R = analyze(*P, *Policy);
     EXPECT_EQ(R.pointsTo(FooArg), (std::vector<HeapId>{H1, H2}));
     EXPECT_EQ(factSizesOf(R, FooArg), (std::vector<size_t>{1, 1}));
   }
   // 1obj: one context (same receiver allocation site), both objects.
   {
-    OneObjPolicy Policy(*P);
-    AnalysisResult R = analyze(*P, Policy);
+    auto Policy = createPolicy("1obj", *P);
+    AnalysisResult R = analyze(*P, *Policy);
     EXPECT_EQ(factSizesOf(R, FooArg), std::vector<size_t>{2});
   }
   // U-1obj: call-site element recovers the distinction.
   {
-    UniformOneObjPolicy Policy(*P);
-    AnalysisResult R = analyze(*P, Policy);
+    auto Policy = createPolicy("U-1obj", *P);
+    AnalysisResult R = analyze(*P, *Policy);
     EXPECT_EQ(factSizesOf(R, FooArg), (std::vector<size_t>{1, 1}));
   }
 }
@@ -318,8 +317,8 @@ TEST(SolverBasic, StaticFactoryImprecisionFixedBySelectiveHybrids) {
   // single abstract object (no *loss* here, but the factory body is
   // analyzed once — check context count).
   {
-    OneObjPolicy Policy(*P);
-    AnalysisResult R = analyze(*P, Policy);
+    auto Policy = createPolicy("1obj", *P);
+    AnalysisResult R = analyze(*P, *Policy);
     size_t MakeCtxs = 0;
     for (const auto &[M, Ctx] : R.Reachable)
       MakeCtxs += M == Make;
@@ -327,8 +326,8 @@ TEST(SolverBasic, StaticFactoryImprecisionFixedBySelectiveHybrids) {
   }
   // SA-1obj: the two invocation sites give two contexts for make().
   {
-    SelectiveAOneObjPolicy Policy(*P);
-    AnalysisResult R = analyze(*P, Policy);
+    auto Policy = createPolicy("SA-1obj", *P);
+    AnalysisResult R = analyze(*P, *Policy);
     size_t MakeCtxs = 0;
     for (const auto &[M, Ctx] : R.Reachable)
       MakeCtxs += M == Make;
@@ -350,8 +349,8 @@ TEST(SolverBasic, StaticCallArgumentAndReturnWiring) {
   B.addEntryPoint(Main);
   auto P = B.build();
 
-  OneCallPolicy Policy(*P);
-  AnalysisResult R = analyze(*P, Policy);
+  auto Policy = createPolicy("1call", *P);
+  AnalysisResult R = analyze(*P, *Policy);
   EXPECT_EQ(R.pointsTo(Y), std::vector<HeapId>{H});
 }
 
@@ -371,8 +370,8 @@ TEST(SolverBasic, VirtualCallArgumentAndReturnWiring) {
   B.addEntryPoint(Main);
   auto P = B.build();
 
-  TwoObjHPolicy Policy(*P);
-  AnalysisResult R = analyze(*P, Policy);
+  auto Policy = createPolicy("2obj+H", *P);
+  AnalysisResult R = analyze(*P, *Policy);
   EXPECT_EQ(R.pointsTo(Y), std::vector<HeapId>{H});
 }
 
@@ -391,8 +390,8 @@ TEST(SolverBasic, CastFiltersIncompatibleObjects) {
   B.addEntryPoint(Main);
   auto P = B.build();
 
-  InsensPolicy Policy(*P);
-  AnalysisResult R = analyze(*P, Policy);
+  auto Policy = createPolicy("insens", *P);
+  AnalysisResult R = analyze(*P, *Policy);
   // Only the B object passes the (A) cast.
   EXPECT_EQ(R.pointsTo(Y), std::vector<HeapId>{HB});
   // And the site is flagged may-fail because x also holds a D.
@@ -416,8 +415,8 @@ TEST(SolverBasic, UpcastIsAlwaysSafe) {
   B.addEntryPoint(Main);
   auto P = B.build();
 
-  InsensPolicy Policy(*P);
-  AnalysisResult R = analyze(*P, Policy);
+  auto Policy = createPolicy("insens", *P);
+  AnalysisResult R = analyze(*P, *Policy);
   EXPECT_EQ(R.pointsTo(Y), std::vector<HeapId>{H});
   EXPECT_FALSE(R.mayFailCast(Site));
 }
@@ -482,8 +481,8 @@ TEST(SolverBasic, UnreachableMethodsHaveNoFacts) {
   B.addEntryPoint(Main);
   auto P = B.build();
 
-  InsensPolicy Policy(*P);
-  AnalysisResult R = analyze(*P, Policy);
+  auto Policy = createPolicy("insens", *P);
+  AnalysisResult R = analyze(*P, *Policy);
   EXPECT_TRUE(R.pointsTo(DV).empty());
   auto Reach = R.reachableMethods();
   EXPECT_EQ(Reach.size(), 1u);
@@ -503,8 +502,8 @@ TEST(SolverBasic, NoTargetVirtualCallIsDead) {
   B.addEntryPoint(Main);
   auto P = B.build();
 
-  InsensPolicy Policy(*P);
-  AnalysisResult R = analyze(*P, Policy);
+  auto Policy = createPolicy("insens", *P);
+  AnalysisResult R = analyze(*P, *Policy);
   EXPECT_TRUE(R.callTargets(Inv).empty());
   EXPECT_FALSE(R.Aborted);
 
@@ -527,10 +526,10 @@ TEST(SolverBasic, FactBudgetAborts) {
   B.addEntryPoint(Main);
   auto P = B.build();
 
-  InsensPolicy Policy(*P);
+  auto Policy = createPolicy("insens", *P);
   SolverOptions Opts;
   Opts.MaxFacts = 3;
-  AnalysisResult R = analyze(*P, Policy, Opts);
+  AnalysisResult R = analyze(*P, *Policy, Opts);
   EXPECT_TRUE(R.Aborted);
   EXPECT_LE(R.numCsVarPointsTo(), 6u); // bounded overshoot
 }
@@ -558,10 +557,10 @@ TEST(SolverBasic, TimeBudgetAborts) {
   B.addEntryPoint(Main);
   auto P = B.build();
 
-  InsensPolicy Policy(*P);
+  auto Policy = createPolicy("insens", *P);
   SolverOptions Opts;
   Opts.TimeBudgetMs = 1;
-  Solver S(*P, Policy, Opts);
+  Solver S(*P, *Policy, Opts);
   AnalysisResult R = S.run();
   // Either it finished inside a millisecond (tiny machine variance) or it
   // aborted; both are acceptable, but the run must terminate promptly.
@@ -583,8 +582,8 @@ TEST(SolverBasic, MultipleEntryPoints) {
   B.addEntryPoint(E2);
   auto P = B.build();
 
-  InsensPolicy Policy(*P);
-  Solver S(*P, Policy);
+  auto Policy = createPolicy("insens", *P);
+  Solver S(*P, *Policy);
   AnalysisResult R = S.run();
   EXPECT_EQ(R.pointsTo(X1), std::vector<HeapId>{H1});
   EXPECT_EQ(R.pointsTo(X2), std::vector<HeapId>{H2});
@@ -610,8 +609,8 @@ TEST(SolverBasic, DevirtualizationClientClassifies) {
   B.addEntryPoint(Main);
   auto P = B.build();
 
-  InsensPolicy Policy(*P);
-  AnalysisResult R = analyze(*P, Policy);
+  auto Policy = createPolicy("insens", *P);
+  AnalysisResult R = analyze(*P, *Policy);
   auto Sites = devirtualizeCalls(R);
   ASSERT_EQ(Sites.size(), 2u);
   EXPECT_EQ(Sites[0].Invo, MonoInv);
@@ -638,8 +637,8 @@ TEST(SolverBasic, CastClientReportsOffenders) {
   B.addEntryPoint(Main);
   auto P = B.build();
 
-  InsensPolicy Policy(*P);
-  AnalysisResult R = analyze(*P, Policy);
+  auto Policy = createPolicy("insens", *P);
+  AnalysisResult R = analyze(*P, *Policy);
   auto Checks = checkCasts(R);
   ASSERT_EQ(Checks.size(), 2u);
   EXPECT_EQ(Checks[0].Verdict, CastVerdict::MayFail);
@@ -667,10 +666,10 @@ TEST(SolverBasic, MetricsCountContextSensitiveFacts) {
 
   // 1call analyzes foo twice: more sensitive facts than insens even though
   // the projected sets match — exactly the paper's internal metric story.
-  InsensPolicy Ins(*P);
-  OneCallPolicy Call(*P);
-  PrecisionMetrics MI = computeMetrics(analyze(*P, Ins));
-  PrecisionMetrics MC = computeMetrics(analyze(*P, Call));
+  auto Ins = createPolicy("insens", *P);
+  auto Call = createPolicy("1call", *P);
+  PrecisionMetrics MI = computeMetrics(analyze(*P, *Ins));
+  PrecisionMetrics MC = computeMetrics(analyze(*P, *Call));
   EXPECT_GT(MC.CsVarPointsTo, MI.CsVarPointsTo);
   EXPECT_EQ(MI.CallGraphEdges, MC.CallGraphEdges);
   EXPECT_EQ(MI.ReachableMethods, MC.ReachableMethods);

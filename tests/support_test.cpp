@@ -7,6 +7,7 @@
 #include "support/Cancel.h"
 #include "support/Hashing.h"
 #include "support/Ids.h"
+#include "support/Json.h"
 #include "support/Rng.h"
 #include "support/StringPool.h"
 #include "support/TableWriter.h"
@@ -119,6 +120,24 @@ TEST(Hashing, HashWordsSensitiveToOrder) {
 TEST(Hashing, HashWordsSensitiveToLength) {
   uint32_t A[3] = {1, 2, 0};
   EXPECT_NE(hashWords(A, 2), hashWords(A, 3));
+}
+
+TEST(Json, EscapeTable) {
+  // The one escape table every JSON writer shares (trace, SARIF, checker
+  // JSONL, serve replies): two-character escapes, \u00XX for the other
+  // control bytes, everything else verbatim.
+  EXPECT_EQ(json::escape("plain"), "plain");
+  EXPECT_EQ(json::escape(""), "");
+  EXPECT_EQ(json::escape("a\"b"), "a\\\"b");
+  EXPECT_EQ(json::escape("a\\b"), "a\\\\b");
+  EXPECT_EQ(json::escape("a\nb"), "a\\nb");
+  EXPECT_EQ(json::escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+  EXPECT_EQ(json::escape(std::string("a\x01") + "b"), "a\\u0001b");
+  EXPECT_EQ(json::escape("a\x01" "b\tc\rd"), "a\\u0001b\\tc\\rd");
+  EXPECT_EQ(json::escape("\x7f\xc3\xa9"), "\x7f\xc3\xa9"); // UTF-8 passes.
+  std::string Out = "x";
+  json::appendEscaped(Out, "\"q\"");
+  EXPECT_EQ(Out, "x\\\"q\\\"");
 }
 
 TEST(Rng, Deterministic) {

@@ -10,7 +10,6 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "context/Policies.h"
 #include "context/PolicyRegistry.h"
 #include "ir/Program.h"
 #include "ir/ProgramBuilder.h"
@@ -132,8 +131,8 @@ TEST(Telemetry, RuleCountersMatchInstructionKinds) {
     B.addEntryPoint(Main);
     auto P = B.build();
 
-    InsensPolicy Policy(*P);
-    AnalysisResult R = analyze(*P, Policy);
+    auto Policy = createPolicy("insens", *P);
+    AnalysisResult R = analyze(*P, *Policy);
     const telemetry::SolverCounters &C = R.Counters;
     EXPECT_GT(C.RuleAlloc, 0u);
     EXPECT_GT(C.RuleMove, 0u);
@@ -151,8 +150,8 @@ TEST(Telemetry, RuleCountersMatchInstructionKinds) {
   // The kitchen-sink program: all ten rules fire.
   {
     auto P = buildKitchenSink();
-    InsensPolicy Policy(*P);
-    AnalysisResult R = analyze(*P, Policy);
+    auto Policy = createPolicy("insens", *P);
+    AnalysisResult R = analyze(*P, *Policy);
     const telemetry::SolverCounters &C = R.Counters;
     EXPECT_GT(C.RuleAlloc, 0u);
     EXPECT_GT(C.RuleMove, 0u);
@@ -216,8 +215,8 @@ TEST(Telemetry, TopRuleCountersRanks) {
 
 TEST(Telemetry, MetricsCarryPeakBytesAndCounters) {
   auto P = buildKitchenSink();
-  InsensPolicy Policy(*P);
-  AnalysisResult R = analyze(*P, Policy);
+  auto Policy = createPolicy("insens", *P);
+  AnalysisResult R = analyze(*P, *Policy);
   EXPECT_GT(R.PeakBytes, 0u); // byte accounting works with telemetry off too
   PrecisionMetrics M = computeMetrics(R);
   EXPECT_EQ(M.PeakBytes, R.PeakBytes);
@@ -226,13 +225,13 @@ TEST(Telemetry, MetricsCarryPeakBytesAndCounters) {
 
 TEST(Trace, SolverEmitsHeartbeatsAndFinalSnapshot) {
   auto P = buildKitchenSink();
-  InsensPolicy Policy(*P);
+  auto Policy = createPolicy("insens", *P);
   trace::TraceRecorder Rec;
   SolverOptions Opts;
   Opts.Trace = &Rec;
   Opts.TraceLabel = "test/insens";
   Opts.HeartbeatSteps = 1; // beat on every worklist pop
-  AnalysisResult R = analyze(*P, Policy, Opts);
+  AnalysisResult R = analyze(*P, *Policy, Opts);
   ASSERT_FALSE(R.Aborted);
   EXPECT_GT(Rec.numHeartbeats(), 1u);
 
@@ -264,11 +263,11 @@ TEST(Trace, JsonlAndChromeTraceFilesAreWritten) {
     EXPECT_EQ(Rec.numSpans(), 2u);
 
     auto P = buildKitchenSink();
-    InsensPolicy Policy(*P);
+    auto Policy = createPolicy("insens", *P);
     SolverOptions Opts;
     Opts.Trace = &Rec;
     Opts.TraceLabel = "file/insens";
-    analyze(*P, Policy, Opts);
+    analyze(*P, *Policy, Opts);
     Rec.counters("file/insens", telemetry::SolverCounters{});
     ASSERT_TRUE(Rec.writeChromeTrace(ChromePath, Error)) << Error;
   }
@@ -302,14 +301,6 @@ TEST(Trace, JsonlAndChromeTraceFilesAreWritten) {
 
   std::remove(JsonlPath.c_str());
   std::remove(ChromePath.c_str());
-}
-
-TEST(Trace, JsonEscapeHandlesSpecials) {
-  EXPECT_EQ(trace::jsonEscape("plain"), "plain");
-  EXPECT_EQ(trace::jsonEscape("a\"b"), "a\\\"b");
-  EXPECT_EQ(trace::jsonEscape("a\\b"), "a\\\\b");
-  EXPECT_EQ(trace::jsonEscape("a\nb"), "a\\nb");
-  EXPECT_EQ(trace::jsonEscape(std::string("a\x01") + "b"), "a\\u0001b");
 }
 
 } // namespace

@@ -5,10 +5,10 @@ tools/check_bench_regression.py and the analysis binaries.
 Every malformed input — missing file, empty file, truncated JSONL, wrong
 top-level JSON shape, non-numeric fields — must produce a clear one-line
 error or warning and a controlled exit code, never a Python traceback.
-The analysis binaries' stdout is pinned by tests/baselines/cli_outputs.txt
-(time and byte columns removed); re-record it with
-`python3 tests/tools_cli_test.py --hybridpt BIN --table1 BIN
---record-cli-outputs tests/baselines/cli_outputs.txt`.
+The stdout of the analysis binaries and of the example programs is pinned
+by tests/baselines/cli_outputs.txt (time and byte columns removed);
+re-record it with `python3 tests/tools_cli_test.py --hybridpt BIN
+--table1 BIN --record-cli-outputs tests/baselines/cli_outputs.txt`.
 
 Runs under pytest (each test_* function is collected) and standalone
 (`python3 tests/tools_cli_test.py`).
@@ -16,6 +16,7 @@ Runs under pytest (each test_* function is collected) and standalone
 
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -298,12 +299,16 @@ def test_lint_compare_known_pair_is_not_conflated():
                                   proc.stdout + proc.stderr)
 
 
-# --- pinned stdout of hybridpt and table1_main ---
+# --- pinned stdout of hybridpt, table1_main and the examples ---
 #
-# Needs the built binaries; ctest passes them via --hybridpt/--table1.
+# Needs the built binaries; ctest passes them via --hybridpt/--table1.  The
+# example programs are found in the build tree next to hybridpt's
+# (BUILD/tools/hybridpt, BUILD/examples/NAME).
 
 HYBRIDPT_BIN = os.environ.get("HYBRIDPT_BIN", "")
 TABLE1_BIN = os.environ.get("HYBRIDPT_TABLE1_BIN", "")
+EXAMPLES = ["quickstart", "devirtualizer", "policy_lab", "context_diff",
+            "cast_checker"]
 REPO_ROOT = os.path.normpath(os.path.join(
     os.path.dirname(os.path.abspath(__file__)), os.pardir))
 CLI_BASELINE = os.path.join(REPO_ROOT, "tests", "baselines",
@@ -311,6 +316,8 @@ CLI_BASELINE = os.path.join(REPO_ROOT, "tests", "baselines",
 TABLE1_POLICIES = ["1call", "1call+H", "1obj", "U-1obj", "SA-1obj",
                    "SB-1obj", "2obj+H", "U-2obj+H", "S-2obj+H", "2type+H",
                    "U-2type+H", "S-2type+H", "cs", "S-cs"]
+OTHER_POLICIES = ["insens", "U-2obj+HI", "U-2obj+H-swapped", "D-2obj+H",
+                  "3obj+2H", "2call+H"]
 # Wall time and byte accounting vary run to run; everything else is pinned.
 UNPINNED_COLUMNS = ("time_s", "peak_bytes")
 
@@ -321,11 +328,13 @@ def _have(path):
 
 def cli_commands():
     """(label, binary key, argv) for every pinned invocation."""
-    cmds = []
+    cmds = [("hybridpt", ["--list-policies"])]
     for policy in TABLE1_POLICIES:
         cmds.append(("hybridpt", ["--csv", "--policy", policy, "luindex"]))
         cmds.append(("hybridpt", ["--csv", "--ladder", "--policy", policy,
                                   "luindex"]))
+    for policy in OTHER_POLICIES:
+        cmds.append(("hybridpt", ["--csv", "--policy", policy, "luindex"]))
     cmds.append(("hybridpt", ["--matrix", "--csv", "luindex"]))
     cmds.append(("hybridpt", ["--taint-spec",
                               "examples/programs/default.taintspec", "--csv",
@@ -343,7 +352,14 @@ def cli_commands():
                               "luindex"]))
     cmds.append(("table1_main", ["--csv", "--json", "-", "luindex",
                                  "antlr"]))
+    for example in EXAMPLES:
+        cmds.append((example, []))
     return cmds
+
+
+def strip_solve_times(text):
+    """Drops policy_lab's per-line `, N ms` wall time."""
+    return re.sub(r", [0-9]+ ms$", "", text, flags=re.M)
 
 
 def strip_unpinned(text):
@@ -363,22 +379,29 @@ def strip_unpinned(text):
     return "\n".join(out) + "\n"
 
 
+def example_dir(hybridpt):
+    return os.path.join(os.path.dirname(os.path.dirname(hybridpt)),
+                        "examples")
+
+
 def render_cli_outputs(hybridpt, table1):
     bins = {"hybridpt": hybridpt, "table1_main": table1}
+    for example in EXAMPLES:
+        bins[example] = os.path.join(example_dir(hybridpt), example)
     chunks = []
     for name, args in cli_commands():
         proc = subprocess.run([bins[name]] + args, capture_output=True,
                               text=True, timeout=300, cwd=REPO_ROOT)
-        chunks.append("$ %s %s (exit %d)\n" % (name, " ".join(args),
-                                               proc.returncode))
-        chunks.append(strip_unpinned(proc.stdout))
+        chunks.append("$ %s (exit %d)\n" % (" ".join([name] + args),
+                                            proc.returncode))
+        chunks.append(strip_solve_times(strip_unpinned(proc.stdout)))
     return "".join(chunks)
 
 
 def test_cli_outputs_match_baseline():
     hybridpt, table1 = _have(HYBRIDPT_BIN), _have(TABLE1_BIN)
-    if not hybridpt or not table1:
-        print("skip: hybridpt/table1_main binaries not provided")
+    if not hybridpt or not table1 or not _have(example_dir(hybridpt)):
+        print("skip: hybridpt/table1_main/example binaries not provided")
         return
     got = render_cli_outputs(hybridpt, table1)
     with open(CLI_BASELINE) as f:
@@ -404,6 +427,32 @@ def test_dump_vpt_unknown_variable_exits_1():
     assert proc.returncode == 1, (proc.returncode, proc.stderr)
     assert "no variable 'Nope::x/0::y'" in proc.stderr, proc.stderr
     assert "ArrayList::get/0::r points to:" in proc.stdout, proc.stdout
+
+
+def test_chrome_trace_is_written_on_an_error_exit():
+    # Every exit after the trace recorder exists flushes --chrome-trace,
+    # including the failure of a late output step such as an unknown
+    # --dot-pointsto method.
+    hybridpt = _have(HYBRIDPT_BIN)
+    if not hybridpt:
+        print("skip: hybridpt binary not provided")
+        return
+    fd, path = tempfile.mkstemp(suffix=".json")
+    os.close(fd)
+    os.unlink(path)
+    try:
+        proc = run_bin(hybridpt, "--chrome-trace", path, "--dot-pointsto",
+                       "Nope::x/0", "luindex")
+        assert_no_traceback(proc, "unknown --dot-pointsto method")
+        assert proc.returncode == 1, (proc.returncode, proc.stderr)
+        assert "no method 'Nope::x/0'" in proc.stderr, proc.stderr
+        assert os.path.exists(path), "no chrome trace written on exit 1"
+        with open(path) as f:
+            doc = json.load(f)
+        assert doc, "empty chrome trace"
+    finally:
+        if os.path.exists(path):
+            os.unlink(path)
 
 
 # --- malformed numeric flags ---

@@ -175,14 +175,23 @@ void explainAbort(trace::TraceRecorder &Rec, const std::string &Label) {
   std::cerr << "\n";
 }
 
-/// Writes the Chrome trace on the way out, when requested.
-void finishTrace(trace::TraceRecorder *Rec, const CliOptions &Cli) {
-  if (!Rec || Cli.ChromeTraceOut.empty())
-    return;
-  std::string Error;
-  if (!Rec->writeChromeTrace(Cli.ChromeTraceOut, Error))
-    std::cerr << "chrome trace: " << Error << "\n";
-}
+/// Writes the Chrome trace, when requested, as it goes out of scope.
+class ChromeTraceFlush {
+public:
+  ChromeTraceFlush(trace::TraceRecorder *Rec, const std::string &Path)
+      : Rec(Rec), Path(Path) {}
+  ChromeTraceFlush(const ChromeTraceFlush &) = delete;
+  ChromeTraceFlush &operator=(const ChromeTraceFlush &) = delete;
+  ~ChromeTraceFlush() {
+    std::string Error;
+    if (Rec && !Path.empty() && !Rec->writeChromeTrace(Path, Error))
+      std::cerr << "chrome trace: " << Error << "\n";
+  }
+
+private:
+  trace::TraceRecorder *Rec;
+  const std::string &Path;
+};
 
 void printBlameText(const prov::BlameReport &B) {
   std::cout << "cost attribution: " << B.TotalSteps << " derivation steps, "
@@ -344,7 +353,6 @@ int runMatrix(const Program &P, const CliOptions &Cli,
     OS << "\n]}\n";
     std::cout << "wrote per-cell profiles to " << ProfileOut << "\n";
   }
-  finishTrace(Rec, Cli);
   return 0;
 }
 
@@ -517,6 +525,8 @@ int main(int argc, char **argv) {
       Rec->enableProgress(std::cerr);
     Solver.Trace = Rec.get();
   }
+  // Every exit from here on writes the Chrome trace, error exits included.
+  ChromeTraceFlush Flush(Rec.get(), Opts.ChromeTraceOut);
 
   // Load the program; --taint-spec instruments it before solving, so every
   // downstream consumer (metrics, clients, provenance, --matrix) sees the
@@ -539,10 +549,8 @@ int main(int argc, char **argv) {
   const std::string &Policy = Opts.Flags.Config.Policy;
   const std::string CellLabel = Opts.Input + "/" + Policy;
   LadderResult Main = solve(*P, Policy, Opts, CellLabel, Prov);
-  if (!Main.Result) {
-    finishTrace(Rec.get(), Opts);
+  if (!Main.Result)
     return 1;
-  }
   AnalysisResult &R = *Main.Result;
   if (R.Aborted) {
     std::cerr << "[abort] " << CellLabel << ": " << abortReasonName(R.Reason)
@@ -612,10 +620,8 @@ int main(int argc, char **argv) {
       std::cout << "  " << P->text(P->heap(H).Name) << " : "
                 << P->text(P->type(P->heap(H).Type).Name) << "\n";
   }
-  if (UnknownVar) {
-    finishTrace(Rec.get(), Opts);
+  if (UnknownVar)
     return 1;
-  }
 
   if (!Opts.FactsDir.empty()) {
     std::string Error;
@@ -653,18 +659,14 @@ int main(int argc, char **argv) {
     // payloads embed per-run dense object ids.
     LadderResult Other = solve(*P, Opts.Compare, Opts,
                                Opts.Input + "/" + Opts.Compare, nullptr);
-    if (!Other.Result) {
-      finishTrace(Rec.get(), Opts);
+    if (!Other.Result)
       return 1;
-    }
     std::cout << "\n--- delta " << Main.LandedPolicy << " -> "
               << Other.LandedPolicy << " ---\n"
               << formatDelta(diffResults(R, *Other.Result), *P);
   }
 
-  int ExitCode = 0;
   if (Prov)
-    ExitCode = runProvenanceQueries(*P, R, Main.Policy.get(), *Prov, Opts);
-  finishTrace(Rec.get(), Opts);
-  return ExitCode;
+    return runProvenanceQueries(*P, R, Main.Policy.get(), *Prov, Opts);
+  return 0;
 }
