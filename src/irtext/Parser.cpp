@@ -397,8 +397,11 @@ void Parser::parseBody(MethodId M, size_t TokenBegin) {
   const MethodInfo &Info = B.current().method(M);
   if (Info.This.isValid())
     VarByPath.emplace("this", Info.This);
-  for (size_t I = 0; I < Info.Formals.size(); ++I)
-    VarByPath.emplace("p" + std::to_string(I), Info.Formals[I]);
+  for (size_t I = 0; I < Info.Formals.size(); ++I) {
+    std::string Name = "p";
+    Name += std::to_string(I);
+    VarByPath.emplace(std::move(Name), Info.Formals[I]);
+  }
 
   Pos = TokenBegin;
   while (!atEnd() && peek().Text != "}") {

@@ -27,7 +27,8 @@ public:
       Names[Info.This.index()] = "this";
     Used.insert("this");
     for (size_t I = 0; I < Info.Formals.size(); ++I) {
-      std::string N = "p" + std::to_string(I);
+      std::string N = "p";
+      N += std::to_string(I);
       Names[Info.Formals[I].index()] = N;
       Used.insert(std::move(N));
     }
@@ -37,13 +38,15 @@ public:
     auto It = Names.find(V.index());
     if (It != Names.end())
       return It->second;
-    std::string Base = Prog.text(Prog.var(V).Name);
-    if (Base.empty())
-      Base = "v";
+    const std::string &Text = Prog.text(Prog.var(V).Name);
+    std::string Base = Text.empty() ? std::string("v") : Text;
     std::string Candidate = Base;
     uint32_t Suffix = 0;
-    while (Used.count(Candidate))
-      Candidate = Base + "$" + std::to_string(Suffix++);
+    while (Used.count(Candidate)) {
+      Candidate = Base;
+      Candidate += '$';
+      Candidate += std::to_string(Suffix++);
+    }
     Used.insert(Candidate);
     return Names.emplace(V.index(), std::move(Candidate)).first->second;
   }

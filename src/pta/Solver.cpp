@@ -17,6 +17,8 @@
 
 using namespace pt;
 
+const Solver::ColdNode Solver::NoCold{};
+
 AnalysisResult pt::solveProgram(const Program &Prog, ContextPolicy &Policy,
                                 const SolverOptions &Opts) {
   Solver S(Prog, Policy, Opts);
@@ -36,6 +38,13 @@ Solver::Solver(const Program &Prog, ContextPolicy &Policy, SolverOptions Opts)
   StepFaultArmed = this->Opts.Faults.OomAtStep != 0 ||
                    this->Opts.Faults.CancelAtStep != 0;
   SlowRuleArmed = this->Opts.Faults.SlowRule != FaultRule::None;
+  LocalOf.assign(Prog.numVars(), NoIndex);
+  for (uint32_t M = 0; M < Prog.numMethods(); ++M) {
+    const std::vector<VarId> &Locals =
+        Prog.method(MethodId::fromIndex(M)).Locals;
+    for (uint32_t I = 0; I < Locals.size(); ++I)
+      LocalOf[Locals[I].index()] = I;
+  }
 }
 
 void Solver::pollGuards() {
@@ -73,6 +82,9 @@ void Solver::stallForFault() {
 }
 
 uint32_t Solver::newNode(NodeKind Kind, uint32_t A, uint32_t B) {
+  // The hot node: the set (an order vector and a bitmap pointer), Scanned,
+  // Cold, Edges, Loads and Queued.  Every other list lives in ColdNodes.
+  static_assert(sizeof(Node) <= 96, "Solver::Node outgrew its layout");
   PT_COUNT(Counters.NodesCreated);
   uint32_t Idx = static_cast<uint32_t>(Nodes.size());
   Nodes.emplace_back();
@@ -80,13 +92,6 @@ uint32_t Solver::newNode(NodeKind Kind, uint32_t A, uint32_t B) {
   if (provOn())
     ProvNodes.emplace_back();
   return Idx;
-}
-
-uint32_t Solver::varNode(VarId V, CtxId Ctx) {
-  uint64_t Key = packPair(V.index(), Ctx.index());
-  auto [Slot, Inserted] =
-      VarCtxIndex.tryEmplace(Key, static_cast<uint32_t>(Nodes.size()));
-  return Inserted ? newNode(NodeKind::VarCtx, V.index(), Ctx.index()) : *Slot;
 }
 
 uint32_t Solver::fieldNode(uint32_t Obj, FieldId Fld) {
@@ -110,10 +115,14 @@ uint32_t Solver::throwSlot(uint32_t F) {
   uint32_t TN = newNode(NodeKind::ThrowSlot, M.index(), Ctx.index());
   Frames[F].ThrowNode = TN;
   // The slot is empty, so linking the waiting call edges replays nothing.
-  for (uint32_t E = Frames[F].PendingHead; E != NoIndex; E = PendingNext[E])
-    addThrowLink(TN, Prog.invoke(CallEdges[E].Invo).InMethod,
-                 CallEdges[E].CallerCtx,
-                 provOn() ? CallEdgeFacts[E] : prov::InvalidFact);
+  // Each waiting edge's caller frame is looked up once, here: most frames
+  // never get a slot, so the call edges do not carry it.
+  for (uint32_t E = Frames[F].PendingHead; E != NoIndex; E = PendingNext[E]) {
+    const CallGraphEdge &CE = CallEdges[E];
+    uint32_t Caller = *FrameIndex.find(packPair(
+        Prog.invoke(CE.Invo).InMethod.index(), CE.CallerCtx.index()));
+    addThrowLink(TN, Caller, provOn() ? CallEdgeFacts[E] : prov::InvalidFact);
+  }
   Frames[F].PendingHead = Frames[F].PendingTail = NoIndex;
   return TN;
 }
@@ -176,15 +185,33 @@ void Solver::concludeFact(uint32_t NodeIdx, uint32_t Obj, prov::Rule Why,
       Opts.Prov->appendFact(Kind, A, Obj, Why, P0, P1));
 }
 
+Solver::ColdNode &Solver::coldNode(uint32_t NodeIdx) {
+  uint32_t &C = Nodes[NodeIdx].Cold;
+  if (C == NoIndex) {
+    C = static_cast<uint32_t>(ColdNodes.size());
+    ColdNodes.emplace_back();
+    if (provOn())
+      ColdProvs.emplace_back();
+  }
+  return ColdNodes[C];
+}
+
 void Solver::addEdge(uint32_t From, uint32_t To, EdgeWhy W) {
   if (From == To)
     return;
-  if (!EdgeDedup.insert(packPair(From, To))) {
+  std::vector<uint32_t> &Edges = Nodes[From].Edges;
+  bool Dup = Edges.size() < EdgeScanLimit
+                 ? std::find(Edges.begin(), Edges.end(), To) != Edges.end()
+                 : !EdgeDedup.insert(packPair(From, To));
+  if (Dup) {
     PT_COUNT(Counters.EdgeDedupHits);
     return;
   }
   PT_COUNT(Counters.EdgesAdded);
-  Nodes[From].Edges.push_back(To);
+  Edges.push_back(To);
+  if (Edges.size() == EdgeScanLimit)
+    for (uint32_t T : Edges)
+      EdgeDedup.insert(packPair(From, T));
   if (provOn())
     ProvNodes[From].EdgeWhys.push_back(W);
   // Replay facts already present at the source.  ObjectSet positions are
@@ -212,9 +239,9 @@ bool Solver::passesCastFilter(uint32_t Obj, TypeId Filter) const {
 void Solver::addCastEdge(uint32_t From, uint32_t To, TypeId Filter,
                          EdgeWhy W) {
   PT_COUNT(Counters.EdgesAdded);
-  Nodes[From].CastEdges.push_back({To, Filter});
+  coldNode(From).CastEdges.push_back({To, Filter});
   if (provOn())
-    ProvNodes[From].CastEdgeWhys.push_back(W);
+    ColdProvs[Nodes[From].Cold].CastEdgeWhys.push_back(W);
   uint32_t Count = Nodes[From].Set.size();
   PT_COUNT_ADD(Counters.FactsReplayed, Count);
   for (uint32_t I = 0; I < Count; ++I) {
@@ -238,7 +265,10 @@ uint32_t Solver::ensureReachable(MethodId M, CtxId Ctx, prov::Rule Why,
     return *Slot;
   PT_COUNT(Counters.MethodsInstantiated);
   ReachableList.push_back({M, Ctx});
+  const MethodInfo &Body = Prog.method(M);
   Frames.emplace_back();
+  Frames.back().SlotBase = static_cast<uint32_t>(LocalSlots.size());
+  LocalSlots.resize(LocalSlots.size() + Body.Locals.size(), NoIndex);
 
   // The Reachable fact anchors every intra-procedural derivation of this
   // body: allocs cite it directly, move/cast/static edges carry it as
@@ -248,8 +278,6 @@ uint32_t Solver::ensureReachable(MethodId M, CtxId Ctx, prov::Rule Why,
     RFact = Opts.Prov->appendFact(prov::FactKind::Reachable, Key, 0, Why,
                                   WhyPrem);
 
-  const MethodInfo &Body = Prog.method(M);
-
   // ALLOC: RECORD builds the heap context; seed the fact directly
   // (Figure 2, third rule).
   for (const AllocInstr &A : Body.Allocs) {
@@ -257,7 +285,7 @@ uint32_t Solver::ensureReachable(MethodId M, CtxId Ctx, prov::Rule Why,
     slowRule(FaultRule::Alloc);
     HCtxId HCtx = Policy.record(A.Heap, Ctx);
     uint32_t Obj = internObject(A.Heap, HCtx);
-    uint32_t VN = varNode(A.Var, Ctx);
+    uint32_t VN = localNode(F, A.Var);
     if (addFact(VN, Obj) && provOn())
       concludeFact(VN, Obj, prov::Rule::Alloc, RFact);
   }
@@ -266,21 +294,21 @@ uint32_t Solver::ensureReachable(MethodId M, CtxId Ctx, prov::Rule Why,
   for (const MoveInstr &Mv : Body.Moves) {
     PT_COUNT(Counters.RuleMove);
     slowRule(FaultRule::Move);
-    uint32_t FromN = varNode(Mv.From, Ctx), ToN = varNode(Mv.To, Ctx);
+    uint32_t FromN = localNode(F, Mv.From), ToN = localNode(F, Mv.To);
     addEdge(FromN, ToN, {RFact, prov::Rule::Move});
   }
 
   // Casts: copy edges filtered by the target type.
   for (const CastInstr &C : Body.Casts) {
     slowRule(FaultRule::Cast);
-    uint32_t FromN = varNode(C.From, Ctx), ToN = varNode(C.To, Ctx);
+    uint32_t FromN = localNode(F, C.From), ToN = localNode(F, C.To);
     addCastEdge(FromN, ToN, C.Target, {RFact, prov::Rule::Cast});
   }
 
   // Sanitize: copy edges filtered by the taint tag (invalid filter type;
   // see passesCastFilter).
   for (const SanitizeInstr &S : Body.Sanitizes) {
-    uint32_t FromN = varNode(S.From, Ctx), ToN = varNode(S.To, Ctx);
+    uint32_t FromN = localNode(F, S.From), ToN = localNode(F, S.To);
     addCastEdge(FromN, ToN, TypeId::invalid(), {RFact, prov::Rule::Sanitize});
   }
 
@@ -291,8 +319,8 @@ uint32_t Solver::ensureReachable(MethodId M, CtxId Ctx, prov::Rule Why,
   // subscription through the worklist.
   for (const LoadInstr &L : Body.Loads) {
     slowRule(FaultRule::Load);
-    uint32_t Base = varNode(L.Base, Ctx);
-    uint32_t To = varNode(L.To, Ctx);
+    uint32_t Base = localNode(F, L.Base);
+    uint32_t To = localNode(F, L.To);
     Nodes[Base].Loads.push_back({L.Fld, To});
     uint32_t Count = Nodes[Base].Set.size();
     for (uint32_t I = 0; I < Count; ++I) {
@@ -311,9 +339,9 @@ uint32_t Solver::ensureReachable(MethodId M, CtxId Ctx, prov::Rule Why,
     if (CutPlan && CutPlan->isStoreCut(M, SI))
       continue;
     slowRule(FaultRule::Store);
-    uint32_t Base = varNode(S.Base, Ctx);
-    uint32_t From = varNode(S.From, Ctx);
-    Nodes[Base].Stores.push_back({S.Fld, From});
+    uint32_t Base = localNode(F, S.Base);
+    uint32_t From = localNode(F, S.From);
+    coldNode(Base).Stores.push_back({S.Fld, From});
     uint32_t Count = Nodes[Base].Set.size();
     for (uint32_t I = 0; I < Count; ++I) {
       uint32_t Obj = Nodes[Base].Set.at(I);
@@ -329,24 +357,24 @@ uint32_t Solver::ensureReachable(MethodId M, CtxId Ctx, prov::Rule Why,
   for (const SLoadInstr &L : Body.SLoads) {
     PT_COUNT(Counters.RuleStaticLoad);
     slowRule(FaultRule::SLoad);
-    uint32_t FromN = staticNode(L.Fld), ToN = varNode(L.To, Ctx);
+    uint32_t FromN = staticNode(L.Fld), ToN = localNode(F, L.To);
     addEdge(FromN, ToN, {RFact, prov::Rule::StaticLoad});
   }
   for (const SStoreInstr &S : Body.SStores) {
     PT_COUNT(Counters.RuleStaticStore);
     slowRule(FaultRule::SStore);
-    uint32_t FromN = varNode(S.From, Ctx), ToN = staticNode(S.Fld);
+    uint32_t FromN = localNode(F, S.From), ToN = staticNode(S.Fld);
     addEdge(FromN, ToN, {RFact, prov::Rule::StaticStore});
   }
 
   // Throws: every object reaching the thrown variable is routed through
   // this frame's handlers (or escapes).
   for (const ThrowInstr &T : Body.Throws) {
-    uint32_t VNode = varNode(T.V, Ctx);
-    Nodes[VNode].ThrowSubs.push_back(packPair(M.index(), Ctx.index()));
+    uint32_t VNode = localNode(F, T.V);
+    coldNode(VNode).ThrowSubs.push_back(F);
     uint32_t Count = Nodes[VNode].Set.size();
     for (uint32_t I = 0; I < Count; ++I) {
-      routeThrow(Nodes[VNode].Set.at(I), M, Ctx,
+      routeThrow(Nodes[VNode].Set.at(I), F,
                  provOn() ? ProvNodes[VNode].FactIds[I] : prov::InvalidFact);
     }
   }
@@ -362,22 +390,23 @@ uint32_t Solver::ensureReachable(MethodId M, CtxId Ctx, prov::Rule Why,
       if (Opts.Faults.DropSCall)
         continue; // Injected bug (support/FaultPlan.h): see constructor.
       CtxId CalleeCtx = Policy.mergeStatic(Inv, Ctx);
-      wireCall(Inv, Ctx, Call.Target, CalleeCtx, prov::Rule::SCall, RFact);
+      wireCall(Inv, F, Call.Target, CalleeCtx, NoIndex, prov::Rule::SCall,
+               RFact);
     } else {
       // VCALL: subscribe on the receiver; dispatch per arriving object
       // (Figure 2, second-to-last rule).
-      uint32_t Base = varNode(Call.Base, Ctx);
-      Nodes[Base].Dispatches.push_back({Inv, Ctx});
+      uint32_t Base = localNode(F, Call.Base);
+      coldNode(Base).Dispatches.push_back({Inv, F});
       uint32_t Count = Nodes[Base].Set.size();
       for (uint32_t I = 0; I < Count; ++I)
-        dispatch({Inv, Ctx}, Nodes[Base].Set.at(I),
+        dispatch({Inv, F}, Nodes[Base].Set.at(I),
                  provOn() ? ProvNodes[Base].FactIds[I] : prov::InvalidFact);
     }
   }
   return F;
 }
 
-void Solver::routeThrow(uint32_t Obj, MethodId M, CtxId Ctx, uint32_t WhyPrem,
+void Solver::routeThrow(uint32_t Obj, uint32_t F, uint32_t WhyPrem,
                         uint32_t WhyAux) {
   if (checkBudget())
     return;
@@ -387,11 +416,11 @@ void Solver::routeThrow(uint32_t Obj, MethodId M, CtxId Ctx, uint32_t WhyPrem,
   // of a callee; otherwise it is raised locally by a throw instruction.
   bool Escalating = WhyAux != prov::InvalidFact;
   TypeId ObjType = Prog.heap(ObjHeaps[Obj]).Type;
-  const MethodInfo &Body = Prog.method(M);
+  const MethodInfo &Body = Prog.method(ReachableList[F].first);
   bool Caught = false;
   for (const HandlerInfo &H : Body.Handlers) {
     if (Prog.isSubtype(ObjType, H.CatchType)) {
-      uint32_t HN = varNode(H.Var, Ctx);
+      uint32_t HN = localNode(F, H.Var);
       if (addFact(HN, Obj) && provOn())
         concludeFact(HN, Obj,
                      Escalating ? prov::Rule::CatchEscalate
@@ -401,10 +430,7 @@ void Solver::routeThrow(uint32_t Obj, MethodId M, CtxId Ctx, uint32_t WhyPrem,
     }
   }
   if (!Caught) {
-    // The frame is reachable: its body raised the object or a call edge
-    // out of it carried it.
-    uint32_t TN =
-        throwSlot(*FrameIndex.find(packPair(M.index(), Ctx.index())));
+    uint32_t TN = throwSlot(F);
     if (addFact(TN, Obj) && provOn())
       concludeFact(TN, Obj,
                    Escalating ? prov::Rule::ThrowEscalate
@@ -413,19 +439,16 @@ void Solver::routeThrow(uint32_t Obj, MethodId M, CtxId Ctx, uint32_t WhyPrem,
   }
 }
 
-void Solver::addThrowLink(uint32_t ThrowNodeIdx, MethodId CallerM,
-                          CtxId CallerCtx, uint32_t WhyAux) {
-  uint64_t Link = packPair(CallerM.index(), CallerCtx.index());
-  uint64_t DedupKey =
-      mix64(Link) ^ (static_cast<uint64_t>(ThrowNodeIdx) << 1);
-  if (!ThrowLinkDedup.insert(DedupKey))
+void Solver::addThrowLink(uint32_t ThrowNodeIdx, uint32_t CallerFrame,
+                          uint32_t WhyAux) {
+  if (!ThrowLinkDedup.insert(packPair(ThrowNodeIdx, CallerFrame)))
     return;
-  Nodes[ThrowNodeIdx].ThrowLinks.push_back(Link);
+  coldNode(ThrowNodeIdx).ThrowLinks.push_back(CallerFrame);
   if (provOn())
-    ProvNodes[ThrowNodeIdx].ThrowLinkWhys.push_back(WhyAux);
+    ColdProvs[Nodes[ThrowNodeIdx].Cold].ThrowLinkWhys.push_back(WhyAux);
   uint32_t Count = Nodes[ThrowNodeIdx].Set.size();
   for (uint32_t I = 0; I < Count; ++I)
-    routeThrow(Nodes[ThrowNodeIdx].Set.at(I), CallerM, CallerCtx,
+    routeThrow(Nodes[ThrowNodeIdx].Set.at(I), CallerFrame,
                provOn() ? ProvNodes[ThrowNodeIdx].FactIds[I]
                         : prov::InvalidFact,
                WhyAux);
@@ -444,30 +467,33 @@ void Solver::dispatch(const DispatchSub &Sub, uint32_t Obj,
   MethodId Callee = Prog.lookup(Prog.heap(Heap).Type, Call.Sig);
   if (!Callee.isValid())
     return; // No receiver method: the concrete execution would throw.
-  CtxId CalleeCtx = Policy.merge(Heap, HCtx, Sub.Invo, Sub.CallerCtx);
+  CtxId CallerCtx = ReachableList[Sub.CallerFrame].second;
+  CtxId CalleeCtx = Policy.merge(Heap, HCtx, Sub.Invo, CallerCtx);
   // Provenance: the receiver fact justifies the call edge, the call edge
   // justifies callee reachability and the this-binding.  A new edge's fact
   // id is reserved here, before the callee's body cites it; wireCall
   // records its step on the edge's insertion.
   uint32_t CEFact = prov::InvalidFact;
   if (provOn()) {
-    uint32_t Edge = findCallEdge({Sub.Invo, Sub.CallerCtx, Callee, CalleeCtx});
+    uint32_t Edge = findCallEdge({Sub.Invo, CallerCtx, Callee, CalleeCtx});
     CEFact = Edge != UINT32_MAX
                  ? CallEdgeFacts[Edge]
                  : Opts.Prov->reserveFact(
                        prov::FactKind::CallEdge,
-                       packPair(Sub.Invo.index(), Sub.CallerCtx.index()),
+                       packPair(Sub.Invo.index(), CallerCtx.index()),
                        packPair(Callee.index(), CalleeCtx.index()));
   }
   // THISVAR binding: only this receiver object flows into `this` under the
   // context derived from it.
-  const MethodInfo &CalleeInfo = Prog.method(Callee);
-  ensureReachable(Callee, CalleeCtx, prov::Rule::ReachCall, CEFact);
-  uint32_t ThisN = varNode(CalleeInfo.This, CalleeCtx);
+  uint32_t CalleeFrame =
+      ensureReachable(Callee, CalleeCtx, prov::Rule::ReachCall, CEFact);
+  if (CalleeFrame == NoIndex)
+    return; // Aborted before the callee became reachable.
+  uint32_t ThisN = localNode(CalleeFrame, Prog.method(Callee).This);
   if (addFact(ThisN, Obj) && provOn())
     concludeFact(ThisN, Obj, prov::Rule::ThisBind, ObjFact, CEFact);
-  wireCall(Sub.Invo, Sub.CallerCtx, Callee, CalleeCtx, prov::Rule::VCall,
-           ObjFact, CEFact);
+  wireCall(Sub.Invo, Sub.CallerFrame, Callee, CalleeCtx, CalleeFrame,
+           prov::Rule::VCall, ObjFact, CEFact);
 
   // Receiver-dependent shortcut edges (context/CutShortcut.h), wired per
   // (call site, receiver object).  This cannot live in wireCall: the call
@@ -479,12 +505,12 @@ void Solver::dispatch(const DispatchSub &Sub, uint32_t Obj,
     for (const CutShortcutPlan::StoreCut &SC : MP.StoreCuts) {
       if (SC.FormalIdx >= Call.Actuals.size())
         continue; // Arity mismatch: the generic param bind drops it too.
-      uint32_t FromN = varNode(Call.Actuals[SC.FormalIdx], Sub.CallerCtx);
+      uint32_t FromN = localNode(Sub.CallerFrame, Call.Actuals[SC.FormalIdx]);
       uint32_t FN = fieldNode(Obj, SC.Fld);
       addEdge(FromN, FN, {CEFact, prov::Rule::ShortcutStore});
     }
     if (MP.RetCut && Call.RetTo.isValid()) {
-      uint32_t RetN = varNode(Call.RetTo, Sub.CallerCtx);
+      uint32_t RetN = localNode(Sub.CallerFrame, Call.RetTo);
       for (FieldId F : MP.RetLoads) {
         addEdge(fieldNode(Obj, F), RetN, {CEFact, prov::Rule::ShortcutRetLoad});
       }
@@ -534,9 +560,10 @@ bool Solver::insertCallEdge(const CallGraphEdge &E) {
   return true;
 }
 
-void Solver::wireCall(InvokeId Invo, CtxId CallerCtx, MethodId Callee,
-                      CtxId CalleeCtx, prov::Rule CallWhy, uint32_t CallPrem,
-                      uint32_t CEFact) {
+void Solver::wireCall(InvokeId Invo, uint32_t CallerFrame, MethodId Callee,
+                      CtxId CalleeCtx, uint32_t CalleeFrame, prov::Rule CallWhy,
+                      uint32_t CallPrem, uint32_t CEFact) {
+  CtxId CallerCtx = ReachableList[CallerFrame].second;
   uint32_t EdgeIdx = static_cast<uint32_t>(CallEdges.size());
   if (!insertCallEdge({Invo, CallerCtx, Callee, CalleeCtx}))
     return;
@@ -553,16 +580,19 @@ void Solver::wireCall(InvokeId Invo, CtxId CallerCtx, MethodId Callee,
     CallEdgeFacts.push_back(CEFact);
   }
 
-  uint32_t CalleeFrame =
-      ensureReachable(Callee, CalleeCtx, prov::Rule::ReachCall, CEFact);
+  if (CalleeFrame == NoIndex)
+    CalleeFrame =
+        ensureReachable(Callee, CalleeCtx, prov::Rule::ReachCall, CEFact);
+  if (CalleeFrame == NoIndex)
+    return; // Aborted before the callee became reachable.
 
   // INTERPROCASSIGN: actual -> formal edges (Figure 2, first rule).
   const InvokeInfo &Call = Prog.invoke(Invo);
   const MethodInfo &CalleeInfo = Prog.method(Callee);
   size_t NumArgs = std::min(Call.Actuals.size(), CalleeInfo.Formals.size());
   for (size_t I = 0; I < NumArgs; ++I) {
-    uint32_t FromN = varNode(Call.Actuals[I], CallerCtx);
-    uint32_t ToN = varNode(CalleeInfo.Formals[I], CalleeCtx);
+    uint32_t FromN = localNode(CallerFrame, Call.Actuals[I]);
+    uint32_t ToN = localNode(CalleeFrame, CalleeInfo.Formals[I]);
     addEdge(FromN, ToN, {CEFact, prov::Rule::ParamBind});
   }
 
@@ -575,16 +605,16 @@ void Solver::wireCall(InvokeId Invo, CtxId CallerCtx, MethodId Callee,
       CutPlan ? &CutPlan->method(Callee) : nullptr;
   bool RetCut = MP && MP->RetCut;
   if (Call.RetTo.isValid() && CalleeInfo.Return.isValid() && !RetCut) {
-    uint32_t FromN = varNode(CalleeInfo.Return, CalleeCtx);
-    uint32_t ToN = varNode(Call.RetTo, CallerCtx);
+    uint32_t FromN = localNode(CalleeFrame, CalleeInfo.Return);
+    uint32_t ToN = localNode(CallerFrame, Call.RetTo);
     addEdge(FromN, ToN, {CEFact, prov::Rule::ReturnBind});
   }
   if (RetCut && Call.RetTo.isValid()) {
-    uint32_t RetN = varNode(Call.RetTo, CallerCtx);
+    uint32_t RetN = localNode(CallerFrame, Call.RetTo);
     for (uint32_t Pos : MP->RetArgs) {
       if (Pos >= Call.Actuals.size())
         continue;
-      addEdge(varNode(Call.Actuals[Pos], CallerCtx), RetN,
+      addEdge(localNode(CallerFrame, Call.Actuals[Pos]), RetN,
               {CEFact, prov::Rule::ShortcutRetArg});
     }
     for (HeapId H : MP->RetAllocs) {
@@ -597,12 +627,10 @@ void Solver::wireCall(InvokeId Invo, CtxId CallerCtx, MethodId Callee,
   // Exception escalation: what escapes the callee is raised in the
   // calling frame.  A callee that has let nothing escape yet has no throw
   // slot; the edge waits on its pending chain until one exists.
-  if (CalleeFrame == NoIndex)
-    return; // Aborted before the callee became reachable.
   stampThrowSeq(CalleeFrame);
   Frame &F = Frames[CalleeFrame];
   if (F.ThrowNode != NoIndex) {
-    addThrowLink(F.ThrowNode, Call.InMethod, CallerCtx, CEFact);
+    addThrowLink(F.ThrowNode, CallerFrame, CEFact);
     return;
   }
   if (F.PendingTail == NoIndex)
@@ -636,22 +664,18 @@ void Solver::processDelta(uint32_t NodeIdx) {
     uint32_t ObjFact =
         provOn() ? ProvNodes[NodeIdx].FactIds[Pos] : prov::InvalidFact;
 
-    for (size_t I = 0; I < Nodes[NodeIdx].Dispatches.size(); ++I) {
-      DispatchSub Sub = Nodes[NodeIdx].Dispatches[I];
+    for (size_t I = 0; I < coldOf(NodeIdx).Dispatches.size(); ++I) {
+      DispatchSub Sub = coldOf(NodeIdx).Dispatches[I];
       dispatch(Sub, Obj, ObjFact);
     }
-    for (size_t I = 0; I < Nodes[NodeIdx].ThrowSubs.size(); ++I) {
-      uint64_t Frame = Nodes[NodeIdx].ThrowSubs[I];
+    for (size_t I = 0; I < coldOf(NodeIdx).ThrowSubs.size(); ++I) {
       // This node is the thrown variable; its fact is the raise premise.
-      routeThrow(Obj, MethodId(unpackHi(Frame)), CtxId(unpackLo(Frame)),
-                 ObjFact);
+      routeThrow(Obj, coldOf(NodeIdx).ThrowSubs[I], ObjFact);
     }
-    for (size_t I = 0; I < Nodes[NodeIdx].ThrowLinks.size(); ++I) {
-      uint64_t Frame = Nodes[NodeIdx].ThrowLinks[I];
+    for (size_t I = 0; I < coldOf(NodeIdx).ThrowLinks.size(); ++I) {
       // This node is a callee throw slot; the link's call edge is the aux.
-      routeThrow(Obj, MethodId(unpackHi(Frame)), CtxId(unpackLo(Frame)),
-                 ObjFact,
-                 provOn() ? ProvNodes[NodeIdx].ThrowLinkWhys[I]
+      routeThrow(Obj, coldOf(NodeIdx).ThrowLinks[I], ObjFact,
+                 provOn() ? ColdProvs[Nodes[NodeIdx].Cold].ThrowLinkWhys[I]
                           : prov::InvalidFact);
     }
     for (size_t I = 0; I < Nodes[NodeIdx].Loads.size(); ++I) {
@@ -660,8 +684,8 @@ void Solver::processDelta(uint32_t NodeIdx) {
       slowRule(FaultRule::Load);
       addEdge(fieldNode(Obj, Sub.Fld), Sub.ToNode, {ObjFact, prov::Rule::Load});
     }
-    for (size_t I = 0; I < Nodes[NodeIdx].Stores.size(); ++I) {
-      StoreSub Sub = Nodes[NodeIdx].Stores[I];
+    for (size_t I = 0; I < coldOf(NodeIdx).Stores.size(); ++I) {
+      StoreSub Sub = coldOf(NodeIdx).Stores[I];
       PT_COUNT(Counters.RuleStore);
       slowRule(FaultRule::Store);
       addEdge(Sub.FromNode, fieldNode(Obj, Sub.Fld),
@@ -674,13 +698,13 @@ void Solver::processDelta(uint32_t NodeIdx) {
         concludeFact(To, Obj, W.Why, ObjFact, W.Aux);
       }
     }
-    for (size_t I = 0; I < Nodes[NodeIdx].CastEdges.size(); ++I) {
-      CastEdge E = Nodes[NodeIdx].CastEdges[I];
+    for (size_t I = 0; I < coldOf(NodeIdx).CastEdges.size(); ++I) {
+      CastEdge E = coldOf(NodeIdx).CastEdges[I];
       PT_COUNT(Counters.RuleCast);
       slowRule(FaultRule::Cast);
       if (passesCastFilter(Obj, E.Filter) && addFact(E.ToNode, Obj) &&
           provOn()) {
-        EdgeWhy W = ProvNodes[NodeIdx].CastEdgeWhys[I];
+        EdgeWhy W = ColdProvs[Nodes[NodeIdx].Cold].CastEdgeWhys[I];
         concludeFact(E.ToNode, Obj, W.Why, ObjFact, W.Aux);
       }
     }
@@ -745,14 +769,18 @@ size_t Solver::memoryBytes() const {
   for (const Node &N : Nodes) {
     Bytes += N.Set.memoryBytes();
     Bytes += N.Edges.capacity() * sizeof(uint32_t);
-    Bytes += N.CastEdges.capacity() * sizeof(CastEdge);
     Bytes += N.Loads.capacity() * sizeof(LoadSub);
-    Bytes += N.Stores.capacity() * sizeof(StoreSub);
-    Bytes += N.Dispatches.capacity() * sizeof(DispatchSub);
-    Bytes += N.ThrowSubs.capacity() * sizeof(uint64_t);
-    Bytes += N.ThrowLinks.capacity() * sizeof(uint64_t);
   }
-  Bytes += VarCtxIndex.memoryBytes() + FieldSlotIndex.memoryBytes() +
+  Bytes += ColdNodes.capacity() * sizeof(ColdNode);
+  for (const ColdNode &C : ColdNodes) {
+    Bytes += C.CastEdges.capacity() * sizeof(CastEdge);
+    Bytes += C.Stores.capacity() * sizeof(StoreSub);
+    Bytes += C.Dispatches.capacity() * sizeof(DispatchSub);
+    Bytes += (C.ThrowSubs.capacity() + C.ThrowLinks.capacity()) *
+             sizeof(uint32_t);
+  }
+  Bytes += (LocalOf.capacity() + LocalSlots.capacity()) * sizeof(uint32_t);
+  Bytes += FieldSlotIndex.memoryBytes() +
            StaticSlotIndex.memoryBytes() + ThrowLinkDedup.memoryBytes() +
            ObjIndex.memoryBytes() + FrameIndex.memoryBytes() +
            CallEdgeHead.memoryBytes() + EdgeDedup.memoryBytes();
@@ -768,12 +796,14 @@ size_t Solver::memoryBytes() const {
   if (provOn()) {
     Bytes += Opts.Prov->memoryBytes() +
              ProvNodes.capacity() * sizeof(ProvNode) +
+             ColdProvs.capacity() * sizeof(ColdProv) +
              CallEdgeFacts.capacity() * sizeof(uint32_t);
     for (const ProvNode &P : ProvNodes)
-      Bytes += (P.FactIds.capacity() + P.ThrowLinkWhys.capacity()) *
-                   sizeof(uint32_t) +
-               (P.EdgeWhys.capacity() + P.CastEdgeWhys.capacity()) *
-                   sizeof(EdgeWhy);
+      Bytes += P.FactIds.capacity() * sizeof(uint32_t) +
+               P.EdgeWhys.capacity() * sizeof(EdgeWhy);
+    for (const ColdProv &P : ColdProvs)
+      Bytes += P.ThrowLinkWhys.capacity() * sizeof(uint32_t) +
+               P.CastEdgeWhys.capacity() * sizeof(EdgeWhy);
   }
   return Bytes;
 }

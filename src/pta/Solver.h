@@ -25,8 +25,15 @@
 /// Data structures are specialized for the hot paths: per-node points-to
 /// sets are hybrid inline-vector/bitmap \c ObjectSet (append-only, so
 /// replay walks by position instead of copying a snapshot, and the
-/// difference-propagation delta is just a cursor), and every intern table
-/// and dedup set is a flat robin-hood \c FlatMap / \c FlatSet.
+/// difference-propagation delta is just a cursor).  A node is 96 bytes:
+/// the set, the scan cursor, copy edges, load subscriptions and the
+/// queued bit.  The lists few nodes get (cast edges, stores, dispatches,
+/// thrown-var subscriptions, escalation links) live in a side pool of
+/// \c ColdNode a node enters on first use.  A copy edge is deduplicated
+/// by scanning its source's short edge list; only sources with
+/// \c EdgeScanLimit edges or more go through a hash set.  The remaining
+/// intern tables (field slots, objects, frames, call edges) are flat
+/// robin-hood \c FlatMap / \c FlatSet.
 ///
 /// Provenance is positional.  Each fact is concluded once, where
 /// \c addFact first inserts it, so its arena id is appended right there
@@ -35,16 +42,25 @@
 /// edge's justification is stored parallel to the edge itself.  No fact
 /// is ever looked up by value.
 ///
-/// Frames and lazy throw slots.  Every reachable (method, context) pair is
-/// a frame, numbered by its position in the reachable list; the frame id
-/// is what \c ensureReachable returns.  Most frames never let an exception
-/// escape, so a frame's throw slot (METHODTHROWS) is created only when the
-/// first uncaught object reaches it in \c routeThrow.  Until then, a call
-/// edge into the frame only appends its index to the frame's pending
-/// chain (a head and a tail per frame, one link per call edge); creating
-/// the slot turns the chain, in order, into escalation links.  The slot is
-/// empty at that moment, so nothing replays, and every later call edge
-/// links eagerly.  Links, facts and derivations come out in the same
+/// Frames, slot blocks and lazy throw slots.  Every reachable (method,
+/// context) pair is a frame, numbered by its position in the reachable
+/// list; the frame id is what \c ensureReachable returns.  A new frame
+/// gets a block of slots, one per local of its method, filled with a
+/// local's node the first time it is asked for, so a (variable, context)
+/// node is two array reads away from anything that holds the frame: body
+/// instantiation, \c dispatch (caller frame in the subscription, callee
+/// frame from \c ensureReachable), \c wireCall and \c routeThrow, whose
+/// subscriptions and escalation links hold frame ids.  Nodes are created
+/// at the same moments, so node ids and worklist order follow creation
+/// order exactly as a (variable, context) hash table would give them.
+///
+/// Most frames never let an exception escape, so a frame's throw slot
+/// (METHODTHROWS) is created only when the first uncaught object reaches
+/// it in \c routeThrow.  Until then, a call edge into the frame only
+/// appends its index to the frame's pending chain (a head and a tail per
+/// frame, one link per call edge); creating the slot turns the chain, in
+/// order, into escalation links.  The slot is empty at that moment, so
+/// nothing replays, and every later call edge links eagerly.  Links, facts and derivations come out in the same
 /// order as if every frame got its slot with its first call edge.
 /// Harvest emits method-throws facts by each frame's sequence stamp,
 /// taken when the frame first gets an incoming call edge or an uncaught
@@ -151,6 +167,8 @@ private:
     ThrowSlot,
   };
 
+  static constexpr uint32_t NoIndex = UINT32_MAX;
+
   struct LoadSub {
     FieldId Fld;
     uint32_t ToNode;
@@ -161,31 +179,39 @@ private:
   };
   struct DispatchSub {
     InvokeId Invo;
-    CtxId CallerCtx;
+    uint32_t CallerFrame;
   };
   struct CastEdge {
     uint32_t ToNode;
     TypeId Filter;
   };
 
+  /// The hot part of a node: what every propagation step reads.
   struct Node {
     /// The points-to set.  Append-only insertion order makes positions
     /// stable, so the pending delta is just the suffix [Scanned, size()).
     ObjectSet Set;
     /// Facts [0, Scanned) have been propagated to all subscriptions.
     uint32_t Scanned = 0;
+    /// Index of the node's \c ColdNode, or \c NoIndex until it needs one.
+    uint32_t Cold = NoIndex;
     std::vector<uint32_t> Edges;
-    std::vector<CastEdge> CastEdges;
     std::vector<LoadSub> Loads;
+    bool Queued = false;
+  };
+
+  /// The subscription lists few nodes ever get (each under 5% of nodes on
+  /// the heaviest cells), kept in a side pool a node enters on first use.
+  struct ColdNode {
+    std::vector<CastEdge> CastEdges;
     std::vector<StoreSub> Stores;
     std::vector<DispatchSub> Dispatches;
-    /// On a thrown-var node: packed (method, ctx) pairs to route arriving
-    /// objects through (the raising frames).
-    std::vector<uint64_t> ThrowSubs;
-    /// On a ThrowSlot node: packed (callerMethod, callerCtx) pairs the
-    /// escaping objects escalate into, in call-edge order.
-    std::vector<uint64_t> ThrowLinks;
-    bool Queued = false;
+    /// On a thrown-var node: the raising frames to route arriving objects
+    /// through.
+    std::vector<uint32_t> ThrowSubs;
+    /// On a ThrowSlot node: the caller frames the escaping objects
+    /// escalate into, in call-edge order.
+    std::vector<uint32_t> ThrowLinks;
   };
 
   struct NodeDesc {
@@ -194,7 +220,15 @@ private:
     uint32_t B; ///< CtxId index or FieldId index.
   };
 
-  uint32_t varNode(VarId V, CtxId Ctx);
+  /// The node of local \p V in frame \p F, created on first use; \p V
+  /// must belong to the frame's method.
+  uint32_t localNode(uint32_t F, VarId V) {
+    uint32_t &Slot = LocalSlots[Frames[F].SlotBase + LocalOf[V.index()]];
+    if (Slot == NoIndex)
+      Slot = newNode(NodeKind::VarCtx, V.index(),
+                     ReachableList[F].second.index());
+    return Slot;
+  }
   uint32_t fieldNode(uint32_t Obj, FieldId Fld);
   uint32_t staticNode(FieldId Fld);
   uint32_t internObject(HeapId Heap, HCtxId HCtx);
@@ -210,18 +244,29 @@ private:
       Frames[F].ThrowSeq = NextThrowSeq++;
   }
 
-  /// Delivers an exception object raised in or escalated into
-  /// (\p M, \p Ctx): binds matching handlers or escapes to the method's
-  /// throw slot.  \p WhyPrem / \p WhyAux are the provenance premises: the
-  /// thrown-var (or callee-throw-slot) fact, plus the call edge when the
-  /// object is escalating (a valid aux selects the Escalate rule variants).
-  void routeThrow(uint32_t Obj, MethodId M, CtxId Ctx, uint32_t WhyPrem,
+  /// Delivers an exception object raised in or escalated into frame
+  /// \p F: binds matching handlers or escapes to the frame's throw slot.
+  /// \p WhyPrem / \p WhyAux are the provenance premises: the thrown-var
+  /// (or callee-throw-slot) fact, plus the call edge when the object is
+  /// escalating (a valid aux selects the Escalate rule variants).
+  void routeThrow(uint32_t Obj, uint32_t F, uint32_t WhyPrem,
                   uint32_t WhyAux = prov::InvalidFact);
 
   /// Adds an escalation link callee-throw-slot -> caller frame, replaying
   /// existing facts.  \p WhyAux is the provenance call-edge fact.
-  void addThrowLink(uint32_t ThrowNodeIdx, MethodId CallerM, CtxId CallerCtx,
+  void addThrowLink(uint32_t ThrowNodeIdx, uint32_t CallerFrame,
                     uint32_t WhyAux);
+
+  /// Node \p NodeIdx's cold lists, entering it into the pool (and the
+  /// provenance pool, in provenance runs) on first use.
+  ColdNode &coldNode(uint32_t NodeIdx);
+
+  /// Node \p NodeIdx's cold lists, or an empty set of lists when it has
+  /// none.  Re-read after anything that may grow the pool.
+  const ColdNode &coldOf(uint32_t NodeIdx) const {
+    uint32_t C = Nodes[NodeIdx].Cold;
+    return C == NoIndex ? NoCold : ColdNodes[C];
+  }
 
   // --- Fact and edge insertion (all idempotent) ---
 
@@ -237,6 +282,12 @@ private:
   /// Returns true when the fact was newly inserted; a provenance run then
   /// records it with \c concludeFact in the same statement.
   bool addFact(uint32_t NodeIdx, uint32_t Obj);
+
+  /// Sources with fewer copy edges than this dedup a new edge by scanning
+  /// their list; a source whose list reaches it is indexed in
+  /// \c EdgeDedup from then on.
+  static constexpr uint32_t EdgeScanLimit = 256;
+
   /// \p W justifies the edge's propagations when the run records
   /// provenance; it is stored only if the edge is new.
   void addEdge(uint32_t From, uint32_t To, EdgeWhy W);
@@ -251,7 +302,8 @@ private:
   /// \p Why / \p WhyPrem describe how reachability was derived (entry
   /// point, ladder seed, or a call edge) for the provenance arena.
   /// Returns the frame id, or \c NoIndex when an aborted run meets a new
-  /// frame.
+  /// frame.  A new frame gets its slot block here, filled as its locals'
+  /// nodes are first asked for.
   uint32_t ensureReachable(MethodId M, CtxId Ctx,
                            prov::Rule Why = prov::Rule::Entry,
                            uint32_t WhyPrem = prov::InvalidFact);
@@ -260,13 +312,16 @@ private:
   /// \p ObjFact is the receiver's VarPointsTo fact id (provenance runs).
   void dispatch(const DispatchSub &Sub, uint32_t Obj, uint32_t ObjFact);
 
-  /// Wires argument/return edges for a discovered call-graph edge.
-  /// \p CallWhy is VCall or SCall; \p CallPrem the premise fact (receiver
-  /// VarPointsTo resp. caller Reachable).  \p CEFact is the call-edge fact
-  /// id \c dispatch reserved, or \c InvalidFact to append it on insertion.
-  void wireCall(InvokeId Invo, CtxId CallerCtx, MethodId Callee,
-                CtxId CalleeCtx, prov::Rule CallWhy, uint32_t CallPrem,
-                uint32_t CEFact = prov::InvalidFact);
+  /// Wires argument/return edges for a discovered call-graph edge out of
+  /// frame \p CallerFrame.  \p CalleeFrame is the callee's frame when the
+  /// caller already made it reachable (\c dispatch), or \c NoIndex to make
+  /// it reachable here once the edge turns out new.  \p CallWhy is VCall
+  /// or SCall; \p CallPrem the premise fact (receiver VarPointsTo resp.
+  /// caller Reachable).  \p CEFact is the call-edge fact id \c dispatch
+  /// reserved, or \c InvalidFact to append it on insertion.
+  void wireCall(InvokeId Invo, uint32_t CallerFrame, MethodId Callee,
+                CtxId CalleeCtx, uint32_t CalleeFrame, prov::Rule CallWhy,
+                uint32_t CallPrem, uint32_t CEFact = prov::InvalidFact);
 
   // --- Provenance hooks (single dead pointer test when Prov is null) ---
 
@@ -364,23 +419,32 @@ private:
 
   std::vector<Node> Nodes;
   std::vector<NodeDesc> Descs;
-  FlatMap<uint32_t> VarCtxIndex;    ///< packPair(var, ctx) -> node
+  std::vector<ColdNode> ColdNodes;
+  /// What \c coldOf returns for a node outside the pool.
+  static const ColdNode NoCold;
   FlatMap<uint32_t> FieldSlotIndex; ///< packPair(obj, fld) -> node
   FlatMap<uint32_t> StaticSlotIndex; ///< fld -> node
-  FlatSet ThrowLinkDedup;           ///< hash of (node, link)
+  FlatSet ThrowLinkDedup;           ///< packPair(throw node, caller frame)
 
   std::vector<HeapId> ObjHeaps;
   std::vector<HCtxId> ObjHCtxs;
   FlatMap<uint32_t> ObjIndex; ///< packPair(heap, hctx) -> dense object
 
-  static constexpr uint32_t NoIndex = UINT32_MAX;
-
   FlatMap<uint32_t> FrameIndex; ///< packPair(method, ctx) -> frame id
   /// The frames in reachability order; a frame id indexes it.
   std::vector<std::pair<MethodId, CtxId>> ReachableList;
 
-  /// Per-frame exception state, parallel to \c ReachableList.
+  /// Each variable's position in its method's \c Locals (variables have
+  /// exactly one owner; \c Program::validate checks it).
+  std::vector<uint32_t> LocalOf;
+  /// The frames' slot blocks, back to back: frame F's local at position I
+  /// has its node at [F.SlotBase + I], or \c NoIndex until first use.
+  std::vector<uint32_t> LocalSlots;
+
+  /// Per-frame state, parallel to \c ReachableList.
   struct Frame {
+    /// Start of the frame's block in \c LocalSlots.
+    uint32_t SlotBase = 0;
     /// The throw slot node, or \c NoIndex until something escapes.
     uint32_t ThrowNode = NoIndex;
     /// Call edges into the frame waiting for its slot: the first and last
@@ -401,20 +465,27 @@ private:
   /// Per call edge: the next edge on its callee frame's pending chain.
   std::vector<uint32_t> PendingNext;
 
-  FlatSet EdgeDedup; ///< packPair(from, to)
+  /// packPair(from, to) for the edges of sources with at least
+  /// \c EdgeScanLimit edges.
+  FlatSet EdgeDedup;
 
   /// A node's provenance ids, kept outside \c Node so bare runs do not
   /// grow: every array is parallel to the node's namesake.
   struct ProvNode {
     /// Fact id of each \c Set member, in insertion order.
     std::vector<uint32_t> FactIds;
-    std::vector<EdgeWhy> EdgeWhys;     ///< Parallel to \c Edges.
+    std::vector<EdgeWhy> EdgeWhys; ///< Parallel to \c Edges.
+  };
+  /// Parallel to \c Nodes in provenance runs, empty otherwise.
+  std::vector<ProvNode> ProvNodes;
+  /// The provenance ids of a \c ColdNode's lists, split the same way.
+  struct ColdProv {
     std::vector<EdgeWhy> CastEdgeWhys; ///< Parallel to \c CastEdges.
     /// Call-edge fact of each \c ThrowLinks entry.
     std::vector<uint32_t> ThrowLinkWhys;
   };
-  /// Parallel to \c Nodes in provenance runs, empty otherwise.
-  std::vector<ProvNode> ProvNodes;
+  /// Parallel to \c ColdNodes in provenance runs, empty otherwise.
+  std::vector<ColdProv> ColdProvs;
   /// Call-edge fact id of each \c CallEdges entry (provenance runs).
   std::vector<uint32_t> CallEdgeFacts;
 

@@ -101,8 +101,10 @@ std::string pt::formatStats(const ContextStats &Stats, const Program &Prog) {
   size_t Lo = 1;
   for (size_t I = 0; I < Stats.PointsToSizeHistogram.size(); ++I) {
     size_t Hi = size_t(1) << I;
-    OS << "  [" << Lo << (Hi == Lo ? "" : "-" + std::to_string(Hi))
-       << "]: " << Stats.PointsToSizeHistogram[I] << "\n";
+    OS << "  [" << Lo;
+    if (Hi != Lo)
+      OS << "-" << Hi;
+    OS << "]: " << Stats.PointsToSizeHistogram[I] << "\n";
     Lo = Hi + 1;
   }
 

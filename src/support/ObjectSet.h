@@ -15,6 +15,10 @@
 ///    behind a page directory), giving O(1) membership while only paying
 ///    memory for the id ranges actually populated.
 ///
+/// The set itself is one insertion-order vector plus one pointer to the
+/// promoted bitmap (null while inline), 32 bytes in all, so it sits in the
+/// solver's hot node without dragging the bitmap's bookkeeping along.
+///
 /// Both modes keep the elements in one append-only insertion-order array,
 /// which is what makes the solver's replay paths snapshot-free: an element,
 /// once inserted, keeps its position forever, so callers can walk a set by
@@ -30,6 +34,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 namespace pt {
@@ -45,23 +50,24 @@ public:
 
   /// True when \p V is present.
   bool contains(uint32_t V) const {
-    if (Dir.empty()) {
+    if (!Bits) {
       for (uint32_t X : Order)
         if (X == V)
           return true;
       return false;
     }
     uint32_t Page = V >> ChunkShift;
-    if (Page >= Dir.size() || Dir[Page] == NoChunk)
+    if (Page >= Bits->Dir.size() || Bits->Dir[Page] == NoChunk)
       return false;
-    const uint64_t *Chunk = &Words[size_t(Dir[Page]) * ChunkWords];
+    const uint64_t *Chunk =
+        &Bits->Words[size_t(Bits->Dir[Page]) * ChunkWords];
     uint32_t Bit = V & ChunkMask;
     return (Chunk[Bit >> 6] >> (Bit & 63)) & 1;
   }
 
   /// Inserts \p V; returns true when it was not already present.
   bool insert(uint32_t V) {
-    if (Dir.empty()) {
+    if (!Bits) {
       for (uint32_t X : Order)
         if (X == V)
           return false;
@@ -85,7 +91,7 @@ public:
   uint32_t at(uint32_t Pos) const { return Order[Pos]; }
 
   /// True once the set has promoted to the bitmap representation.
-  bool isBitmap() const { return !Dir.empty(); }
+  bool isBitmap() const { return Bits != nullptr; }
 
   /// Applies \p Fn to every element in insertion order.
   template <typename Callback> void forEach(Callback &&Fn) const {
@@ -93,11 +99,14 @@ public:
       Fn(V);
   }
 
-  /// Heap bytes held (diagnostics).
+  /// Heap bytes held (diagnostics): the order buffer, plus the bitmap
+  /// and its two buffers once promoted.
   size_t memoryBytes() const {
-    return Order.capacity() * sizeof(uint32_t) +
-           Dir.capacity() * sizeof(int32_t) +
-           Words.capacity() * sizeof(uint64_t);
+    size_t Bytes = Order.capacity() * sizeof(uint32_t);
+    if (Bits)
+      Bytes += sizeof(Bitmap) + Bits->Dir.capacity() * sizeof(int32_t) +
+               Bits->Words.capacity() * sizeof(uint64_t);
+    return Bytes;
   }
 
 private:
@@ -106,9 +115,17 @@ private:
   static constexpr uint32_t ChunkWords = 1u << (ChunkShift - 6);
   static constexpr int32_t NoChunk = -1;
 
+  /// The promoted representation.
+  struct Bitmap {
+    std::vector<int32_t> Dir;    ///< Page -> chunk slot.
+    std::vector<uint64_t> Words; ///< Chunk storage, \c ChunkWords apiece.
+  };
+
   /// Sets the bit for \p V, materializing its chunk on demand; returns
   /// true when the bit was previously clear.
   bool setBit(uint32_t V) {
+    std::vector<int32_t> &Dir = Bits->Dir;
+    std::vector<uint64_t> &Words = Bits->Words;
     uint32_t Page = V >> ChunkShift;
     if (Page >= Dir.size())
       Dir.resize(Page + 1, NoChunk);
@@ -128,13 +145,13 @@ private:
   /// Builds the bitmap from the inline elements (all distinct by
   /// construction).
   void promote() {
+    Bits = std::make_unique<Bitmap>();
     for (uint32_t V : Order)
       setBit(V);
   }
 
-  std::vector<uint32_t> Order; ///< All elements, append-only.
-  std::vector<int32_t> Dir;    ///< Page -> chunk slot; empty = inline mode.
-  std::vector<uint64_t> Words; ///< Chunk storage, \c ChunkWords apiece.
+  std::vector<uint32_t> Order;  ///< All elements, append-only.
+  std::unique_ptr<Bitmap> Bits; ///< Null = inline mode.
 };
 
 } // namespace pt

@@ -331,9 +331,12 @@ TaintSpec pt::taint::syntheticSpec(const Program &Prog, uint64_t Seed) {
     return SigPattern{"*", Cands[I].first, Cands[I].second};
   };
   const uint32_t NumSources = 1 + R.next() % 2;
-  for (uint32_t S = 0; S < NumSources; ++S)
+  for (uint32_t S = 0; S < NumSources; ++S) {
+    std::string Tag = "t";
+    Tag += std::to_string(S);
     Spec.Sources.push_back(
-        {pattern(R.next() % Cands.size()), "t" + std::to_string(S)});
+        {pattern(R.next() % Cands.size()), std::move(Tag)});
+  }
   if (!WithArgs.empty()) {
     const uint32_t NumSinks = 1 + R.next() % 2;
     for (uint32_t S = 0; S < NumSinks; ++S) {

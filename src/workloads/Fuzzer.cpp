@@ -15,6 +15,18 @@
 
 using namespace pt;
 
+namespace {
+
+/// "<Prefix><I>", built by appending: GCC 12 reports a false -Wrestrict
+/// on `"lit" + std::to_string(I)` once it is inlined.
+std::string numbered(const char *Prefix, uint32_t I) {
+  std::string Name = Prefix;
+  Name += std::to_string(I);
+  return Name;
+}
+
+} // namespace
+
 std::unique_ptr<Program> pt::fuzzProgram(uint64_t Seed,
                                          const FuzzOptions &Opts) {
   Rng R(Seed);
@@ -26,17 +38,17 @@ std::unique_ptr<Program> pt::fuzzProgram(uint64_t Seed,
   Types.push_back(B.addType("T0"));
   for (uint32_t I = 1; I < Opts.Types; ++I) {
     TypeId Super = Types[R.below(Types.size())];
-    Types.push_back(B.addType("T" + std::to_string(I), Super));
+    Types.push_back(B.addType(numbered("T", I), Super));
   }
 
   std::vector<FieldId> Fields;
   for (uint32_t I = 0; I < Opts.Fields; ++I)
     Fields.push_back(
-        B.addField(Types[R.below(Types.size())], "f" + std::to_string(I)));
+        B.addField(Types[R.below(Types.size())], numbered("f", I)));
   std::vector<FieldId> StaticFields;
   for (uint32_t I = 0; I < 2; ++I)
     StaticFields.push_back(B.addStaticField(Types[R.below(Types.size())],
-                                            "g" + std::to_string(I)));
+                                            numbered("g", I)));
 
   // A small pool of dispatch signatures, arity 0..2.
   struct SigEntry {
@@ -46,7 +58,7 @@ std::unique_ptr<Program> pt::fuzzProgram(uint64_t Seed,
   std::vector<SigEntry> Sigs;
   for (uint32_t I = 0; I < 4; ++I) {
     uint32_t Arity = static_cast<uint32_t>(R.below(3));
-    Sigs.push_back({B.getSig("vm" + std::to_string(I), Arity), Arity});
+    Sigs.push_back({B.getSig(numbered("vm", I), Arity), Arity});
   }
 
   // Declare methods first (so calls can reference any of them), bodies
@@ -63,7 +75,7 @@ std::unique_ptr<Program> pt::fuzzProgram(uint64_t Seed,
     if (IsStatic) {
       uint32_t Arity = static_cast<uint32_t>(R.below(3));
       MethodId M =
-          B.addMethod(Owner, "sm" + std::to_string(I), Arity, true);
+          B.addMethod(Owner, numbered("sm", I), Arity, true);
       Methods.push_back({M, true, Arity});
     } else {
       // Instance methods implement one of the pool signatures so virtual
@@ -82,7 +94,7 @@ std::unique_ptr<Program> pt::fuzzProgram(uint64_t Seed,
       if (Dup) {
         uint32_t Arity = static_cast<uint32_t>(R.below(3));
         MethodId M =
-            B.addMethod(Owner, "im" + std::to_string(I), Arity, false);
+            B.addMethod(Owner, numbered("im", I), Arity, false);
         Methods.push_back({M, false, Arity});
       } else {
         MethodId M = B.addMethod(Owner, Name, SE.Arity, false);
@@ -101,7 +113,7 @@ std::unique_ptr<Program> pt::fuzzProgram(uint64_t Seed,
       Vars.push_back(F);
     uint32_t NumLocals = 1 + static_cast<uint32_t>(R.below(Opts.MaxLocals));
     for (uint32_t I = 0; I < NumLocals; ++I)
-      Vars.push_back(B.addLocal(E.M, "l" + std::to_string(I)));
+      Vars.push_back(B.addLocal(E.M, numbered("l", I)));
 
     auto PickVar = [&]() { return Vars[R.below(Vars.size())]; };
     auto PickVars = [&](uint32_t N) {
@@ -181,7 +193,7 @@ std::unique_ptr<Program> pt::fuzzProgram(uint64_t Seed,
   MethodId Main = B.addMethod(Types[0], "fuzzmain", 0, true);
   std::vector<VarId> MainVars;
   for (uint32_t I = 0; I < 4; ++I) {
-    VarId V = B.addLocal(Main, "m" + std::to_string(I));
+    VarId V = B.addLocal(Main, numbered("m", I));
     B.addAlloc(Main, V, Types[R.below(Types.size())]);
     MainVars.push_back(V);
   }

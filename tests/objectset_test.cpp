@@ -98,6 +98,76 @@ TEST(ObjectSet, PositionalStabilityAcrossPromotion) {
   EXPECT_TRUE(S.isBitmap());
 }
 
+TEST(ObjectSet, MovedAfterPromotion) {
+  // The solver's node array moves its sets when it grows; a promoted set
+  // must carry its bitmap along, keep every position, and stay usable.
+  ObjectSet S;
+  std::vector<uint32_t> Inserted;
+  for (uint32_t I = 0; I < 3 * ObjectSet::InlineLimit; ++I) {
+    ASSERT_TRUE(S.insert(I * 37 + 5));
+    Inserted.push_back(I * 37 + 5);
+  }
+  ASSERT_TRUE(S.isBitmap());
+  size_t Bytes = S.memoryBytes();
+
+  ObjectSet Moved(std::move(S));
+  EXPECT_TRUE(Moved.isBitmap());
+  EXPECT_EQ(Moved.memoryBytes(), Bytes);
+  ASSERT_EQ(Moved.size(), Inserted.size());
+  for (uint32_t P = 0; P < Inserted.size(); ++P) {
+    EXPECT_EQ(Moved.at(P), Inserted[P]);
+    EXPECT_TRUE(Moved.contains(Inserted[P]));
+  }
+  EXPECT_FALSE(Moved.insert(Inserted.back()));
+  EXPECT_TRUE(Moved.insert(1000000));
+  EXPECT_EQ(Moved.at(static_cast<uint32_t>(Inserted.size())), 1000000u);
+
+  ObjectSet Assigned;
+  Assigned.insert(1);
+  Assigned = std::move(Moved);
+  EXPECT_TRUE(Assigned.isBitmap());
+  EXPECT_FALSE(Assigned.contains(1));
+  EXPECT_TRUE(Assigned.contains(1000000));
+  EXPECT_EQ(Assigned.size(), Inserted.size() + 1);
+
+  // A vector of sets reallocating moves every element, as Solver::Node's
+  // array does.
+  std::vector<ObjectSet> Sets(1);
+  for (uint32_t V = 0; V <= ObjectSet::InlineLimit; ++V)
+    Sets[0].insert(V);
+  for (int I = 0; I < 100; ++I)
+    Sets.emplace_back();
+  ASSERT_TRUE(Sets[0].isBitmap());
+  for (uint32_t V = 0; V <= ObjectSet::InlineLimit; ++V) {
+    EXPECT_EQ(Sets[0].at(V), V);
+    EXPECT_FALSE(Sets[0].insert(V));
+  }
+}
+
+TEST(ObjectSet, MemoryBytesInlineAndPromoted) {
+  ObjectSet S;
+  EXPECT_EQ(S.memoryBytes(), 0u);
+  // Inline: only the order buffer, which holds at least the elements.
+  for (uint32_t I = 0; I < ObjectSet::InlineLimit; ++I)
+    S.insert(I);
+  size_t Inline = S.memoryBytes();
+  EXPECT_GE(Inline, ObjectSet::InlineLimit * sizeof(uint32_t));
+  EXPECT_LT(Inline, 4 * ObjectSet::InlineLimit * sizeof(uint32_t));
+
+  // Promoted: the order buffer plus one 512-bit chunk and its directory
+  // entry, at least.
+  S.insert(ObjectSet::InlineLimit);
+  ASSERT_TRUE(S.isBitmap());
+  size_t Promoted = S.memoryBytes();
+  EXPECT_GE(Promoted, (ObjectSet::InlineLimit + 1) * sizeof(uint32_t) +
+                          512 / 8 + sizeof(int32_t));
+
+  // A second chunk far away costs another chunk, not the range between.
+  S.insert(1u << 20);
+  EXPECT_GE(S.memoryBytes(), Promoted + 512 / 8);
+  EXPECT_LT(S.memoryBytes(), Promoted + 64 * 1024);
+}
+
 TEST(ObjectSet, DeltaIteration) {
   // The solver's difference propagation: a cursor into [0, size()) sees
   // exactly the suffix of facts inserted since the cursor last caught up,

@@ -296,6 +296,35 @@ TEST(AbortSoundness, PartialFactsContainedForEveryFaultAndRung) {
   }
 }
 
+// Aborts that land while calls are being wired: a fact budget that trips
+// inside a body's instantiation leaves the body's remaining calls to be
+// wired against an aborted solver, where ensureReachable returns NoIndex
+// for every new callee frame.  Step faults land between worklist steps
+// (both policies take over 3,000 steps on luindex).  Sweeping both across
+// the run must keep every partial result inside the converged one.
+TEST(AbortSoundness, AbortsWhileWiringCallsStayContained) {
+  for (const std::string Name : {"2obj+H", "cs"}) {
+    const NativeRun &Converged = nativeRun(Name);
+    uint64_t Facts = totalFacts(Converged.Result);
+    for (uint64_t I = 1; I <= 12; ++I) {
+      std::vector<std::pair<std::string, SolverOptions>> Runs(3);
+      Runs[0].first = "fact-budget";
+      Runs[0].second.MaxFacts = Facts * I / 13;
+      Runs[1].first = "oom-at-step";
+      Runs[1].second.Faults.OomAtStep = 200 * I;
+      Runs[2].first = "cancel-at-step";
+      Runs[2].second.Faults.CancelAtStep = 200 * I;
+      for (const auto &[Fault, Opts] : Runs) {
+        std::unique_ptr<ContextPolicy> Policy = createPolicy(Name, luindex());
+        AnalysisResult R = solve(luindex(), *Policy, Opts);
+        std::string What = Name + "/" + Fault + "/" + std::to_string(I);
+        ASSERT_TRUE(R.Aborted) << What;
+        expectContained(R, Converged.Result, What);
+      }
+    }
+  }
+}
+
 TEST(AbortSoundness, GenuineMemoryBudgetAborts) {
   std::unique_ptr<ContextPolicy> Policy = createPolicy("2obj+H", luindex());
   SolverOptions Opts;

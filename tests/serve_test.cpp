@@ -110,7 +110,11 @@ TEST(Json, AsU64RejectsNonIntegers) {
 
 TEST(Json, EscapeRoundTrips) {
   const std::string Nasty = "a\"b\\c\nd\te\x01f";
-  json::Value V = parseOk("\"" + json::escape(Nasty) + "\"");
+  // Appended: `"\"" + json::escape(...)` trips GCC 12's false -Wrestrict.
+  std::string Quoted = "\"";
+  Quoted += json::escape(Nasty);
+  Quoted += '"';
+  json::Value V = parseOk(Quoted);
   ASSERT_TRUE(V.isString());
   EXPECT_EQ(V.Str, Nasty);
 }

@@ -29,6 +29,14 @@ AnalysisResult analyze(const Program &Prog, ContextPolicy &Policy,
   return S.run();
 }
 
+/// "<Prefix><I>", built by appending: GCC 12 reports a false -Wrestrict
+/// on `"lit" + std::to_string(I)` once it is inlined.
+std::string numbered(const char *Prefix, int I) {
+  std::string Name = Prefix;
+  Name += std::to_string(I);
+  return Name;
+}
+
 /// All context-sensitive facts of \p V, as (ctx, objs.size()) pairs.
 std::vector<size_t> factSizesOf(const AnalysisResult &R, VarId V) {
   std::vector<size_t> Sizes;
@@ -64,7 +72,7 @@ TEST(SolverBasic, MoveChainPropagates) {
   MethodId Main = B.addMethod(Object, "main", 0, true);
   std::vector<VarId> Vars;
   for (int I = 0; I < 10; ++I)
-    Vars.push_back(B.addLocal(Main, "v" + std::to_string(I)));
+    Vars.push_back(B.addLocal(Main, numbered("v", I)));
   HeapId H = B.addAlloc(Main, Vars[0], A);
   // Emit moves in reverse order: flow-insensitivity means order is moot.
   for (int I = 9; I > 0; --I)
@@ -519,7 +527,7 @@ TEST(SolverBasic, FactBudgetAborts) {
   MethodId Main = B.addMethod(Object, "main", 0, true);
   std::vector<VarId> Vars;
   for (int I = 0; I < 20; ++I)
-    Vars.push_back(B.addLocal(Main, "v" + std::to_string(I)));
+    Vars.push_back(B.addLocal(Main, numbered("v", I)));
   B.addAlloc(Main, Vars[0], A);
   for (int I = 1; I < 20; ++I)
     B.addMove(Main, Vars[I], Vars[I - 1]);
@@ -534,6 +542,44 @@ TEST(SolverBasic, FactBudgetAborts) {
   EXPECT_LE(R.numCsVarPointsTo(), 6u); // bounded overshoot
 }
 
+TEST(SolverBasic, AbortedStaticCallCreatesNoCalleeNodes) {
+  // The second allocation trips the fact budget, but the rest of main's
+  // body is still instantiated: its static call is wired against an
+  // aborted solver, so ensureReachable refuses the new callee frame and
+  // wireCall must stop there, creating none of the callee's nodes.
+  ProgramBuilder B;
+  TypeId Object = B.addType("Object");
+  TypeId A = B.addType("A", Object);
+  MethodId Callee = B.addMethod(Object, "callee", 1, true);
+  VarId Z = B.addLocal(Callee, "z");
+  B.addAlloc(Callee, Z, A);
+  MethodId Main = B.addMethod(Object, "main", 0, true);
+  VarId X = B.addLocal(Main, "x");
+  VarId Y = B.addLocal(Main, "y");
+  B.addAlloc(Main, X, A);
+  B.addAlloc(Main, Y, A);
+  B.addSCall(Main, Callee, {X}, VarId());
+  B.addEntryPoint(Main);
+  auto P = B.build();
+
+  auto Policy = createPolicy("1call", *P);
+  SolverOptions Opts;
+  Opts.MaxFacts = 1;
+  AnalysisResult R = analyze(*P, *Policy, Opts);
+  ASSERT_TRUE(R.Aborted);
+  EXPECT_EQ(R.Reason, AbortReason::FactBudget);
+  EXPECT_EQ(R.SolverNodes, 2u); // x and y only.
+  EXPECT_EQ(R.Reachable.size(), 1u);
+  EXPECT_EQ(R.pointsTo(X).size(), 1u);
+  EXPECT_TRUE(R.pointsTo(Z).empty());
+
+  auto Full = createPolicy("1call", *P);
+  AnalysisResult Converged = analyze(*P, *Full);
+  ASSERT_FALSE(Converged.Aborted);
+  EXPECT_EQ(Converged.Reachable.size(), 2u);
+  EXPECT_EQ(Converged.pointsTo(Z).size(), 1u);
+}
+
 TEST(SolverBasic, TimeBudgetAborts) {
   // A 1 ms wall-clock budget on a non-trivial program: the deadline path
   // must fire and mark the result aborted (the paper's dash entries).
@@ -545,7 +591,7 @@ TEST(SolverBasic, TimeBudgetAborts) {
   // A dense web: many vars, many allocs, all cross-connected via fields.
   std::vector<VarId> Vars;
   for (int I = 0; I < 60; ++I) {
-    VarId V = B.addLocal(Main, "v" + std::to_string(I));
+    VarId V = B.addLocal(Main, numbered("v", I));
     B.addAlloc(Main, V, A);
     Vars.push_back(V);
   }

@@ -88,8 +88,13 @@ TEST(StringPool, StableTextReferencesAcrossGrowth) {
   StrId First = Pool.intern("first");
   const std::string *Ptr = &Pool.text(First);
   // Force growth: many short (SSO) strings.
-  for (int I = 0; I < 10000; ++I)
-    Pool.intern("s" + std::to_string(I));
+  for (int I = 0; I < 10000; ++I) {
+    // Appended: `"s" + std::to_string(I)` trips GCC 12's false
+    // -Wrestrict.
+    std::string S = "s";
+    S += std::to_string(I);
+    Pool.intern(S);
+  }
   EXPECT_EQ(&Pool.text(First), Ptr);
   EXPECT_EQ(Pool.text(First), "first");
   // Every earlier string still resolves.

@@ -219,6 +219,40 @@ def test_bench_check_fails_on_deterministic_column_drift():
         os.unlink(cand)
 
 
+def test_bench_check_fails_on_counter_drift():
+    # Every telemetry counter is compared exactly between cells that
+    # completed on the same rung.  A counter on one side only, an all-zero
+    # (telemetry-off) side and an aborted cell stay warnings.
+    counters = {"worklist_steps": 10, "facts_inserted": 20,
+                "nodes_created": 7, "rule_vcall": 3}
+    cell = dict(GOOD_CELL, counters=counters)
+
+    def check(base_cell, cand_cell, code, expect):
+        base = write_tmp(bench_doc([base_cell]), ".json")
+        cand = write_tmp(bench_doc([cand_cell]), ".json")
+        try:
+            proc = run(BENCH_CHECK, base, cand)
+            assert_no_traceback(proc, "counter drift")
+            assert proc.returncode == code, (expect, proc.stdout)
+            assert expect in proc.stdout, proc.stdout
+        finally:
+            os.unlink(base)
+            os.unlink(cand)
+
+    for counter in counters:
+        drifted = dict(counters, **{counter: counters[counter] + 1})
+        check(cell, dict(cell, counters=drifted), 1,
+              "b/p: counter %s changed" % counter)
+    check(cell, dict(cell, counters=dict(counters, edges_added=4)), 0,
+          "b/p: counter edges_added only in candidate")
+    zeros = {k: 0 for k in counters}
+    check(cell, dict(cell, counters=zeros), 0,
+          "b/p: counters all zero in candidate")
+    check(dict(cell, aborted=True),
+          dict(cell, aborted=True,
+               counters=dict(counters, worklist_steps=11)), 0, "OK")
+
+
 def test_bench_check_new_policy_column_collapses_to_one_warning():
     # A policy absent from the baseline entirely (a newly registered
     # analysis, e.g. the cs columns) must produce ONE "new column" warning

@@ -29,14 +29,21 @@ together with its refreshed baseline.  A column present on one side only
 is schema drift and only warns.  The serve-replay request count and error
 count also only warn.
 
+The telemetry counters (worklist_steps, facts_inserted, facts_replayed,
+fact_dedup_hits, edges_added, edge_dedup_hits, nodes_created,
+call_edges_inserted, objects_interned, methods_instantiated and the
+rule_* fires) are compared exactly under the same condition, and drift
+fails too: they count the solver's derivations, which are deterministic,
+so a change that claims to leave the fixpoint alone must leave them
+alone.  A counter present on one side only warns, and so does a side
+whose counters are all zero (a build without HYBRIDPT_TELEMETRY).
+
 Schema drift across PRs is tolerated: cells present in only one file and
 fields present in only one cell (e.g. the telemetry "counters" object or
 peak_bytes, which older baselines lack) are reported as warnings, never
 as errors.  A policy column absent from the baseline entirely (a newly
 registered analysis) is collapsed into one "new column" warning instead
-of a per-benchmark message storm.  Counter values themselves are diffed warn-only too — they are
-deterministic, so unexplained drift deserves a look, but they measure
-solver-internal work, not user-visible results.
+of a per-benchmark message storm.
 
 BENCH_serve.json (hybridpt-replay --out) cells are per-request-kind
 latency aggregates keyed ("benchmark" = program, "policy" =
@@ -215,15 +222,24 @@ def main():
             side = "baseline" if field in b else "candidate"
             warnings.append(f"{name}: field '{field}' only in {side}")
 
-        # Telemetry counters: deterministic but solver-internal; any
-        # drift is worth a glance, never a failure.
+        # Telemetry counters: the derivation is deterministic, so drift
+        # fails; schema drift and a telemetry-off side only warn.
         bc, cc = b.get("counters"), c.get("counters")
         if isinstance(bc, dict) and isinstance(cc, dict):
+            zero = [side for side, counters in (("baseline", bc),
+                                                ("candidate", cc))
+                    if not any(counters.values())]
+            for side in zero:
+                warnings.append(f"{name}: counters all zero in {side} "
+                                f"(telemetry off?)")
             for counter in sorted(set(bc) | set(cc)):
-                if bc.get(counter) != cc.get(counter):
-                    warnings.append(
-                        f"{name}: counter {counter} changed "
-                        f"{bc.get(counter)} -> {cc.get(counter)}")
+                if counter not in bc or counter not in cc:
+                    side = "baseline" if counter in bc else "candidate"
+                    warnings.append(f"{name}: counter {counter} only in "
+                                    f"{side}")
+                elif bc[counter] != cc[counter] and not zero:
+                    drifts.append(f"{name}: counter {counter} changed "
+                                  f"{bc[counter]} -> {cc[counter]}")
         elif (bc is None) != (cc is None):
             side = "baseline" if bc is not None else "candidate"
             warnings.append(f"{name}: counters only in {side} "
@@ -256,7 +272,8 @@ def main():
               f"{cand_total:.0f} ms (speedup {ratio:.2f}x)")
 
     if drifts:
-        print(f"\nFAIL: {len(drifts)} deterministic column(s) drifted "
+        print(f"\nFAIL: {len(drifts)} deterministic column(s) or "
+              f"counter(s) drifted "
               f"(precision/correctness change; refresh the baseline if "
               f"intended):")
         for d in drifts:
