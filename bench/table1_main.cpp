@@ -5,25 +5,29 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Regenerates the paper's Table 1: for each of the ten benchmarks, the
-/// four precision metrics (average points-to set size, call-graph edges,
-/// poly v-calls, may-fail casts) and the two performance metrics (elapsed
-/// time, context-sensitive var-points-to size) across the fourteen
-/// analyses, grouped as in the paper: call-site-sensitive, 1obj family,
-/// 2obj+H family, 2type+H family, plus the two cut-shortcut columns
-/// (cs, S-cs).
+/// The evaluation harness.  For each benchmark it solves every registered
+/// analysis (allPolicyNames(): the fourteen Table 1 columns, insens, and
+/// the ablation and deeper-context policies) in one variant matrix, and
+/// prints the paper's Table 1: the four precision metrics (average
+/// points-to set size, call-graph edges, poly v-calls, may-fail casts)
+/// and the two performance metrics (elapsed time, context-sensitive
+/// var-points-to size) across the fourteen Table 1 analyses.  The CSV and
+/// the JSON record carry all twenty policies.
 ///
 /// Dash entries mean the per-cell budget expired (paper: 90-minute
 /// timeout; here --budget MS, default 120s).  Pass benchmark names as
 /// arguments to restrict the run; pass --csv for machine-readable output;
 /// pass --threads N to fan the independent cells of each benchmark out
 /// over N workers (0 = hardware concurrency) and --runs N to report the
-/// median of N repetitions per cell.  Every run
-/// also records its cells to BENCH_table1.json (override with --json
-/// PATH) so tools/check_bench_regression.py can track the perf
-/// trajectory across commits.  With --taint-spec FILE every benchmark is
-/// taint-instrumented first (docs/CHECKS.md "Taint analysis"): the table
-/// gains a "tainted sinks" row and every JSON cell a tainted_sinks count.
+/// median of N repetitions per cell.  Every run also records its cells to
+/// BENCH_table1.json (override with --json PATH, "-" for none): every
+/// Table 1 column plus method/heap context counts and the solver
+/// counters, under a header stamped with the harness configuration and
+/// the build.  tools/check_bench_regression.py diffs two such records,
+/// and tools/paper_report.py renders Figure 3, the headline ratios, the
+/// ablations and the depth ladder from one.  With --taint-spec FILE every
+/// benchmark is taint-instrumented first (docs/CHECKS.md "Taint
+/// analysis"): the table gains a "tainted sinks" row.
 ///
 /// With --ladder, budget-expired cells degrade
 /// down the policy fallback ladder (docs/ROBUSTNESS.md) instead of
@@ -33,13 +37,17 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "BenchUtil.h"
-
 #include "context/PolicyRegistry.h"
 #include "ir/Program.h"
+#include "pta/Flags.h"
+#include "pta/Metrics.h"
 #include "pta/Trace.h"
+#include "pta/VariantRunner.h"
+#include "support/Parallel.h"
 #include "support/TableWriter.h"
+#include "workloads/Profiles.h"
 
+#include <algorithm>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -48,33 +56,165 @@
 
 using namespace pt;
 
+namespace {
+
+/// Default per-cell time budget (--budget overrides it): 120 s, this
+/// reproduction's stand-in for the paper's 90-minute timeout.
+constexpr uint64_t BenchBudgetMs = 120000;
+
+/// One solved cell of the record.
+struct Cell {
+  std::string Benchmark;
+  /// The requested policy; a ladder-degraded cell is recorded under its
+  /// landed rung, with this name as "fallback_from".
+  std::string Policy;
+  PrecisionMetrics M;
+};
+
+/// Formats a fact count the way the paper's Table 1 does ("sensitive
+/// var-points-to (M)"): millions with one decimal when large, thousands
+/// with the K suffix otherwise.
+std::string formatFactCount(size_t Facts) {
+  if (Facts >= 1000000)
+    return formatFixed(static_cast<double>(Facts) / 1e6, 1) + "M";
+  if (Facts >= 1000)
+    return formatFixed(static_cast<double>(Facts) / 1e3, 1) + "K";
+  return std::to_string(Facts);
+}
+
+/// Seconds with adaptive precision (two decimals under 10s, one above).
+std::string formatSeconds(double Ms) {
+  double Sec = Ms / 1000.0;
+  return formatFixed(Sec, Sec < 10 ? 2 : 1);
+}
+
+/// Writes \p Cells as pretty-printed JSON to \p Path.  The header carries
+/// the harness configuration, the taint-spec path the programs were
+/// instrumented with (omitted when none) and the build stamps, so
+/// regression diffs can refuse to compare apples to oranges.  Returns
+/// false (and sets \p Error) on I/O failure.
+bool writeBenchJson(const std::string &Path, const MatrixOptions &Opts,
+                    const std::string &TaintSpec,
+                    const std::vector<Cell> &Cells, std::string &Error) {
+  std::ofstream OS(Path);
+  if (!OS) {
+    Error = "cannot write '" + Path + "'";
+    return false;
+  }
+  auto Bool = [](bool B) { return B ? "true" : "false"; };
+  OS << "{\n"
+     << "  \"harness\": \"table1_main\",\n"
+     << "  \"budget_ms\": " << Opts.Config.Solver.TimeBudgetMs << ",\n"
+     << "  \"runs\": " << Opts.Runs << ",\n"
+     << "  \"threads\": " << Opts.Threads << ",\n"
+     << "  \"ladder\": " << Bool(Opts.Config.Ladder) << ",\n"
+     << "  \"hardware_threads\": " << hardwareThreads() << ",\n"
+     << "  \"build_type\": \"" << HYBRIDPT_BUILD_TYPE << "\",\n"
+     << "  \"compiler\": \"" << HYBRIDPT_COMPILER << "\",\n"
+     << "  \"telemetry\": " << Bool(HYBRIDPT_TELEMETRY) << ",\n"
+     << "  \"provenance\": " << Bool(HYBRIDPT_PROVENANCE) << ",\n";
+  if (!TaintSpec.empty())
+    OS << "  \"taint_spec\": \"" << TaintSpec << "\",\n";
+  OS << "  \"cells\": [\n";
+  for (size_t I = 0; I < Cells.size(); ++I) {
+    const Cell &C = Cells[I];
+    const PrecisionMetrics &M = C.M;
+    // A ladder-degraded cell reports the landed rung's metrics, so its
+    // policy field names the landed rung; fallback_from keeps the
+    // requested one (regression diffs key cells by the requested policy).
+    OS << "    {\"benchmark\": \"" << C.Benchmark << "\", \"policy\": \""
+       << (M.FallbackFrom.empty() ? C.Policy : M.LandedPolicy)
+       << "\", \"time_ms\": " << formatFixed(M.SolveMs, 3)
+       << ", \"avg_objs_per_var\": " << formatFixed(M.AvgPointsTo, 4)
+       << ", \"cg_edges\": " << M.CallGraphEdges
+       << ", \"poly_vcalls\": " << M.PolyVCalls
+       << ", \"reachable_vcalls\": " << M.ReachableVCalls
+       << ", \"may_fail_casts\": " << M.MayFailCasts
+       << ", \"reachable_casts\": " << M.ReachableCasts
+       << ", \"cs_vpt_facts\": " << M.CsVarPointsTo
+       << ", \"num_contexts\": " << M.NumContexts
+       << ", \"num_hcontexts\": " << M.NumHContexts
+       << ", \"peak_bytes\": " << M.PeakBytes
+       << ", \"reachable_methods\": " << M.ReachableMethods
+       << ", \"tainted_sinks\": " << M.TaintedSinks
+       << ", \"aborted\": " << Bool(M.Aborted);
+    if (M.Aborted)
+      OS << ", \"abort_reason\": \"" << abortReasonName(M.Reason) << "\"";
+    if (!M.FallbackFrom.empty())
+      OS << ", \"fallback_from\": \"" << M.FallbackFrom << "\"";
+    if (!M.LadderTrail.empty()) {
+      OS << ", \"ladder\": [";
+      for (size_t J = 0; J < M.LadderTrail.size(); ++J) {
+        const RungAttempt &A = M.LadderTrail[J];
+        OS << (J ? ", " : "") << "{\"policy\": \"" << A.Policy
+           << "\", \"solve_ms\": " << formatFixed(A.SolveMs, 3)
+           << ", \"abort_reason\": \"" << abortReasonName(A.Reason)
+           << "\"}";
+      }
+      OS << "]";
+    }
+    if (telemetry::SolverCounters::enabled()) {
+      OS << ", \"counters\": {";
+      bool FirstCounter = true;
+      telemetry::forEachCounter(M.Counters,
+                                [&](const char *Name, uint64_t V) {
+                                  if (!FirstCounter)
+                                    OS << ", ";
+                                  FirstCounter = false;
+                                  OS << "\"" << Name << "\": " << V;
+                                });
+      OS << "}";
+    }
+    // Already a rendered JSON object (prov::renderBlameJson).
+    if (!M.ProfileJson.empty())
+      OS << ", \"profile\": " << M.ProfileJson;
+    OS << "}" << (I + 1 < Cells.size() ? "," : "") << "\n";
+  }
+  OS << "  ]\n}\n";
+  if (!OS) {
+    Error = "short write to '" + Path + "'";
+    return false;
+  }
+  return true;
+}
+
+} // namespace
+
 int main(int argc, char **argv) {
   bool Csv = false;
   bool Progress = false;
   std::string JsonPath = "BENCH_table1.json";
   std::string ChromeTraceOut;
   std::vector<std::string> Selected;
-  SharedFlags Flags = parseBenchArgs(
-      argc, argv,
-      FlagBudget | FlagRuns | FlagThreads | FlagLadder | FlagTaintSpec |
-          FlagProfileOut | FlagTraceOut,
-      &Selected,
-      "--csv, --budget MS, --runs N, --ladder, --threads N, "
-      "--taint-spec FILE, --json PATH, --profile-out PATH, "
-      "--trace-out FILE, --chrome-trace FILE, --progress",
-      [&](ArgParser &Args) {
-        if (Args.is("--csv"))
-          Csv = true;
-        else if (Args.is("--progress"))
-          Progress = true;
-        else if (Args.is("--json"))
-          JsonPath = Args.value();
-        else if (Args.is("--chrome-trace"))
-          ChromeTraceOut = Args.value();
-        else
-          return false;
-        return true;
-      });
+  SharedFlags Flags;
+  Flags.Config.Solver.TimeBudgetMs = BenchBudgetMs;
+  ArgParser Args(argc, argv);
+  while (Args.next()) {
+    if (Args.shared(FlagBudget | FlagRuns | FlagThreads | FlagLadder |
+                        FlagTaintSpec | FlagProfileOut | FlagTraceOut,
+                    Flags))
+      continue;
+    if (Args.is("--csv"))
+      Csv = true;
+    else if (Args.is("--progress"))
+      Progress = true;
+    else if (Args.is("--json"))
+      JsonPath = Args.value();
+    else if (Args.is("--chrome-trace"))
+      ChromeTraceOut = Args.value();
+    else if (isBenchmarkName(Args.arg()))
+      Selected.emplace_back(Args.arg());
+    else {
+      std::cerr << "unknown argument '" << Args.arg() << "'; benchmarks:";
+      for (const std::string &N : benchmarkNames())
+        std::cerr << ' ' << N;
+      std::cerr << "\n(options: --csv, --budget MS, --runs N, --ladder, "
+                   "--threads N, --taint-spec FILE, --json PATH, "
+                   "--profile-out PATH, --trace-out FILE, --chrome-trace "
+                   "FILE, --progress)\n";
+      return 1;
+    }
+  }
   if (Selected.empty())
     Selected = benchmarkNames();
   MatrixOptions Opts = Flags.matrix();
@@ -97,7 +237,14 @@ int main(int argc, char **argv) {
     Opts.Config.Solver.Trace = Rec.get();
   }
 
-  const std::vector<std::string> &Policies = table1PolicyNames();
+  // The matrix solves every registered policy; the text table shows the
+  // paper's fourteen Table 1 columns of it.
+  const std::vector<std::string> &Policies = allPolicyNames();
+  std::vector<size_t> Table1Columns;
+  for (const std::string &Policy : table1PolicyNames())
+    Table1Columns.push_back(
+        std::find(Policies.begin(), Policies.end(), Policy) -
+        Policies.begin());
 
   std::cout << "Table 1: precision and performance metrics for all "
                "benchmarks and analyses.\n"
@@ -110,11 +257,11 @@ int main(int argc, char **argv) {
                     "may_fail_casts", "reachable_casts", "time_s",
                     "cs_vpt_facts", "reachable_methods", "tainted_sinks"});
 
-  std::vector<BenchRecord> Records;
+  std::vector<Cell> Record;
   for (const std::string &Name : Selected) {
-    // --taint-spec: every benchmark runs taint-instrumented, and the JSON
-    // grows a tainted_sinks column (stamped with the spec path so
-    // check_bench_regression.py never diffs tainted against untainted).
+    // --taint-spec: every benchmark runs taint-instrumented (the JSON
+    // header is stamped with the spec path so check_bench_regression.py
+    // never diffs tainted against untainted).
     std::unique_ptr<trace::TraceRecorder::Span> FactGenSpan;
     if (Rec)
       FactGenSpan = std::make_unique<trace::TraceRecorder::Span>(
@@ -134,7 +281,7 @@ int main(int argc, char **argv) {
         runVariantMatrix(*Loaded.Prog, Policies, Opts);
     for (size_t PI = 0; PI < Policies.size(); ++PI) {
       const PrecisionMetrics &M = Cells[PI];
-      Records.push_back(makeBenchRecord(Name, Policies[PI], M));
+      Record.push_back({Name, Policies[PI], M});
       CsvOut.addRow(
           {Name, Policies[PI],
            M.Aborted ? "-" : formatFixed(M.AvgPointsTo, 2),
@@ -151,9 +298,9 @@ int main(int argc, char **argv) {
     if (Csv)
       continue;
 
-    // Reference counts from the most common cell (they vary only slightly
-    // per analysis, as in the paper's parenthetical headings).
-    const PrecisionMetrics &Ref = Cells.front();
+    // Reference counts from the first Table 1 cell (they vary only
+    // slightly per analysis, as in the paper's parenthetical headings).
+    const PrecisionMetrics &Ref = Cells[Table1Columns.front()];
     std::cout << "=== " << Name << "  (~" << Ref.ReachableMethods
               << " reachable methods, ~" << Ref.ReachableVCalls
               << " v-calls, ~" << Ref.ReachableCasts << " casts; program: "
@@ -161,53 +308,44 @@ int main(int argc, char **argv) {
               << Loaded.Prog->numInstructions() << " instructions) ===\n";
 
     TableWriter T;
-    T.setHeader({"metric"});
     std::vector<std::string> Header = {"metric"};
-    for (const std::string &Policy : Policies)
-      Header.push_back(Policy);
+    for (size_t PI : Table1Columns)
+      Header.push_back(Policies[PI]);
     T.setHeader(Header);
 
     // Ladder-degraded cells carry the landed rung's (converged) metrics;
     // mark them with a star and explain in a footnote below the table.
-    auto Mark = [](const PrecisionMetrics &M, std::string S) {
-      return M.FallbackFrom.empty() ? S : S + "*";
-    };
-    auto Row = [&](const std::string &Label, auto Get, int Decimals) {
+    auto Row = [&](const std::string &Label, auto Show) {
       std::vector<std::string> Cols = {Label};
-      for (const PrecisionMetrics &M : Cells) {
-        if (M.Aborted)
-          Cols.push_back("-");
-        else
-          Cols.push_back(Mark(M, formatFixed(Get(M), Decimals)));
+      for (size_t PI : Table1Columns) {
+        const PrecisionMetrics &M = Cells[PI];
+        Cols.push_back(M.Aborted              ? "-"
+                       : M.FallbackFrom.empty() ? Show(M)
+                                                : Show(M) + "*");
       }
       T.addRow(Cols);
     };
-    Row("avg objs per var",
-        [](const PrecisionMetrics &M) { return M.AvgPointsTo; }, 2);
-    Row("call-graph edges",
-        [](const PrecisionMetrics &M) { return double(M.CallGraphEdges); },
-        0);
-    Row("poly v-calls",
-        [](const PrecisionMetrics &M) { return double(M.PolyVCalls); }, 0);
-    Row("may-fail casts",
-        [](const PrecisionMetrics &M) { return double(M.MayFailCasts); }, 0);
+    auto Count = [](size_t PrecisionMetrics::*Field) {
+      return [Field](const PrecisionMetrics &M) {
+        return std::to_string(M.*Field);
+      };
+    };
+    Row("avg objs per var", [](const PrecisionMetrics &M) {
+      return formatFixed(M.AvgPointsTo, 2);
+    });
+    Row("call-graph edges", Count(&PrecisionMetrics::CallGraphEdges));
+    Row("poly v-calls", Count(&PrecisionMetrics::PolyVCalls));
+    Row("may-fail casts", Count(&PrecisionMetrics::MayFailCasts));
     if (!TaintSpec.empty())
-      Row("tainted sinks",
-          [](const PrecisionMetrics &M) { return double(M.TaintedSinks); },
-          0);
-
-    std::vector<std::string> TimeRow = {"elapsed time (s)"};
-    std::vector<std::string> FactRow = {"sensitive var-points-to"};
-    for (const PrecisionMetrics &M : Cells) {
-      TimeRow.push_back(M.Aborted ? "-" : Mark(M, formatSeconds(M.SolveMs)));
-      FactRow.push_back(M.Aborted ? "-"
-                                  : Mark(M, formatFactCount(M.CsVarPointsTo)));
-    }
-    T.addRow(TimeRow);
-    T.addRow(FactRow);
+      Row("tainted sinks", Count(&PrecisionMetrics::TaintedSinks));
+    Row("elapsed time (s)",
+        [](const PrecisionMetrics &M) { return formatSeconds(M.SolveMs); });
+    Row("sensitive var-points-to", [](const PrecisionMetrics &M) {
+      return formatFactCount(M.CsVarPointsTo);
+    });
 
     T.print(std::cout);
-    for (size_t PI = 0; PI < Policies.size(); ++PI)
+    for (size_t PI : Table1Columns)
       if (!Cells[PI].FallbackFrom.empty())
         std::cout << "  * " << Policies[PI] << " exhausted its budget; "
                   << "column shows " << Cells[PI].LandedPolicy
@@ -220,13 +358,12 @@ int main(int argc, char **argv) {
 
   std::string Error;
   if (!JsonPath.empty() && JsonPath != "-") {
-    if (!writeBenchJson(JsonPath, "table1_main", Opts, TaintSpec, Records,
-                        Error)) {
+    if (!writeBenchJson(JsonPath, Opts, TaintSpec, Record, Error)) {
       std::cerr << Error << "\n";
       return 1;
     }
     if (!Csv)
-      std::cout << "wrote " << Records.size() << " cells to " << JsonPath
+      std::cout << "wrote " << Record.size() << " cells to " << JsonPath
                 << "\n";
   }
   // Standalone per-cell cost-attribution profiles (--profile-out): the
@@ -241,12 +378,13 @@ int main(int argc, char **argv) {
     }
     OS << "{\"harness\": \"table1_profile\", \"cells\": [";
     bool First = true;
-    for (const BenchRecord &R : Records) {
-      if (R.ProfileJson.empty())
+    for (const Cell &C : Record) {
+      if (C.M.ProfileJson.empty())
         continue;
-      OS << (First ? "" : ",") << "\n  {\"benchmark\": \"" << R.Benchmark
-         << "\", \"policy\": \"" << R.Policy
-         << "\", \"profile\": " << R.ProfileJson << "}";
+      OS << (First ? "" : ",") << "\n  {\"benchmark\": \"" << C.Benchmark
+         << "\", \"policy\": \""
+         << (C.M.FallbackFrom.empty() ? C.Policy : C.M.LandedPolicy)
+         << "\", \"profile\": " << C.M.ProfileJson << "}";
       First = false;
     }
     OS << "\n]}\n";

@@ -35,8 +35,8 @@ inline unsigned hardwareThreads() {
 
 /// Canonical interpretation of a user-facing --threads value: 0 means
 /// one worker per hardware thread, anything else is taken literally.
-/// Every tool (hybridpt, table1_main, micro_engine) resolves through
-/// this so the default cannot drift per harness (docs/PERF.md).
+/// Every --threads flag (hybridpt, table1_main) resolves through this,
+/// in pta/Flags.cpp, so the default cannot drift per tool (docs/PERF.md).
 inline unsigned resolveThreads(unsigned Requested) {
   return Requested == 0 ? hardwareThreads() : Requested;
 }

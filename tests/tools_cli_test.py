@@ -193,10 +193,17 @@ def test_bench_check_detects_a_real_regression():
 def test_bench_check_fails_on_deterministic_column_drift():
     # Each deterministic result column fails on its own, naming the cell
     # and the column; a column on one side only stays a warning.
+    columns = {"cg_edges": 7, "reachable_methods": 3, "tainted_sinks": 0,
+               "avg_objs_per_var": 2.1667, "poly_vcalls": 4,
+               "reachable_vcalls": 9, "may_fail_casts": 2,
+               "reachable_casts": 6, "num_contexts": 11, "num_hcontexts": 3}
     for column, value in (("cs_vpt_facts", 6), ("cg_edges", 8),
-                          ("reachable_methods", 4), ("tainted_sinks", 1)):
-        cell = dict(GOOD_CELL, cg_edges=7, reachable_methods=3,
-                    tainted_sinks=0)
+                          ("reachable_methods", 4), ("tainted_sinks", 1),
+                          ("avg_objs_per_var", 2.1668), ("poly_vcalls", 5),
+                          ("reachable_vcalls", 10), ("may_fail_casts", 1),
+                          ("reachable_casts", 7), ("num_contexts", 12),
+                          ("num_hcontexts", 2)):
+        cell = dict(GOOD_CELL, **columns)
         base = write_tmp(bench_doc([cell]), ".json")
         cand = write_tmp(bench_doc([dict(cell, **{column: value})]),
                          ".json")
@@ -214,6 +221,29 @@ def test_bench_check_fails_on_deterministic_column_drift():
         proc = run(BENCH_CHECK, base, cand)
         assert proc.returncode == 0, proc.stdout
         assert "field 'tainted_sinks' only in candidate" in proc.stdout
+    finally:
+        os.unlink(base)
+        os.unlink(cand)
+
+
+def test_bench_check_warns_on_build_stamp_change():
+    # The header's build stamps describe the host and build; a change
+    # makes times incomparable but fails nothing.
+    stamps = {"hardware_threads": 4, "build_type": "Release",
+              "compiler": "GNU 12.2.0", "telemetry": True,
+              "provenance": True}
+    base = write_tmp(json.dumps(dict(stamps, cells=[GOOD_CELL])), ".json")
+    cand = write_tmp(json.dumps(dict(stamps, compiler="Clang 16.0.0",
+                                     telemetry=False, cells=[GOOD_CELL])),
+                     ".json")
+    try:
+        proc = run(BENCH_CHECK, base, cand)
+        assert_no_traceback(proc, "build stamp change")
+        assert proc.returncode == 0, proc.stdout
+        assert ("warning: build stamp differs: compiler = GNU 12.2.0 vs "
+                "Clang 16.0.0") in proc.stdout, proc.stdout
+        assert ("warning: build stamp differs: telemetry = True vs False"
+                in proc.stdout), proc.stdout
     finally:
         os.unlink(base)
         os.unlink(cand)

@@ -20,9 +20,11 @@ direction are reported as warnings, never as failures — they are budget-
 and machine-load-sensitive.  Cells faster than --min-ms in the baseline
 are reported but never fail the check: their timings are noise-dominated.
 
-The deterministic result columns (cs_vpt_facts, cg_edges,
-reachable_methods, tainted_sinks) are compared exactly between cells that
-completed on the same rung, and any drift fails the check (exit 1) naming
+The deterministic result columns (the Table 1 columns avg_objs_per_var,
+cg_edges, poly_vcalls, reachable_vcalls, may_fail_casts, reachable_casts
+and cs_vpt_facts, plus reachable_methods, tainted_sinks, num_contexts and
+num_hcontexts) are compared exactly between cells that completed on the
+same rung, and any drift fails the check (exit 1) naming
 the cell and the column: the analyses are deterministic, so drift is a
 correctness change, not noise, and an intentional precision change lands
 together with its refreshed baseline.  A column present on one side only
@@ -37,6 +39,11 @@ fails too: they count the solver's derivations, which are deterministic,
 so a change that claims to leave the fixpoint alone must leave them
 alone.  A counter present on one side only warns, and so does a side
 whose counters are all zero (a build without HYBRIDPT_TELEMETRY).
+
+The header's build stamps (hardware_threads, build_type, compiler and the
+telemetry/provenance switches) only warn when they differ, as the harness
+configuration (budget_ms, runs, threads, ladder) does: times from
+different hosts or builds are not comparable, but nothing else changes.
 
 Schema drift across PRs is tolerated: cells present in only one file and
 fields present in only one cell (e.g. the telemetry "counters" object or
@@ -61,6 +68,14 @@ the file and cell instead of silently comparing nothing (or crashing).
 import argparse
 import json
 import sys
+
+
+# Columns a deterministic solve reproduces exactly; drift fails the check.
+DETERMINISTIC_COLUMNS = ("avg_objs_per_var", "cg_edges", "poly_vcalls",
+                         "reachable_vcalls", "may_fail_casts",
+                         "reachable_casts", "cs_vpt_facts",
+                         "reachable_methods", "tainted_sinks",
+                         "num_contexts", "num_hcontexts")
 
 
 def to_float(value):
@@ -135,10 +150,15 @@ def main():
     base_top, base = load(args.baseline)
     cand_top, cand = load(args.candidate)
 
-    for key in ("budget_ms", "runs", "threads", "ladder"):
-        if base_top.get(key) != cand_top.get(key):
-            print(f"warning: harness config differs: {key} = "
-                  f"{base_top.get(key)} vs {cand_top.get(key)}")
+    for kind, keys in (("harness config", ("budget_ms", "runs", "threads",
+                                           "ladder")),
+                       ("build stamp", ("hardware_threads", "build_type",
+                                        "compiler", "telemetry",
+                                        "provenance"))):
+        for key in keys:
+            if base_top.get(key) != cand_top.get(key):
+                print(f"warning: {kind} differs: {key} = "
+                      f"{base_top.get(key)} vs {cand_top.get(key)}")
 
     regressions = []
     drifts = []
@@ -204,8 +224,7 @@ def main():
                                 f"{b_rung} -> {c_rung}")
             continue
 
-        for fact in ("cs_vpt_facts", "cg_edges", "reachable_methods",
-                     "tainted_sinks"):
+        for fact in DETERMINISTIC_COLUMNS:
             if fact in b and fact in c and b[fact] != c[fact]:
                 drifts.append(f"{name}: {fact} changed {b[fact]} -> "
                               f"{c[fact]}")
