@@ -345,8 +345,12 @@ int main(int argc, char **argv) {
     });
 
     T.print(std::cout);
+    // A landed rung that aborted too leaves dashes: the ladder ran out.
     for (size_t PI : Table1Columns)
-      if (!Cells[PI].FallbackFrom.empty())
+      if (Cells[PI].Aborted && !Cells[PI].FallbackFrom.empty())
+        std::cout << "  - " << Policies[PI] << " exhausted its budget; "
+                  << "the fallback ladder ran out\n";
+      else if (!Cells[PI].FallbackFrom.empty())
         std::cout << "  * " << Policies[PI] << " exhausted its budget; "
                   << "column shows " << Cells[PI].LandedPolicy
                   << " via the fallback ladder\n";

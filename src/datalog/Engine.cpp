@@ -6,6 +6,7 @@
 
 #include "datalog/Engine.h"
 
+#include <algorithm>
 #include <cassert>
 
 using namespace pt::dl;
@@ -199,6 +200,12 @@ EngineStats Engine::run(const EngineOptions &Opts) {
         }
         continue;
       }
+      // Scans read settled rows only, so an atom over a relation with none
+      // joins nothing this round.
+      if (std::any_of(R.Body.begin(), R.Body.end(), [](const Atom &A) {
+            return A.Rel->settledRows() == 0;
+          }))
+        continue;
       for (size_t DeltaIdx = 0; DeltaIdx < R.Body.size(); ++DeltaIdx) {
         size_t New = evalRuleVersion(R, DeltaIdx);
         ++RS.Evals;

@@ -299,7 +299,7 @@ OracleReport pt::fuzz::checkProgram(const Program &Prog,
 
     if (SOpts.Prov) {
       prov::ValidationResult VR = prov::validateSampledSteps(
-          ProvRec, R, Policy.get(), Opts.ProvenanceStride);
+          ProvRec, R, *Policy, Opts.ProvenanceStride);
       if (!VR.Ok) {
         Report.Violations.push_back(
             {"Provenance", "worklist/" + Name + ": " + VR.Error +

@@ -37,7 +37,7 @@ Solver::Solver(const Program &Prog, ContextPolicy &Policy, SolverOptions Opts)
     this->Opts.Faults = FaultPlan::fromEnv();
   StepFaultArmed = this->Opts.Faults.OomAtStep != 0 ||
                    this->Opts.Faults.CancelAtStep != 0;
-  SlowRuleArmed = this->Opts.Faults.SlowRule != FaultRule::None;
+  SlowRuleArmed = this->Opts.Faults.SlowRule.has_value();
   LocalOf.assign(Prog.numVars(), NoIndex);
   for (uint32_t M = 0; M < Prog.numMethods(); ++M) {
     const std::vector<VarId> &Locals =
@@ -162,7 +162,7 @@ bool Solver::addFact(uint32_t NodeIdx, uint32_t Obj) {
   return true;
 }
 
-void Solver::concludeFact(uint32_t NodeIdx, uint32_t Obj, prov::Rule Why,
+void Solver::concludeFact(uint32_t NodeIdx, uint32_t Obj, Rule Why,
                           uint32_t P0, uint32_t P1) {
   const NodeDesc &D = Descs[NodeIdx];
   prov::FactKind Kind = prov::FactKind::VarPointsTo;
@@ -246,19 +246,20 @@ void Solver::addCastEdge(uint32_t From, uint32_t To, TypeId Filter,
   PT_COUNT_ADD(Counters.FactsReplayed, Count);
   for (uint32_t I = 0; I < Count; ++I) {
     uint32_t Obj = Nodes[From].Set.at(I);
-    PT_COUNT(Counters.RuleCast);
+    fire(castRule(Filter));
     if (passesCastFilter(Obj, Filter) && addFact(To, Obj) && provOn())
       concludeFact(To, Obj, W.Why, ProvNodes[From].FactIds[I], W.Aux);
   }
 }
 
-uint32_t Solver::ensureReachable(MethodId M, CtxId Ctx, prov::Rule Why,
+uint32_t Solver::ensureReachable(MethodId M, CtxId Ctx, Rule Why,
                                  uint32_t WhyPrem) {
   uint64_t Key = packPair(M.index(), Ctx.index());
   if (Aborted) {
     const uint32_t *Known = FrameIndex.find(Key);
     return Known ? *Known : NoIndex;
   }
+  fire(Why);
   uint32_t F = static_cast<uint32_t>(ReachableList.size());
   auto [Slot, Fresh] = FrameIndex.tryEmplace(Key, F);
   if (!Fresh)
@@ -281,35 +282,32 @@ uint32_t Solver::ensureReachable(MethodId M, CtxId Ctx, prov::Rule Why,
   // ALLOC: RECORD builds the heap context; seed the fact directly
   // (Figure 2, third rule).
   for (const AllocInstr &A : Body.Allocs) {
-    PT_COUNT(Counters.RuleAlloc);
-    slowRule(FaultRule::Alloc);
+    fire(Rule::Alloc);
     HCtxId HCtx = Policy.record(A.Heap, Ctx);
     uint32_t Obj = internObject(A.Heap, HCtx);
     uint32_t VN = localNode(F, A.Var);
     if (addFact(VN, Obj) && provOn())
-      concludeFact(VN, Obj, prov::Rule::Alloc, RFact);
+      concludeFact(VN, Obj, Rule::Alloc, RFact);
   }
 
   // MOVE: intra-procedural copy edges.
   for (const MoveInstr &Mv : Body.Moves) {
-    PT_COUNT(Counters.RuleMove);
-    slowRule(FaultRule::Move);
+    fire(Rule::Move);
     uint32_t FromN = localNode(F, Mv.From), ToN = localNode(F, Mv.To);
-    addEdge(FromN, ToN, {RFact, prov::Rule::Move});
+    addEdge(FromN, ToN, {RFact, Rule::Move});
   }
 
   // Casts: copy edges filtered by the target type.
   for (const CastInstr &C : Body.Casts) {
-    slowRule(FaultRule::Cast);
     uint32_t FromN = localNode(F, C.From), ToN = localNode(F, C.To);
-    addCastEdge(FromN, ToN, C.Target, {RFact, prov::Rule::Cast});
+    addCastEdge(FromN, ToN, C.Target, {RFact, Rule::Cast});
   }
 
   // Sanitize: copy edges filtered by the taint tag (invalid filter type;
   // see passesCastFilter).
   for (const SanitizeInstr &S : Body.Sanitizes) {
     uint32_t FromN = localNode(F, S.From), ToN = localNode(F, S.To);
-    addCastEdge(FromN, ToN, TypeId::invalid(), {RFact, prov::Rule::Sanitize});
+    addCastEdge(FromN, ToN, TypeId::invalid(), {RFact, Rule::Sanitize});
   }
 
   // LOAD / STORE: subscribe on the base variable.  Each object that ever
@@ -318,18 +316,17 @@ uint32_t Solver::ensureReachable(MethodId M, CtxId Ctx, prov::Rule Why,
   // mid-replay stay in the node's pending suffix and reach the new
   // subscription through the worklist.
   for (const LoadInstr &L : Body.Loads) {
-    slowRule(FaultRule::Load);
     uint32_t Base = localNode(F, L.Base);
     uint32_t To = localNode(F, L.To);
     Nodes[Base].Loads.push_back({L.Fld, To});
     uint32_t Count = Nodes[Base].Set.size();
     for (uint32_t I = 0; I < Count; ++I) {
       uint32_t Obj = Nodes[Base].Set.at(I);
-      PT_COUNT(Counters.RuleLoad);
+      fire(Rule::Load);
       uint32_t FN = fieldNode(Obj, L.Fld);
       addEdge(FN, To,
               {provOn() ? ProvNodes[Base].FactIds[I] : prov::InvalidFact,
-               prov::Rule::Load});
+               Rule::Load});
     }
   }
   for (uint32_t SI = 0; SI < Body.Stores.size(); ++SI) {
@@ -338,33 +335,30 @@ uint32_t Solver::ensureReachable(MethodId M, CtxId Ctx, prov::Rule Why,
     // actual -> receiver.field shortcut edges per call edge instead.
     if (CutPlan && CutPlan->isStoreCut(M, SI))
       continue;
-    slowRule(FaultRule::Store);
     uint32_t Base = localNode(F, S.Base);
     uint32_t From = localNode(F, S.From);
     coldNode(Base).Stores.push_back({S.Fld, From});
     uint32_t Count = Nodes[Base].Set.size();
     for (uint32_t I = 0; I < Count; ++I) {
       uint32_t Obj = Nodes[Base].Set.at(I);
-      PT_COUNT(Counters.RuleStore);
+      fire(Rule::Store);
       uint32_t FN = fieldNode(Obj, S.Fld);
       addEdge(From, FN,
               {provOn() ? ProvNodes[Base].FactIds[I] : prov::InvalidFact,
-               prov::Rule::Store});
+               Rule::Store});
     }
   }
 
   // Static field accesses: global, context-free slots (Doop's model).
   for (const SLoadInstr &L : Body.SLoads) {
-    PT_COUNT(Counters.RuleStaticLoad);
-    slowRule(FaultRule::SLoad);
+    fire(Rule::StaticLoad);
     uint32_t FromN = staticNode(L.Fld), ToN = localNode(F, L.To);
-    addEdge(FromN, ToN, {RFact, prov::Rule::StaticLoad});
+    addEdge(FromN, ToN, {RFact, Rule::StaticLoad});
   }
   for (const SStoreInstr &S : Body.SStores) {
-    PT_COUNT(Counters.RuleStaticStore);
-    slowRule(FaultRule::SStore);
+    fire(Rule::StaticStore);
     uint32_t FromN = localNode(F, S.From), ToN = staticNode(S.Fld);
-    addEdge(FromN, ToN, {RFact, prov::Rule::StaticStore});
+    addEdge(FromN, ToN, {RFact, Rule::StaticStore});
   }
 
   // Throws: every object reaching the thrown variable is routed through
@@ -385,13 +379,11 @@ uint32_t Solver::ensureReachable(MethodId M, CtxId Ctx, prov::Rule Why,
     if (Call.IsStatic) {
       // SCALL: MERGESTATIC gives the callee context outright
       // (Figure 2, last rule).
-      PT_COUNT(Counters.RuleSCall);
-      slowRule(FaultRule::SCall);
+      fire(Rule::SCall);
       if (Opts.Faults.DropSCall)
         continue; // Injected bug (support/FaultPlan.h): see constructor.
       CtxId CalleeCtx = Policy.mergeStatic(Inv, Ctx);
-      wireCall(Inv, F, Call.Target, CalleeCtx, NoIndex, prov::Rule::SCall,
-               RFact);
+      wireCall(Inv, F, Call.Target, CalleeCtx, NoIndex, Rule::SCall, RFact);
     } else {
       // VCALL: subscribe on the receiver; dispatch per arriving object
       // (Figure 2, second-to-last rule).
@@ -410,32 +402,28 @@ void Solver::routeThrow(uint32_t Obj, uint32_t F, uint32_t WhyPrem,
                         uint32_t WhyAux) {
   if (checkBudget())
     return;
-  PT_COUNT(Counters.RuleThrow);
-  slowRule(FaultRule::Throw);
   // A valid aux premise (the call edge) means the object is escalating out
   // of a callee; otherwise it is raised locally by a throw instruction.
   bool Escalating = WhyAux != prov::InvalidFact;
+  Rule CatchRule = Escalating ? Rule::CatchEscalate : Rule::CatchBind;
+  Rule ThrowRule = Escalating ? Rule::ThrowEscalate : Rule::ThrowRaise;
   TypeId ObjType = Prog.heap(ObjHeaps[Obj]).Type;
   const MethodInfo &Body = Prog.method(ReachableList[F].first);
   bool Caught = false;
   for (const HandlerInfo &H : Body.Handlers) {
     if (Prog.isSubtype(ObjType, H.CatchType)) {
+      fire(CatchRule);
       uint32_t HN = localNode(F, H.Var);
       if (addFact(HN, Obj) && provOn())
-        concludeFact(HN, Obj,
-                     Escalating ? prov::Rule::CatchEscalate
-                                : prov::Rule::CatchBind,
-                     WhyPrem, WhyAux);
+        concludeFact(HN, Obj, CatchRule, WhyPrem, WhyAux);
       Caught = true;
     }
   }
   if (!Caught) {
+    fire(ThrowRule);
     uint32_t TN = throwSlot(F);
     if (addFact(TN, Obj) && provOn())
-      concludeFact(TN, Obj,
-                   Escalating ? prov::Rule::ThrowEscalate
-                              : prov::Rule::ThrowRaise,
-                   WhyPrem, WhyAux);
+      concludeFact(TN, Obj, ThrowRule, WhyPrem, WhyAux);
   }
 }
 
@@ -458,8 +446,7 @@ void Solver::dispatch(const DispatchSub &Sub, uint32_t Obj,
                       uint32_t ObjFact) {
   if (checkBudget())
     return;
-  PT_COUNT(Counters.RuleVCall);
-  slowRule(FaultRule::VCall);
+  fire(Rule::VCall);
   const InvokeInfo &Call = Prog.invoke(Sub.Invo);
   HeapId Heap = ObjHeaps[Obj];
   HCtxId HCtx = ObjHCtxs[Obj];
@@ -486,14 +473,15 @@ void Solver::dispatch(const DispatchSub &Sub, uint32_t Obj,
   // THISVAR binding: only this receiver object flows into `this` under the
   // context derived from it.
   uint32_t CalleeFrame =
-      ensureReachable(Callee, CalleeCtx, prov::Rule::ReachCall, CEFact);
+      ensureReachable(Callee, CalleeCtx, Rule::ReachCall, CEFact);
   if (CalleeFrame == NoIndex)
     return; // Aborted before the callee became reachable.
+  fire(Rule::ThisBind);
   uint32_t ThisN = localNode(CalleeFrame, Prog.method(Callee).This);
   if (addFact(ThisN, Obj) && provOn())
-    concludeFact(ThisN, Obj, prov::Rule::ThisBind, ObjFact, CEFact);
+    concludeFact(ThisN, Obj, Rule::ThisBind, ObjFact, CEFact);
   wireCall(Sub.Invo, Sub.CallerFrame, Callee, CalleeCtx, CalleeFrame,
-           prov::Rule::VCall, ObjFact, CEFact);
+           Rule::VCall, ObjFact, CEFact);
 
   // Receiver-dependent shortcut edges (context/CutShortcut.h), wired per
   // (call site, receiver object).  This cannot live in wireCall: the call
@@ -505,14 +493,16 @@ void Solver::dispatch(const DispatchSub &Sub, uint32_t Obj,
     for (const CutShortcutPlan::StoreCut &SC : MP.StoreCuts) {
       if (SC.FormalIdx >= Call.Actuals.size())
         continue; // Arity mismatch: the generic param bind drops it too.
+      fire(Rule::ShortcutStore);
       uint32_t FromN = localNode(Sub.CallerFrame, Call.Actuals[SC.FormalIdx]);
       uint32_t FN = fieldNode(Obj, SC.Fld);
-      addEdge(FromN, FN, {CEFact, prov::Rule::ShortcutStore});
+      addEdge(FromN, FN, {CEFact, Rule::ShortcutStore});
     }
     if (MP.RetCut && Call.RetTo.isValid()) {
       uint32_t RetN = localNode(Sub.CallerFrame, Call.RetTo);
       for (FieldId F : MP.RetLoads) {
-        addEdge(fieldNode(Obj, F), RetN, {CEFact, prov::Rule::ShortcutRetLoad});
+        fire(Rule::ShortcutRetLoad);
+        addEdge(fieldNode(Obj, F), RetN, {CEFact, Rule::ShortcutRetLoad});
       }
     }
   }
@@ -561,7 +551,7 @@ bool Solver::insertCallEdge(const CallGraphEdge &E) {
 }
 
 void Solver::wireCall(InvokeId Invo, uint32_t CallerFrame, MethodId Callee,
-                      CtxId CalleeCtx, uint32_t CalleeFrame, prov::Rule CallWhy,
+                      CtxId CalleeCtx, uint32_t CalleeFrame, Rule CallWhy,
                       uint32_t CallPrem, uint32_t CEFact) {
   CtxId CallerCtx = ReachableList[CallerFrame].second;
   uint32_t EdgeIdx = static_cast<uint32_t>(CallEdges.size());
@@ -581,8 +571,7 @@ void Solver::wireCall(InvokeId Invo, uint32_t CallerFrame, MethodId Callee,
   }
 
   if (CalleeFrame == NoIndex)
-    CalleeFrame =
-        ensureReachable(Callee, CalleeCtx, prov::Rule::ReachCall, CEFact);
+    CalleeFrame = ensureReachable(Callee, CalleeCtx, Rule::ReachCall, CEFact);
   if (CalleeFrame == NoIndex)
     return; // Aborted before the callee became reachable.
 
@@ -593,7 +582,8 @@ void Solver::wireCall(InvokeId Invo, uint32_t CallerFrame, MethodId Callee,
   for (size_t I = 0; I < NumArgs; ++I) {
     uint32_t FromN = localNode(CallerFrame, Call.Actuals[I]);
     uint32_t ToN = localNode(CalleeFrame, CalleeInfo.Formals[I]);
-    addEdge(FromN, ToN, {CEFact, prov::Rule::ParamBind});
+    fire(Rule::ParamBind);
+    addEdge(FromN, ToN, {CEFact, Rule::ParamBind});
   }
 
   // Return value: formal-return -> actual-return (Figure 2, second rule).
@@ -607,20 +597,23 @@ void Solver::wireCall(InvokeId Invo, uint32_t CallerFrame, MethodId Callee,
   if (Call.RetTo.isValid() && CalleeInfo.Return.isValid() && !RetCut) {
     uint32_t FromN = localNode(CalleeFrame, CalleeInfo.Return);
     uint32_t ToN = localNode(CallerFrame, Call.RetTo);
-    addEdge(FromN, ToN, {CEFact, prov::Rule::ReturnBind});
+    fire(Rule::ReturnBind);
+    addEdge(FromN, ToN, {CEFact, Rule::ReturnBind});
   }
   if (RetCut && Call.RetTo.isValid()) {
     uint32_t RetN = localNode(CallerFrame, Call.RetTo);
     for (uint32_t Pos : MP->RetArgs) {
       if (Pos >= Call.Actuals.size())
         continue;
+      fire(Rule::ShortcutRetArg);
       addEdge(localNode(CallerFrame, Call.Actuals[Pos]), RetN,
-              {CEFact, prov::Rule::ShortcutRetArg});
+              {CEFact, Rule::ShortcutRetArg});
     }
     for (HeapId H : MP->RetAllocs) {
+      fire(Rule::ShortcutRetAlloc);
       uint32_t Obj = internObject(H, Policy.record(H, CalleeCtx));
       if (addFact(RetN, Obj) && provOn())
-        concludeFact(RetN, Obj, prov::Rule::ShortcutRetAlloc, CEFact);
+        concludeFact(RetN, Obj, Rule::ShortcutRetAlloc, CEFact);
     }
   }
 
@@ -680,16 +673,13 @@ void Solver::processDelta(uint32_t NodeIdx) {
     }
     for (size_t I = 0; I < Nodes[NodeIdx].Loads.size(); ++I) {
       LoadSub Sub = Nodes[NodeIdx].Loads[I];
-      PT_COUNT(Counters.RuleLoad);
-      slowRule(FaultRule::Load);
-      addEdge(fieldNode(Obj, Sub.Fld), Sub.ToNode, {ObjFact, prov::Rule::Load});
+      fire(Rule::Load);
+      addEdge(fieldNode(Obj, Sub.Fld), Sub.ToNode, {ObjFact, Rule::Load});
     }
     for (size_t I = 0; I < coldOf(NodeIdx).Stores.size(); ++I) {
       StoreSub Sub = coldOf(NodeIdx).Stores[I];
-      PT_COUNT(Counters.RuleStore);
-      slowRule(FaultRule::Store);
-      addEdge(Sub.FromNode, fieldNode(Obj, Sub.Fld),
-              {ObjFact, prov::Rule::Store});
+      fire(Rule::Store);
+      addEdge(Sub.FromNode, fieldNode(Obj, Sub.Fld), {ObjFact, Rule::Store});
     }
     for (size_t I = 0; I < Nodes[NodeIdx].Edges.size(); ++I) {
       uint32_t To = Nodes[NodeIdx].Edges[I];
@@ -700,8 +690,7 @@ void Solver::processDelta(uint32_t NodeIdx) {
     }
     for (size_t I = 0; I < coldOf(NodeIdx).CastEdges.size(); ++I) {
       CastEdge E = coldOf(NodeIdx).CastEdges[I];
-      PT_COUNT(Counters.RuleCast);
-      slowRule(FaultRule::Cast);
+      fire(castRule(E.Filter));
       if (passesCastFilter(Obj, E.Filter) && addFact(E.ToNode, Obj) &&
           provOn()) {
         EdgeWhy W = ColdProvs[Nodes[NodeIdx].Cold].CastEdgeWhys[I];
@@ -741,9 +730,9 @@ AnalysisResult Solver::run() {
   // for the soundness argument).  Seeds go in before the entry points so
   // their bodies instantiate exactly once either way.
   for (MethodId Seed : Opts.SeedReachable)
-    ensureReachable(Seed, Initial, prov::Rule::Seed);
+    ensureReachable(Seed, Initial, Rule::Seed);
   for (MethodId Entry : Prog.entryPoints())
-    ensureReachable(Entry, Initial, prov::Rule::Entry);
+    ensureReachable(Entry, Initial, Rule::Entry);
   drainWorklist();
 
   // One closing heartbeat regardless of cadence, so every traced run —

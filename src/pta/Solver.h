@@ -276,7 +276,7 @@ private:
   /// fact being propagated.
   struct EdgeWhy {
     uint32_t Aux;
-    prov::Rule Why;
+    Rule Why;
   };
 
   /// Returns true when the fact was newly inserted; a provenance run then
@@ -297,6 +297,10 @@ private:
   /// target type; an invalid one marks a sanitize edge and admits only
   /// objects whose allocation site carries no taint tag.
   bool passesCastFilter(uint32_t Obj, TypeId Filter) const;
+  /// The rule a cast edge with \p Filter applies: cast, or sanitize.
+  static Rule castRule(TypeId Filter) {
+    return Filter.isValid() ? Rule::Cast : Rule::Sanitize;
+  }
 
   /// REACHABLE(M, Ctx): instantiates the method body on first sight.
   /// \p Why / \p WhyPrem describe how reachability was derived (entry
@@ -305,7 +309,7 @@ private:
   /// frame.  A new frame gets its slot block here, filled as its locals'
   /// nodes are first asked for.
   uint32_t ensureReachable(MethodId M, CtxId Ctx,
-                           prov::Rule Why = prov::Rule::Entry,
+                           Rule Why = Rule::Entry,
                            uint32_t WhyPrem = prov::InvalidFact);
 
   /// Handles one receiver object arriving at a virtual call's base node.
@@ -320,7 +324,7 @@ private:
   /// caller Reachable).  \p CEFact is the call-edge fact id \c dispatch
   /// reserved, or \c InvalidFact to append it on insertion.
   void wireCall(InvokeId Invo, uint32_t CallerFrame, MethodId Callee,
-                CtxId CalleeCtx, uint32_t CalleeFrame, prov::Rule CallWhy,
+                CtxId CalleeCtx, uint32_t CalleeFrame, Rule CallWhy,
                 uint32_t CallPrem, uint32_t CEFact = prov::InvalidFact);
 
   // --- Provenance hooks (single dead pointer test when Prov is null) ---
@@ -331,7 +335,7 @@ private:
   /// Records the fact (\p NodeIdx, \p Obj) that \c addFact just inserted,
   /// concluded by \p Why from \p P0 / \p P1, and files its id at the
   /// object's set position.
-  void concludeFact(uint32_t NodeIdx, uint32_t Obj, prov::Rule Why,
+  void concludeFact(uint32_t NodeIdx, uint32_t Obj, Rule Why,
                     uint32_t P0, uint32_t P1 = prov::InvalidFact);
 
   /// Appends a node of \p Kind (and its provenance slot) and returns it.
@@ -371,10 +375,12 @@ private:
   /// armed): trips cancellation or simulated OOM at the exact step.
   void pollStepFaults();
 
-  /// Stalls ~50us when the fault plan targets \p Rule; called from the
-  /// rule sites behind a single member-bool guard.
-  void slowRule(FaultRule Rule) {
-    if (SlowRuleArmed && Opts.Faults.SlowRule == Rule)
+  /// One application of rule \p R, called where the rule applies: counts
+  /// it, and stalls ~50us when the fault plan's slow-rule targets it (one
+  /// member-bool test when no plan does).
+  void fire(Rule R) {
+    PT_COUNT(Counters.rule(R));
+    if (SlowRuleArmed && Opts.Faults.SlowRule == R)
       stallForFault();
   }
   void stallForFault();

@@ -37,62 +37,6 @@ const char *pt::prov::factKindName(FactKind K) {
   return "?";
 }
 
-const char *pt::prov::ruleName(Rule R) {
-  switch (R) {
-  case Rule::Entry:
-    return "entry";
-  case Rule::Seed:
-    return "seed";
-  case Rule::ReachCall:
-    return "reach-call";
-  case Rule::Alloc:
-    return "alloc";
-  case Rule::Move:
-    return "move";
-  case Rule::Cast:
-    return "cast";
-  case Rule::Load:
-    return "load";
-  case Rule::Store:
-    return "store";
-  case Rule::StaticLoad:
-    return "static-load";
-  case Rule::StaticStore:
-    return "static-store";
-  case Rule::VCall:
-    return "vcall";
-  case Rule::SCall:
-    return "scall";
-  case Rule::ThisBind:
-    return "this-bind";
-  case Rule::ParamBind:
-    return "param-bind";
-  case Rule::ReturnBind:
-    return "return-bind";
-  case Rule::ThrowRaise:
-    return "throw-raise";
-  case Rule::CatchBind:
-    return "catch-bind";
-  case Rule::ThrowEscalate:
-    return "throw-escalate";
-  case Rule::CatchEscalate:
-    return "catch-escalate";
-  case Rule::ShortcutStore:
-    return "shortcut-store";
-  case Rule::ShortcutRetArg:
-    return "shortcut-ret-arg";
-  case Rule::ShortcutRetLoad:
-    return "shortcut-ret-load";
-  case Rule::ShortcutRetAlloc:
-    return "shortcut-ret-alloc";
-  case Rule::Sanitize:
-    return "sanitize";
-  case Rule::NumRules:
-    break;
-  }
-  return "?";
-}
-
 void Recorder::clear() {
   Facts.clear();
   Facts.shrink_to_fit();

@@ -35,6 +35,7 @@
 #define HYBRIDPT_PTA_PROVENANCE_PROVENANCE_H
 
 #include "support/Ids.h"
+#include "support/Rules.h"
 
 #include <cassert>
 #include <cstdint>
@@ -90,44 +91,6 @@ enum class FactKind : uint8_t {
 };
 
 const char *factKindName(FactKind K);
-
-/// Figure-2 rule instances as recorded, one per derivation shape.  The ten
-/// telemetry counters are coarser; provenance splits MERGE into its edge
-/// consequences (this/param/return binding) and THROW into its four
-/// raise/catch/escalate outcomes so each step is independently checkable.
-enum class Rule : uint8_t {
-  Entry,         ///< Reachable(entry, initialCtx), no premise.
-  Seed,          ///< Reachable via warm-start ladder seed, no premise.
-  ReachCall,     ///< Reachable(callee, ctx) <- CallEdge.
-  Alloc,         ///< VPT(var, ctx, obj) <- Reachable(m, ctx)   [RECORD]
-  Move,          ///< VPT(to, ctx, o) <- VPT(from, ctx, o) [+Reachable]
-  Cast,          ///< Move filtered by subtype(type(o), target).
-  Load,          ///< VPT(to, ctx, o2) <- FPT(bo, f, o2) + VPT(base, ctx, bo)
-  Store,         ///< FPT(bo, f, o2) <- VPT(from, ctx, o2) + VPT(base, ctx, bo)
-  StaticLoad,    ///< VPT(to, ctx, o) <- SPT(f, o) [+Reachable]
-  StaticStore,   ///< SPT(f, o) <- VPT(from, ctx, o) [+Reachable]
-  VCall,         ///< CallEdge <- VPT(base, ctx, recv)          [MERGE]
-  SCall,         ///< CallEdge <- Reachable(caller, ctx)  [MERGESTATIC]
-  ThisBind,      ///< VPT(this, calleeCtx, recv) <- VPT(base,..) + CallEdge
-  ParamBind,     ///< VPT(formal, calleeCtx, o) <- VPT(actual,..) + CallEdge
-  ReturnBind,    ///< VPT(retTo, callerCtx, o) <- VPT(ret,..) + CallEdge
-  ThrowRaise,    ///< TPT(m, ctx, o) <- VPT(v, ctx, o), uncaught in m.
-  CatchBind,     ///< VPT(hvar, ctx, o) <- VPT(v, ctx, o), handler matches.
-  ThrowEscalate, ///< TPT(caller,..) <- TPT(callee,..) + CallEdge, uncaught.
-  CatchEscalate, ///< VPT(hvar,..) <- TPT(callee,..) + CallEdge, caught.
-  // Cut-shortcut derivations (context/CutShortcut.h): per-call-edge
-  // shortcut edges replacing cut store/return flows.
-  ShortcutStore,    ///< FPT(recv, f, o) <- VPT(actual,..) + CallEdge.
-  ShortcutRetArg,   ///< VPT(retTo,.., o) <- VPT(actual,..) + CallEdge.
-  ShortcutRetLoad,  ///< VPT(retTo,.., o) <- FPT(recv, f, o) + CallEdge.
-  ShortcutRetAlloc, ///< VPT(retTo,.., (h, RECORD)) <- CallEdge.
-  Sanitize,         ///< Move filtered by TaintTag(site(o)) == 0.
-  NumRules,
-};
-
-const char *ruleName(Rule R);
-
-inline constexpr size_t numRules() { return static_cast<size_t>(Rule::NumRules); }
 
 /// One recorded fact.  \c B64 widens the payload for CallEdge (which needs
 /// four words); every other kind stores its object id there.
@@ -302,19 +265,20 @@ struct ValidationResult {
   std::string Error; ///< First failing step, human-readable.
 };
 
-/// Re-checks every step of \p Tree: premises structurally consistent with
-/// the conclusion, a witnessing instruction exists in the program, type
-/// filters hold.  When \p Policy is non-null the context side conditions
-/// (RECORD / MERGE / MERGESTATIC outputs) are re-computed and compared too.
+/// Re-checks every step of \p Tree under \p Policy, the run's policy:
+/// premises structurally consistent with the conclusion, a witnessing
+/// instruction in the program, the type and taint filters, the RECORD /
+/// MERGE / MERGESTATIC contexts, and the cut plan's cover of every
+/// shortcut step.
 ValidationResult validateTree(const Recorder &R, const AnalysisResult &Res,
                               const DerivationTree &Tree,
-                              ContextPolicy *Policy = nullptr);
+                              ContextPolicy &Policy);
 
 /// Replays every \p Stride-th step of the whole arena through the step
 /// checker (stride 1 = all).  The fuzz axis drives this.
 ValidationResult validateSampledSteps(const Recorder &R,
                                       const AnalysisResult &Res,
-                                      ContextPolicy *Policy, size_t Stride);
+                                      ContextPolicy &Policy, size_t Stride);
 
 // --- Rendering (Render.cpp) -------------------------------------------------
 

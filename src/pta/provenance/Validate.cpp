@@ -8,8 +8,9 @@
 /// Replays recorded derivation steps against the Figure-2 side conditions.
 /// A step is accepted when *some* instruction of the relevant method
 /// justifies it (the instruction bag is flow-insensitive, so any witness
-/// is as good as another), all type filters hold, and — when a policy is
-/// supplied — the context constructors reproduce the recorded contexts.
+/// is as good as another), all type filters hold, the run's context
+/// constructors reproduce the recorded contexts, and every shortcut step is
+/// one the run's cut plan wires.
 /// This is the oracle behind the derivation-replay fuzz axis: the solver
 /// must only ever record checkable steps.
 ///
@@ -25,6 +26,7 @@
 #include "support/Hashing.h"
 
 #include <algorithm>
+#include <optional>
 #include <string>
 
 using namespace pt;
@@ -64,8 +66,9 @@ FactView decode(const Fact &F) {
 class StepChecker {
 public:
   StepChecker(const Recorder &R, const AnalysisResult &Res,
-              ContextPolicy *Policy)
-      : R(R), Res(Res), Prog(Res.program()), Policy(Policy) {}
+              ContextPolicy &Policy)
+      : R(R), Res(Res), Prog(Res.program()), Policy(Policy),
+        Plan(Policy.cutPlan()) {}
 
   std::string check(const Step &S) {
     if (S.Target >= R.numFacts())
@@ -133,8 +136,6 @@ public:
       return checkShortcutRetAlloc(T, P0, HasP0 && !HasP1);
     case Rule::Sanitize:
       return checkSanitize(T, P0, HasP0);
-    case Rule::NumRules:
-      break;
     }
     return "unknown rule";
   }
@@ -146,14 +147,14 @@ private:
 
   bool objOk(uint32_t Obj) const { return Obj < Res.numObjects(); }
 
-  /// True when method \p M has a handler matching \p ObjType; fills
-  /// \p HandlerVar with the first match's binding variable.
-  bool findHandler(MethodId M, TypeId ObjType, VarId &HandlerVar) const {
+  /// True when a handler of method \p M catches \p ObjType; with \p Var,
+  /// one that binds the variable of raw id \p Var.
+  bool catches(MethodId M, TypeId ObjType,
+               std::optional<uint32_t> Var = std::nullopt) const {
     for (const HandlerInfo &H : Prog.method(M).Handlers)
-      if (Prog.isSubtype(ObjType, H.CatchType)) {
-        HandlerVar = H.Var;
+      if (Prog.isSubtype(ObjType, H.CatchType) &&
+          (!Var || H.Var.rawValue() == *Var))
         return true;
-      }
     return false;
   }
 
@@ -164,7 +165,7 @@ private:
       return "entry with premises";
     for (MethodId M : Prog.entryPoints())
       if (M.rawValue() == T.A0) {
-        if (Policy && CtxId(T.A1) != Policy->initialContext())
+        if (CtxId(T.A1) != Policy.initialContext())
           return "entry context is not the policy's initial context";
         return "";
       }
@@ -195,7 +196,7 @@ private:
     HeapId H = Res.objHeap(T.Obj);
     for (const AllocInstr &A : Prog.method(MethodId(P.A0)).Allocs)
       if (A.Var == V && A.Heap == H) {
-        if (Policy && Policy->record(H, CtxId(T.A1)) != Res.objHCtx(T.Obj))
+        if (Policy.record(H, CtxId(T.A1)) != Res.objHCtx(T.Obj))
           return "alloc heap context does not match RECORD";
         return "";
       }
@@ -326,13 +327,10 @@ private:
     MethodId Callee = Prog.lookup(objType(P.Obj), Inv.Sig);
     if (!Callee.isValid() || Callee.rawValue() != T.Callee)
       return "vcall LOOKUP does not resolve to the recorded callee";
-    if (Policy) {
-      HeapId H = Res.objHeap(P.Obj);
-      CtxId CC = Policy->merge(H, Res.objHCtx(P.Obj), InvokeId(T.A0),
-                               CtxId(T.A1));
-      if (CC.rawValue() != T.CalleeCtx)
-        return "vcall callee context does not match MERGE";
-    }
+    CtxId CC = Policy.merge(Res.objHeap(P.Obj), Res.objHCtx(P.Obj),
+                            InvokeId(T.A0), CtxId(T.A1));
+    if (CC.rawValue() != T.CalleeCtx)
+      return "vcall callee context does not match MERGE";
     return "";
   }
 
@@ -347,9 +345,8 @@ private:
       return "scall caller premise does not match the invocation";
     if (Inv.Target.rawValue() != T.Callee)
       return "scall target does not match the recorded callee";
-    if (Policy &&
-        Policy->mergeStatic(InvokeId(T.A0), CtxId(T.A1)).rawValue() !=
-            T.CalleeCtx)
+    if (Policy.mergeStatic(InvokeId(T.A0), CtxId(T.A1)).rawValue() !=
+        T.CalleeCtx)
       return "scall callee context does not match MERGESTATIC";
     return "";
   }
@@ -424,19 +421,13 @@ private:
       HasThrow |= Th.V == V;
     if (!HasThrow)
       return "no throw instruction witnesses this fact";
-    VarId HandlerVar;
-    bool Handled = findHandler(Raiser, objType(P.Obj), HandlerVar);
+    bool Handled = catches(Raiser, objType(P.Obj));
     if (Caught) {
       if (T.Kind != FactKind::VarPointsTo)
         return "catch-bind concludes non-VarPointsTo";
       if (!Handled)
         return "catch-bind but no handler of the method matches";
-      bool BindsToHandler = false;
-      for (const HandlerInfo &H : Prog.method(Raiser).Handlers)
-        if (Prog.isSubtype(objType(P.Obj), H.CatchType) &&
-            H.Var.rawValue() == T.A0)
-          BindsToHandler = true;
-      if (!BindsToHandler)
+      if (!catches(Raiser, objType(P.Obj), T.A0))
         return "catch-bind target is not a matching handler variable";
       if (T.A1 != P.A1 || T.Obj != P.Obj)
         return "catch-bind must preserve context and object";
@@ -453,25 +444,16 @@ private:
 
   // --- Cut-shortcut steps (context/CutShortcut.h) -----------------------
   //
-  // When a policy is supplied, the recorded step must match its cut plan
-  // exactly; without one, the checks fall back to the plan's *structural
-  // witness* in the callee body (covered store / returned formal / alloc /
-  // load through this), mirroring how the other checkers skip
-  // policy-dependent context checks when no policy is given.
-
-  /// Returns the supplied policy's cut plan, or null.  Shortcut steps are
-  /// only ever recorded by cut-shortcut policies, so a supplied policy
-  /// without a plan is itself an error (reported by callers).
-  const CutShortcutPlan *cutPlan() const {
-    return Policy ? Policy->cutPlan() : nullptr;
-  }
+  // A recorded shortcut must be one the run's cut plan wires.  Shortcut
+  // steps are only ever recorded by cut-shortcut policies, so a policy
+  // without a plan rejects every one of them.
 
   std::string checkShortcutStore(const FactView &T, const FactView &P0,
                                  const FactView &P1, bool Has) {
     if (T.Kind != FactKind::FieldPointsTo || !Has ||
         P0.Kind != FactKind::VarPointsTo || P1.Kind != FactKind::CallEdge)
       return "shortcut-store shape (needs actual VPT + CallEdge premises)";
-    if (Policy && !Policy->cutPlan())
+    if (!Plan)
       return "shortcut step under a policy without a cut plan";
     const InvokeInfo &Inv = Prog.invoke(InvokeId(P1.A0));
     if (Inv.IsStatic)
@@ -486,22 +468,11 @@ private:
     MethodId Resolved = Prog.lookup(objType(T.A0), Inv.Sig);
     if (!Resolved.isValid() || Resolved != Callee)
       return "shortcut-store receiver does not dispatch to the edge callee";
-    if (const CutShortcutPlan *Plan = cutPlan()) {
-      for (const CutShortcutPlan::StoreCut &SC :
-           Plan->method(Callee).StoreCuts)
-        if (SC.Fld.rawValue() == T.A1 && SC.FormalIdx < Inv.Actuals.size() &&
-            Inv.Actuals[SC.FormalIdx].rawValue() == P0.A0)
-          return "";
-      return "no store cut in the plan witnesses this shortcut";
-    }
-    const MethodInfo &CI = Prog.method(Callee);
-    for (const StoreInstr &S : CI.Stores)
-      if (S.Base == CI.This && S.Fld.rawValue() == T.A1)
-        for (size_t I = 0;
-             I < CI.Formals.size() && I < Inv.Actuals.size(); ++I)
-          if (CI.Formals[I] == S.From && Inv.Actuals[I].rawValue() == P0.A0)
-            return "";
-    return "no covered store witnesses this shortcut";
+    for (const CutShortcutPlan::StoreCut &SC : Plan->method(Callee).StoreCuts)
+      if (SC.Fld.rawValue() == T.A1 && SC.FormalIdx < Inv.Actuals.size() &&
+          Inv.Actuals[SC.FormalIdx].rawValue() == P0.A0)
+        return "";
+    return "no store cut in the plan witnesses this shortcut";
   }
 
   std::string checkShortcutRetArg(const FactView &T, const FactView &P0,
@@ -509,7 +480,7 @@ private:
     if (T.Kind != FactKind::VarPointsTo || !Has ||
         P0.Kind != FactKind::VarPointsTo || P1.Kind != FactKind::CallEdge)
       return "shortcut-ret-arg shape (needs actual VPT + CallEdge premises)";
-    if (Policy && !Policy->cutPlan())
+    if (!Plan)
       return "shortcut step under a policy without a cut plan";
     const InvokeInfo &Inv = Prog.invoke(InvokeId(P1.A0));
     if (!Inv.RetTo.isValid() || Inv.RetTo.rawValue() != T.A0)
@@ -518,31 +489,13 @@ private:
       return "shortcut-ret-arg must stay in the caller context";
     if (T.Obj != P0.Obj)
       return "shortcut-ret-arg must preserve the object";
-    MethodId Callee(P1.Callee);
-    if (const CutShortcutPlan *Plan = cutPlan()) {
-      const CutShortcutPlan::MethodPlan &MP = Plan->method(Callee);
-      if (!MP.RetCut)
-        return "shortcut-ret-arg at a callee whose return is not cut";
-      for (uint32_t Pos : MP.RetArgs)
-        if (Pos < Inv.Actuals.size() &&
-            Inv.Actuals[Pos].rawValue() == P0.A0)
-          return "";
-      return "no ret-arg cut in the plan witnesses this shortcut";
-    }
-    const MethodInfo &CI = Prog.method(Callee);
-    if (!CI.Return.isValid())
-      return "shortcut-ret-arg at a callee without a return variable";
-    size_t N = std::min(Inv.Actuals.size(), CI.Formals.size());
-    for (size_t I = 0; I < N; ++I) {
-      if (Inv.Actuals[I].rawValue() != P0.A0)
-        continue;
-      if (CI.Formals[I] == CI.Return)
+    const CutShortcutPlan::MethodPlan &MP = Plan->method(MethodId(P1.Callee));
+    if (!MP.RetCut)
+      return "shortcut-ret-arg at a callee whose return is not cut";
+    for (uint32_t Pos : MP.RetArgs)
+      if (Pos < Inv.Actuals.size() && Inv.Actuals[Pos].rawValue() == P0.A0)
         return "";
-      for (const MoveInstr &Mv : CI.Moves)
-        if (Mv.To == CI.Return && Mv.From == CI.Formals[I])
-          return "";
-    }
-    return "no returned formal witnesses this shortcut";
+    return "no ret-arg cut in the plan witnesses this shortcut";
   }
 
   std::string checkShortcutRetLoad(const FactView &T, const FactView &P0,
@@ -550,7 +503,7 @@ private:
     if (T.Kind != FactKind::VarPointsTo || !Has ||
         P0.Kind != FactKind::FieldPointsTo || P1.Kind != FactKind::CallEdge)
       return "shortcut-ret-load shape (needs FPT + CallEdge premises)";
-    if (Policy && !Policy->cutPlan())
+    if (!Plan)
       return "shortcut step under a policy without a cut plan";
     const InvokeInfo &Inv = Prog.invoke(InvokeId(P1.A0));
     if (Inv.IsStatic)
@@ -567,23 +520,13 @@ private:
     MethodId Resolved = Prog.lookup(objType(P0.A0), Inv.Sig);
     if (!Resolved.isValid() || Resolved != Callee)
       return "shortcut-ret-load receiver does not dispatch to the callee";
-    if (const CutShortcutPlan *Plan = cutPlan()) {
-      const CutShortcutPlan::MethodPlan &MP = Plan->method(Callee);
-      if (!MP.RetCut)
-        return "shortcut-ret-load at a callee whose return is not cut";
-      for (FieldId F : MP.RetLoads)
-        if (F.rawValue() == P0.A1)
-          return "";
-      return "no ret-load cut in the plan witnesses this shortcut";
-    }
-    const MethodInfo &CI = Prog.method(Callee);
-    if (!CI.Return.isValid())
-      return "shortcut-ret-load at a callee without a return variable";
-    for (const LoadInstr &L : CI.Loads)
-      if (L.To == CI.Return && L.Base == CI.This &&
-          L.Fld.rawValue() == P0.A1)
+    const CutShortcutPlan::MethodPlan &MP = Plan->method(Callee);
+    if (!MP.RetCut)
+      return "shortcut-ret-load at a callee whose return is not cut";
+    for (FieldId F : MP.RetLoads)
+      if (F.rawValue() == P0.A1)
         return "";
-    return "no load of this witnesses this shortcut";
+    return "no ret-load cut in the plan witnesses this shortcut";
   }
 
   std::string checkShortcutRetAlloc(const FactView &T, const FactView &P0,
@@ -591,7 +534,7 @@ private:
     if (T.Kind != FactKind::VarPointsTo || !Has ||
         P0.Kind != FactKind::CallEdge)
       return "shortcut-ret-alloc shape (needs a CallEdge premise)";
-    if (Policy && !Policy->cutPlan())
+    if (!Plan)
       return "shortcut step under a policy without a cut plan";
     const InvokeInfo &Inv = Prog.invoke(InvokeId(P0.A0));
     if (!Inv.RetTo.isValid() || Inv.RetTo.rawValue() != T.A0)
@@ -601,26 +544,15 @@ private:
     if (!objOk(T.Obj))
       return "shortcut-ret-alloc object id out of range";
     HeapId H = Res.objHeap(T.Obj);
-    MethodId Callee(P0.Callee);
-    if (Policy &&
-        Policy->record(H, CtxId(P0.CalleeCtx)) != Res.objHCtx(T.Obj))
+    if (Policy.record(H, CtxId(P0.CalleeCtx)) != Res.objHCtx(T.Obj))
       return "shortcut-ret-alloc heap context does not match RECORD";
-    if (const CutShortcutPlan *Plan = cutPlan()) {
-      const CutShortcutPlan::MethodPlan &MP = Plan->method(Callee);
-      if (!MP.RetCut)
-        return "shortcut-ret-alloc at a callee whose return is not cut";
-      for (HeapId PH : MP.RetAllocs)
-        if (PH == H)
-          return "";
-      return "no ret-alloc cut in the plan witnesses this shortcut";
-    }
-    const MethodInfo &CI = Prog.method(Callee);
-    if (!CI.Return.isValid())
-      return "shortcut-ret-alloc at a callee without a return variable";
-    for (const AllocInstr &A : CI.Allocs)
-      if (A.Var == CI.Return && A.Heap == H)
+    const CutShortcutPlan::MethodPlan &MP = Plan->method(MethodId(P0.Callee));
+    if (!MP.RetCut)
+      return "shortcut-ret-alloc at a callee whose return is not cut";
+    for (HeapId PH : MP.RetAllocs)
+      if (PH == H)
         return "";
-    return "no returned allocation witnesses this shortcut";
+    return "no ret-alloc cut in the plan witnesses this shortcut";
   }
 
   std::string checkEscalate(const FactView &T, const FactView &P0,
@@ -633,17 +565,11 @@ private:
     if (!objOk(P0.Obj))
       return "escalated object id out of range";
     MethodId Caller = Prog.invoke(InvokeId(P1.A0)).InMethod;
-    VarId HandlerVar;
-    bool Handled = findHandler(Caller, objType(P0.Obj), HandlerVar);
+    bool Handled = catches(Caller, objType(P0.Obj));
     if (Caught) {
       if (T.Kind != FactKind::VarPointsTo || !Handled)
         return "catch-escalate without a matching caller handler";
-      bool BindsToHandler = false;
-      for (const HandlerInfo &H : Prog.method(Caller).Handlers)
-        if (Prog.isSubtype(objType(P0.Obj), H.CatchType) &&
-            H.Var.rawValue() == T.A0)
-          BindsToHandler = true;
-      if (!BindsToHandler)
+      if (!catches(Caller, objType(P0.Obj), T.A0))
         return "catch-escalate target is not a matching handler variable";
       if (T.A1 != P1.A1 || T.Obj != P0.Obj)
         return "catch-escalate must bind in the caller context";
@@ -661,7 +587,8 @@ private:
   const Recorder &R;
   const AnalysisResult &Res;
   const Program &Prog;
-  ContextPolicy *Policy;
+  ContextPolicy &Policy;
+  const CutShortcutPlan *Plan; ///< Null unless a cut-shortcut policy.
 };
 
 std::string describeStep(const Step &S, size_t Idx) {
@@ -674,7 +601,7 @@ std::string describeStep(const Step &S, size_t Idx) {
 ValidationResult pt::prov::validateTree(const Recorder &R,
                                         const AnalysisResult &Res,
                                         const DerivationTree &Tree,
-                                        ContextPolicy *Policy) {
+                                        ContextPolicy &Policy) {
   ValidationResult VR;
   if (!Tree.Found) {
     VR.Ok = false;
@@ -714,7 +641,7 @@ ValidationResult pt::prov::validateTree(const Recorder &R,
 
 ValidationResult pt::prov::validateSampledSteps(const Recorder &R,
                                                 const AnalysisResult &Res,
-                                                ContextPolicy *Policy,
+                                                ContextPolicy &Policy,
                                                 size_t Stride) {
   ValidationResult VR;
   if (Stride == 0)

@@ -12,6 +12,9 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
+#include <string_view>
 
 using namespace pt;
 using namespace pt::dl;
@@ -69,8 +72,68 @@ ReferenceAnalysis::ReferenceAnalysis(const Program &Prog,
   buildRules();
   buildStaticFieldRules();
   buildExceptionRules();
-  if (Policy.cutPlan())
-    buildCutShortcutRules();
+  // Built for every policy: without a cut plan the Cut* relations are
+  // empty and the shortcut rules derive nothing.
+  buildCutShortcutRules();
+}
+
+namespace {
+
+/// What each Datalog rule mirrors: the list rule (support/Rules.h) whose
+/// solver site derives the same conclusion, or nothing for an intermediate
+/// rule, one that only derives or projects a staging relation
+/// (InterProcAssign, VCallTarget, SCallTarget).
+struct MirrorRow {
+  std::string_view Name;
+  std::optional<pt::Rule> Of;
+};
+
+constexpr MirrorRow MirrorTable[] = {
+    {"interproc-arg", pt::Rule::ParamBind},
+    {"interproc-ret", pt::Rule::ReturnBind},
+    {"alloc", pt::Rule::Alloc},
+    {"move", pt::Rule::Move},
+    {"cast", pt::Rule::Cast},
+    {"sanitize", pt::Rule::Sanitize},
+    {"interproc-flow", std::nullopt},
+    {"load", pt::Rule::Load},
+    {"store", pt::Rule::Store},
+    {"vcall-resolve", std::nullopt},
+    {"vcall-reachable", pt::Rule::ReachCall},
+    {"vcall-edge", pt::Rule::VCall},
+    {"vcall-this", pt::Rule::ThisBind},
+    {"scall-resolve", std::nullopt},
+    {"scall-reachable", pt::Rule::ReachCall},
+    {"scall-edge", pt::Rule::SCall},
+    {"sstore", pt::Rule::StaticStore},
+    {"sload", pt::Rule::StaticLoad},
+    {"throw-caught", pt::Rule::CatchBind},
+    {"throw-escape", pt::Rule::ThrowRaise},
+    {"escalate-caught", pt::Rule::CatchEscalate},
+    {"escalate-escape", pt::Rule::ThrowEscalate},
+    {"cs-store", pt::Rule::ShortcutStore},
+    {"cs-ret-arg", pt::Rule::ShortcutRetArg},
+    {"cs-ret-arg-s", pt::Rule::ShortcutRetArg},
+    {"cs-ret-alloc", pt::Rule::ShortcutRetAlloc},
+    {"cs-ret-alloc-s", pt::Rule::ShortcutRetAlloc},
+    {"cs-ret-load", pt::Rule::ShortcutRetLoad},
+};
+
+} // namespace
+
+void ReferenceAnalysis::addRule(dl::Rule R) {
+  const MirrorRow *Row = nullptr;
+  for (const MirrorRow &M : MirrorTable)
+    if (M.Name == R.Name)
+      Row = &M;
+  if (!Row) {
+    // Every rule must say what it mirrors; an untagged one is a bug here.
+    std::fprintf(stderr, "ptaref: rule '%s' is missing from MirrorTable\n",
+                 R.Name.c_str());
+    std::abort();
+  }
+  Mirrors.push_back({R.Name, Row->Of});
+  Engine.addRule(std::move(R));
 }
 
 void ReferenceAnalysis::loadFacts() {
@@ -214,7 +277,7 @@ void ReferenceAnalysis::buildRules() {
   //   CallGraph(invo, callerCtx, meth, calleeCtx),
   //   FormalArg(meth, i, to), ActualArg(invo, i, from).
   {
-    Rule R;
+    dl::Rule R;
     R.Name = "interproc-arg";
     enum { Invo, CallerCtx, Meth, CalleeCtx, I, To, From, NumVars };
     R.NumVars = NumVars;
@@ -224,7 +287,7 @@ void ReferenceAnalysis::buildRules() {
                                        V(CalleeCtx)}));
     R.Body.push_back(Atom(*FormalArg, {V(Meth), V(I), V(To)}));
     R.Body.push_back(Atom(*ActualArg, {V(Invo), V(I), V(From)}));
-    Engine.addRule(std::move(R));
+    addRule(std::move(R));
   }
 
   // Rule 2: return value passing.  Gated on RetKept so ret-cut callees of
@@ -232,7 +295,7 @@ void ReferenceAnalysis::buildRules() {
   // shortcut rules carry their values instead); for tuple policies RetKept
   // holds every method with a return, making the gate a no-op.
   {
-    Rule R;
+    dl::Rule R;
     R.Name = "interproc-ret";
     enum { Invo, CallerCtx, Meth, CalleeCtx, From, To, NumVars };
     R.NumVars = NumVars;
@@ -243,14 +306,14 @@ void ReferenceAnalysis::buildRules() {
     R.Body.push_back(Atom(*FormalRet, {V(Meth), V(From)}));
     R.Body.push_back(Atom(*RetKept, {V(Meth)}));
     R.Body.push_back(Atom(*ActualRet, {V(Invo), V(To)}));
-    Engine.addRule(std::move(R));
+    addRule(std::move(R));
   }
 
   // Rule 3: allocation, with RECORD as a functor.
   // RECORD(heap, ctx) = hctx, VarPointsTo(var, ctx, heap, hctx) <-
   //   Reachable(meth, ctx), Alloc(var, heap, meth).
   {
-    Rule R;
+    dl::Rule R;
     R.Name = "alloc";
     enum { Meth, Ctx, Var, Heap, HCtx, NumVars };
     R.NumVars = NumVars;
@@ -264,12 +327,12 @@ void ReferenceAnalysis::buildRules() {
     F.Args = {V(Heap), V(Ctx)};
     F.ResultVar = HCtx;
     R.Functors.push_back(std::move(F));
-    Engine.addRule(std::move(R));
+    addRule(std::move(R));
   }
 
   // Rule 4: move.
   {
-    Rule R;
+    dl::Rule R;
     R.Name = "move";
     enum { To, From, Ctx, Heap, HCtx, NumVars };
     R.NumVars = NumVars;
@@ -277,12 +340,12 @@ void ReferenceAnalysis::buildRules() {
     R.Body.push_back(Atom(*Move, {V(To), V(From)}));
     R.Body.push_back(Atom(*VarPointsTo, {V(From), V(Ctx), V(Heap),
                                          V(HCtx)}));
-    Engine.addRule(std::move(R));
+    addRule(std::move(R));
   }
 
   // Rule 4b: cast (type-filtered move; Doop's AssignCast).
   {
-    Rule R;
+    dl::Rule R;
     R.Name = "cast";
     enum { To, From, Target, Ctx, Heap, HCtx, HeapT, NumVars };
     R.NumVars = NumVars;
@@ -292,14 +355,14 @@ void ReferenceAnalysis::buildRules() {
                                          V(HCtx)}));
     R.Body.push_back(Atom(*HeapType, {V(Heap), V(HeapT)}));
     R.Body.push_back(Atom(*SubtypeOf, {V(HeapT), V(Target)}));
-    Engine.addRule(std::move(R));
+    addRule(std::move(R));
   }
 
   // Rule 4c: sanitize (taint-filtered move; docs/CHECKS.md).  CleanHeap
   // holds every allocation site with TaintTag == 0, so tagged objects
   // simply fail to propagate across the barrier.
   {
-    Rule R;
+    dl::Rule R;
     R.Name = "sanitize";
     enum { To, From, Ctx, Heap, HCtx, NumVars };
     R.NumVars = NumVars;
@@ -308,12 +371,12 @@ void ReferenceAnalysis::buildRules() {
     R.Body.push_back(Atom(*VarPointsTo, {V(From), V(Ctx), V(Heap),
                                          V(HCtx)}));
     R.Body.push_back(Atom(*CleanHeap, {V(Heap)}));
-    Engine.addRule(std::move(R));
+    addRule(std::move(R));
   }
 
   // Rule 5: inter-procedural assignment.
   {
-    Rule R;
+    dl::Rule R;
     R.Name = "interproc-flow";
     enum { To, ToCtx, From, FromCtx, Heap, HCtx, NumVars };
     R.NumVars = NumVars;
@@ -322,12 +385,12 @@ void ReferenceAnalysis::buildRules() {
                                              V(FromCtx)}));
     R.Body.push_back(Atom(*VarPointsTo, {V(From), V(FromCtx), V(Heap),
                                          V(HCtx)}));
-    Engine.addRule(std::move(R));
+    addRule(std::move(R));
   }
 
   // Rule 6: field load.
   {
-    Rule R;
+    dl::Rule R;
     R.Name = "load";
     enum { To, Base, Fld, Ctx, BaseH, BaseHCtx, Heap, HCtx, NumVars };
     R.NumVars = NumVars;
@@ -337,12 +400,12 @@ void ReferenceAnalysis::buildRules() {
                                          V(BaseHCtx)}));
     R.Body.push_back(Atom(*FldPointsTo, {V(BaseH), V(BaseHCtx), V(Fld),
                                          V(Heap), V(HCtx)}));
-    Engine.addRule(std::move(R));
+    addRule(std::move(R));
   }
 
   // Rule 7: field store.
   {
-    Rule R;
+    dl::Rule R;
     R.Name = "store";
     enum { Base, Fld, From, Ctx, Heap, HCtx, BaseH, BaseHCtx, NumVars };
     R.NumVars = NumVars;
@@ -353,13 +416,13 @@ void ReferenceAnalysis::buildRules() {
                                          V(HCtx)}));
     R.Body.push_back(Atom(*VarPointsTo, {V(Base), V(Ctx), V(BaseH),
                                          V(BaseHCtx)}));
-    Engine.addRule(std::move(R));
+    addRule(std::move(R));
   }
 
   // Rule 8: virtual dispatch, with MERGE as a functor.  The paper's rule
   // has a conjunctive head; we stage it through VCallTarget.
   {
-    Rule R;
+    dl::Rule R;
     R.Name = "vcall-resolve";
     enum {
       Base, Sig, Invo, InMeth, CallerCtx, Heap, HCtx, HeapT, ToMeth, This,
@@ -384,11 +447,11 @@ void ReferenceAnalysis::buildRules() {
     F.Args = {V(Heap), V(HCtx), V(Invo), V(CallerCtx)};
     F.ResultVar = CalleeCtx;
     R.Functors.push_back(std::move(F));
-    Engine.addRule(std::move(R));
+    addRule(std::move(R));
   }
   // Rule 8's conjunctive head, one projection per conclusion.
   {
-    Rule R;
+    dl::Rule R;
     R.Name = "vcall-reachable";
     enum { Invo, CallerCtx, Heap, HCtx, ToMeth, This, CalleeCtx, NumVars };
     R.NumVars = NumVars;
@@ -396,10 +459,10 @@ void ReferenceAnalysis::buildRules() {
     R.Body.push_back(Atom(*VCallTarget, {V(Invo), V(CallerCtx), V(Heap),
                                          V(HCtx), V(ToMeth), V(This),
                                          V(CalleeCtx)}));
-    Engine.addRule(std::move(R));
+    addRule(std::move(R));
   }
   {
-    Rule R;
+    dl::Rule R;
     R.Name = "vcall-edge";
     enum { Invo, CallerCtx, Heap, HCtx, ToMeth, This, CalleeCtx, NumVars };
     R.NumVars = NumVars;
@@ -408,10 +471,10 @@ void ReferenceAnalysis::buildRules() {
     R.Body.push_back(Atom(*VCallTarget, {V(Invo), V(CallerCtx), V(Heap),
                                          V(HCtx), V(ToMeth), V(This),
                                          V(CalleeCtx)}));
-    Engine.addRule(std::move(R));
+    addRule(std::move(R));
   }
   {
-    Rule R;
+    dl::Rule R;
     R.Name = "vcall-this";
     enum { Invo, CallerCtx, Heap, HCtx, ToMeth, This, CalleeCtx, NumVars };
     R.NumVars = NumVars;
@@ -419,12 +482,12 @@ void ReferenceAnalysis::buildRules() {
     R.Body.push_back(Atom(*VCallTarget, {V(Invo), V(CallerCtx), V(Heap),
                                          V(HCtx), V(ToMeth), V(This),
                                          V(CalleeCtx)}));
-    Engine.addRule(std::move(R));
+    addRule(std::move(R));
   }
 
   // Rule 9: static call, with MERGESTATIC as a functor.
   {
-    Rule R;
+    dl::Rule R;
     R.Name = "scall-resolve";
     enum { ToMeth, Invo, InMeth, CallerCtx, CalleeCtx, NumVars };
     R.NumVars = NumVars;
@@ -439,20 +502,20 @@ void ReferenceAnalysis::buildRules() {
     F.Args = {V(Invo), V(CallerCtx)};
     F.ResultVar = CalleeCtx;
     R.Functors.push_back(std::move(F));
-    Engine.addRule(std::move(R));
+    addRule(std::move(R));
   }
   {
-    Rule R;
+    dl::Rule R;
     R.Name = "scall-reachable";
     enum { Invo, CallerCtx, ToMeth, CalleeCtx, NumVars };
     R.NumVars = NumVars;
     R.Head = Atom(*Reachable, {V(ToMeth), V(CalleeCtx)});
     R.Body.push_back(Atom(*SCallTarget, {V(Invo), V(CallerCtx), V(ToMeth),
                                          V(CalleeCtx)}));
-    Engine.addRule(std::move(R));
+    addRule(std::move(R));
   }
   {
-    Rule R;
+    dl::Rule R;
     R.Name = "scall-edge";
     enum { Invo, CallerCtx, ToMeth, CalleeCtx, NumVars };
     R.NumVars = NumVars;
@@ -460,7 +523,7 @@ void ReferenceAnalysis::buildRules() {
                                V(CalleeCtx)});
     R.Body.push_back(Atom(*SCallTarget, {V(Invo), V(CallerCtx), V(ToMeth),
                                          V(CalleeCtx)}));
-    Engine.addRule(std::move(R));
+    addRule(std::move(R));
   }
 }
 
@@ -470,7 +533,7 @@ void ReferenceAnalysis::buildStaticFieldRules() {
   // StaticFldPointsTo(fld, h, hc) <- SStore(fld, from),
   //                                  VarPointsTo(from, ctx, h, hc).
   {
-    Rule R;
+    dl::Rule R;
     R.Name = "sstore";
     enum { Fld, From, Ctx, Heap, HCtx, NumVars };
     R.NumVars = NumVars;
@@ -478,7 +541,7 @@ void ReferenceAnalysis::buildStaticFieldRules() {
     R.Body.push_back(Atom(*SStore, {V(Fld), V(From)}));
     R.Body.push_back(Atom(*VarPointsTo, {V(From), V(Ctx), V(Heap),
                                          V(HCtx)}));
-    Engine.addRule(std::move(R));
+    addRule(std::move(R));
   }
   // Static field load, gated on the loading method's reachability in the
   // target context (matching the solver's per-(method, ctx) wiring).
@@ -486,7 +549,7 @@ void ReferenceAnalysis::buildStaticFieldRules() {
   //                                Reachable(m, ctx),
   //                                StaticFldPointsTo(fld, h, hc).
   {
-    Rule R;
+    dl::Rule R;
     R.Name = "sload";
     enum { To, Fld, Meth, Ctx, Heap, HCtx, NumVars };
     R.NumVars = NumVars;
@@ -495,7 +558,7 @@ void ReferenceAnalysis::buildStaticFieldRules() {
     R.Body.push_back(Atom(*VarMeth, {V(To), V(Meth)}));
     R.Body.push_back(Atom(*Reachable, {V(Meth), V(Ctx)}));
     R.Body.push_back(Atom(*StaticFldPointsTo, {V(Fld), V(Heap), V(HCtx)}));
-    Engine.addRule(std::move(R));
+    addRule(std::move(R));
   }
 }
 
@@ -504,7 +567,7 @@ void ReferenceAnalysis::buildExceptionRules() {
   // VarPointsTo(hv, ctx, h, hc) <- Throw(v, m), VarPointsTo(v, ctx, h, hc),
   //                                HeapType(h, t), HandlerFor(m, t, hv).
   {
-    Rule R;
+    dl::Rule R;
     R.Name = "throw-caught";
     enum { Var, Meth, Ctx, Heap, HCtx, HeapT, HVar, NumVars };
     R.NumVars = NumVars;
@@ -514,13 +577,13 @@ void ReferenceAnalysis::buildExceptionRules() {
                                          V(HCtx)}));
     R.Body.push_back(Atom(*HeapType, {V(Heap), V(HeapT)}));
     R.Body.push_back(Atom(*HandlerFor, {V(Meth), V(HeapT), V(HVar)}));
-    Engine.addRule(std::move(R));
+    addRule(std::move(R));
   }
   // Raise, escaping:
   // ThrowPointsTo(m, ctx, h, hc) <- Throw(v, m), VarPointsTo(v, ctx, h,
   //                                 hc), HeapType(h, t), NoHandler(m, t).
   {
-    Rule R;
+    dl::Rule R;
     R.Name = "throw-escape";
     enum { Var, Meth, Ctx, Heap, HCtx, HeapT, NumVars };
     R.NumVars = NumVars;
@@ -530,7 +593,7 @@ void ReferenceAnalysis::buildExceptionRules() {
                                          V(HCtx)}));
     R.Body.push_back(Atom(*HeapType, {V(Heap), V(HeapT)}));
     R.Body.push_back(Atom(*NoHandler, {V(Meth), V(HeapT)}));
-    Engine.addRule(std::move(R));
+    addRule(std::move(R));
   }
   // Escalation, caught in the caller:
   // VarPointsTo(hv, callerCtx, h, hc) <-
@@ -538,7 +601,7 @@ void ReferenceAnalysis::buildExceptionRules() {
   //   CallGraph(invo, callerCtx, callee, calleeCtx),
   //   InvokeIn(invo, caller), HeapType(h, t), HandlerFor(caller, t, hv).
   {
-    Rule R;
+    dl::Rule R;
     R.Name = "escalate-caught";
     enum {
       Callee, CalleeCtx, Heap, HCtx, Invo, CallerCtx, Caller, HeapT, HVar,
@@ -553,11 +616,11 @@ void ReferenceAnalysis::buildExceptionRules() {
     R.Body.push_back(Atom(*InvokeIn, {V(Invo), V(Caller)}));
     R.Body.push_back(Atom(*HeapType, {V(Heap), V(HeapT)}));
     R.Body.push_back(Atom(*HandlerFor, {V(Caller), V(HeapT), V(HVar)}));
-    Engine.addRule(std::move(R));
+    addRule(std::move(R));
   }
   // Escalation, escaping the caller too:
   {
-    Rule R;
+    dl::Rule R;
     R.Name = "escalate-escape";
     enum {
       Callee, CalleeCtx, Heap, HCtx, Invo, CallerCtx, Caller, HeapT,
@@ -573,7 +636,7 @@ void ReferenceAnalysis::buildExceptionRules() {
     R.Body.push_back(Atom(*InvokeIn, {V(Invo), V(Caller)}));
     R.Body.push_back(Atom(*HeapType, {V(Heap), V(HeapT)}));
     R.Body.push_back(Atom(*NoHandler, {V(Caller), V(HeapT)}));
-    Engine.addRule(std::move(R));
+    addRule(std::move(R));
   }
 }
 
@@ -594,7 +657,7 @@ void ReferenceAnalysis::buildCutShortcutRules() {
   //   CutStore(meth, i, f), ActualArg(invo, i, from),
   //   VarPointsTo(from, cctx, h, hc).
   {
-    Rule R;
+    dl::Rule R;
     R.Name = "cs-store";
     enum {
       Invo, CallerCtx, RecvH, RecvHC, Meth, This, CalleeCtx, Pos, Fld,
@@ -610,13 +673,13 @@ void ReferenceAnalysis::buildCutShortcutRules() {
     R.Body.push_back(Atom(*ActualArg, {V(Invo), V(Pos), V(From)}));
     R.Body.push_back(Atom(*VarPointsTo, {V(From), V(CallerCtx), V(Heap),
                                          V(HCtx)}));
-    Engine.addRule(std::move(R));
+    addRule(std::move(R));
   }
 
   // cs-ret-arg: a return of (a clean copy of) formal_i becomes a direct
   // actual_i -> retTo edge at every call edge.
   {
-    Rule R;
+    dl::Rule R;
     R.Name = "cs-ret-arg";
     enum {
       Invo, CallerCtx, RecvH, RecvHC, Meth, This, CalleeCtx, Pos, From,
@@ -632,10 +695,10 @@ void ReferenceAnalysis::buildCutShortcutRules() {
     R.Body.push_back(Atom(*ActualRet, {V(Invo), V(RetTo)}));
     R.Body.push_back(Atom(*VarPointsTo, {V(From), V(CallerCtx), V(Heap),
                                          V(HCtx)}));
-    Engine.addRule(std::move(R));
+    addRule(std::move(R));
   }
   {
-    Rule R;
+    dl::Rule R;
     R.Name = "cs-ret-arg-s";
     enum {
       Invo, CallerCtx, Meth, CalleeCtx, Pos, From, RetTo, Heap, HCtx,
@@ -650,14 +713,14 @@ void ReferenceAnalysis::buildCutShortcutRules() {
     R.Body.push_back(Atom(*ActualRet, {V(Invo), V(RetTo)}));
     R.Body.push_back(Atom(*VarPointsTo, {V(From), V(CallerCtx), V(Heap),
                                          V(HCtx)}));
-    Engine.addRule(std::move(R));
+    addRule(std::move(R));
   }
 
   // cs-ret-alloc: a returned local allocation flows straight to retTo,
   // with RECORD applied under the callee context (the same heap context
   // the in-callee Alloc rule would have produced).
   {
-    Rule R;
+    dl::Rule R;
     R.Name = "cs-ret-alloc";
     enum {
       Invo, CallerCtx, RecvH, RecvHC, Meth, This, CalleeCtx, Heap, RetTo,
@@ -677,10 +740,10 @@ void ReferenceAnalysis::buildCutShortcutRules() {
     F.Args = {V(Heap), V(CalleeCtx)};
     F.ResultVar = HCtx;
     R.Functors.push_back(std::move(F));
-    Engine.addRule(std::move(R));
+    addRule(std::move(R));
   }
   {
-    Rule R;
+    dl::Rule R;
     R.Name = "cs-ret-alloc-s";
     enum { Invo, CallerCtx, Meth, CalleeCtx, Heap, RetTo, HCtx, NumVars };
     R.NumVars = NumVars;
@@ -696,13 +759,13 @@ void ReferenceAnalysis::buildCutShortcutRules() {
     F.Args = {V(Heap), V(CalleeCtx)};
     F.ResultVar = HCtx;
     R.Functors.push_back(std::move(F));
-    Engine.addRule(std::move(R));
+    addRule(std::move(R));
   }
 
   // cs-ret-load: a return of `this.f` becomes a direct read of the
   // receiver object's slot at every call edge.
   {
-    Rule R;
+    dl::Rule R;
     R.Name = "cs-ret-load";
     enum {
       Invo, CallerCtx, RecvH, RecvHC, Meth, This, CalleeCtx, Fld, RetTo,
@@ -717,7 +780,7 @@ void ReferenceAnalysis::buildCutShortcutRules() {
     R.Body.push_back(Atom(*ActualRet, {V(Invo), V(RetTo)}));
     R.Body.push_back(Atom(*FldPointsTo, {V(RecvH), V(RecvHC), V(Fld),
                                          V(Heap), V(HCtx)}));
-    Engine.addRule(std::move(R));
+    addRule(std::move(R));
   }
 }
 

@@ -20,9 +20,12 @@
 #define HYBRIDPT_PTAREF_REFERENCEANALYSIS_H
 
 #include "datalog/Engine.h"
+#include "support/Rules.h"
 
 #include <cstdint>
+#include <optional>
 #include <set>
+#include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -44,6 +47,17 @@ public:
 
   /// Engine statistics from the run.
   const dl::EngineStats &stats() const { return Stats; }
+
+  /// One Datalog rule of the transcription and the list rule
+  /// (support/Rules.h) it mirrors; \c Of is empty for an intermediate
+  /// rule, one that only derives or projects a staging relation.
+  struct RuleMirror {
+    std::string Name;
+    std::optional<Rule> Of;
+  };
+
+  /// Every rule the transcription added, in order, with its mirror.
+  const std::vector<RuleMirror> &ruleMirrors() const { return Mirrors; }
 
   // --- Raw relation sizes ---
 
@@ -84,12 +98,15 @@ private:
   void buildStaticFieldRules();
   void buildExceptionRules();
   void buildCutShortcutRules();
+  /// Adds \p R to the engine and records its mirror (MirrorTable).
+  void addRule(dl::Rule R);
 
   const Program &Prog;
   ContextPolicy &Policy;
   dl::Engine Engine;
   dl::EngineStats Stats;
   bool HasRun = false;
+  std::vector<RuleMirror> Mirrors;
 
   // Input relations.
   dl::Relation *Alloc, *Move, *Sanitize, *CleanHeap, *Cast, *SubtypeOf,

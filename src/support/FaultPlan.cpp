@@ -13,58 +13,6 @@
 
 using namespace pt;
 
-FaultRule pt::faultRuleByName(std::string_view Name) {
-  if (Name == "alloc")
-    return FaultRule::Alloc;
-  if (Name == "move")
-    return FaultRule::Move;
-  if (Name == "cast")
-    return FaultRule::Cast;
-  if (Name == "load")
-    return FaultRule::Load;
-  if (Name == "store")
-    return FaultRule::Store;
-  if (Name == "sload")
-    return FaultRule::SLoad;
-  if (Name == "sstore")
-    return FaultRule::SStore;
-  if (Name == "vcall")
-    return FaultRule::VCall;
-  if (Name == "scall")
-    return FaultRule::SCall;
-  if (Name == "throw")
-    return FaultRule::Throw;
-  return FaultRule::None;
-}
-
-const char *pt::faultRuleName(FaultRule Rule) {
-  switch (Rule) {
-  case FaultRule::Alloc:
-    return "alloc";
-  case FaultRule::Move:
-    return "move";
-  case FaultRule::Cast:
-    return "cast";
-  case FaultRule::Load:
-    return "load";
-  case FaultRule::Store:
-    return "store";
-  case FaultRule::SLoad:
-    return "sload";
-  case FaultRule::SStore:
-    return "sstore";
-  case FaultRule::VCall:
-    return "vcall";
-  case FaultRule::SCall:
-    return "scall";
-  case FaultRule::Throw:
-    return "throw";
-  case FaultRule::None:
-    break;
-  }
-  return "none";
-}
-
 namespace {
 
 bool parseStep(std::string_view Value, uint64_t &Out) {
@@ -105,7 +53,7 @@ bool FaultPlan::parse(std::string_view Spec, FaultPlan &Out,
     bool Duplicate =
         (Key == "oom-at-step" && Plan.OomAtStep != 0) ||
         (Key == "cancel-at-step" && Plan.CancelAtStep != 0) ||
-        (Key == "slow-rule" && Plan.SlowRule != FaultRule::None) ||
+        (Key == "slow-rule" && Plan.SlowRule) ||
         (Key == "drop-scall" && Plan.DropSCall);
     if (Duplicate) {
       Error = "duplicate fault directive '" + std::string(Key) +
@@ -125,11 +73,12 @@ bool FaultPlan::parse(std::string_view Spec, FaultPlan &Out,
         return false;
       }
     } else if (Key == "slow-rule") {
-      Plan.SlowRule = faultRuleByName(Value);
-      if (Plan.SlowRule == FaultRule::None) {
-        Error = "slow-rule wants a rule name (alloc, move, cast, load, "
-                "store, sload, sstore, vcall, scall, throw), got '" +
-                std::string(Value) + "'";
+      Plan.SlowRule = ruleByName(Value);
+      if (!Plan.SlowRule) {
+        Error = "slow-rule wants a rule name (";
+        for (size_t I = 0; I != NumRules; ++I)
+          Error += std::string(I ? ", " : "") + RuleNames[I];
+        Error += "), got '" + std::string(Value) + "'";
         return false;
       }
     } else if (Key == "drop-scall") {
@@ -175,8 +124,8 @@ std::string FaultPlan::spec() const {
     Append("oom-at-step=" + std::to_string(OomAtStep));
   if (CancelAtStep != 0)
     Append("cancel-at-step=" + std::to_string(CancelAtStep));
-  if (SlowRule != FaultRule::None)
-    Append(std::string("slow-rule=") + faultRuleName(SlowRule));
+  if (SlowRule)
+    Append(std::string("slow-rule=") + ruleName(*SlowRule));
   if (DropSCall)
     Append("drop-scall");
   return Out;

@@ -16,10 +16,11 @@
 ///                      step N (clean MemoryBudget abort)
 ///   cancel-at-step=N   trip cancellation at worklist step N (clean
 ///                      Cancelled abort, exactly as a ^C would)
-///   slow-rule=NAME     stall ~50us on every fire of rule NAME (one of
-///                      alloc, move, cast, load, store, sload, sstore,
-///                      vcall, scall, throw) to force time budgets
-///                      deterministically onto a chosen rule
+///   slow-rule=NAME     stall ~50us on every fire of rule NAME, any name
+///                      of the rule list (support/Rules.h: alloc, load,
+///                      static-load, vcall, throw-raise, shortcut-store,
+///                      ...) to force time budgets deterministically onto
+///                      a chosen rule
 ///   drop-scall         silently skip static-call wiring (the legacy
 ///                      unsoundness used to self-test the fuzz oracle)
 ///
@@ -42,32 +43,15 @@
 #ifndef HYBRIDPT_SUPPORT_FAULTPLAN_H
 #define HYBRIDPT_SUPPORT_FAULTPLAN_H
 
+#include "support/Rules.h"
+
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
 namespace pt {
-
-/// Names the Figure-2 rule sites \c slow-rule can target.
-enum class FaultRule : uint8_t {
-  None,
-  Alloc,
-  Move,
-  Cast,
-  Load,
-  Store,
-  SLoad,
-  SStore,
-  VCall,
-  SCall,
-  Throw,
-};
-
-/// Parses \p Name ("vcall", "load", ...) to a rule; None for unknown.
-FaultRule faultRuleByName(std::string_view Name);
-/// Inverse of \c faultRuleByName; "none" for None.
-const char *faultRuleName(FaultRule Rule);
 
 /// One parsed fault plan.  Default-constructed = no faults.
 struct FaultPlan {
@@ -76,15 +60,14 @@ struct FaultPlan {
   uint64_t OomAtStep = 0;
   /// Trip cancellation once this worklist step is reached (0 = off).
   uint64_t CancelAtStep = 0;
-  /// Stall every fire of this rule (None = off).
-  FaultRule SlowRule = FaultRule::None;
+  /// Stall every fire of this rule (none = off).
+  std::optional<Rule> SlowRule;
   /// Skip static-call wiring (deliberate unsoundness for oracle self-tests).
   bool DropSCall = false;
 
   /// True when any directive is armed.
   bool any() const {
-    return OomAtStep != 0 || CancelAtStep != 0 ||
-           SlowRule != FaultRule::None || DropSCall;
+    return OomAtStep != 0 || CancelAtStep != 0 || SlowRule || DropSCall;
   }
 
   /// Parses a plan spec ("oom-at-step=100,slow-rule=vcall").  On success

@@ -12,18 +12,10 @@ namespace pt::telemetry {
 
 std::vector<std::pair<const char *, uint64_t>>
 topRuleCounters(const SolverCounters &C, size_t K) {
+#define PT_RULE_ROW(Field, Name) {Name, C.Field},
   std::vector<std::pair<const char *, uint64_t>> Rules = {
-      {"rule_alloc", C.RuleAlloc},
-      {"rule_move", C.RuleMove},
-      {"rule_cast", C.RuleCast},
-      {"rule_load", C.RuleLoad},
-      {"rule_store", C.RuleStore},
-      {"rule_static_load", C.RuleStaticLoad},
-      {"rule_static_store", C.RuleStaticStore},
-      {"rule_vcall", C.RuleVCall},
-      {"rule_scall", C.RuleSCall},
-      {"rule_throw", C.RuleThrow},
-  };
+      PT_RULES(PT_RULE_COUNTER, PT_RULE_ROW)};
+#undef PT_RULE_ROW
   std::stable_sort(Rules.begin(), Rules.end(),
                    [](const auto &A, const auto &B) {
                      return A.second > B.second;

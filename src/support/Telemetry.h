@@ -5,8 +5,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Low-overhead instrumentation for the fixpoint solvers: per-rule fire
-/// counters for the paper's nine Figure 2 rules plus the infrastructure
+/// Low-overhead instrumentation for the fixpoint solvers: one fire counter
+/// per entry of the rule list (support/Rules.h) plus the infrastructure
 /// counters (edge/fact/replay/dedup-hit) that explain *where* a run spends
 /// its work.  Counters are plain \c uint64_t cells incremented through the
 /// \c PT_COUNT / \c PT_COUNT_ADD macros, which compile to nothing when the
@@ -27,8 +27,12 @@
 #ifndef HYBRIDPT_SUPPORT_TELEMETRY_H
 #define HYBRIDPT_SUPPORT_TELEMETRY_H
 
+#include "support/Rules.h"
+
+#include <array>
 #include <cstddef>
 #include <cstdint>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -51,24 +55,41 @@
 
 namespace pt::telemetry {
 
+/// Longest counter name, terminator included.
+inline constexpr size_t RuleCounterCap = 32;
+
+/// The rule counters' wire names, indexed by rule: "rule_" + the display
+/// name with '-' turned into '_' ("static-load" -> "rule_static_load").
+inline constexpr auto RuleCounterNames = [] {
+  std::array<std::array<char, RuleCounterCap>, NumRules> Out{};
+  constexpr std::string_view Prefix = "rule_";
+  for (size_t R = 0; R != NumRules; ++R) {
+    std::string_view Name = RuleNames[R];
+    if (Prefix.size() + Name.size() >= RuleCounterCap)
+      throw "rule name too long for RuleCounterCap";
+    for (size_t I = 0; I != Prefix.size(); ++I)
+      Out[R][I] = Prefix[I];
+    for (size_t I = 0; I != Name.size(); ++I)
+      Out[R][Prefix.size() + I] = Name[I] == '-' ? '_' : Name[I];
+  }
+  return Out;
+}();
+
+/// One counter row per list rule: X(Rule<Enum>, "rule_<name>").
+#define PT_RULE_COUNTER(X, Enum, Name)                                        \
+  X(Rule##Enum,                                                               \
+    ::pt::telemetry::RuleCounterNames[static_cast<size_t>(::pt::Rule::Enum)]  \
+        .data())
+
 /// X-macro over every solver counter: X(FieldName, "wire_name").
 ///
-/// The first nine entries are the paper's Figure 2 rules, counted per
-/// *application* — one fire per (instruction, context[, object]) tuple the
-/// rule processed, whether at method instantiation or in the delta loop.
-/// The tenth (rule_throw) covers the Doop-style exception extension.  The
-/// rest are solver-infrastructure counters.
+/// The rule counters come first, one per entry of the rule list
+/// (support/Rules.h), counted per *application*: one fire per
+/// (instruction, context[, object]) tuple the rule processed, whether at
+/// method instantiation or in the delta loop.  The rest are
+/// solver-infrastructure counters.
 #define PT_SOLVER_COUNTERS(X)                                                  \
-  X(RuleAlloc, "rule_alloc")             /* ALLOC / RECORD          */         \
-  X(RuleMove, "rule_move")               /* MOVE copy edges         */         \
-  X(RuleCast, "rule_cast")               /* CAST filter evaluations */         \
-  X(RuleLoad, "rule_load")               /* LOAD per (base obj)     */         \
-  X(RuleStore, "rule_store")             /* STORE per (base obj)    */         \
-  X(RuleStaticLoad, "rule_static_load")  /* SLOAD edge wiring       */         \
-  X(RuleStaticStore, "rule_static_store")/* SSTORE edge wiring      */         \
-  X(RuleVCall, "rule_vcall")             /* VCALL / MERGE dispatch  */         \
-  X(RuleSCall, "rule_scall")             /* SCALL / MERGESTATIC     */         \
-  X(RuleThrow, "rule_throw")             /* THROW routing           */         \
+  PT_RULES(PT_RULE_COUNTER, X)                                                 \
   X(FactsInserted, "facts_inserted")     /* successful set inserts  */         \
   X(FactDedupHits, "fact_dedup_hits")    /* insert hit existing     */         \
   X(EdgesAdded, "edges_added")           /* copy edges added        */         \
@@ -92,11 +113,16 @@ struct SolverCounters {
   /// True when the build carries live counters (HYBRIDPT_TELEMETRY).
   static constexpr bool enabled() { return HYBRIDPT_TELEMETRY_ENABLED; }
 
-  /// Total rule fires across the nine paper rules plus the throw rule.
-  uint64_t ruleTotal() const {
-    return RuleAlloc + RuleMove + RuleCast + RuleLoad + RuleStore +
-           RuleStaticLoad + RuleStaticStore + RuleVCall + RuleSCall +
-           RuleThrow;
+  /// The fire counter of rule \p R.
+  uint64_t &rule(Rule R) {
+    switch (R) {
+#define PT_RULE_CASE(A, Enum, Name)                                           \
+  case Rule::Enum:                                                            \
+    return Rule##Enum;
+      PT_RULES(PT_RULE_CASE, )
+#undef PT_RULE_CASE
+    }
+    return RuleEntry; // Not reached: the switch covers the list.
   }
 
   /// Element-wise difference (for heartbeat deltas); assumes \p Base is a
@@ -118,8 +144,8 @@ void forEachCounter(const SolverCounters &C, Callback &&Fn) {
 #undef PT_VISIT
 }
 
-/// The \p K largest of the ten rule counters, descending (ties keep
-/// declaration order) — the "--explain-abort" hot-rule summary.
+/// The \p K largest rule counters, descending (ties keep list order) — the
+/// "--explain-abort" hot-rule summary.
 std::vector<std::pair<const char *, uint64_t>>
 topRuleCounters(const SolverCounters &C, size_t K);
 

@@ -413,7 +413,7 @@ TEST(Flow, BatchAttachMatchesPerDiagnosticAttach) {
       ASSERT_TRUE(Tree.Found) << Tree.Error;
       EXPECT_EQ(D.Flow.size(), std::min<size_t>(Tree.Steps.size(), 32));
       EXPECT_EQ(D.Flow.back().Message,
-                std::string("[") + prov::ruleName(Tree.Steps.back().R) +
+                std::string("[") + ruleName(Tree.Steps.back().R) +
                     "] " + prov::formatFact(L.Rec, *L.Res, Tree.Root));
     } else if (D.WhyReachable.isValid()) {
       ++Reach;

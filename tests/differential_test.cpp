@@ -24,6 +24,8 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 namespace {
 
 using namespace pt;
@@ -113,6 +115,27 @@ TEST(Differential, MixedProgramAllPolicies) {
   auto P = buildMixedProgram();
   for (const std::string &Name : allPolicyNames())
     expectAgreement(*P, Name);
+}
+
+// Every rule of the list, bar the premise-free entry and seed axioms,
+// has a Datalog rule mirroring it, under a tuple policy and under the
+// cut-shortcut policy alike.
+TEST(Differential, EveryListRuleHasADatalogMirror) {
+  auto Prog = buildMixedProgram();
+  for (const char *Name : {"2obj+H", "cs"}) {
+    auto Policy = createPolicy(Name, *Prog);
+    ReferenceAnalysis Ref(*Prog, *Policy);
+    std::set<Rule> Mirrored;
+    for (const ReferenceAnalysis::RuleMirror &M : Ref.ruleMirrors())
+      if (M.Of)
+        Mirrored.insert(*M.Of);
+    for (size_t I = 0; I != NumRules; ++I) {
+      Rule R = static_cast<Rule>(I);
+      if (R != Rule::Entry && R != Rule::Seed) {
+        EXPECT_TRUE(Mirrored.count(R)) << Name << ": " << ruleName(R);
+      }
+    }
+  }
 }
 
 TEST(Differential, RecursiveProgram) {

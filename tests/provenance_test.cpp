@@ -17,12 +17,15 @@
 #include "irtext/TextFormat.h"
 #include "pta/Solver.h"
 #include "pta/provenance/Provenance.h"
+#include "support/Hashing.h"
 #include "taint/Taint.h"
+#include "taint/TaintSpec.h"
 #include "workloads/Profiles.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -85,7 +88,7 @@ TEST(Provenance, RecordsAndDerivesTheMotivatingFact) {
   EXPECT_EQ(Tree.Steps.back().FactId, Tree.Root);
   EXPECT_EQ(Tree.Steps.back().Depth, 0u);
 
-  prov::ValidationResult VR = prov::validateTree(Rec, R, Tree, Policy.get());
+  prov::ValidationResult VR = prov::validateTree(Rec, R, Tree, *Policy);
   EXPECT_TRUE(VR.Ok) << VR.Error;
   EXPECT_EQ(VR.CheckedSteps, Tree.Steps.size());
 
@@ -386,13 +389,13 @@ TEST(Provenance, CastAndSanitizeOnOneNodePairKeepTheirRules) {
   prov::DerivationTree ViaSanitize =
       prov::whyPointsTo(Rec, R, Y, CtxId(), Note);
   ASSERT_TRUE(ViaSanitize.Found) << ViaSanitize.Error;
-  EXPECT_EQ(ViaSanitize.Steps.back().R, prov::Rule::Sanitize);
+  EXPECT_EQ(ViaSanitize.Steps.back().R, Rule::Sanitize);
   prov::DerivationTree ViaCast =
       prov::whyPointsTo(Rec, R, Y, CtxId(), Circle);
   ASSERT_TRUE(ViaCast.Found) << ViaCast.Error;
-  EXPECT_EQ(ViaCast.Steps.back().R, prov::Rule::Cast);
+  EXPECT_EQ(ViaCast.Steps.back().R, Rule::Cast);
   prov::ValidationResult VR =
-      prov::validateSampledSteps(Rec, R, Policy.get(), /*Stride=*/1);
+      prov::validateSampledSteps(Rec, R, *Policy, /*Stride=*/1);
   EXPECT_TRUE(VR.Ok) << VR.Error;
 }
 
@@ -436,12 +439,225 @@ TEST(Provenance, EveryStepValidates) {
       ASSERT_FALSE(R.Aborted);
       EXPECT_GT(Rec.numSteps(), 0u);
       prov::ValidationResult VR =
-          prov::validateSampledSteps(Rec, R, Policy.get(), /*Stride=*/1);
+          prov::validateSampledSteps(Rec, R, *Policy, /*Stride=*/1);
       EXPECT_TRUE(VR.Ok) << VR.Error;
       EXPECT_EQ(VR.CheckedSteps, Rec.numSteps());
     }
   }
   EXPECT_GE(Programs, 5u);
+}
+
+// --- Forged steps ------------------------------------------------------
+//
+// The validator is an oracle only if it can say no.  Each case copies a
+// real recorded arena into a fresh recorder with exactly one step altered
+// (plus, where the forgery needs them, facts appended after the recorded
+// ones), and validation must reject exactly that step.
+
+/// A provenance-recorded run kept alive for forging.
+struct Recording {
+  std::unique_ptr<ContextPolicy> Policy;
+  prov::Recorder Rec;
+  std::unique_ptr<AnalysisResult> R;
+
+  Recording(const Program &P, const std::string &Name)
+      : Policy(createPolicy(Name, P)) {
+    SolverOptions Opts;
+    Opts.Prov = &Rec;
+    R = std::make_unique<AnalysisResult>(solveProgram(P, *Policy, Opts));
+  }
+
+  /// Index of the first step of rule \p Rule with \p Pred(step) true, or
+  /// SIZE_MAX.
+  template <typename Pred> size_t find(Rule Rule, Pred &&P) const {
+    for (size_t I = 0; I != Rec.numSteps(); ++I)
+      if (Rec.stepAt(I).rule() == Rule && P(Rec.stepAt(I)))
+        return I;
+    return SIZE_MAX;
+  }
+  size_t find(Rule Rule) const {
+    return find(Rule, [](const prov::Step &) { return true; });
+  }
+
+  /// Id the first of \p forge's extra facts gets.
+  uint32_t nextFact() const { return static_cast<uint32_t>(Rec.numFacts()); }
+
+  /// Copies the arena into \p Out with step \p Idx replaced by
+  /// (\p Target, \p Rule, \p P0, \p P1) and \p Extra appended to the facts.
+  void forge(size_t Idx, uint32_t Target, Rule Rule, uint32_t P0,
+             uint32_t P1, const std::vector<prov::Fact> &Extra,
+             prov::Recorder &Out) const {
+    Rec.scanFacts([&Out](uint32_t, const prov::Fact &F) {
+      Out.reserveFact(F.Kind, F.A, F.B64);
+      return true;
+    });
+    for (const prov::Fact &F : Extra)
+      Out.reserveFact(F.Kind, F.A, F.B64);
+    for (size_t I = 0; I != Rec.numSteps(); ++I) {
+      prov::Step S = Rec.stepAt(I);
+      if (I == Idx)
+        Out.step(Target, Rule, P0, P1);
+      else
+        Out.step(S.Target, S.rule(), S.Prem0, S.Prem1);
+    }
+  }
+
+  /// Expects \p Forged (forged at step \p Idx) to fail validation at that
+  /// step, with \p Why in the error.
+  void expectRejected(const prov::Recorder &Forged, size_t Idx,
+                      const std::string &Why) const {
+    prov::ValidationResult VR =
+        prov::validateSampledSteps(Forged, *R, *Policy, /*Stride=*/1);
+    EXPECT_FALSE(VR.Ok);
+    EXPECT_EQ(VR.CheckedSteps, Idx) << VR.Error;
+    EXPECT_NE(VR.Error.find(Why), std::string::npos) << VR.Error;
+  }
+};
+
+TEST(ForgedSteps, WrongRuleAndWrongPremiseAreRejected) {
+  Recording Run(luindex(), "2obj+H");
+  ASSERT_FALSE(Run.R->Aborted);
+
+  // A param-bind relabelled return-bind: same premise shapes, different
+  // side condition.
+  size_t Idx = Run.find(Rule::ParamBind);
+  ASSERT_NE(Idx, SIZE_MAX);
+  prov::Step S = Run.Rec.stepAt(Idx);
+  prov::Recorder WrongRule;
+  Run.forge(Idx, S.Target, Rule::ReturnBind, S.Prem0, S.Prem1, {},
+            WrongRule);
+  Run.expectRejected(WrongRule, Idx, "return-bind");
+
+  // A move whose premise is its own conclusion: same context and object,
+  // but no move copies the variable onto itself.
+  Idx = Run.find(Rule::Move);
+  ASSERT_NE(Idx, SIZE_MAX);
+  S = Run.Rec.stepAt(Idx);
+  prov::Recorder WrongPremise;
+  Run.forge(Idx, S.Target, Rule::Move, S.Target, S.Prem1, {},
+            WrongPremise);
+  Run.expectRejected(WrongPremise, Idx, "no move instruction");
+}
+
+TEST(ForgedSteps, WrongContextsAreRejected) {
+  Recording Run(luindex(), "2obj+H");
+  ASSERT_FALSE(Run.R->Aborted);
+  const AnalysisResult &R = *Run.R;
+
+  // MERGE: a vcall edge whose callee context is off by one.
+  size_t Idx = Run.find(Rule::VCall);
+  ASSERT_NE(Idx, SIZE_MAX);
+  prov::Step S = Run.Rec.stepAt(Idx);
+  prov::Fact Edge = Run.Rec.fact(S.Target);
+  Edge.B64 = packPair(unpackHi(Edge.B64), unpackLo(Edge.B64) + 1);
+  prov::Recorder WrongMerge;
+  Run.forge(Idx, Run.nextFact(), Rule::VCall, S.Prem0, S.Prem1, {Edge},
+            WrongMerge);
+  Run.expectRejected(WrongMerge, Idx, "MERGE");
+
+  // RECORD: an alloc concluding the same heap under another of its heap
+  // contexts.
+  uint32_t Other = UINT32_MAX;
+  Idx = Run.find(Rule::Alloc, [&](const prov::Step &Alloc) {
+    uint32_t Obj = static_cast<uint32_t>(Run.Rec.fact(Alloc.Target).B64);
+    for (uint32_t O = 0; O != R.numObjects(); ++O)
+      if (O != Obj && R.objHeap(O) == R.objHeap(Obj)) {
+        Other = O;
+        return true;
+      }
+    return false;
+  });
+  ASSERT_NE(Idx, SIZE_MAX) << "no heap allocated under two heap contexts";
+  S = Run.Rec.stepAt(Idx);
+  prov::Fact Vpt = Run.Rec.fact(S.Target);
+  Vpt.B64 = Other;
+  prov::Recorder WrongRecord;
+  Run.forge(Idx, Run.nextFact(), Rule::Alloc, S.Prem0, S.Prem1, {Vpt},
+            WrongRecord);
+  Run.expectRejected(WrongRecord, Idx, "RECORD");
+}
+
+TEST(ForgedSteps, FilteredObjectsAreRejected) {
+  // Cast: in castsanitize.ptir y -> Note arrives through the sanitize
+  // edge only; the same step labelled cast passes a Note through the
+  // Shape filter.
+  {
+    ParseResult Parsed = parseProgram(slurp(
+        std::filesystem::path(HYBRIDPT_EXAMPLES_DIR) / "castsanitize.ptir"));
+    ASSERT_TRUE(Parsed.ok());
+    Recording Run(*Parsed.Prog, "insens");
+    ASSERT_FALSE(Run.R->Aborted);
+    size_t Idx = Run.find(Rule::Sanitize);
+    ASSERT_NE(Idx, SIZE_MAX);
+    prov::Step S = Run.Rec.stepAt(Idx);
+    prov::Recorder Forged;
+    Run.forge(Idx, S.Target, Rule::Cast, S.Prem0, S.Prem1, {}, Forged);
+    Run.expectRejected(Forged, Idx, "fails the type filter");
+  }
+
+  // Sanitize: taintflow.ptir under its spec, with a tainted object
+  // carried across the barrier.
+  {
+    ParseResult Parsed = parseProgram(slurp(
+        std::filesystem::path(HYBRIDPT_EXAMPLES_DIR) / "taintflow.ptir"));
+    ASSERT_TRUE(Parsed.ok());
+    taint::SpecParseResult Spec = taint::parseSpecFile(
+        (std::filesystem::path(HYBRIDPT_EXAMPLES_DIR) / "default.taintspec")
+            .string());
+    ASSERT_TRUE(Spec.ok());
+    std::unique_ptr<Program> P = taint::instrument(
+        *Parsed.Prog, taint::resolve(Spec.Spec, *Parsed.Prog));
+    Recording Run(*P, "insens");
+    ASSERT_FALSE(Run.R->Aborted);
+    uint32_t Tainted = UINT32_MAX;
+    for (uint32_t O = 0; O != Run.R->numObjects(); ++O)
+      if (P->heap(Run.R->objHeap(O)).TaintTag != 0)
+        Tainted = O;
+    ASSERT_NE(Tainted, UINT32_MAX);
+    size_t Idx = Run.find(Rule::Sanitize);
+    ASSERT_NE(Idx, SIZE_MAX);
+    prov::Step S = Run.Rec.stepAt(Idx);
+    prov::Fact To = Run.Rec.fact(S.Target), From = Run.Rec.fact(S.Prem0);
+    To.B64 = From.B64 = Tainted;
+    uint32_t First = Run.nextFact();
+    prov::Recorder Forged;
+    Run.forge(Idx, First, Rule::Sanitize, First + 1, S.Prem1,
+              {To, From}, Forged);
+    Run.expectRejected(Forged, Idx, "tainted");
+  }
+}
+
+TEST(ForgedSteps, ShortcutsOutsideTheCutPlanAreRejected) {
+  // A shortcut store concluding a field no store cut names.
+  {
+    Recording Run(luindex(), "cs");
+    ASSERT_FALSE(Run.R->Aborted);
+    size_t Idx = Run.find(Rule::ShortcutStore);
+    ASSERT_NE(Idx, SIZE_MAX);
+    prov::Step S = Run.Rec.stepAt(Idx);
+    prov::Fact Fpt = Run.Rec.fact(S.Target);
+    uint32_t Fld = unpackLo(Fpt.A);
+    Fpt.A = packPair(unpackHi(Fpt.A),
+                     (Fld + 1) % static_cast<uint32_t>(luindex().numFields()));
+    prov::Recorder Forged;
+    Run.forge(Idx, Run.nextFact(), Rule::ShortcutStore, S.Prem0,
+              S.Prem1, {Fpt}, Forged);
+    Run.expectRejected(Forged, Idx, "no store cut in the plan");
+  }
+
+  // A shortcut step under a policy without a cut plan: a 2obj+H
+  // param-bind relabelled shortcut-ret-arg.
+  {
+    Recording Run(luindex(), "2obj+H");
+    ASSERT_FALSE(Run.R->Aborted);
+    size_t Idx = Run.find(Rule::ParamBind);
+    ASSERT_NE(Idx, SIZE_MAX);
+    prov::Step S = Run.Rec.stepAt(Idx);
+    prov::Recorder Forged;
+    Run.forge(Idx, S.Target, Rule::ShortcutRetArg, S.Prem0, S.Prem1,
+              {}, Forged);
+    Run.expectRejected(Forged, Idx, "without a cut plan");
+  }
 }
 
 // The arena counts against MemoryBudgetBytes like any other container:
@@ -507,7 +723,7 @@ TEST(Provenance, InjectedOomLeavesAQueryableArena) {
   EXPECT_GT(Rec.numSteps(), 0u);
 
   prov::ValidationResult VR =
-      prov::validateSampledSteps(Rec, R, Policy.get(), /*Stride=*/1);
+      prov::validateSampledSteps(Rec, R, *Policy, /*Stride=*/1);
   EXPECT_TRUE(VR.Ok) << VR.Error;
 
   // Deriving any recorded fact from a truncated arena must terminate

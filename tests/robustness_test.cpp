@@ -100,7 +100,7 @@ TEST(FaultPlan, ParsesEveryDirective) {
       << Error;
   EXPECT_EQ(Plan.OomAtStep, 100u);
   EXPECT_EQ(Plan.CancelAtStep, 7u);
-  EXPECT_EQ(Plan.SlowRule, FaultRule::VCall);
+  EXPECT_EQ(Plan.SlowRule, Rule::VCall);
   EXPECT_TRUE(Plan.DropSCall);
   EXPECT_TRUE(Plan.any());
 }
@@ -131,17 +131,8 @@ TEST(FaultPlan, SpecRoundTrips) {
   FaultPlan Again;
   ASSERT_TRUE(FaultPlan::parse(Plan.spec(), Again, Error));
   EXPECT_EQ(Again.OomAtStep, 42u);
-  EXPECT_EQ(Again.SlowRule, FaultRule::Load);
+  EXPECT_EQ(Again.SlowRule, Rule::Load);
   EXPECT_EQ(Plan.spec(), Again.spec());
-}
-
-TEST(FaultPlan, RuleNamesRoundTrip) {
-  for (FaultRule Rule :
-       {FaultRule::Alloc, FaultRule::Move, FaultRule::Cast, FaultRule::Load,
-        FaultRule::Store, FaultRule::SLoad, FaultRule::SStore,
-        FaultRule::VCall, FaultRule::SCall, FaultRule::Throw})
-    EXPECT_EQ(faultRuleByName(faultRuleName(Rule)), Rule);
-  EXPECT_EQ(faultRuleByName("frobnicate"), FaultRule::None);
 }
 
 TEST(FaultPlan, FromEnvReadsPlanAndLegacySpelling) {
@@ -351,7 +342,7 @@ TEST(AbortSoundness, TrippedCancelTokenAborts) {
 
 TEST(AbortSoundness, SlowRuleForcesTimeBudgetDeterministically) {
   FaultPlan Plan;
-  Plan.SlowRule = FaultRule::VCall;
+  Plan.SlowRule = Rule::VCall;
   std::unique_ptr<ContextPolicy> Policy = createPolicy("insens", luindex());
   SolverOptions Opts;
   Opts.Faults = Plan;

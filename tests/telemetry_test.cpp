@@ -4,27 +4,38 @@
 //
 // Checks the accounting invariants of the telemetry subsystem: the fact
 // counter ties out against the harvested relations, rule counters are
-// nonzero exactly for the instruction kinds present in the program,
+// nonzero exactly for the rules the program's instructions reach, the
+// rule list is the one set of slow-rule names,
 // identical runs produce identical counters, and the TraceRecorder
 // emits heartbeats/spans and valid output files.
 //
 //===----------------------------------------------------------------------===//
 
+#include "context/CutShortcut.h"
+#include "context/Policy.h"
 #include "context/PolicyRegistry.h"
 #include "ir/Program.h"
 #include "ir/ProgramBuilder.h"
+#include "irtext/TextFormat.h"
 #include "pta/AnalysisResult.h"
 #include "pta/Metrics.h"
 #include "pta/Solver.h"
 #include "pta/Trace.h"
+#include "support/FaultPlan.h"
 #include "support/Telemetry.h"
+#include "taint/Taint.h"
+#include "taint/TaintSpec.h"
 #include "workloads/Profiles.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <set>
+#include <sstream>
 #include <string>
+#include <string_view>
 
 namespace {
 
@@ -44,8 +55,18 @@ void expectFactIdentity(const AnalysisResult &R) {
   EXPECT_EQ(R.Counters.FactsInserted, Harvested);
 }
 
-/// A program exercising all ten rules: ALLOC, MOVE, CAST, LOAD, STORE,
-/// SLOAD, SSTORE, VCALL, SCALL, THROW.
+/// The wire names of the rule counters that fired.
+std::set<std::string> firedRules(const telemetry::SolverCounters &C) {
+  std::set<std::string> Fired;
+  telemetry::forEachCounter(C, [&Fired](const char *Name, uint64_t V) {
+    if (V != 0 && std::string_view(Name).starts_with("rule_"))
+      Fired.insert(Name);
+  });
+  return Fired;
+}
+
+/// A program exercising the nine Figure 2 rules plus an uncaught throw:
+/// ALLOC, MOVE, CAST, LOAD, STORE, SLOAD, SSTORE, VCALL, SCALL, THROW.
 std::unique_ptr<Program> buildKitchenSink() {
   ProgramBuilder B;
   TypeId Object = B.addType("Object");
@@ -133,36 +154,24 @@ TEST(Telemetry, RuleCountersMatchInstructionKinds) {
 
     auto Policy = createPolicy("insens", *P);
     AnalysisResult R = analyze(*P, *Policy);
-    const telemetry::SolverCounters &C = R.Counters;
-    EXPECT_GT(C.RuleAlloc, 0u);
-    EXPECT_GT(C.RuleMove, 0u);
-    EXPECT_EQ(C.RuleCast, 0u);
-    EXPECT_EQ(C.RuleLoad, 0u);
-    EXPECT_EQ(C.RuleStore, 0u);
-    EXPECT_EQ(C.RuleStaticLoad, 0u);
-    EXPECT_EQ(C.RuleStaticStore, 0u);
-    EXPECT_EQ(C.RuleVCall, 0u);
-    EXPECT_EQ(C.RuleSCall, 0u);
-    EXPECT_EQ(C.RuleThrow, 0u);
-    EXPECT_EQ(C.ruleTotal(), C.RuleAlloc + C.RuleMove);
+    EXPECT_EQ(firedRules(R.Counters),
+              (std::set<std::string>{"rule_entry", "rule_alloc",
+                                     "rule_move"}));
   }
 
-  // The kitchen-sink program: all ten rules fire.
+  // The kitchen-sink program: every rule its instructions reach fires.
   {
     auto P = buildKitchenSink();
     auto Policy = createPolicy("insens", *P);
     AnalysisResult R = analyze(*P, *Policy);
     const telemetry::SolverCounters &C = R.Counters;
-    EXPECT_GT(C.RuleAlloc, 0u);
-    EXPECT_GT(C.RuleMove, 0u);
-    EXPECT_GT(C.RuleCast, 0u);
-    EXPECT_GT(C.RuleLoad, 0u);
-    EXPECT_GT(C.RuleStore, 0u);
-    EXPECT_GT(C.RuleStaticLoad, 0u);
-    EXPECT_GT(C.RuleStaticStore, 0u);
-    EXPECT_GT(C.RuleVCall, 0u);
-    EXPECT_GT(C.RuleSCall, 0u);
-    EXPECT_GT(C.RuleThrow, 0u);
+    EXPECT_EQ(firedRules(C),
+              (std::set<std::string>{
+                  "rule_entry", "rule_reach_call", "rule_alloc", "rule_move",
+                  "rule_cast", "rule_load", "rule_store", "rule_static_load",
+                  "rule_static_store", "rule_vcall", "rule_scall",
+                  "rule_this_bind", "rule_param_bind", "rule_return_bind",
+                  "rule_throw_raise"}));
     EXPECT_GT(C.WorklistSteps, 0u);
     EXPECT_GT(C.EdgesAdded, 0u);
     EXPECT_GT(C.NodesCreated, 0u);
@@ -211,6 +220,84 @@ TEST(Telemetry, TopRuleCountersRanks) {
   ASSERT_EQ(Top.size(), 2u);
   EXPECT_EQ(Top[0].second, 100u);
   EXPECT_EQ(Top[1].second, 50u);
+}
+
+// Every cut kind the cs plan of luindex has fires its shortcut rule.
+TEST(Telemetry, ShortcutRulesFireWhereThePlanCuts) {
+  if (!telemetry::SolverCounters::enabled())
+    GTEST_SKIP() << "built with HYBRIDPT_TELEMETRY=0";
+  Benchmark Bench = buildBenchmark("luindex");
+  auto Policy = createPolicy("cs", *Bench.Prog);
+  const CutShortcutPlan *Plan = Policy->cutPlan();
+  ASSERT_TRUE(Plan);
+  bool Store = false, RetArg = false, RetAlloc = false, RetLoad = false;
+  for (const CutShortcutPlan::MethodPlan &MP : Plan->Methods) {
+    Store |= !MP.StoreCuts.empty();
+    RetArg |= !MP.RetArgs.empty();
+    RetAlloc |= !MP.RetAllocs.empty();
+    RetLoad |= !MP.RetLoads.empty();
+  }
+  ASSERT_TRUE(Store || RetArg || RetAlloc || RetLoad) << "no cuts at all";
+  AnalysisResult R = analyze(*Bench.Prog, *Policy);
+  ASSERT_FALSE(R.Aborted);
+  const telemetry::SolverCounters &C = R.Counters;
+  EXPECT_EQ(C.RuleShortcutStore != 0, Store);
+  EXPECT_EQ(C.RuleShortcutRetArg != 0, RetArg);
+  EXPECT_EQ(C.RuleShortcutRetAlloc != 0, RetAlloc);
+  EXPECT_EQ(C.RuleShortcutRetLoad != 0, RetLoad);
+
+  // A tuple policy has no plan, so no shortcut rule fires.
+  auto Tuple = createPolicy("2obj+H", *Bench.Prog);
+  AnalysisResult TR = analyze(*Bench.Prog, *Tuple);
+  for (const std::string &Name : firedRules(TR.Counters))
+    EXPECT_FALSE(Name.starts_with("rule_shortcut")) << Name;
+}
+
+// Sanitize edges count apart from casts.  Before the rule list, the cast
+// counter also counted sanitize edges: 11 on taintflow.ptir under its
+// spec, which has no cast instruction.
+TEST(Telemetry, SanitizeCountsApartFromCast) {
+  if (!telemetry::SolverCounters::enabled())
+    GTEST_SKIP() << "built with HYBRIDPT_TELEMETRY=0";
+  std::filesystem::path Dir(HYBRIDPT_EXAMPLES_DIR);
+  std::ifstream In(Dir / "taintflow.ptir");
+  std::stringstream Text;
+  Text << In.rdbuf();
+  ParseResult Parsed = parseProgram(Text.str());
+  ASSERT_TRUE(Parsed.ok());
+  taint::SpecParseResult Spec =
+      taint::parseSpecFile((Dir / "default.taintspec").string());
+  ASSERT_TRUE(Spec.ok());
+  std::unique_ptr<Program> P =
+      taint::instrument(*Parsed.Prog, taint::resolve(Spec.Spec, *Parsed.Prog));
+  for (const char *Name : {"insens", "2obj+H"}) {
+    auto Policy = createPolicy(Name, *P);
+    AnalysisResult R = analyze(*P, *Policy);
+    ASSERT_FALSE(R.Aborted) << Name;
+    EXPECT_GT(R.Counters.RuleSanitize, 0u) << Name;
+    EXPECT_EQ(R.Counters.RuleCast + R.Counters.RuleSanitize, 11u) << Name;
+  }
+}
+
+// Every rule of the list is a slow-rule target under its display name,
+// and nothing else is.
+TEST(Telemetry, SlowRuleAcceptsExactlyTheListNames) {
+  for (size_t I = 0; I != NumRules; ++I) {
+    FaultPlan Plan;
+    std::string Error;
+    std::string Spec = std::string("slow-rule=") + RuleNames[I];
+    ASSERT_TRUE(FaultPlan::parse(Spec, Plan, Error)) << Error;
+    EXPECT_EQ(Plan.SlowRule, static_cast<Rule>(I));
+    EXPECT_EQ(Plan.spec(), Spec);
+  }
+  for (const char *Bad : {"frobnicate", "sload"}) {
+    FaultPlan Plan;
+    std::string Error;
+    EXPECT_FALSE(
+        FaultPlan::parse(std::string("slow-rule=") + Bad, Plan, Error));
+    EXPECT_NE(Error.find("static-load, static-store"), std::string::npos)
+        << Error;
+  }
 }
 
 TEST(Telemetry, MetricsCarryPeakBytesAndCounters) {

@@ -478,6 +478,25 @@ def test_cli_outputs_match_baseline():
         assert False, "CLI output drifted from the baseline:\n" + diff
 
 
+def test_table1_ladder_footnote_names_only_converged_rungs():
+    # An injected OOM at step 1 aborts every rung, insens included, so no
+    # column may claim a landed rung: each footnote says the ladder ran out.
+    table1 = _have(TABLE1_BIN)
+    if not table1:
+        print("skip: table1_main binary not provided")
+        return
+    env = dict(os.environ, HYBRIDPT_FAULT_PLAN="oom-at-step=1")
+    proc = subprocess.run([table1, "--ladder", "--json", "-", "luindex"],
+                          capture_output=True, text=True, timeout=120,
+                          env=env, cwd=REPO_ROOT)
+    assert proc.returncode == 0, (proc.returncode, proc.stderr)
+    assert "via the fallback ladder" not in proc.stdout, proc.stdout
+    for policy in TABLE1_POLICIES:
+        want = "  - %s exhausted its budget; the fallback ladder ran out\n" % (
+            policy)
+        assert want in proc.stdout, "no %r in:\n%s" % (want, proc.stdout)
+
+
 def test_dump_vpt_unknown_variable_exits_1():
     # Known paths still print; one unknown path makes the exit status 1,
     # as --dot-pointsto does for an unknown method.

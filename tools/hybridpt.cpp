@@ -212,7 +212,7 @@ void printBlameText(const prov::BlameReport &B) {
 /// Answers every --why query and the --blame/--profile-out requests over a
 /// finished provenance-enabled run.  Returns the process exit code.
 int runProvenanceQueries(const Program &P, const AnalysisResult &R,
-                         ContextPolicy *Policy, prov::Recorder &Rec,
+                         ContextPolicy &Policy, prov::Recorder &Rec,
                          const CliOptions &Cli) {
   int Exit = 0;
   for (const WhyQuery &Q : Cli.Flags.Why) {
@@ -667,6 +667,6 @@ int main(int argc, char **argv) {
   }
 
   if (Prov)
-    return runProvenanceQueries(*P, R, Main.Policy.get(), *Prov, Opts);
+    return runProvenanceQueries(*P, R, *Main.Policy, *Prov, Opts);
   return 0;
 }
