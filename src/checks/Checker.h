@@ -77,9 +77,6 @@ public:
   /// Instantiates checker \p Id; null when unknown.
   std::unique_ptr<Checker> create(const std::string &Id) const;
 
-  /// Instantiates every registered checker, in registration order.
-  std::vector<std::unique_ptr<Checker>> createAll() const;
-
 private:
   struct Entry {
     CheckerInfo Info;

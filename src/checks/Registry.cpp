@@ -82,11 +82,3 @@ std::unique_ptr<Checker> CheckerRegistry::create(const std::string &Id) const {
       return E.Make();
   return nullptr;
 }
-
-std::vector<std::unique_ptr<Checker>> CheckerRegistry::createAll() const {
-  std::vector<std::unique_ptr<Checker>> Out;
-  Out.reserve(Entries.size());
-  for (const Entry &E : Entries)
-    Out.push_back(E.Make());
-  return Out;
-}

@@ -84,12 +84,6 @@ public:
     return intern(Elems, 2);
   }
 
-  /// Interns a 3-tuple (the paper's `triple`).
-  IdT intern3(ContextElem A, ContextElem B, ContextElem C) {
-    ContextElem Elems[3] = {A, B, C};
-    return intern(Elems, 3);
-  }
-
   /// Number of slots in \p Id.
   uint32_t arity(IdT Id) const { return Tuples[Id.index()][0]; }
 

@@ -106,11 +106,6 @@ const std::vector<std::string> &pt::paperPolicyNames() {
   return Names;
 }
 
-const std::vector<std::string> &pt::ablationPolicyNames() {
-  static const std::vector<std::string> Names = namesIn({Ablation});
-  return Names;
-}
-
 const std::vector<std::string> &pt::allPolicyNames() {
   static const std::vector<std::string> Names =
       namesIn({Paper, Table1, Ablation});

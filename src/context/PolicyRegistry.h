@@ -40,9 +40,6 @@ const std::vector<std::string> &table1PolicyNames();
 /// The fifteen standard analyses (Table 1 columns plus insens).
 const std::vector<std::string> &paperPolicyNames();
 
-/// The extra ablation / future-work variants this repo adds.
-const std::vector<std::string> &ablationPolicyNames();
-
 /// Everything createPolicy knows about: the paper's analyses, then the
 /// ablations.
 const std::vector<std::string> &allPolicyNames();

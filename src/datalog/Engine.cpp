@@ -73,17 +73,22 @@ struct Budget {
 
 Budget *ActiveBudget = nullptr;
 
+/// \p F applied to its arguments under \p Env.
+Value applyFunctor(const FunctorApp &F, const std::vector<Value> &Env) {
+  Value Args[16];
+  assert(F.Args.size() <= 16 && "too many functor args");
+  for (size_t I = 0; I < F.Args.size(); ++I)
+    Args[I] = F.Args[I].IsVar ? Env[F.Args[I].V] : F.Args[I].V;
+  return F.Fn(Args);
+}
+
 } // namespace
 
 size_t Engine::fireHead(const Rule &R, std::vector<Value> &Env,
                         std::vector<bool> &Bound) {
   // Functors in declaration order.
   for (const FunctorApp &F : R.Functors) {
-    Value Args[16];
-    assert(F.Args.size() <= 16 && "too many functor args");
-    for (size_t I = 0; I < F.Args.size(); ++I)
-      Args[I] = F.Args[I].IsVar ? Env[F.Args[I].V] : F.Args[I].V;
-    Env[F.ResultVar] = F.Fn(Args);
+    Env[F.ResultVar] = applyFunctor(F, Env);
     Bound[F.ResultVar] = true;
   }
   Value Row[32];
@@ -95,12 +100,17 @@ size_t Engine::fireHead(const Rule &R, std::vector<Value> &Env,
   return R.Head.Rel->insert(Row) ? 1 : 0;
 }
 
-size_t Engine::joinFrom(const Rule &R, size_t DeltaIdx, size_t AtomIdx,
-                        std::vector<Value> &Env, std::vector<bool> &Bound) {
-  if (ActiveBudget->Aborted)
-    return 0;
-  if (AtomIdx == R.Body.size())
-    return fireHead(R, Env, Bound);
+template <typename Visitor>
+void Engine::joinFrom(const Rule &R, size_t DeltaIdx, size_t AtomIdx,
+                      std::vector<Value> &Env, std::vector<bool> &Bound,
+                      Visitor &Visit) {
+  if (Visit.done())
+    return;
+  Visit.enter(AtomIdx);
+  if (AtomIdx == R.Body.size()) {
+    Visit.leaf(R, Env, Bound);
+    return;
+  }
 
   const Atom &A = R.Body[AtomIdx];
   Range Rng = AtomIdx == DeltaIdx ? Range::Delta : Range::All;
@@ -120,14 +130,12 @@ size_t Engine::joinFrom(const Rule &R, size_t DeltaIdx, size_t AtomIdx,
     }
   }
 
-  size_t NewTuples = 0;
   A.Rel->scan(Rng, Mask, Key, [&](const Value *Row) {
-    if (ActiveBudget->Aborted)
+    if (Visit.done())
       return;
     // Bind free variables of this atom; handle repeated variables within
     // the atom (second occurrence acts as an equality filter).
     Value Saved[32];
-    bool SavedBound[32];
     uint32_t NumSaved = 0;
     bool Ok = true;
     for (size_t C = 0; C < A.Terms.size() && Ok; ++C) {
@@ -139,25 +147,68 @@ size_t Engine::joinFrom(const Rule &R, size_t DeltaIdx, size_t AtomIdx,
           Ok = false; // repeated var bound earlier in this same atom
         continue;
       }
-      Saved[NumSaved] = T.V;
-      SavedBound[NumSaved] = false;
-      ++NumSaved;
+      Saved[NumSaved++] = T.V;
       Env[T.V] = Row[C];
       Bound[T.V] = true;
-      (void)SavedBound;
     }
     if (Ok)
-      NewTuples += joinFrom(R, DeltaIdx, AtomIdx + 1, Env, Bound);
+      joinFrom(R, DeltaIdx, AtomIdx + 1, Env, Bound, Visit);
     for (uint32_t I = 0; I < NumSaved; ++I)
       Bound[Saved[I]] = false;
   });
-  return NewTuples;
 }
 
 size_t Engine::evalRuleVersion(const Rule &R, size_t DeltaIdx) {
   std::vector<Value> Env(R.NumVars, 0);
   std::vector<bool> Bound(R.NumVars, false);
-  return joinFrom(R, DeltaIdx, 0, Env, Bound);
+  // Every full binding fires the head.
+  struct {
+    size_t New = 0;
+    bool done() const { return ActiveBudget->Aborted; }
+    void enter(size_t) {}
+    void leaf(const Rule &R, std::vector<Value> &Env,
+              std::vector<bool> &Bound) {
+      New += fireHead(R, Env, Bound);
+    }
+  } Visit;
+  joinFrom(R, DeltaIdx, 0, Env, Bound, Visit);
+  return Visit.New;
+}
+
+void Engine::settle() {
+  for (const std::unique_ptr<Relation> &R : Relations)
+    R->promote();
+}
+
+Derivation Engine::derives(const Rule &R, std::vector<Value> &Env,
+                           std::vector<bool> &Bound) {
+  // Stops at the first full binding whose functors reproduce their
+  // results, and remembers how far the deepest binding got.
+  struct {
+    bool Found = false;
+    size_t Deepest = 0;  ///< Body atoms the deepest binding matched.
+    size_t Functors = 0; ///< Functors the deepest full binding reproduced.
+    bool done() const { return Found; }
+    void enter(size_t AtomIdx) { Deepest = std::max(Deepest, AtomIdx); }
+    void leaf(const Rule &R, std::vector<Value> &Env, std::vector<bool> &) {
+      size_t I = 0;
+      while (I < R.Functors.size() &&
+             applyFunctor(R.Functors[I], Env) == Env[R.Functors[I].ResultVar])
+        ++I;
+      Functors = std::max(Functors, I);
+      Found = I == R.Functors.size();
+    }
+  } Visit;
+  for ([[maybe_unused]] const FunctorApp &F : R.Functors)
+    assert(Bound[F.ResultVar] && "derives needs every functor result bound");
+  joinFrom(R, SIZE_MAX, 0, Env, Bound, Visit);
+  Derivation D{Visit.Found, Visit.Deepest, {}};
+  if (Visit.Deepest == R.Body.size())
+    D.Depth += Visit.Functors;
+  if (!D.Ok)
+    D.Unmet = Visit.Deepest < R.Body.size() ? R.Body[Visit.Deepest].Rel->name()
+                                            : R.Functors[Visit.Functors].Name;
+  return D;
 }
 
 EngineStats Engine::run(const EngineOptions &Opts) {
@@ -168,35 +219,21 @@ EngineStats Engine::run(const EngineOptions &Opts) {
   Budget B(Opts);
   ActiveBudget = &B;
   EngineStats Stats;
-  Stats.RuleProfile.resize(Rules.size());
-  for (size_t I = 0; I < Rules.size(); ++I)
-    Stats.RuleProfile[I].Name = Rules[I].Name;
-  Stats.RelationProfile.resize(Relations.size());
-  for (size_t I = 0; I < Relations.size(); ++I)
-    Stats.RelationProfile[I].Name = Relations[I]->name();
 
-  // Promote initial facts into the first delta; record the seed deltas as
-  // round 0 of each relation's profile.
-  for (size_t I = 0; I < Relations.size(); ++I)
-    Stats.RelationProfile[I].DeltaPerRound.push_back(
-        Relations[I]->promote());
+  // Promote initial facts into the first delta.
+  settle();
 
   bool Changed = true;
   while (Changed && !B.Aborted) {
     Changed = false;
     ++Stats.Rounds;
-    for (size_t RuleIdx = 0; RuleIdx < Rules.size(); ++RuleIdx) {
-      const Rule &R = Rules[RuleIdx];
-      RuleStats &RS = Stats.RuleProfile[RuleIdx];
+    for (const Rule &R : Rules) {
       if (R.Body.empty()) {
         // Fact rules (no body) only fire in the first round.
         if (Stats.Rounds == 1) {
           std::vector<Value> Env(R.NumVars, 0);
           std::vector<bool> Bound(R.NumVars, false);
-          size_t New = fireHead(R, Env, Bound);
-          ++RS.Evals;
-          RS.Derived += New;
-          B.note(New);
+          B.note(fireHead(R, Env, Bound));
         }
         continue;
       }
@@ -207,10 +244,7 @@ EngineStats Engine::run(const EngineOptions &Opts) {
           }))
         continue;
       for (size_t DeltaIdx = 0; DeltaIdx < R.Body.size(); ++DeltaIdx) {
-        size_t New = evalRuleVersion(R, DeltaIdx);
-        ++RS.Evals;
-        RS.Derived += New;
-        B.note(New);
+        B.note(evalRuleVersion(R, DeltaIdx));
         if (B.Aborted || B.Deadline.expired())
           break;
       }
@@ -219,19 +253,14 @@ EngineStats Engine::run(const EngineOptions &Opts) {
       if (B.Aborted)
         break;
     }
-    for (size_t I = 0; I < Relations.size(); ++I) {
-      size_t Promoted = Relations[I]->promote();
-      Stats.RelationProfile[I].DeltaPerRound.push_back(Promoted);
-      if (Promoted > 0)
+    for (const std::unique_ptr<Relation> &Rel : Relations)
+      if (Rel->promote() > 0)
         Changed = true;
-    }
   }
 
   ActiveBudget = nullptr;
   Stats.DerivedTuples = B.Derived;
   Stats.Aborted = B.Aborted;
   Stats.SolveMs = Watch.elapsedMs();
-  for (size_t I = 0; I < Relations.size(); ++I)
-    Stats.RelationProfile[I].FinalRows = Relations[I]->size();
   return Stats;
 }

@@ -41,33 +41,23 @@ struct EngineOptions {
   uint64_t MaxTuples = 0;
 };
 
-/// Per-rule evaluation profile (one entry per \c addRule call, in order).
-struct RuleStats {
-  std::string Name;     ///< Rule::Name (may be empty).
-  size_t Evals = 0;     ///< Delta-version evaluations performed.
-  size_t Derived = 0;   ///< New head tuples this rule produced.
-};
-
-/// Per-relation growth profile.
-struct RelationStats {
-  std::string Name;
-  size_t FinalRows = 0;
-  /// Rows promoted into the delta at the end of each round (index 0 is the
-  /// initial-fact promotion) — the shape of the semi-naive convergence.
-  std::vector<size_t> DeltaPerRound;
-};
-
-/// Evaluation statistics.  The per-rule and per-relation profiles are
-/// always collected: the engine works in round granularity, so the
-/// bookkeeping is amortized over whole delta scans and costs nothing
-/// measurable.
+/// Evaluation statistics.
 struct EngineStats {
   size_t Rounds = 0;
   size_t DerivedTuples = 0;
   bool Aborted = false;
   double SolveMs = 0.0;
-  std::vector<RuleStats> RuleProfile;
-  std::vector<RelationStats> RelationProfile;
+};
+
+/// Outcome of \c Engine::derives.
+struct Derivation {
+  bool Ok = false;
+  /// How far the deepest binding got: body atoms matched, then functors
+  /// that reproduced their bound result.
+  size_t Depth = 0;
+  /// On failure, the relation of the body atom or the name of the functor
+  /// the deepest binding stopped at.
+  std::string_view Unmet;
 };
 
 /// Owns relations and rules; runs the fixpoint.
@@ -87,8 +77,20 @@ public:
   /// Runs to fixpoint; returns statistics.  May be called once.
   EngineStats run(const EngineOptions &Opts = {});
 
+  /// Makes every loaded tuple scannable without running the fixpoint, for
+  /// \c derives checks against the input relations.
+  void settle();
+
+  /// Whether \p R derives its head under the bindings \p Env / \p Bound,
+  /// as one rule application rather than a fixpoint: joins the body over
+  /// settled rows, and requires each functor to reproduce its result
+  /// variable, which the caller binds (with the head).  \p R need not be
+  /// registered.
+  static Derivation derives(const Rule &R, std::vector<Value> &Env,
+                            std::vector<bool> &Bound);
+
+  const std::vector<Rule> &rules() const { return Rules; }
   size_t numRelations() const { return Relations.size(); }
-  size_t numRules() const { return Rules.size(); }
 
 private:
   /// Evaluates one rule with body atom \p DeltaIdx restricted to the
@@ -96,13 +98,16 @@ private:
   size_t evalRuleVersion(const Rule &R, size_t DeltaIdx);
 
   /// Recursive join over body atoms from position \p AtomIdx with the
-  /// current variable binding \p Env / \p Bound.
-  size_t joinFrom(const Rule &R, size_t DeltaIdx, size_t AtomIdx,
-                  std::vector<Value> &Env, std::vector<bool> &Bound);
+  /// current variable binding \p Env / \p Bound.  \p Visit says what a
+  /// full binding does (\c leaf) and when the join stops early (\c done).
+  template <typename Visitor>
+  static void joinFrom(const Rule &R, size_t DeltaIdx, size_t AtomIdx,
+                       std::vector<Value> &Env, std::vector<bool> &Bound,
+                       Visitor &Visit);
 
   /// Applies functors and inserts the head tuple for a full binding.
-  size_t fireHead(const Rule &R, std::vector<Value> &Env,
-                  std::vector<bool> &Bound);
+  static size_t fireHead(const Rule &R, std::vector<Value> &Env,
+                         std::vector<bool> &Bound);
 
   std::vector<std::unique_ptr<Relation>> Relations;
   std::unordered_map<std::string, Relation *> ByName;

@@ -15,14 +15,6 @@ bool Relation::equalRows(const Value *A, const Value *B) const {
   return true;
 }
 
-bool Relation::contains(const Value *Row) const {
-  const uint32_t *Head = DedupHead.find(hashRow(Row));
-  for (uint32_t I = Head ? *Head : NoRow; I != NoRow; I = DedupNext[I])
-    if (equalRows(rowStorage(I), Row))
-      return true;
-  return false;
-}
-
 bool Relation::insert(const Value *Row) {
   uint64_t H = hashRow(Row);
   uint32_t NewIdx = static_cast<uint32_t>(size());

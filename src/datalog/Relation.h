@@ -67,9 +67,6 @@ public:
     return insert(Row.begin());
   }
 
-  /// True when the tuple is already present (settled or pending).
-  bool contains(const Value *Row) const;
-
   /// Rows settled into the fixpoint (excludes pending).
   size_t settledRows() const { return Data.size() / Arity; }
 

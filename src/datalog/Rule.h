@@ -25,6 +25,7 @@
 #include "datalog/Relation.h"
 
 #include <functional>
+#include <string>
 #include <vector>
 
 namespace pt::dl {
@@ -53,6 +54,8 @@ struct Atom {
 /// later functors may consume earlier results.
 struct FunctorApp {
   std::function<Value(const Value *Args)> Fn;
+  /// Diagnostic label ("RECORD", "MERGE", ...), named by step checks.
+  std::string Name;
   std::vector<Term> Args;
   uint32_t ResultVar = 0;
 };

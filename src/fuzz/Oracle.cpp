@@ -15,6 +15,7 @@
 #include "pta/Solver.h"
 #include "pta/provenance/Provenance.h"
 #include "ptaref/ReferenceAnalysis.h"
+#include "ptaref/Validate.h"
 #include "taint/Taint.h"
 
 #include <algorithm>

@@ -80,9 +80,8 @@ struct OracleOptions {
   bool CheckCheckers = true;
   /// Fourth comparison axis: record derivation provenance during every
   /// solver run and replay a sample of the recorded steps through the
-  /// rule-checking validator (prov::validateSampledSteps) with the run's
-  /// context policy — every step must re-check against the Figure-2 side
-  /// conditions.  No-op when the build compiles provenance out.
+  /// Datalog reference's rules (prov::validateSampledSteps) with the run's
+  /// context policy.  No-op when the build compiles provenance out.
   bool CheckProvenance = false;
   /// Fifth axis — the dynamic taint oracle (docs/CORRECTNESS.md): derive
   /// a synthetic taint spec from the program, run the interpreter on the

@@ -25,9 +25,9 @@
 /// reported through \c memoryBytes() and count against
 /// \c SolverOptions::MemoryBudgetBytes like any other solver container.
 ///
-/// Derivations are *valid*: every step re-checks against the rule side
-/// conditions (see Validate).  docs/OBSERVABILITY.md has the query
-/// grammar and the cost model.
+/// Derivations are *valid*: every step replays as one application of the
+/// Datalog reference's rules (ptaref/Validate.h).  docs/OBSERVABILITY.md
+/// has the query grammar and the cost model.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -254,31 +254,6 @@ struct BlameReport {
 };
 
 BlameReport blame(const Recorder &R, const AnalysisResult &Res, size_t TopK);
-
-// --- Validation (Validate.cpp) ----------------------------------------------
-
-/// Outcome of re-checking derivation steps against the Figure-2 side
-/// conditions.
-struct ValidationResult {
-  bool Ok = true;
-  size_t CheckedSteps = 0;
-  std::string Error; ///< First failing step, human-readable.
-};
-
-/// Re-checks every step of \p Tree under \p Policy, the run's policy:
-/// premises structurally consistent with the conclusion, a witnessing
-/// instruction in the program, the type and taint filters, the RECORD /
-/// MERGE / MERGESTATIC contexts, and the cut plan's cover of every
-/// shortcut step.
-ValidationResult validateTree(const Recorder &R, const AnalysisResult &Res,
-                              const DerivationTree &Tree,
-                              ContextPolicy &Policy);
-
-/// Replays every \p Stride-th step of the whole arena through the step
-/// checker (stride 1 = all).  The fuzz axis drives this.
-ValidationResult validateSampledSteps(const Recorder &R,
-                                      const AnalysisResult &Res,
-                                      ContextPolicy &Policy, size_t Stride);
 
 // --- Rendering (Render.cpp) -------------------------------------------------
 

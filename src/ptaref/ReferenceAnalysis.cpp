@@ -324,6 +324,7 @@ void ReferenceAnalysis::buildRules() {
     F.Fn = [Pol](const Value *Args) {
       return Pol->record(HeapId(Args[0]), CtxId(Args[1])).index();
     };
+    F.Name = "RECORD";
     F.Args = {V(Heap), V(Ctx)};
     F.ResultVar = HCtx;
     R.Functors.push_back(std::move(F));
@@ -444,6 +445,7 @@ void ReferenceAnalysis::buildRules() {
                         CtxId(Args[3]))
           .index();
     };
+    F.Name = "MERGE";
     F.Args = {V(Heap), V(HCtx), V(Invo), V(CallerCtx)};
     F.ResultVar = CalleeCtx;
     R.Functors.push_back(std::move(F));
@@ -499,6 +501,7 @@ void ReferenceAnalysis::buildRules() {
     F.Fn = [Pol](const Value *Args) {
       return Pol->mergeStatic(InvokeId(Args[0]), CtxId(Args[1])).index();
     };
+    F.Name = "MERGESTATIC";
     F.Args = {V(Invo), V(CallerCtx)};
     F.ResultVar = CalleeCtx;
     R.Functors.push_back(std::move(F));
@@ -737,6 +740,7 @@ void ReferenceAnalysis::buildCutShortcutRules() {
     F.Fn = [Pol](const Value *Args) {
       return Pol->record(HeapId(Args[0]), CtxId(Args[1])).index();
     };
+    F.Name = "RECORD";
     F.Args = {V(Heap), V(CalleeCtx)};
     F.ResultVar = HCtx;
     R.Functors.push_back(std::move(F));
@@ -756,6 +760,7 @@ void ReferenceAnalysis::buildCutShortcutRules() {
     F.Fn = [Pol](const Value *Args) {
       return Pol->record(HeapId(Args[0]), CtxId(Args[1])).index();
     };
+    F.Name = "RECORD";
     F.Args = {V(Heap), V(CalleeCtx)};
     F.ResultVar = HCtx;
     R.Functors.push_back(std::move(F));
@@ -785,115 +790,52 @@ void ReferenceAnalysis::buildCutShortcutRules() {
 }
 
 bool ReferenceAnalysis::run(const EngineOptions &Opts) {
-  assert(!HasRun && "ReferenceAnalysis::run may be called once");
-  HasRun = true;
-  Stats = Engine.run(Opts);
-  return !Stats.Aborted;
+  return !Engine.run(Opts).Aborted;
 }
 
-size_t ReferenceAnalysis::numVarPointsTo() const {
-  return VarPointsTo->size();
-}
-size_t ReferenceAnalysis::numCallGraphEdges() const {
-  return CallGraph->size();
-}
-size_t ReferenceAnalysis::numReachable() const { return Reachable->size(); }
-size_t ReferenceAnalysis::numFieldPointsTo() const {
-  return FldPointsTo->size();
-}
-
-namespace {
-void sortRows(std::vector<std::vector<uint32_t>> &Rows) {
+std::vector<std::vector<uint32_t>>
+ReferenceAnalysis::exportRows(const dl::Relation &Rel,
+                              std::string_view Columns) const {
+  std::vector<std::vector<uint32_t>> Rows;
+  for (size_t I = 0; I < Rel.settledRows(); ++I) {
+    const Value *Row = Rel.row(I);
+    std::vector<uint32_t> Out;
+    for (size_t C = 0; C != Columns.size(); ++C) {
+      if (Columns[C] == 'c')
+        appendCanonicalContext(Policy.ctxTable(), CtxId(Row[C]), Out);
+      else if (Columns[C] == 'h')
+        appendCanonicalContext(Policy.hctxTable(), HCtxId(Row[C]), Out);
+      else
+        Out.push_back(Row[C]);
+    }
+    Rows.push_back(std::move(Out));
+  }
   std::sort(Rows.begin(), Rows.end());
   Rows.erase(std::unique(Rows.begin(), Rows.end()), Rows.end());
+  return Rows;
 }
-} // namespace
 
 std::vector<std::vector<uint32_t>>
 ReferenceAnalysis::exportVarPointsTo() const {
-  std::vector<std::vector<uint32_t>> Rows;
-  const auto &Ctxs = Policy.ctxTable();
-  const auto &HCtxs = Policy.hctxTable();
-  for (size_t I = 0; I < VarPointsTo->settledRows(); ++I) {
-    const Value *Row = VarPointsTo->row(I);
-    std::vector<uint32_t> Out;
-    Out.push_back(Row[0]);
-    appendCanonicalContext(Ctxs, CtxId(Row[1]), Out);
-    Out.push_back(Row[2]);
-    appendCanonicalContext(HCtxs, HCtxId(Row[3]), Out);
-    Rows.push_back(std::move(Out));
-  }
-  sortRows(Rows);
-  return Rows;
+  return exportRows(*VarPointsTo, "-c-h");
 }
-
-std::vector<std::vector<uint32_t>>
-ReferenceAnalysis::exportCallGraph() const {
-  std::vector<std::vector<uint32_t>> Rows;
-  const auto &Ctxs = Policy.ctxTable();
-  for (size_t I = 0; I < CallGraph->settledRows(); ++I) {
-    const Value *Row = CallGraph->row(I);
-    std::vector<uint32_t> Out;
-    Out.push_back(Row[0]);
-    appendCanonicalContext(Ctxs, CtxId(Row[1]), Out);
-    Out.push_back(Row[2]);
-    appendCanonicalContext(Ctxs, CtxId(Row[3]), Out);
-    Rows.push_back(std::move(Out));
-  }
-  sortRows(Rows);
-  return Rows;
+std::vector<std::vector<uint32_t>> ReferenceAnalysis::exportCallGraph() const {
+  return exportRows(*CallGraph, "-c-c");
 }
-
 std::vector<std::vector<uint32_t>>
 ReferenceAnalysis::exportFieldPointsTo() const {
-  std::vector<std::vector<uint32_t>> Rows;
-  const auto &HCtxs = Policy.hctxTable();
-  for (size_t I = 0; I < FldPointsTo->settledRows(); ++I) {
-    const Value *Row = FldPointsTo->row(I);
-    std::vector<uint32_t> Out;
-    Out.push_back(Row[0]);
-    appendCanonicalContext(HCtxs, HCtxId(Row[1]), Out);
-    Out.push_back(Row[2]);
-    Out.push_back(Row[3]);
-    appendCanonicalContext(HCtxs, HCtxId(Row[4]), Out);
-    Rows.push_back(std::move(Out));
-  }
-  sortRows(Rows);
-  return Rows;
+  return exportRows(*FldPointsTo, "-h--h");
 }
-
 std::vector<std::vector<uint32_t>>
 ReferenceAnalysis::exportStaticFieldPointsTo() const {
-  std::vector<std::vector<uint32_t>> Rows;
-  const auto &HCtxs = Policy.hctxTable();
-  for (size_t I = 0; I < StaticFldPointsTo->settledRows(); ++I) {
-    const Value *Row = StaticFldPointsTo->row(I);
-    std::vector<uint32_t> Out;
-    Out.push_back(Row[0]);
-    Out.push_back(Row[1]);
-    appendCanonicalContext(HCtxs, HCtxId(Row[2]), Out);
-    Rows.push_back(std::move(Out));
-  }
-  sortRows(Rows);
-  return Rows;
+  return exportRows(*StaticFldPointsTo, "--h");
 }
-
 std::vector<std::vector<uint32_t>>
 ReferenceAnalysis::exportThrowPointsTo() const {
-  std::vector<std::vector<uint32_t>> Rows;
-  const auto &Ctxs = Policy.ctxTable();
-  const auto &HCtxs = Policy.hctxTable();
-  for (size_t I = 0; I < ThrowPointsTo->settledRows(); ++I) {
-    const Value *Row = ThrowPointsTo->row(I);
-    std::vector<uint32_t> Out;
-    Out.push_back(Row[0]);
-    appendCanonicalContext(Ctxs, CtxId(Row[1]), Out);
-    Out.push_back(Row[2]);
-    appendCanonicalContext(HCtxs, HCtxId(Row[3]), Out);
-    Rows.push_back(std::move(Out));
-  }
-  sortRows(Rows);
-  return Rows;
+  return exportRows(*ThrowPointsTo, "-c-h");
+}
+std::vector<std::vector<uint32_t>> ReferenceAnalysis::exportReachable() const {
+  return exportRows(*Reachable, "-c");
 }
 
 std::set<std::pair<uint32_t, uint32_t>>
@@ -940,19 +882,4 @@ ReferenceAnalysis::ciFieldPointsTo() const {
     Out.emplace(Row[0], Row[2], Row[3]);
   }
   return Out;
-}
-
-std::vector<std::vector<uint32_t>>
-ReferenceAnalysis::exportReachable() const {
-  std::vector<std::vector<uint32_t>> Rows;
-  const auto &Ctxs = Policy.ctxTable();
-  for (size_t I = 0; I < Reachable->settledRows(); ++I) {
-    const Value *Row = Reachable->row(I);
-    std::vector<uint32_t> Out;
-    Out.push_back(Row[0]);
-    appendCanonicalContext(Ctxs, CtxId(Row[1]), Out);
-    Rows.push_back(std::move(Out));
-  }
-  sortRows(Rows);
-  return Rows;
 }

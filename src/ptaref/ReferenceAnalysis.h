@@ -26,6 +26,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <string_view>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -45,9 +46,6 @@ public:
   /// Runs to fixpoint.  Returns false when a budget aborted the run.
   bool run(const dl::EngineOptions &Opts = {});
 
-  /// Engine statistics from the run.
-  const dl::EngineStats &stats() const { return Stats; }
-
   /// One Datalog rule of the transcription and the list rule
   /// (support/Rules.h) it mirrors; \c Of is empty for an intermediate
   /// rule, one that only derives or projects a staging relation.
@@ -59,12 +57,11 @@ public:
   /// Every rule the transcription added, in order, with its mirror.
   const std::vector<RuleMirror> &ruleMirrors() const { return Mirrors; }
 
-  // --- Raw relation sizes ---
-
-  size_t numVarPointsTo() const;
-  size_t numCallGraphEdges() const;
-  size_t numReachable() const;
-  size_t numFieldPointsTo() const;
+  /// The engine holding the transcription: its rules parallel
+  /// \c ruleMirrors().  The step validator (ptaref/Validate.h) settles
+  /// the loaded input relations and checks single rule applications
+  /// against them instead of calling \c run.
+  dl::Engine &engine() { return Engine; }
 
   // --- Canonical exports (same row format as AnalysisResult) ---
 
@@ -98,14 +95,17 @@ private:
   void buildStaticFieldRules();
   void buildExceptionRules();
   void buildCutShortcutRules();
+  /// \p Rel's rows, sorted and deduplicated, with column C expanded
+  /// through the context table when \p Columns[C] is 'c', the heap-context
+  /// table when 'h', and copied otherwise.
+  std::vector<std::vector<uint32_t>> exportRows(const dl::Relation &Rel,
+                                                std::string_view Columns) const;
   /// Adds \p R to the engine and records its mirror (MirrorTable).
   void addRule(dl::Rule R);
 
   const Program &Prog;
   ContextPolicy &Policy;
   dl::Engine Engine;
-  dl::EngineStats Stats;
-  bool HasRun = false;
   std::vector<RuleMirror> Mirrors;
 
   // Input relations.

@@ -127,7 +127,6 @@ public:
     uint64_t Faulted = 0;  ///< Requests that ran under an injected plan.
   };
   Stats stats() const;
-  ResultCache::Stats cacheStats() const { return Cache.stats(); }
 
 private:
   struct Job {

@@ -179,6 +179,15 @@ TEST(Differential, MiniLibApp) {
     expectAgreement(*Bench.Prog, Name);
 }
 
+// A Table 1 benchmark, not just fuzz and hand-built programs: luindex,
+// the smallest, under every policy (about 0.1-0.2 s of reference solving
+// per policy).
+TEST(Differential, LuindexAllPolicies) {
+  Benchmark Bench = buildBenchmark("luindex");
+  for (const std::string &Name : allPolicyNames())
+    expectAgreement(*Bench.Prog, Name);
+}
+
 /// The cross-product fuzz sweep: policies x seeds.  This is the heavy
 /// hammer; keep sizes small so the Datalog side stays quick.
 struct FuzzCase {

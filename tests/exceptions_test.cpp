@@ -10,6 +10,7 @@
 #include "pta/AnalysisResult.h"
 #include "pta/Solver.h"
 #include "pta/provenance/Provenance.h"
+#include "ptaref/Validate.h"
 #include "support/Hashing.h"
 
 #include <gtest/gtest.h>

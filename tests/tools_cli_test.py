@@ -283,6 +283,35 @@ def test_bench_check_fails_on_counter_drift():
                counters=dict(counters, worklist_steps=11)), 0, "OK")
 
 
+def test_bench_check_gates_peak_bytes_within_one_build():
+    # peak_bytes is deterministic for one build configuration: a one-byte
+    # rise fails when the layout stamps match, and only warns across
+    # builds.
+    stamps = {"build_type": "Release", "compiler": "GNU 12.2.0",
+              "telemetry": True, "provenance": True}
+    cell = dict(GOOD_CELL, peak_bytes=4096)
+
+    def check(cand_stamps, code, expect):
+        base = write_tmp(json.dumps(dict(stamps, cells=[cell])), ".json")
+        cand = write_tmp(json.dumps(dict(cand_stamps, cells=[
+            dict(cell, peak_bytes=4097)])), ".json")
+        try:
+            proc = run(BENCH_CHECK, base, cand)
+            assert_no_traceback(proc, "peak_bytes drift")
+            assert proc.returncode == code, (expect, proc.stdout)
+            assert expect in proc.stdout, proc.stdout
+        finally:
+            os.unlink(base)
+            os.unlink(cand)
+
+    check(stamps, 1, "b/p: peak_bytes changed 4096 -> 4097")
+    for stamp, other in (("build_type", "Debug"), ("compiler", "Clang"),
+                         ("telemetry", False), ("provenance", False)):
+        check(dict(stamps, **{stamp: other}), 0,
+              "warning: b/p: peak_bytes changed 4096 -> 4097 "
+              "(build stamps differ)")
+
+
 def test_bench_check_new_policy_column_collapses_to_one_warning():
     # A policy absent from the baseline entirely (a newly registered
     # analysis, e.g. the cs columns) must produce ONE "new column" warning

@@ -45,6 +45,12 @@ telemetry/provenance switches) only warn when they differ, as the harness
 configuration (budget_ms, runs, threads, ladder) does: times from
 different hosts or builds are not comparable, but nothing else changes.
 
+peak_bytes, the solver's accounted memory peak, is deterministic within
+one build: it is compared exactly under the same condition, and drift
+fails when the build_type, compiler, telemetry and provenance stamps
+match on both sides; across builds (container layouts follow them) it
+only warns.
+
 Schema drift across PRs is tolerated: cells present in only one file and
 fields present in only one cell (e.g. the telemetry "counters" object or
 peak_bytes, which older baselines lack) are reported as warnings, never
@@ -76,6 +82,9 @@ DETERMINISTIC_COLUMNS = ("avg_objs_per_var", "cg_edges", "poly_vcalls",
                          "reachable_casts", "cs_vpt_facts",
                          "reachable_methods", "tainted_sinks",
                          "num_contexts", "num_hcontexts")
+
+# Stamps that fix the solver's container layouts, and with them peak_bytes.
+LAYOUT_STAMPS = ("build_type", "compiler", "telemetry", "provenance")
 
 
 def to_float(value):
@@ -160,6 +169,9 @@ def main():
                 print(f"warning: {kind} differs: {key} = "
                       f"{base_top.get(key)} vs {cand_top.get(key)}")
 
+    same_layout = all(base_top.get(key) == cand_top.get(key)
+                      for key in LAYOUT_STAMPS)
+
     regressions = []
     drifts = []
     warnings = []
@@ -228,6 +240,14 @@ def main():
             if fact in b and fact in c and b[fact] != c[fact]:
                 drifts.append(f"{name}: {fact} changed {b[fact]} -> "
                               f"{c[fact]}")
+        if ("peak_bytes" in b and "peak_bytes" in c
+                and b["peak_bytes"] != c["peak_bytes"]):
+            msg = (f"{name}: peak_bytes changed {b['peak_bytes']} -> "
+                   f"{c['peak_bytes']}")
+            if same_layout:
+                drifts.append(msg)
+            else:
+                warnings.append(msg + " (build stamps differ)")
         for fact in ("count", "errors"):
             if b.get(fact) != c.get(fact):
                 warnings.append(f"{name}: {fact} changed "

@@ -62,8 +62,8 @@
 ///                        repeatable; implies --provenance
 ///   --format F           derivation rendering: text (default), json, dot
 ///   --blame K            print the top-K cost-attribution profile
-///   --validate           re-check every derivation step against the
-///                        Figure-2 side conditions (exit 1 on failure)
+///   --validate           replay every derivation step through the Datalog
+///                        reference's rules (exit 1 on failure)
 ///   --profile-out FILE   write the blame profile as JSON to FILE
 ///
 /// `hybridpt explain ...` is shorthand for a provenance-enabled run whose
@@ -84,6 +84,7 @@
 #include "pta/Flags.h"
 #include "pta/Trace.h"
 #include "pta/VariantRunner.h"
+#include "ptaref/Validate.h"
 #include "support/Cancel.h"
 #include "support/TableWriter.h"
 #include "workloads/Profiles.h"
