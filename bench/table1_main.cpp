@@ -15,8 +15,10 @@
 /// the JSON record carry all twenty policies.
 ///
 /// Dash entries mean the per-cell budget expired (paper: 90-minute
-/// timeout; here --budget MS, default 120s).  Pass benchmark names as
-/// arguments to restrict the run; pass --csv for machine-readable output;
+/// timeout; here --budget MS, default 120s).  Pass benchmark names or
+/// `.ptir` paths as arguments to restrict the run (a `.ptir` path is
+/// solved like a benchmark and recorded under its path); pass --csv for
+/// machine-readable output;
 /// pass --threads N to fan the independent cells of each benchmark out
 /// over N workers (0 = hardware concurrency) and --runs N to report the
 /// median of N repetitions per cell.  Every run also records its cells to
@@ -27,7 +29,10 @@
 /// and tools/paper_report.py renders Figure 3, the headline ratios, the
 /// ablations and the depth ladder from one.  With --taint-spec FILE every
 /// benchmark is taint-instrumented first (docs/CHECKS.md "Taint
-/// analysis"): the table gains a "tainted sinks" row.
+/// analysis"): the table gains a "tainted sinks" row.  With --provenance
+/// every cell records its derivations and carries its cost-attribution
+/// profile in the JSON record as "profile" (tools/trace_summary.py renders
+/// it).
 ///
 /// With --ladder, budget-expired cells degrade
 /// down the policy fallback ladder (docs/ROBUSTNESS.md) instead of
@@ -191,7 +196,7 @@ int main(int argc, char **argv) {
   ArgParser Args(argc, argv);
   while (Args.next()) {
     if (Args.shared(FlagBudget | FlagRuns | FlagThreads | FlagLadder |
-                        FlagTaintSpec | FlagProfileOut | FlagTraceOut,
+                        FlagTaintSpec | FlagProvenance | FlagTraceOut,
                     Flags))
       continue;
     if (Args.is("--csv"))
@@ -202,21 +207,28 @@ int main(int argc, char **argv) {
       JsonPath = Args.value();
     else if (Args.is("--chrome-trace"))
       ChromeTraceOut = Args.value();
-    else if (isBenchmarkName(Args.arg()))
-      Selected.emplace_back(Args.arg());
+    else if (Args.arg().substr(0, 2) != "--")
+      Selected.emplace_back(Args.arg()); // A benchmark or a .ptir path.
     else {
       std::cerr << "unknown argument '" << Args.arg() << "'; benchmarks:";
       for (const std::string &N : benchmarkNames())
         std::cerr << ' ' << N;
-      std::cerr << "\n(options: --csv, --budget MS, --runs N, --ladder, "
-                   "--threads N, --taint-spec FILE, --json PATH, "
-                   "--profile-out PATH, --trace-out FILE, --chrome-trace "
-                   "FILE, --progress)\n";
+      std::cerr << " or a .ptir path\n(options: --csv, --budget MS, "
+                   "--runs N, --ladder, --threads N, --taint-spec FILE, "
+                   "--provenance, --json PATH, --trace-out FILE, "
+                   "--chrome-trace FILE, --progress)\n";
       return 1;
     }
   }
   if (Selected.empty())
     Selected = benchmarkNames();
+#if !HYBRIDPT_PROVENANCE_ENABLED
+  if (Flags.Provenance) {
+    std::cerr << "this build has provenance compiled out "
+                 "(HYBRIDPT_PROVENANCE=0)\n";
+    return 1;
+  }
+#endif
   MatrixOptions Opts = Flags.matrix();
   const std::string &TaintSpec = Flags.TaintSpecPath;
 
@@ -304,7 +316,7 @@ int main(int argc, char **argv) {
     std::cout << "=== " << Name << "  (~" << Ref.ReachableMethods
               << " reachable methods, ~" << Ref.ReachableVCalls
               << " v-calls, ~" << Ref.ReachableCasts << " casts; program: "
-              << Loaded.Bench.Stats.Methods << " methods, "
+              << Loaded.Prog->numMethods() << " methods, "
               << Loaded.Prog->numInstructions() << " instructions) ===\n";
 
     TableWriter T;
@@ -369,31 +381,6 @@ int main(int argc, char **argv) {
     if (!Csv)
       std::cout << "wrote " << Record.size() << " cells to " << JsonPath
                 << "\n";
-  }
-  // Standalone per-cell cost-attribution profiles (--profile-out): the
-  // same "profile" objects folded into the BENCH json, but in one small
-  // file tools/trace_summary.py renders directly.
-  const std::string &ProfileOut = Flags.ProfileOut;
-  if (!ProfileOut.empty()) {
-    std::ofstream OS(ProfileOut);
-    if (!OS) {
-      std::cerr << "cannot write '" << ProfileOut << "'\n";
-      return 1;
-    }
-    OS << "{\"harness\": \"table1_profile\", \"cells\": [";
-    bool First = true;
-    for (const Cell &C : Record) {
-      if (C.M.ProfileJson.empty())
-        continue;
-      OS << (First ? "" : ",") << "\n  {\"benchmark\": \"" << C.Benchmark
-         << "\", \"policy\": \""
-         << (C.M.FallbackFrom.empty() ? C.Policy : C.M.LandedPolicy)
-         << "\", \"profile\": " << C.M.ProfileJson << "}";
-      First = false;
-    }
-    OS << "\n]}\n";
-    if (!Csv)
-      std::cout << "wrote profiles to " << ProfileOut << "\n";
   }
   if (Rec && !ChromeTraceOut.empty() &&
       !Rec->writeChromeTrace(ChromeTraceOut, Error))

@@ -26,14 +26,6 @@
 using namespace pt;
 using namespace pt::fuzz;
 
-const std::vector<std::pair<std::string, std::string>> &
-pt::fuzz::precisionOrderPairs() {
-  // The canonical list moved to context/PolicyRegistry so the fallback
-  // ladder (pta/Degrade.h) can share it without depending on the fuzz
-  // library; this forwarder keeps existing oracle callers working.
-  return pt::precisionOrderPairs();
-}
-
 namespace {
 
 CiProjection projectConcrete(const ConcreteObservations &Obs) {
@@ -367,7 +359,7 @@ OracleReport pt::fuzz::checkProgram(const Program &Prog,
 
   // --- Precision-ordering invariants between refining pairs ---
   if (Opts.CheckOrdering) {
-    for (const auto &[Fine, Coarse] : precisionOrderPairs()) {
+    for (const auto &[Fine, Coarse] : pt::precisionOrderPairs()) {
       auto FIt = Projections.find(Fine);
       auto CIt = Projections.find(Coarse);
       if (FIt == Projections.end() || CIt == Projections.end())
@@ -384,7 +376,7 @@ OracleReport pt::fuzz::checkProgram(const Program &Prog,
 
   // --- Checker monotonicity between refining pairs ---
   if (Opts.CheckCheckers) {
-    for (const auto &[Fine, Coarse] : precisionOrderPairs()) {
+    for (const auto &[Fine, Coarse] : pt::precisionOrderPairs()) {
       auto FIt = CheckerReports.find(Fine);
       auto CIt = CheckerReports.find(Coarse);
       if (FIt == CheckerReports.end() || CIt == CheckerReports.end())

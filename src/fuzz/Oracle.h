@@ -120,12 +120,6 @@ struct OracleReport {
 /// Runs all configured oracles over \p Prog.
 OracleReport checkProgram(const Program &Prog, const OracleOptions &Opts = {});
 
-/// The precision-ordering pairs (finer, coarser) asserted by the
-/// equivalence oracle.  Forwards to the canonical \c
-/// pt::precisionOrderPairs in context/PolicyRegistry.h, which the fallback
-/// ladder (pta/Degrade.h) shares; see there for the derivation notes.
-const std::vector<std::pair<std::string, std::string>> &precisionOrderPairs();
-
 } // namespace fuzz
 } // namespace pt
 

@@ -108,7 +108,8 @@ LadderResult pt::solveRungs(const Program &Prog,
                             const LadderOptions *Ladder) {
   LadderResult Out;
   Out.RequestedPolicy = Rungs.front();
-  const bool WarmStart = Ladder && Ladder->WarmStart;
+  // Warm start (see pta/Degrade.h): the insens rung is seeded with the
+  // last aborted finer rung's reachable set.
   std::vector<MethodId> Seeds;
   for (size_t RI = 0; RI < Rungs.size(); ++RI) {
     const std::string &Rung = Rungs[RI];
@@ -122,7 +123,7 @@ LadderResult pt::solveRungs(const Program &Prog,
     // series are monotone per label, and a re-run restarts from zero.
     if (RI > 0 && !Opts.TraceLabel.empty())
       SOpts.TraceLabel = Opts.TraceLabel + "~" + Rung;
-    if (WarmStart && Rung == "insens")
+    if (RI > 0 && Rung == "insens")
       SOpts.SeedReachable = Seeds;
     // Each rung is a fresh run with fresh dense object ids; derivations of
     // the landed rung must not cite facts from an aborted finer attempt.
@@ -155,8 +156,7 @@ LadderResult pt::solveRungs(const Program &Prog,
     if (Opts.Trace)
       Opts.Trace->ladder(Opts.TraceLabel, Rung, Rungs[RI + 1],
                          abortReasonName(R.Reason), R.SolveMs);
-    if (WarmStart)
-      Seeds = R.reachableMethods();
+    Seeds = R.reachableMethods();
   }
   // Unreachable: the loop always lands on its last rung.
   Out.Error = "empty ladder";

@@ -57,9 +57,6 @@ struct LadderOptions {
   /// (\c isProvablyCoarser), so a mistyped ladder fails fast instead of
   /// silently landing an incomparable result.
   std::vector<std::string> Rungs;
-  /// Seed the "insens" rung with the aborted finer run's reachable set
-  /// (see file comment for the soundness argument).
-  bool WarmStart = true;
 };
 
 /// Outcome of a ladder descent.  \c Result borrows \c Policy, which this

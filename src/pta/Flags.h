@@ -68,13 +68,13 @@ struct SharedFlags {
   std::string ProfileOut;
 
   /// The variant-matrix run these flags ask for: the config, threads and
-  /// runs, and per-cell profiles when --profile-out is set.
+  /// runs, and per-cell profiles when --provenance is set.
   MatrixOptions matrix() const {
     MatrixOptions M;
     M.Config = Config;
     M.Threads = Threads;
     M.Runs = Runs;
-    M.Profile = !ProfileOut.empty();
+    M.Profile = Provenance;
     return M;
   }
 };

@@ -29,6 +29,11 @@ PrecisionMetrics runOneCell(const Program &Prog, const std::string &Policy,
   uint32_t Runs = MOpts.Runs == 0 ? 1 : MOpts.Runs;
   AnalysisConfig Cell = MOpts.Config;
   Cell.Policy = Policy;
+  // A derived ladder that stops before insens has nothing to descend to:
+  // the cell is a native run, not analyze's up-front refusal.
+  if (Cell.Ladder && Cell.Rungs.empty() &&
+      fallbackLadder(Policy).back() != "insens")
+    Cell.Ladder = false;
   Cell.Solver.TraceLabel = MOpts.TraceLabelPrefix + Policy;
   trace::TraceRecorder *Trace = Cell.Solver.Trace;
   trace::TraceRecorder::Span CellSpan(Trace, Cell.Solver.TraceLabel, "cell");
@@ -59,7 +64,7 @@ PrecisionMetrics runOneCell(const Program &Prog, const std::string &Policy,
     Rep.LadderTrail = std::move(LR.Trail);
     if (DoProfile && !Rep.Aborted)
       Rep.ProfileJson = prov::renderBlameJson(
-          prov::blame(ProvRec, *LR.Result, MOpts.ProfileTopK));
+          prov::blame(ProvRec, *LR.Result, /*TopK=*/10));
     Reps.push_back(std::move(Rep));
     // A genuine resource-budget abort will abort again, so stop repeating
     // and report the dash.  Injected faults and cancellations are not

@@ -37,7 +37,9 @@ struct MatrixOptions {
   /// solve/metrics phase spans and the cells' heartbeats.  With
   /// \c Config.Ladder, a cell that aborts on a resource budget descends
   /// its fallback ladder instead of reporting a dash, and carries
-  /// FallbackFrom/LandedPolicy/LadderTrail.
+  /// FallbackFrom/LandedPolicy/LadderTrail.  A policy whose derived ladder
+  /// stops before insens has no rung to descend to, so its cell runs
+  /// natively instead of failing the way a single \c analyze run does.
   AnalysisConfig Config;
   /// Worker threads; 0 = one per hardware thread.
   unsigned Threads = 1;
@@ -54,13 +56,12 @@ struct MatrixOptions {
   /// name is appended per cell.
   std::string TraceLabelPrefix;
   /// Record derivation provenance per cell and attach the rendered blame
-  /// profile (prov::renderBlameJson) to \c PrecisionMetrics::ProfileJson.
-  /// Each repetition gets its own recorder — cells run concurrently and
-  /// fact payloads embed per-run object ids — so \c Config.Solver.Prov is
-  /// ignored by the matrix.  No-op when the build compiles provenance out.
+  /// profile (prov::renderBlameJson, ten rows per attribution bucket) to
+  /// \c PrecisionMetrics::ProfileJson.  Each repetition gets its own
+  /// recorder — cells run concurrently and fact payloads embed per-run
+  /// object ids — so \c Config.Solver.Prov is ignored by the matrix.
+  /// No-op when the build compiles provenance out.
   bool Profile = false;
-  /// Rows per attribution bucket in the per-cell profile.
-  size_t ProfileTopK = 10;
 };
 
 /// Runs every policy in \p Policies over \p Prog (concurrently when

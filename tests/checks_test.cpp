@@ -259,7 +259,7 @@ TEST(Checkers, MonotoneOverEveryPrecisionPairOnEveryExample) {
       return Keys;
     };
 
-    for (const auto &[Fine, Coarse] : fuzz::precisionOrderPairs()) {
+    for (const auto &[Fine, Coarse] : precisionOrderPairs()) {
       std::set<std::string> FineKeys = keysFor(Fine);
       std::set<std::string> CoarseKeys = keysFor(Coarse);
       for (const std::string &K : FineKeys)

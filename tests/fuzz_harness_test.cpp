@@ -87,7 +87,7 @@ TEST(FuzzHarness, InjectedBugIsCaughtAndMinimized) {
 }
 
 TEST(FuzzHarness, PrecisionPairsNameKnownPolicies) {
-  const auto &Pairs = fuzz::precisionOrderPairs();
+  const auto &Pairs = precisionOrderPairs();
   EXPECT_FALSE(Pairs.empty());
   const auto &All = allPolicyNames();
   for (const auto &[Fine, Coarse] : Pairs) {

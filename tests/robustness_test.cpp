@@ -400,48 +400,44 @@ TEST(Ladder, LandsOnInsensAndMatchesNativeBitForBit) {
   SolverOptions Opts;
   Opts.MaxFacts = calibratedBudget(Rungs);
 
-  for (bool WarmStart : {false, true}) {
-    LadderOptions LOpts;
-    LOpts.WarmStart = WarmStart;
-    LOpts.Rungs = {"1call+H", "1call", "insens"};
-    LadderResult LR = solveWithLadder(luindex(), "2call+H", Opts, LOpts);
-    ASSERT_TRUE(LR.Error.empty()) << LR.Error;
-    ASSERT_TRUE(LR.Result.has_value());
-    EXPECT_TRUE(LR.degraded());
-    EXPECT_FALSE(LR.Exhausted);
-    EXPECT_EQ(LR.RequestedPolicy, "2call+H");
-    EXPECT_EQ(LR.FallbackFrom, "2call+H");
-    EXPECT_EQ(LR.LandedPolicy, "insens");
-    EXPECT_FALSE(LR.Result->Aborted);
+  LadderOptions LOpts;
+  LOpts.Rungs = {"1call+H", "1call", "insens"};
+  LadderResult LR = solveWithLadder(luindex(), "2call+H", Opts, LOpts);
+  ASSERT_TRUE(LR.Error.empty()) << LR.Error;
+  ASSERT_TRUE(LR.Result.has_value());
+  EXPECT_TRUE(LR.degraded());
+  EXPECT_FALSE(LR.Exhausted);
+  EXPECT_EQ(LR.RequestedPolicy, "2call+H");
+  EXPECT_EQ(LR.FallbackFrom, "2call+H");
+  EXPECT_EQ(LR.LandedPolicy, "insens");
+  EXPECT_FALSE(LR.Result->Aborted);
 
-    // The full trail: every finer rung aborted on the fact budget, the
-    // landed rung converged.
-    ASSERT_EQ(LR.Trail.size(), Rungs.size());
-    for (size_t I = 0; I + 1 < LR.Trail.size(); ++I) {
-      EXPECT_EQ(LR.Trail[I].Policy, Rungs[I]);
-      EXPECT_EQ(LR.Trail[I].Reason, AbortReason::FactBudget);
-    }
-    EXPECT_EQ(LR.Trail.back().Reason, AbortReason::None);
-
-    // Bit-for-bit: the landed result equals a cold native insens run in
-    // every fact and every precision metric — warm starting included,
-    // since seeding insens with a partial run's reachable set cannot
-    // change its least fixpoint.
-    const AnalysisResult &Native = nativeRun("insens").Result;
-    EXPECT_TRUE(ciProject(*LR.Result) == ciProject(Native))
-        << "warm=" << WarmStart;
-    PrecisionMetrics Landed = computeMetrics(*LR.Result);
-    PrecisionMetrics Ref = computeMetrics(Native);
-    EXPECT_EQ(Landed.AvgPointsTo, Ref.AvgPointsTo);
-    EXPECT_EQ(Landed.CallGraphEdges, Ref.CallGraphEdges);
-    EXPECT_EQ(Landed.ReachableMethods, Ref.ReachableMethods);
-    EXPECT_EQ(Landed.PolyVCalls, Ref.PolyVCalls);
-    EXPECT_EQ(Landed.MayFailCasts, Ref.MayFailCasts);
-    EXPECT_EQ(Landed.CsVarPointsTo, Ref.CsVarPointsTo);
-    EXPECT_EQ(Landed.FieldPointsTo, Ref.FieldPointsTo);
-    EXPECT_EQ(Landed.ThrowFacts, Ref.ThrowFacts);
-    EXPECT_EQ(Landed.NumContexts, Ref.NumContexts);
+  // The full trail: every finer rung aborted on the fact budget, the
+  // landed rung converged.
+  ASSERT_EQ(LR.Trail.size(), Rungs.size());
+  for (size_t I = 0; I + 1 < LR.Trail.size(); ++I) {
+    EXPECT_EQ(LR.Trail[I].Policy, Rungs[I]);
+    EXPECT_EQ(LR.Trail[I].Reason, AbortReason::FactBudget);
   }
+  EXPECT_EQ(LR.Trail.back().Reason, AbortReason::None);
+
+  // Bit-for-bit: the landed result equals a cold native insens run in
+  // every fact and every precision metric — warm starting included,
+  // since seeding insens with a partial run's reachable set cannot
+  // change its least fixpoint.
+  const AnalysisResult &Native = nativeRun("insens").Result;
+  EXPECT_TRUE(ciProject(*LR.Result) == ciProject(Native));
+  PrecisionMetrics Landed = computeMetrics(*LR.Result);
+  PrecisionMetrics Ref = computeMetrics(Native);
+  EXPECT_EQ(Landed.AvgPointsTo, Ref.AvgPointsTo);
+  EXPECT_EQ(Landed.CallGraphEdges, Ref.CallGraphEdges);
+  EXPECT_EQ(Landed.ReachableMethods, Ref.ReachableMethods);
+  EXPECT_EQ(Landed.PolyVCalls, Ref.PolyVCalls);
+  EXPECT_EQ(Landed.MayFailCasts, Ref.MayFailCasts);
+  EXPECT_EQ(Landed.CsVarPointsTo, Ref.CsVarPointsTo);
+  EXPECT_EQ(Landed.FieldPointsTo, Ref.FieldPointsTo);
+  EXPECT_EQ(Landed.ThrowFacts, Ref.ThrowFacts);
+  EXPECT_EQ(Landed.NumContexts, Ref.NumContexts);
 }
 
 TEST(Ladder, LandsOnCutShortcutRung) {
@@ -648,6 +644,25 @@ TEST(VariantRunner, LadderMatrixHasNoDashCells) {
     EXPECT_EQ(Cell.CsVarPointsTo, Ref.CsVarPointsTo) << Policies[I];
     EXPECT_EQ(Cell.AvgPointsTo, Ref.AvgPointsTo) << Policies[I];
   }
+}
+
+TEST(VariantRunner, LadderMatrixRunsAPairlessPolicyNatively) {
+  // Ladder.PairlessPolicyFailsFastInsteadOfSilentInsens pins the single
+  // run's refusal; in the matrix such a policy has no rung to descend to,
+  // so its cell is the native run, not a reasonless dash.
+  MatrixOptions M;
+  M.Config.Ladder = true;
+  std::vector<PrecisionMetrics> Cells =
+      runVariantMatrix(luindex(), {"U-2obj+H-swapped"}, M);
+  ASSERT_EQ(Cells.size(), 1u);
+  const PrecisionMetrics &Cell = Cells[0];
+  EXPECT_FALSE(Cell.Aborted);
+  EXPECT_TRUE(Cell.FallbackFrom.empty());
+  EXPECT_EQ(Cell.LandedPolicy, "U-2obj+H-swapped");
+  PrecisionMetrics Ref = computeMetrics(nativeRun("U-2obj+H-swapped").Result);
+  EXPECT_EQ(Cell.CsVarPointsTo, Ref.CsVarPointsTo);
+  EXPECT_EQ(Cell.CallGraphEdges, Ref.CallGraphEdges);
+  EXPECT_EQ(Cell.MayFailCasts, Ref.MayFailCasts);
 }
 
 // --- Ladder trace records -----------------------------------------------

@@ -405,7 +405,7 @@ TEST(TaintMonotonicity, EveryExampleEveryPrecisionPair) {
       }
       return It->second;
     };
-    for (const auto &[Fine, Coarse] : fuzz::precisionOrderPairs()) {
+    for (const auto &[Fine, Coarse] : precisionOrderPairs()) {
       const std::set<SinkKey> &FineKeys = keysFor(Fine);
       const std::set<SinkKey> &CoarseKeys = keysFor(Coarse);
       for (const SinkKey &K : FineKeys)

@@ -6,7 +6,8 @@ Every malformed input — missing file, empty file, truncated JSONL, wrong
 top-level JSON shape, non-numeric fields — must produce a clear one-line
 error or warning and a controlled exit code, never a Python traceback.
 The stdout of the analysis binaries and of the example programs is pinned
-by tests/baselines/cli_outputs.txt (time and byte columns removed);
+by tests/baselines/cli_outputs.txt (time and byte columns and rows
+removed);
 re-record it with `python3 tests/tools_cli_test.py --hybridpt BIN
 --table1 BIN --record-cli-outputs tests/baselines/cli_outputs.txt`.
 
@@ -283,6 +284,28 @@ def test_bench_check_fails_on_counter_drift():
                counters=dict(counters, worklist_steps=11)), 0, "OK")
 
 
+def test_bench_check_fails_on_an_abort_without_a_reason():
+    # An aborted cell whose abort_reason is "none" was refused by the
+    # harness, not stopped by a budget: the check fails on either side,
+    # while a budget abort stays the usual warning.
+    refused = dict(GOOD_CELL, aborted=True, abort_reason="none")
+    budget = dict(GOOD_CELL, aborted=True, abort_reason="time_budget")
+    for base_cell, cand_cell, code, expect in (
+            (GOOD_CELL, refused, 1, "  b/p in candidate\n"),
+            (refused, GOOD_CELL, 1, "  b/p in baseline\n"),
+            (GOOD_CELL, budget, 0, "but aborted in candidate")):
+        base = write_tmp(bench_doc([base_cell]), ".json")
+        cand = write_tmp(bench_doc([cand_cell]), ".json")
+        try:
+            proc = run(BENCH_CHECK, base, cand)
+            assert_no_traceback(proc, "reasonless abort")
+            assert proc.returncode == code, (expect, proc.stdout)
+            assert expect in proc.stdout, proc.stdout
+        finally:
+            os.unlink(base)
+            os.unlink(cand)
+
+
 def test_bench_check_gates_peak_bytes_within_one_build():
     # peak_bytes is deterministic for one build configuration: a one-byte
     # rise fails when the layout stamps match, and only warns across
@@ -396,12 +419,13 @@ def test_lint_compare_known_pair_is_not_conflated():
 #
 # Needs the built binaries; ctest passes them via --hybridpt/--table1.  The
 # example programs are found in the build tree next to hybridpt's
-# (BUILD/tools/hybridpt, BUILD/examples/NAME).
+# (BUILD/tools/hybridpt, BUILD/examples/NAME).  Only the two examples the
+# CLI cannot replace are built: quickstart drives the library from an
+# inline PTIR string, policy_lab a custom policy and a Datalog query.
 
 HYBRIDPT_BIN = os.environ.get("HYBRIDPT_BIN", "")
 TABLE1_BIN = os.environ.get("HYBRIDPT_TABLE1_BIN", "")
-EXAMPLES = ["quickstart", "devirtualizer", "policy_lab", "context_diff",
-            "cast_checker"]
+EXAMPLES = ["quickstart", "policy_lab"]
 REPO_ROOT = os.path.normpath(os.path.join(
     os.path.dirname(os.path.abspath(__file__)), os.pardir))
 CLI_BASELINE = os.path.join(REPO_ROOT, "tests", "baselines",
@@ -428,7 +452,6 @@ def cli_commands():
                                   "luindex"]))
     for policy in OTHER_POLICIES:
         cmds.append(("hybridpt", ["--csv", "--policy", policy, "luindex"]))
-    cmds.append(("hybridpt", ["--matrix", "--csv", "luindex"]))
     cmds.append(("hybridpt", ["--taint-spec",
                               "examples/programs/default.taintspec", "--csv",
                               "examples/programs/taintflow.ptir"]))
@@ -445,13 +468,19 @@ def cli_commands():
                               "luindex"]))
     cmds.append(("table1_main", ["--csv", "--json", "-", "luindex",
                                  "antlr"]))
+    # The text table (its elapsed-time row dropped) and a .ptir input.
+    cmds.append(("table1_main", ["--json", "-", "luindex"]))
+    cmds.append(("table1_main", ["--csv", "--json", "-",
+                                 "examples/programs/dispatch.ptir"]))
     for example in EXAMPLES:
         cmds.append((example, []))
     return cmds
 
 
 def strip_solve_times(text):
-    """Drops policy_lab's per-line `, N ms` wall time."""
+    """Drops policy_lab's per-line `, N ms` wall time and the elapsed-time
+    row of table1_main's text table."""
+    text = re.sub(r"^elapsed time \(s\) .*\n", "", text, flags=re.M)
     return re.sub(r", [0-9]+ ms$", "", text, flags=re.M)
 
 
@@ -567,6 +596,93 @@ def test_chrome_trace_is_written_on_an_error_exit():
             os.unlink(path)
 
 
+# --- report paths no pinned block reaches ---
+
+FACTORY_PTIR = os.path.join(REPO_ROOT, "examples", "programs",
+                            "factory.ptir")
+COMPILED_OUT = "provenance compiled out"
+
+
+def test_blame_prints_the_cost_attribution_text():
+    hybridpt = _have(HYBRIDPT_BIN)
+    if not hybridpt:
+        print("skip: hybridpt binary not provided")
+        return
+    proc = run_bin(hybridpt, "--provenance", "--blame", "5", FACTORY_PTIR)
+    if COMPILED_OUT in proc.stderr:
+        print("skip: " + COMPILED_OUT)
+        return
+    assert proc.returncode == 0, (proc.returncode, proc.stderr)
+    lines = proc.stdout.splitlines()
+    assert re.match(r"cost attribution: [1-9][0-9]* derivation steps, "
+                    r"[1-9][0-9]* facts, [0-9]+ arena bytes$", lines[0]), \
+        proc.stdout
+    for title in ("by rule", "by method", "by alloc site", "by ctx depth"):
+        at = lines.index("  %s:" % title)
+        assert re.match(r"    \S.*  steps=[1-9][0-9]* bytes=[0-9]+$",
+                        lines[at + 1]), proc.stdout
+    assert "    new Apple@0  steps=" in proc.stdout, proc.stdout
+
+
+def test_explain_abort_names_the_last_heartbeat():
+    # An injected OOM aborts the run; --explain-abort then prints the last
+    # heartbeat and the hottest rules, or says that none was recorded
+    # (telemetry compiled out).
+    hybridpt = _have(HYBRIDPT_BIN)
+    if not hybridpt:
+        print("skip: hybridpt binary not provided")
+        return
+    env = dict(os.environ, HYBRIDPT_FAULT_PLAN="oom-at-step=500")
+    proc = subprocess.run([hybridpt, "--policy", "2obj+H", "--explain-abort",
+                           "luindex"], capture_output=True, text=True,
+                          timeout=120, env=env)
+    assert proc.returncode == 0, (proc.returncode, proc.stderr)
+    label = "[abort] luindex/2obj+H: "
+    assert label + "memory_budget (injected)\n" in proc.stderr, proc.stderr
+    if label + "no heartbeat recorded" in proc.stderr:
+        return
+    assert re.search(re.escape(label) + r"last heartbeat at t=[0-9.]+s "
+                     r"step=500 worklist=[0-9]+ nodes=[0-9]+ facts=[0-9]+ "
+                     r"mem=[0-9.]+MB\n", proc.stderr), proc.stderr
+    assert re.search(re.escape(label) + r"hottest rules:( rule_\w+=[0-9]+)"
+                     r"{3}\n", proc.stderr), proc.stderr
+    assert "(ABORTED: memory_budget)" in proc.stdout, proc.stdout
+
+
+def test_table1_provenance_embeds_a_profile_per_cell():
+    # --provenance puts each cell's cost-attribution profile into the
+    # BENCH record, which trace_summary.py renders directly.
+    table1 = _have(TABLE1_BIN)
+    if not table1:
+        print("skip: table1_main binary not provided")
+        return
+    fd, path = tempfile.mkstemp(suffix=".json")
+    os.close(fd)
+    try:
+        proc = run_bin(table1, "--budget", "0", "--provenance", "--json",
+                       path, "luindex")
+        if COMPILED_OUT in proc.stderr:
+            print("skip: " + COMPILED_OUT)
+            return
+        assert proc.returncode == 0, (proc.returncode, proc.stderr)
+        with open(path) as f:
+            cells = json.load(f)["cells"]
+        assert len(cells) == 20, len(cells)
+        for cell in cells:
+            profile = cell.get("profile")
+            assert isinstance(profile, dict), cell["policy"]
+            assert profile["total_steps"] > 0, cell["policy"]
+        summary = run(TRACE_SUMMARY, path)
+        assert_no_traceback(summary, "table1 profiles")
+        assert summary.returncode == 0, summary.stderr
+        for cell in cells:
+            assert "\nluindex/%s: " % cell["policy"] in summary.stdout, (
+                cell["policy"], summary.stdout[:2000])
+        assert "  hottest rules:\n" in summary.stdout, summary.stdout[:2000]
+    finally:
+        os.unlink(path)
+
+
 # --- malformed numeric flags ---
 #
 # Every numeric flag accepts only a whole decimal that fits its field;
@@ -575,6 +691,7 @@ def test_chrome_trace_is_written_on_an_error_exit():
 
 SERVE_BIN = os.environ.get("HYBRIDPT_SERVE_BIN", "")
 REPLAY_BIN = os.environ.get("HYBRIDPT_REPLAY_BIN", "")
+FUZZ_BIN = os.environ.get("HYBRIDPT_FUZZ_BIN", "")
 
 
 def test_malformed_numeric_flags_exit_1_naming_the_flag():
@@ -586,6 +703,8 @@ def test_malformed_numeric_flags_exit_1_naming_the_flag():
         (SERVE_BIN, ["--program", "luindex"], "--workers", "abc", []),
         (REPLAY_BIN, ["--program", "luindex"], "--requests", "-5", []),
         (TABLE1_BIN, [], "--runs", "99999999999", ["luindex"]),
+        (FUZZ_BIN, [], "--max-programs", "4294967297", []),
+        (FUZZ_BIN, [], "--seed", "-1", []),
     ]
     ran = 0
     for binary, head, flag, bad, tail in cases:
@@ -609,7 +728,8 @@ def test_malformed_numeric_flags_exit_1_naming_the_flag():
 
 
 def main():
-    global LINT_BIN, HYBRIDPT_BIN, TABLE1_BIN, SERVE_BIN, REPLAY_BIN
+    global LINT_BIN, HYBRIDPT_BIN, TABLE1_BIN, SERVE_BIN, REPLAY_BIN, \
+        FUZZ_BIN
     argv = sys.argv[1:]
 
     def arg(flag, default):
@@ -619,6 +739,7 @@ def main():
     TABLE1_BIN = arg("--table1", TABLE1_BIN)
     SERVE_BIN = arg("--serve", SERVE_BIN)
     REPLAY_BIN = arg("--replay", REPLAY_BIN)
+    FUZZ_BIN = arg("--fuzz", FUZZ_BIN)
     if "--record-cli-outputs" in argv:
         path = argv[argv.index("--record-cli-outputs") + 1]
         with open(path, "w") as f:

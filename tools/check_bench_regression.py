@@ -17,7 +17,11 @@ budget-truncated (the table's dash entries), and a degraded cell's
 time_ms measures a coarser policy, so either comparison flags spurious
 regressions.  Abort- and degradation-state transitions in either
 direction are reported as warnings, never as failures — they are budget-
-and machine-load-sensitive.  Cells faster than --min-ms in the baseline
+and machine-load-sensitive.  A cell with "aborted": true and
+"abort_reason": "none", in either file, fails the check: no budget
+stopped it, so the harness refused the cell (an unknown policy or a
+ladder it could not derive) and its dash hides a run that never
+happened.  Cells faster than --min-ms in the baseline
 are reported but never fail the check: their timings are noise-dominated.
 
 The deterministic result columns (the Table 1 columns avg_objs_per_var,
@@ -175,6 +179,10 @@ def main():
     regressions = []
     drifts = []
     warnings = []
+    refused = [f"{key[0]}/{key[1]} in {side}"
+               for side, cells in (("baseline", base), ("candidate", cand))
+               for key, c in sorted(cells.items())
+               if c.get("aborted") and c.get("abort_reason") == "none"]
     compared = 0
     base_total = cand_total = 0.0
 
@@ -310,6 +318,11 @@ def main():
         print(f"compared {compared} cells: total {base_total:.0f} ms -> "
               f"{cand_total:.0f} ms (speedup {ratio:.2f}x)")
 
+    if refused:
+        print(f"\nFAIL: {len(refused)} cell(s) aborted with abort_reason "
+              f"none (the harness refused them; no budget expired):")
+        for r in refused:
+            print(f"  {r}")
     if drifts:
         print(f"\nFAIL: {len(drifts)} deterministic column(s) or "
               f"counter(s) drifted "
@@ -322,7 +335,7 @@ def main():
               f"{args.threshold:.0f}%:")
         for r in regressions:
             print(f"  {r}")
-    if drifts or regressions:
+    if refused or drifts or regressions:
         return 1
     print(f"OK: no cell regressed more than {args.threshold:.0f}%")
     return 0

@@ -30,8 +30,6 @@
 ///   --max-facts N      per-run fact budget (0 = unlimited)
 ///   --max-memory-mb N  per-run solver memory budget (0 = unlimited)
 ///   --deadline-ms MS   whole-process deadline; expiry cancels cleanly
-///   --matrix           run the full Table 1 policy matrix instead of one
-///   --threads N        workers for --matrix (0 = hardware concurrency)
 ///   --taint-spec FILE  instrument the program with the taint spec before
 ///                      solving (docs/CHECKS.md "Taint analysis"); the
 ///                      metric block then reports tainted sinks
@@ -83,7 +81,6 @@
 #include "pta/Metrics.h"
 #include "pta/Flags.h"
 #include "pta/Trace.h"
-#include "pta/VariantRunner.h"
 #include "ptaref/Validate.h"
 #include "support/Cancel.h"
 #include "support/TableWriter.h"
@@ -99,7 +96,7 @@ namespace {
 
 struct CliOptions {
   /// --policy, the budgets, --deadline-ms, --taint-spec, the ladder,
-  /// --threads, --provenance, --why, --trace-out and --profile-out.
+  /// --provenance, --why, --trace-out and --profile-out.
   SharedFlags Flags;
   std::string Compare;
   std::string Input;
@@ -107,7 +104,6 @@ struct CliOptions {
   std::string CallGraphDotPath;
   std::string PointsToDotFocus;
   std::vector<std::string> DumpVars;
-  bool Matrix = false;
   bool Metrics = false;
   bool Stats = false;
   bool Devirt = false;
@@ -140,7 +136,6 @@ int usage(const char *Argv0) {
          "       [--dump-vpt Class::method/arity::var] [--compare NAME]\n"
          "       [--budget MS] [--max-facts N] [--max-memory-mb N]\n"
          "       [--deadline-ms MS] [--ladder] [--ladder-rungs A,B,...]\n"
-         "       [--matrix] [--threads N]\n"
          "       [--taint-spec FILE]\n"
          "       [--csv] [--trace-out FILE] [--chrome-trace FILE]\n"
          "       [--progress] [--explain-abort] [--heartbeat-steps N]\n"
@@ -290,73 +285,6 @@ LadderResult solve(const Program &P, const std::string &Policy,
   return LR;
 }
 
-/// --matrix: all Table 1 policies, fanned out over the worker pool.
-int runMatrix(const Program &P, const CliOptions &Cli,
-              trace::TraceRecorder *Rec) {
-  const std::vector<std::string> &Policies = table1PolicyNames();
-  const std::string &ProfileOut = Cli.Flags.ProfileOut;
-  // Cells run concurrently and each is its own run, so they never share
-  // the single-run recorder; the runner records per-cell profiles.
-  MatrixOptions MOpts = Cli.Flags.matrix();
-  if (Cli.BlameTopK != 0)
-    MOpts.ProfileTopK = Cli.BlameTopK;
-  MOpts.TraceLabelPrefix = Cli.Input + "/";
-  std::vector<PrecisionMetrics> Cells = runVariantMatrix(P, Policies, MOpts);
-
-  TableWriter T;
-  T.setHeader({"analysis", "avg_objs_per_var", "cg_edges", "poly_vcalls",
-               "may_fail_casts", "reachable_methods", "time_s",
-               "cs_vpt_facts", "peak_bytes"});
-  size_t Degraded = 0;
-  for (size_t I = 0; I < Policies.size(); ++I) {
-    const PrecisionMetrics &M = Cells[I];
-    std::string Name = Policies[I];
-    if (!M.FallbackFrom.empty()) {
-      Name += ">" + M.LandedPolicy; // Degraded cell: the landed rung.
-      ++Degraded;
-    }
-    T.addRow({Name,
-              M.Aborted ? "-" : formatFixed(M.AvgPointsTo, 2),
-              M.Aborted ? "-" : std::to_string(M.CallGraphEdges),
-              M.Aborted ? "-" : std::to_string(M.PolyVCalls),
-              M.Aborted ? "-" : std::to_string(M.MayFailCasts),
-              M.Aborted ? "-" : std::to_string(M.ReachableMethods),
-              M.Aborted ? "-" : formatFixed(M.SolveMs / 1000.0, 3),
-              M.Aborted ? "-" : std::to_string(M.CsVarPointsTo),
-              std::to_string(M.PeakBytes)});
-    if (M.Aborted && Cli.ExplainAbort && Rec)
-      explainAbort(*Rec, MOpts.TraceLabelPrefix + Policies[I]);
-  }
-  if (Cli.Csv)
-    T.printCsv(std::cout);
-  else
-    T.print(std::cout);
-  if (Degraded != 0 && !Cli.Csv)
-    std::cout << Degraded << " cell(s) degraded via the fallback ladder "
-              << "('requested>landed'); metrics describe the landed "
-              << "policy.\n";
-  if (!ProfileOut.empty()) {
-    std::ofstream OS(ProfileOut);
-    if (!OS) {
-      std::cerr << "cannot write '" << ProfileOut << "'\n";
-      return 1;
-    }
-    OS << "{\"harness\": \"hybridpt-matrix\", \"benchmark\": \""
-       << Cli.Input << "\", \"cells\": [";
-    bool First = true;
-    for (size_t I = 0; I < Policies.size(); ++I) {
-      if (Cells[I].ProfileJson.empty())
-        continue;
-      OS << (First ? "" : ",") << "\n  {\"policy\": \"" << Policies[I]
-         << "\", \"profile\": " << Cells[I].ProfileJson << "}";
-      First = false;
-    }
-    OS << "\n]}\n";
-    std::cout << "wrote per-cell profiles to " << ProfileOut << "\n";
-  }
-  return 0;
-}
-
 void printMetrics(const PrecisionMetrics &M, const std::string &Policy,
                   bool Csv, bool Taint) {
   if (Csv) {
@@ -405,8 +333,8 @@ int main(int argc, char **argv) {
   }
   const unsigned Shared = FlagPolicy | FlagBudgets | FlagDeadline |
                           FlagTaintSpec | FlagLadder | FlagLadderRungs |
-                          FlagThreads | FlagProvenance | FlagWhy |
-                          FlagTraceOut | FlagProfileOut;
+                          FlagProvenance | FlagWhy | FlagTraceOut |
+                          FlagProfileOut;
   SolverOptions &Solver = Opts.Flags.Config.Solver;
   ArgParser Args(argc, argv, FirstArg);
   while (Args.next()) {
@@ -432,8 +360,6 @@ int main(int argc, char **argv) {
       Opts.CallGraphDotPath = Args.value();
     else if (Args.is("--dot-pointsto"))
       Opts.PointsToDotFocus = Args.value();
-    else if (Args.is("--matrix"))
-      Opts.Matrix = true;
     else if (Args.is("--metrics"))
       Opts.Metrics = true;
     else if (Args.is("--stats"))
@@ -481,8 +407,8 @@ int main(int argc, char **argv) {
     return usage(argv[0]);
   }
   if (!Opts.Explain && !Opts.Metrics && !Opts.Devirt && !Opts.Casts &&
-      !Opts.Stats && !Opts.Matrix && Opts.DumpVars.empty() &&
-      Opts.Compare.empty() && Opts.FactsDir.empty() &&
+      !Opts.Stats && Opts.DumpVars.empty() && Opts.Compare.empty() &&
+      Opts.FactsDir.empty() &&
       Opts.CallGraphDotPath.empty() && Opts.PointsToDotFocus.empty() &&
       Opts.Flags.Why.empty() && Opts.BlameTopK == 0 &&
       Opts.Flags.ProfileOut.empty())
@@ -530,8 +456,8 @@ int main(int argc, char **argv) {
   ChromeTraceFlush Flush(Rec.get(), Opts.ChromeTraceOut);
 
   // Load the program; --taint-spec instruments it before solving, so every
-  // downstream consumer (metrics, clients, provenance, --matrix) sees the
-  // taint objects.
+  // downstream consumer (metrics, clients, provenance) sees the taint
+  // objects.
   LoadedProgram Loaded;
   {
     trace::TraceRecorder::Span ParseSpan(Rec.get(), "parse", "phase");
@@ -543,9 +469,6 @@ int main(int argc, char **argv) {
     return 1;
   }
   const Program *P = Loaded.Prog;
-
-  if (Opts.Matrix)
-    return runMatrix(*P, Opts, Rec.get());
 
   const std::string &Policy = Opts.Flags.Config.Policy;
   const std::string CellLabel = Opts.Input + "/" + Policy;

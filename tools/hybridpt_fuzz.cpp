@@ -42,17 +42,16 @@
 /// ^C cancels cooperatively: the campaign stops at the next guard poll and
 /// still reports every failure found so far (second ^C kills).
 ///
-/// Exit status: 0 when every program passed, 1 on any violation, 2 on
-/// usage errors.
+/// Exit status: 0 when every program passed, 1 on any violation or a
+/// malformed flag value (pta/Flags.h), 2 on usage errors.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "context/PolicyRegistry.h"
 #include "fuzz/Driver.h"
+#include "pta/Flags.h"
 #include "support/Cancel.h"
 
-#include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <string>
 
@@ -71,82 +70,46 @@ int usage(const char *Argv0) {
   return 2;
 }
 
-bool parseU64(const char *Text, uint64_t &Out) {
-  char *End = nullptr;
-  unsigned long long V = std::strtoull(Text, &End, 10);
-  if (End == Text || *End != '\0')
-    return false;
-  Out = V;
-  return true;
-}
-
 } // namespace
 
 int main(int argc, char **argv) {
   fuzz::DriverOptions Opts;
   Opts.FullDiffEvery = 25;
   bool Quiet = false;
-  uint64_t DeadlineMs = 0;
 
-  for (int I = 1; I < argc; ++I) {
-    const char *Arg = argv[I];
-    auto Next = [&]() -> const char * {
-      return I + 1 < argc ? argv[++I] : nullptr;
-    };
-    uint64_t N = 0;
-    if (std::strcmp(Arg, "--seed") == 0) {
-      const char *V = Next();
-      if (!V || !parseU64(V, Opts.Seed))
-        return usage(argv[0]);
-    } else if (std::strcmp(Arg, "--max-programs") == 0) {
-      const char *V = Next();
-      if (!V || !parseU64(V, N))
-        return usage(argv[0]);
-      Opts.MaxPrograms = static_cast<uint32_t>(N);
-    } else if (std::strcmp(Arg, "--budget-ms") == 0) {
-      const char *V = Next();
-      if (!V || !parseU64(V, Opts.BudgetMs))
-        return usage(argv[0]);
-    } else if (std::strcmp(Arg, "--minimize") == 0) {
+  SharedFlags Flags;
+  ArgParser Args(argc, argv, 1, /*UsageExit=*/2);
+  while (Args.next()) {
+    if (Args.shared(FlagDeadline, Flags))
+      continue;
+    if (Args.is("--seed"))
+      Opts.Seed = Args.number<uint64_t>();
+    else if (Args.is("--max-programs"))
+      Opts.MaxPrograms = Args.number<uint32_t>();
+    else if (Args.is("--budget-ms"))
+      Opts.BudgetMs = Args.number<uint64_t>();
+    else if (Args.is("--minimize"))
       Opts.Minimize = true;
-    } else if (std::strcmp(Arg, "--no-minimize") == 0) {
+    else if (Args.is("--no-minimize"))
       Opts.Minimize = false;
-    } else if (std::strcmp(Arg, "--regress-dir") == 0) {
-      const char *V = Next();
-      if (!V)
-        return usage(argv[0]);
-      Opts.RegressDir = V;
-    } else if (std::strcmp(Arg, "--policy") == 0) {
-      const char *V = Next();
-      if (!V)
-        return usage(argv[0]);
-      Opts.Policies.push_back(V);
-    } else if (std::strcmp(Arg, "--full-diff-every") == 0) {
-      const char *V = Next();
-      if (!V || !parseU64(V, N))
-        return usage(argv[0]);
-      Opts.FullDiffEvery = static_cast<uint32_t>(N);
-    } else if (std::strcmp(Arg, "--max-failures") == 0) {
-      const char *V = Next();
-      if (!V || !parseU64(V, N))
-        return usage(argv[0]);
-      Opts.MaxFailures = static_cast<uint32_t>(N);
-    } else if (std::strcmp(Arg, "--solver-budget") == 0) {
-      const char *V = Next();
-      if (!V || !parseU64(V, Opts.SolverTimeBudgetMs))
-        return usage(argv[0]);
-    } else if (std::strcmp(Arg, "--check-provenance") == 0) {
+    else if (Args.is("--regress-dir"))
+      Opts.RegressDir = Args.value();
+    else if (Args.is("--policy"))
+      Opts.Policies.push_back(Args.value());
+    else if (Args.is("--full-diff-every"))
+      Opts.FullDiffEvery = Args.number<uint32_t>();
+    else if (Args.is("--max-failures"))
+      Opts.MaxFailures = Args.number<uint32_t>();
+    else if (Args.is("--solver-budget"))
+      Opts.SolverTimeBudgetMs = Args.number<uint64_t>();
+    else if (Args.is("--check-provenance"))
       Opts.CheckProvenance = true;
-    } else if (std::strcmp(Arg, "--check-taint") == 0) {
+    else if (Args.is("--check-taint"))
       Opts.CheckTaint = true;
-    } else if (std::strcmp(Arg, "--deadline-ms") == 0) {
-      const char *V = Next();
-      if (!V || !parseU64(V, DeadlineMs))
-        return usage(argv[0]);
-    } else if (std::strcmp(Arg, "--quiet") == 0) {
+    else if (Args.is("--quiet"))
       Quiet = true;
-    } else {
-      std::cerr << "unknown option: " << Arg << "\n";
+    else {
+      std::cerr << "unknown option: " << Args.arg() << "\n";
       return usage(argv[0]);
     }
   }
@@ -168,8 +131,8 @@ int main(int argc, char **argv) {
   // found so far is still reported (SA_RESETHAND: a second ^C kills).
   static CancelToken Cancel;
   installSigintCancel(Cancel);
-  if (DeadlineMs != 0)
-    Cancel.setDeadlineMs(DeadlineMs);
+  if (Flags.DeadlineMs != 0)
+    Cancel.setDeadlineMs(Flags.DeadlineMs);
   Opts.Cancel = &Cancel;
 
   fuzz::DriverResult Result = fuzz::runFuzz(Opts);

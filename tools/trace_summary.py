@@ -6,12 +6,13 @@ Usage:
     tools/trace_summary.py PROFILE.json [--top K]
 
 The input is the file written by `--trace-out` (see docs/OBSERVABILITY.md
-for the record schema), or a cost-attribution profile file written by
-`--profile-out` (hybridpt, hybridpt --matrix, bench/table1_main) or a
-BENCH_*.json with embedded per-cell "profile" objects — profile inputs
-are auto-detected (a single JSON object with a "cells" array) and render
-one top-K attribution table per cell: hottest Figure-2 rules, methods,
-and allocation sites by derivation-step count and arena bytes.
+for the record schema), or a cost-attribution profile: the single-run
+file `hybridpt --profile-out` writes, or a BENCH_*.json whose cells
+embed a "profile" object (`bench/table1_main --provenance`).  Profile
+inputs are auto-detected (one JSON object, a blame object or one with a
+"cells" array) and render one top-K attribution table per cell: hottest
+Figure-2 rules, methods, and allocation sites by derivation-step count
+and arena bytes.
 
 For JSONL traces, these summaries are printed:
 
@@ -92,7 +93,7 @@ def summarize_profiles(path, data, top):
             continue
         profile = cell.get("profile")
         if profile is None:
-            continue  # BENCH cells without --profile-out carry none.
+            continue  # BENCH cells without --provenance carry none.
         name = "/".join(str(cell[k]) for k in ("benchmark", "policy")
                         if isinstance(cell.get(k), str)) or f"cell #{i}"
         if not isinstance(profile, dict):
@@ -130,8 +131,8 @@ def summarize_profiles(path, data, top):
                 print(f"    {key:<{width}}  {fmt_count(row_steps):>8} "
                       f"step(s) ({pct:.1f}%)  {fmt_bytes(row_bytes)}")
     if not rendered:
-        print("no cells carry a 'profile' object (run with --profile-out "
-              "and provenance compiled in)")
+        print("no cells carry a 'profile' object (run table1_main with "
+              "--provenance, provenance compiled in)")
     return 0
 
 
