@@ -258,6 +258,19 @@ int main(int argc, char **argv) {
         std::find(Policies.begin(), Policies.end(), Policy) -
         Policies.begin());
 
+  // A program that does not load prints only its load error: load every
+  // spec that is not a benchmark name (a file, or a mistyped name) once
+  // before the heading, and still hold one program at a time below.
+  auto Load = [&](const std::string &Name) {
+    LoadedProgram Loaded = loadProgram(Name, TaintSpec);
+    for (const std::string &E : Loaded.Errors)
+      std::cerr << E << "\n";
+    return Loaded;
+  };
+  for (const std::string &Name : Selected)
+    if (!isBenchmarkName(Name) && !Load(Name).ok())
+      return 1;
+
   std::cout << "Table 1: precision and performance metrics for all "
                "benchmarks and analyses.\n"
             << "(dash = budget of " << Opts.Config.Solver.TimeBudgetMs
@@ -278,13 +291,10 @@ int main(int argc, char **argv) {
     if (Rec)
       FactGenSpan = std::make_unique<trace::TraceRecorder::Span>(
           Rec.get(), Name + "/fact-gen", "phase");
-    LoadedProgram Loaded = loadProgram(Name, TaintSpec);
+    LoadedProgram Loaded = Load(Name);
     FactGenSpan.reset();
-    if (!Loaded.ok()) {
-      for (const std::string &E : Loaded.Errors)
-        std::cerr << E << "\n";
+    if (!Loaded.ok())
       return 1;
-    }
 
     // All cells of one benchmark are independent solver runs; fan them
     // out over the worker pool.

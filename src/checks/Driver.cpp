@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <set>
+#include <utility>
 
 using namespace pt;
 using namespace pt::checks;
@@ -87,29 +88,15 @@ int64_t CompareResult::reduction() const {
   return Sum;
 }
 
-CompareResult pt::checks::comparePolicies(const Program &Prog,
-                                          const std::string &Base,
-                                          const std::string &Refined,
-                                          const LintOptions &Opts) {
+CompareResult pt::checks::compareRuns(std::string Base, std::string Refined,
+                                      LintRun B, LintRun R) {
   CompareResult CR;
-  CR.BasePolicy = Base;
-  CR.RefinedPolicy = Refined;
-
-  // Two runs cannot share one arena: fact payloads embed per-run dense
-  // object ids.  The comparison never reads provenance anyway.
-  LintOptions RunOpts = Opts;
-  RunOpts.Config.Solver.Prov = nullptr;
-  RunOpts.KeepResult = false;
-  RunOpts.Config.Policy = Base;
-  CR.Base = lintProgram(Prog, RunOpts);
-  if (!CR.Base.ok()) {
-    CR.Error = CR.Base.Error;
-    return CR;
-  }
-  RunOpts.Config.Policy = Refined;
-  CR.Refined = lintProgram(Prog, RunOpts);
-  if (!CR.Refined.ok()) {
-    CR.Error = CR.Refined.Error;
+  CR.BasePolicy = std::move(Base);
+  CR.RefinedPolicy = std::move(Refined);
+  CR.Base = std::move(B);
+  CR.Refined = std::move(R);
+  if (!CR.Base.ok() || !CR.Refined.ok()) {
+    CR.Error = CR.Base.ok() ? CR.Refined.Error : CR.Base.Error;
     return CR;
   }
   if (CR.Base.Aborted || CR.Refined.Aborted) {
@@ -132,6 +119,25 @@ CompareResult pt::checks::comparePolicies(const Program &Prog,
     CR.Deltas.push_back(std::move(Delta));
   }
   return CR;
+}
+
+CompareResult pt::checks::comparePolicies(const Program &Prog,
+                                          const std::string &Base,
+                                          const std::string &Refined,
+                                          const LintOptions &Opts) {
+  // Two runs cannot share one arena: fact payloads embed per-run dense
+  // object ids.  The comparison never reads provenance anyway.
+  LintOptions RunOpts = Opts;
+  RunOpts.Config.Solver.Prov = nullptr;
+  RunOpts.KeepResult = false;
+  RunOpts.Config.Policy = Base;
+  LintRun B = lintProgram(Prog, RunOpts);
+  LintRun R;
+  if (B.ok()) {
+    RunOpts.Config.Policy = Refined;
+    R = lintProgram(Prog, RunOpts);
+  }
+  return compareRuns(Base, Refined, std::move(B), std::move(R));
 }
 
 void pt::checks::renderCompare(std::ostream &OS, const CompareResult &CR) {

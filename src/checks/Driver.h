@@ -120,7 +120,13 @@ struct CompareResult {
   int64_t reduction() const;
 };
 
-/// Lints \p Prog under both policies and diffs the diagnostic sets.
+/// Diffs the diagnostic sets of two finished lint runs, \p B under policy
+/// \p Base and \p R under \p Refined.  The comparison fails with the
+/// first run's error, or when either run aborted on a budget.
+CompareResult compareRuns(std::string Base, std::string Refined, LintRun B,
+                          LintRun R);
+
+/// Lints \p Prog under both policies, then \c compareRuns.
 CompareResult comparePolicies(const Program &Prog, const std::string &Base,
                               const std::string &Refined,
                               const LintOptions &Opts = {});

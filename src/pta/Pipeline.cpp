@@ -25,7 +25,12 @@ LoadedProgram pt::loadProgram(const std::string &Spec,
   } else {
     std::ifstream In(Spec);
     if (!In) {
-      L.Errors.push_back("cannot open '" + Spec + "'");
+      // Neither a file nor a benchmark: perhaps a mistyped benchmark name.
+      std::string Msg = "cannot open '" + Spec +
+                        "', and it is not a benchmark name (benchmarks:";
+      for (const std::string &Name : benchmarkNames())
+        Msg += " " + Name;
+      L.Errors.push_back(Msg + ")");
       return L;
     }
     std::stringstream Buffer;

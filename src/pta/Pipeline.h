@@ -39,7 +39,8 @@ struct LoadedProgram {
   /// The program to analyze, whoever owns it; null when loading failed.
   const Program *Prog = nullptr;
   /// Why loading failed, one complete message per entry ("cannot open
-  /// 'F'", "parse error in 'F': ...", "taint spec error: ...").
+  /// 'F', and it is not a benchmark name (benchmarks: ...)", "parse error
+  /// in 'F': ...", "taint spec error: ...").
   std::vector<std::string> Errors;
 
   bool ok() const { return Prog != nullptr; }

@@ -301,7 +301,7 @@ AnalysisConfig Server::analysisConfig(const Request &Req,
 
 std::shared_ptr<const CacheEntry>
 Server::solveCell(const Job &Job, const std::string &Policy, CancelToken &Tok,
-                  const FaultPlan *Fault, Outcome &Out) {
+                  const FaultPlan *Fault, Outcome &Out, bool Native) {
   const Program &P = *Job.Ep->Prog;
   const std::string Key =
       "solve/e" + std::to_string(Job.Ep->Id) + "/" + Policy;
@@ -349,7 +349,10 @@ Server::solveCell(const Job &Job, const std::string &Policy, CancelToken &Tok,
     return nullptr;
   }
 
-  LadderResult LR = analyze(P, analysisConfig(Job.Req, Policy, Tok, Fault));
+  AnalysisConfig Config = analysisConfig(Job.Req, Policy, Tok, Fault);
+  if (Native)
+    Config.Ladder = false;
+  LadderResult LR = analyze(P, Config);
   if (!LR.Result) {
     Out.Code = ErrorCode::Internal;
     Out.Error = LR.Error;
@@ -363,6 +366,7 @@ Server::solveCell(const Job &Job, const std::string &Policy, CancelToken &Tok,
   Entry->FallbackFrom = LR.FallbackFrom;
 
   if (Entry->Result->Aborted) {
+    Out.Abort = Entry->Result->Reason;
     if (Entry->Result->Reason == AbortReason::Cancelled) {
       // Cancellation never ladders (the client wants out, not a coarser
       // answer): structured "cancelled" error.
@@ -372,7 +376,7 @@ Server::solveCell(const Job &Job, const std::string &Policy, CancelToken &Tok,
       Out.Code = ErrorCode::Budget;
       Out.Error = std::string("solver budget exhausted (") +
                   abortReasonName(Entry->Result->Reason) +
-                  (Opts.Analysis.Ladder ? "; ladder exhausted)" : ")");
+                  (Config.Ladder ? "; ladder exhausted)" : ")");
     }
     return nullptr;
   }
@@ -462,9 +466,6 @@ Server::Outcome Server::runLint(const Job &Job, CancelToken &Tok,
 Server::Outcome Server::runCompare(const Job &Job, CancelToken &Tok,
                                    const FaultPlan *Fault) {
   Outcome Out;
-  (void)Fault; // Compare solves twice through the checks driver, which has
-               // no fault hook; the replay driver schedules faults onto
-               // the other kinds.
   const Program &P = *Job.Ep->Prog;
   for (const std::string &Name : {Job.Req.Base, Job.Req.Refined}) {
     if (!createPolicy(Name, P)) {
@@ -476,47 +477,51 @@ Server::Outcome Server::runCompare(const Job &Job, CancelToken &Tok,
   const std::string Key = "compare/e" + std::to_string(Job.Ep->Id) + "/" +
                           Job.Req.Base + "/" + Job.Req.Refined + "/" +
                           joinChecks(Job.Req.Checks);
-  if (std::shared_ptr<const CacheEntry> E = Cache.get(Key)) {
-    Out.Ok = true;
-    Out.CacheHit = true;
-    Out.Policy = E->LandedPolicy;
-    Out.Lines = E->Lines;
-    return Out;
-  }
-  checks::LintOptions LO;
-  LO.Checks = Job.Req.Checks;
-  LO.Config = analysisConfig(Job.Req, "", Tok, nullptr);
-  // Both sides run natively: a comparison against a degraded rung would
-  // not be the comparison the client asked for.
-  LO.Config.Ladder = false;
-  checks::CompareResult CR =
-      checks::comparePolicies(P, Job.Req.Base, Job.Req.Refined, LO);
-  if (!CR.ok()) {
-    Out.Code = ErrorCode::Internal;
-    Out.Error = CR.Error;
-    return Out;
-  }
-  if (CR.Base.Aborted || CR.Refined.Aborted) {
-    AbortReason Reason =
-        CR.Base.Aborted ? CR.Base.Reason : CR.Refined.Reason;
-    if (Reason == AbortReason::Cancelled) {
-      Out.Code = ErrorCode::Cancelled;
-      Out.Error = "request cancelled (deadline or shutdown)";
-    } else {
-      Out.Code = ErrorCode::Budget;
-      Out.Error = std::string("comparison aborted (") +
-                  abortReasonName(Reason) + ")";
+  if (!Fault) {
+    if (std::shared_ptr<const CacheEntry> E = Cache.get(Key)) {
+      Out.Ok = true;
+      Out.CacheHit = true;
+      Out.Policy = E->LandedPolicy;
+      Out.Lines = E->Lines;
+      return Out;
     }
+  }
+  // Each side is the native solve every other kind reads, so one (epoch,
+  // policy) is solved once whatever mix of kinds asks for it.  A ladder
+  // rung would not be the comparison the client asked for.
+  checks::LintRun Runs[2];
+  for (int I = 0; I < 2; ++I) {
+    std::shared_ptr<const CacheEntry> SC =
+        solveCell(Job, I == 0 ? Job.Req.Base : Job.Req.Refined, Tok, Fault,
+                  Out, /*Native=*/true);
+    Out.CacheHit = false; // Only the compare entry's own hit counts.
+    if (!SC) {
+      if (Out.Code == ErrorCode::Budget)
+        Out.Error = std::string("comparison aborted (") +
+                    abortReasonName(Out.Abort) + ")";
+      return Out;
+    }
+    Runs[I] = checks::runCheckers(*SC->Result, Job.Req.Checks);
+    if (!Runs[I].ok())
+      break;
+  }
+  checks::CompareResult CR = checks::compareRuns(
+      Job.Req.Base, Job.Req.Refined, std::move(Runs[0]), std::move(Runs[1]));
+  if (!CR.ok()) {
+    Out.Code = ErrorCode::BadRequest; // An unknown checker id.
+    Out.Error = CR.Error;
     return Out;
   }
   Out.Ok = true;
   Out.Policy = Job.Req.Base + "->" + Job.Req.Refined;
   Out.Lines = compareLines(CR);
-  auto E = std::make_shared<CacheEntry>();
-  E->Ep = Job.Ep;
-  E->LandedPolicy = Out.Policy;
-  E->Lines = Out.Lines;
-  Cache.put(Key, E);
+  if (!Fault) {
+    auto E = std::make_shared<CacheEntry>();
+    E->Ep = Job.Ep;
+    E->LandedPolicy = Out.Policy;
+    E->Lines = Out.Lines;
+    Cache.put(Key, E);
+  }
   return Out;
 }
 

@@ -148,20 +148,25 @@ private:
     std::string FallbackFrom; ///< Non-empty on a degraded answer.
     bool CacheHit = false;
     bool Faulted = false;
+    AbortReason Abort = AbortReason::None; ///< Why a failed solve stopped.
   };
 
   void workerLoop();
   void execute(Job &Job);
   Outcome runWork(const Job &Job, CancelToken &Tok, const FaultPlan *Fault);
 
-  /// The solve behind points-to/callgraph/lint: cache-aware, in-flight
-  /// deduplicated, ladder-enabled.  On failure fills \p Out's error
-  /// fields and returns nullptr.
+  /// The solve behind every work kind (points-to, callgraph, lint and
+  /// both sides of compare): cache-aware, in-flight deduplicated,
+  /// ladder-enabled unless \p Native.  A native solve that converges is
+  /// the same entry a ladder solve caches when it lands no rung.  On
+  /// failure fills \p Out's error fields (and \c Abort on a budget or
+  /// cancelled abort) and returns nullptr.
   std::shared_ptr<const CacheEntry> solveCell(const Job &Job,
                                               const std::string &Policy,
                                               CancelToken &Tok,
                                               const FaultPlan *Fault,
-                                              Outcome &Out);
+                                              Outcome &Out,
+                                              bool Native = false);
 
   Outcome runPointsTo(const Job &Job, CancelToken &Tok,
                       const FaultPlan *Fault);

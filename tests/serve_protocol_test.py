@@ -14,6 +14,8 @@ robustness contract from the outside:
  - daemon answers are bit-identical to the batch CLIs: points-to lines
    match the `hybridpt --dump-vpt` body (minus its two-space indent) and
    lint lines match `hybridpt-lint --format jsonl`;
+ - every work request streams one --trace-out request record, and a
+   compare reads its two sides from the solve cache the other kinds fill;
  - a drain request stops admission and the daemon exits 0;
  - SIGTERM triggers the same graceful drain;
  - BENCH_serve.json produced by the replay driver passes
@@ -106,6 +108,8 @@ MALFORMED = [
     ('{"id": 10, "kind": "lint", "deadline_ms": -5}', "bad-request", 10),
     ('{"id": 11, "kind": "reload", "program": "/no/such.ptir"}',
      "bad-program", 11),
+    ('{"id": 13, "kind": "compare", "base": "insens", "refined": "1obj",'
+     ' "checks": ["no-such-checker"]}', "bad-request", 13),
     ('{"id": 12, "kind": "points-to", "var": "' + "x" * 2000000 + '"}',
      "bad-request", None),  # over MaxLineBytes: id unreadable by design
 ]
@@ -183,6 +187,56 @@ def test_unterminated_line_is_capped():
         assert health.get("id") == 2, health
     finally:
         finish(proc)
+
+
+# --- request records and one solve per (epoch, policy) --------------------
+
+def test_request_records_and_compare_reads_the_solve_cache():
+    # Each work request streams one request record.  A compare solves
+    # through the same cache as points-to: after a points-to under 2obj+H,
+    # the first compare insens->2obj+H adds only the insens solve (plus
+    # its own rendered entry), and the second compare is a cache hit.
+    with tempfile.TemporaryDirectory() as tmp:
+        trace = os.path.join(tmp, "serve.jsonl")
+        proc = start_daemon("--trace-out", trace)
+        try:
+            var = "App::main/0::got"
+            work = [
+                {"id": 1, "kind": "points-to", "policy": "2obj+H",
+                 "var": var},
+                {"id": 2, "kind": "compare", "base": "insens",
+                 "refined": "2obj+H"},
+                {"id": 3, "kind": "compare", "base": "insens",
+                 "refined": "2obj+H"},
+            ]
+            replies = [ask(proc, json.dumps(r)) for r in work]
+            for r in replies:
+                assert r["ok"] is True, r
+            assert [r["cache_hit"] for r in replies] == [False, False,
+                                                         True], replies
+            assert replies[1]["lines"] == replies[2]["lines"]
+            health = ask(proc, '{"id": 4, "kind": "health"}')
+        finally:
+            finish(proc)
+        cache = health["cache"]
+        # Entries: solve 2obj+H, solve insens, the compare answer.  A
+        # compare that re-solved both sides privately would leave two.
+        assert cache["entries"] == 3, cache
+        # Misses: the points-to solve, the first compare entry and its
+        # insens side; the 2obj+H side and the second compare hit.
+        assert cache["misses"] == 3, cache
+        assert cache["hits"] == 2, cache
+
+        with open(trace) as f:
+            records = [json.loads(l) for l in f if l.strip()]
+        requests = [r for r in records if r.get("type") == "request"]
+        assert [r["id"] for r in requests] == [1, 2, 3], requests
+        for r, want in zip(requests, replies):
+            assert r["kind"] == want["kind"], r
+            assert r["outcome"] == "ok", r
+            assert r["cache_hit"] == want["cache_hit"], r
+            for key in ("queue_ms", "latency_ms"):
+                assert isinstance(r[key], (int, float)) and r[key] >= 0, r
 
 
 # --- drain: explicit request and SIGTERM ----------------------------------

@@ -14,6 +14,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "checks/Driver.h"
 #include "serve/Canon.h"
 #include "serve/Epoch.h"
 #include "serve/Protocol.h"
@@ -579,6 +580,80 @@ TEST(ServerE2E, BudgetFaultLandsLadderRungAndSaysSo) {
   EXPECT_EQ(V2.find("degraded"), nullptr)
       << "degraded results must never satisfy a clean request";
   EXPECT_FALSE(V2.find("cache_hit")->B);
+}
+
+TEST(ServerE2E, CompareWithABudgetBlownSideAnswersBudgetUncached) {
+  // On luindex, 1call+H derives more facts than 2obj+H: under the least
+  // fact budget 2obj+H meets, the base side converges and the refined
+  // side aborts.  Compare solves both sides natively, so the reply is the
+  // same with or without the daemon's fallback ladder.
+  std::string Error;
+  std::shared_ptr<const Epoch> Ep = loadEpoch(1, "luindex", Error);
+  ASSERT_NE(Ep, nullptr) << Error;
+  SolverOptions Probe;
+  auto Meets = [&](const char *Policy, uint64_t Budget) {
+    Probe.MaxFacts = Budget;
+    return !solveProgram(*Ep->Prog, *createPolicy(Policy, *Ep->Prog), Probe)
+                .Aborted;
+  };
+  uint64_t Lo = 1, Hi = 1024; // Lo fails 2obj+H, Hi meets it.
+  while (!Meets("2obj+H", Hi))
+    Lo = Hi, Hi *= 2;
+  while (Hi - Lo > 1) {
+    uint64_t Mid = Lo + (Hi - Lo) / 2;
+    (Meets("2obj+H", Mid) ? Hi : Lo) = Mid;
+  }
+  ASSERT_FALSE(Meets("1call+H", Hi));
+
+  auto Compare = [](int Id, const std::string &Extra) {
+    return "{\"id\": " + std::to_string(Id) +
+           R"(, "kind": "compare", "base": "2obj+H", "refined": "1call+H")" +
+           Extra + "}";
+  };
+  for (bool Ladder : {true, false}) {
+    SCOPED_TRACE(Ladder ? "ladder" : "no ladder");
+    ServerOptions Opts = smallServer();
+    Opts.Analysis.Ladder = Ladder;
+    Server S(std::move(Opts));
+    ASSERT_TRUE(S.start(Error)) << Error;
+    ReplyBox Box;
+    EXPECT_TRUE(S.handleLine(
+        Compare(1, ", \"max_facts\": " + std::to_string(Hi)), Box.fn()));
+    json::Value V = reply(Box.waitFor(1)[0]);
+    EXPECT_FALSE(replyOk(V));
+    EXPECT_EQ(replyCode(V), "budget");
+    EXPECT_EQ(V.find("error")->Str, "comparison aborted (fact_budget)");
+    EXPECT_EQ(V.find("degraded"), nullptr);
+    EXPECT_EQ(S.stats().Degraded, 0u);
+
+    // Nothing of the budget-blown compare was cached: the same compare
+    // without the budget solves afresh and answers.
+    EXPECT_TRUE(S.handleLine(Compare(2, ""), Box.fn()));
+    json::Value V2 = reply(Box.waitFor(2)[1]);
+    ASSERT_TRUE(replyOk(V2));
+    EXPECT_FALSE(V2.find("cache_hit")->B);
+    EXPECT_EQ(V2.find("degraded"), nullptr);
+  }
+}
+
+TEST(ServerE2E, CompareOfAPolicyWithoutALadderAnswers) {
+  // U-2obj+H-swapped has no precision-order pair, so it has no complete
+  // fallback ladder; compare solves natively and still answers.
+  Server S(smallServer());
+  std::string Error;
+  ASSERT_TRUE(S.start(Error)) << Error;
+  ReplyBox Box;
+  EXPECT_TRUE(S.handleLine(
+      R"({"id": 1, "kind": "compare", "base": "insens", )"
+      R"("refined": "U-2obj+H-swapped"})",
+      Box.fn()));
+  json::Value V = reply(Box.waitFor(1)[0]);
+  ASSERT_TRUE(replyOk(V)) << Box.waitFor(1)[0];
+
+  std::shared_ptr<const Epoch> Ep = loadEpoch(1, "luindex", Error);
+  ASSERT_NE(Ep, nullptr) << Error;
+  EXPECT_EQ(replyLines(V), compareLines(checks::comparePolicies(
+                               *Ep->Prog, "insens", "U-2obj+H-swapped")));
 }
 
 TEST(ServerE2E, ReloadSwapsEpochAndFailedReloadLeavesItAlone) {

@@ -335,6 +335,63 @@ def test_bench_check_gates_peak_bytes_within_one_build():
               "(build stamps differ)")
 
 
+def test_bench_check_gates_serve_counts_on_one_replay_stream():
+    # An untimed replay stream (same header, no deadline or budget, no
+    # sheds) is answered deterministically: per-kind count, errors and
+    # degraded drift fails; across different or timed streams it only
+    # warns, and time_ms never fails below --min-ms.
+    header = {"harness": "hybridpt-replay", "program": "luindex",
+              "requests": 1000, "seed": 1, "fault_rate": 0.05,
+              "policy": "2obj+H", "base_policy": "insens",
+              "concurrency": 4, "workers": 2, "queue": 64,
+              "deadline_ms": 0, "budget_ms": 0}
+    cell = {"benchmark": "luindex", "policy": "serve:compare", "count": 51,
+            "errors": 3, "degraded": 0, "time_ms": 9.5}
+
+    def check(cand_header, cand_cell, code, expect):
+        base = write_tmp(json.dumps(dict(header, cells=[cell])), ".json")
+        cand = write_tmp(json.dumps(dict(cand_header, cells=[cand_cell])),
+                         ".json")
+        try:
+            proc = run(BENCH_CHECK, base, cand)
+            assert_no_traceback(proc, "serve count drift")
+            assert proc.returncode == code, (expect, proc.stdout)
+            assert expect in proc.stdout, proc.stdout
+        finally:
+            os.unlink(base)
+            os.unlink(cand)
+
+    check(header, dict(cell, time_ms=19.0), 0, "OK")
+    for fact in ("count", "errors", "degraded"):
+        drifted = dict(cell, **{fact: cell[fact] + 1})
+        check(header, drifted, 1, "luindex/serve:compare: %s changed %d -> %d"
+              % (fact, cell[fact], cell[fact] + 1))
+        warned = ("warning: luindex/serve:compare: %s changed %d -> %d "
+                  "(replay streams differ or are timed)"
+                  % (fact, cell[fact], cell[fact] + 1))
+        check(dict(header, seed=2), drifted, 0, warned)
+        check(dict(header, policy="S-2obj+H"), drifted, 0, warned)
+        check(dict(header, queue=2), drifted, 0, warned)
+    # The same header on both sides, but timed: a deadline or a budget
+    # makes the counts depend on the host, and sheds do too.
+    for timed in ({"deadline_ms": 50}, {"budget_ms": 50},
+                  {"concurrency": 8, "queue": 4}):
+        timed_header = dict(header, **timed)
+        base = write_tmp(json.dumps(dict(timed_header, cells=[cell])),
+                         ".json")
+        cand = write_tmp(json.dumps(dict(timed_header, cells=[
+            dict(cell, errors=cell["errors"] + 1)])), ".json")
+        try:
+            proc = run(BENCH_CHECK, base, cand)
+            assert_no_traceback(proc, "timed serve count drift")
+            assert proc.returncode == 0, (timed, proc.stdout)
+            assert "(replay streams differ or are timed)" in proc.stdout, \
+                proc.stdout
+        finally:
+            os.unlink(base)
+            os.unlink(cand)
+
+
 def test_bench_check_new_policy_column_collapses_to_one_warning():
     # A policy absent from the baseline entirely (a newly registered
     # analysis, e.g. the cs columns) must produce ONE "new column" warning
@@ -681,6 +738,59 @@ def test_table1_provenance_embeds_a_profile_per_cell():
         assert "  hottest rules:\n" in summary.stdout, summary.stdout[:2000]
     finally:
         os.unlink(path)
+
+
+def test_profile_out_writes_a_profile_trace_summary_renders():
+    # The single-run profile writer: the file parses as JSON and
+    # trace_summary.py renders it; an unwritable path exits 1 saying so.
+    hybridpt = _have(HYBRIDPT_BIN)
+    if not hybridpt:
+        print("skip: hybridpt binary not provided")
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "profile.json")
+        proc = run_bin(hybridpt, "--provenance", "--blame", "5",
+                       "--profile-out", path, FACTORY_PTIR)
+        if COMPILED_OUT in proc.stderr:
+            print("skip: " + COMPILED_OUT)
+            return
+        assert proc.returncode == 0, (proc.returncode, proc.stderr)
+        assert "wrote profile to " + path in proc.stdout, proc.stdout
+        with open(path) as f:
+            profile = json.load(f)
+        assert profile["total_steps"] > 0, profile
+        summary = run(TRACE_SUMMARY, path)
+        assert_no_traceback(summary, "hybridpt profile")
+        assert summary.returncode == 0, summary.stderr
+        assert "(single run): %d derivation step(s)" % (
+            profile["total_steps"]) in summary.stdout, summary.stdout
+        assert "  hottest rules:\n" in summary.stdout, summary.stdout
+
+        bad = os.path.join(tmp, "no", "such", "dir", "profile.json")
+        proc = run_bin(hybridpt, "--provenance", "--profile-out", bad,
+                       FACTORY_PTIR)
+        assert proc.returncode == 1, (proc.returncode, proc.stderr)
+        assert "cannot write '%s'" % bad in proc.stderr, proc.stderr
+
+
+def test_mistyped_benchmark_name_lists_the_benchmarks():
+    # A spec that is neither a file nor a benchmark name says so and
+    # lists the benchmarks; table1_main prints no table heading first.
+    ran = 0
+    for binary in (HYBRIDPT_BIN, TABLE1_BIN):
+        if not _have(binary):
+            continue
+        ran += 1
+        proc = run_bin(binary, "lunidex")
+        what = os.path.basename(binary)
+        assert proc.returncode == 1, (what, proc.returncode, proc.stderr)
+        assert proc.stdout == "", (what, proc.stdout)
+        assert proc.stderr == (
+            "cannot open 'lunidex', and it is not a benchmark name "
+            "(benchmarks: antlr bloat chart eclipse hsqldb jython luindex "
+            "lusearch pmd xalan)\n"), (what, proc.stderr)
+    if not ran:
+        print("skip: hybridpt/table1_main binaries not provided")
 
 
 # --- malformed numeric flags ---

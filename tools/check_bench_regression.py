@@ -32,8 +32,7 @@ same rung, and any drift fails the check (exit 1) naming
 the cell and the column: the analyses are deterministic, so drift is a
 correctness change, not noise, and an intentional precision change lands
 together with its refreshed baseline.  A column present on one side only
-is schema drift and only warns.  The serve-replay request count and error
-count also only warn.
+is schema drift and only warns.
 
 The telemetry counters (worklist_steps, facts_inserted, facts_replayed,
 fact_dedup_hits, edges_added, edge_dedup_hits, nodes_created,
@@ -68,6 +67,14 @@ latency aggregates keyed ("benchmark" = program, "policy" =
 timing comparison applies, and the percentile fields ride along under
 the generic schema-drift warnings.
 
+A replay stream is fixed by the REPLAY_STREAM header keys (program,
+requests, seed, fault rate, policies, concurrency, workers, queue,
+deadline and budget).  Without a deadline or a solve budget, and with no
+more requests outstanding than the queue holds, nothing in it depends on
+time: the daemon answers it with the same per-kind "count", "errors" and
+"degraded" on any build or host, so their drift fails when both sides
+ran such a stream, and only warns otherwise.
+
 One schema rule IS load-bearing and fails hard: cells from the
 "hybridpt-replay" harness must carry numeric "count" and "time_ms" keys.
 A file missing either is a truncated write or a harness schema change
@@ -89,6 +96,23 @@ DETERMINISTIC_COLUMNS = ("avg_objs_per_var", "cg_edges", "poly_vcalls",
 
 # Stamps that fix the solver's container layouts, and with them peak_bytes.
 LAYOUT_STAMPS = ("build_type", "compiler", "telemetry", "provenance")
+
+# Header keys that fix a hybridpt-replay request stream, and with it each
+# kind's request, error and degraded counts when the stream is untimed
+# (see timeless_stream).
+REPLAY_STREAM = ("program", "requests", "seed", "fault_rate", "policy",
+                 "base_policy", "concurrency", "workers", "queue",
+                 "deadline_ms", "budget_ms")
+
+
+def timeless_stream(top):
+    """True when a replay header's counts cannot depend on time: no
+    deadline, no solve budget, and never more requests outstanding than
+    the queue admits (so none is shed)."""
+    concurrency, queue = top.get("concurrency"), top.get("queue")
+    return (top.get("deadline_ms") == 0 and top.get("budget_ms") == 0
+            and isinstance(concurrency, int) and isinstance(queue, int)
+            and concurrency <= queue)
 
 
 def to_float(value):
@@ -163,8 +187,8 @@ def main():
     base_top, base = load(args.baseline)
     cand_top, cand = load(args.candidate)
 
-    for kind, keys in (("harness config", ("budget_ms", "runs", "threads",
-                                           "ladder")),
+    for kind, keys in (("harness config", ("runs", "threads", "ladder")
+                        + REPLAY_STREAM),
                        ("build stamp", ("hardware_threads", "build_type",
                                         "compiler", "telemetry",
                                         "provenance"))):
@@ -175,6 +199,9 @@ def main():
 
     same_layout = all(base_top.get(key) == cand_top.get(key)
                       for key in LAYOUT_STAMPS)
+    same_stream = (all(base_top.get(key) == cand_top.get(key)
+                       for key in REPLAY_STREAM)
+                   and timeless_stream(base_top))
 
     regressions = []
     drifts = []
@@ -256,10 +283,14 @@ def main():
                 drifts.append(msg)
             else:
                 warnings.append(msg + " (build stamps differ)")
-        for fact in ("count", "errors"):
+        for fact in ("count", "errors", "degraded"):
             if b.get(fact) != c.get(fact):
-                warnings.append(f"{name}: {fact} changed "
-                                f"{b.get(fact)} -> {c.get(fact)}")
+                msg = f"{name}: {fact} changed {b.get(fact)} -> {c.get(fact)}"
+                if same_stream:
+                    drifts.append(msg)
+                else:
+                    warnings.append(msg + " (replay streams differ or "
+                                    "are timed)")
 
         # Fields on one side only (schema drift across PRs): warn-only.
         # Degradation fields already got a dedicated message above.

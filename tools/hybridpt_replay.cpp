@@ -619,9 +619,7 @@ int main(int argc, char **argv) {
               Rq.Kind == "callgraph" || Rq.Kind == "compare";
     if (Rq.Work) {
       ++WorkOrdinal;
-      // Compare runs outside the fault hook (see serve/Server.cpp), so
-      // faults are scheduled onto the other work kinds only.
-      if (Rq.Kind != "compare" && Unit(Rng) < Opts.FaultRate) {
+      if (Unit(Rng) < Opts.FaultRate) {
         Rq.Faulted = true;
         ++FaultCount;
         if (!FaultSpec.empty())
@@ -797,6 +795,11 @@ int main(int argc, char **argv) {
         << "  \"workers\": " << Opts.Workers << ",\n"
         << "  \"seed\": " << Opts.Seed << ",\n"
         << "  \"fault_rate\": " << Opts.FaultRate << ",\n"
+        << "  \"policy\": " << jsonStr(Opts.Policy) << ",\n"
+        << "  \"base_policy\": " << jsonStr(Opts.BasePolicy) << ",\n"
+        << "  \"queue\": " << Opts.Queue << ",\n"
+        << "  \"deadline_ms\": " << Opts.DeadlineMs << ",\n"
+        << "  \"budget_ms\": " << Opts.BudgetMs << ",\n"
         << "  \"faulted\": " << FaultCount << ",\n"
         << "  \"cells\": [\n";
   bool First = true;
